@@ -35,6 +35,10 @@ from repro.isa.translate import auto_translation
 
 from test_bench_isa import E18_FAULTS, E18_HISTOGRAM, E18_SEED
 
+# the one statistics helper, shared with the end-to-end benchmark
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
+from _stats import median, sign_test_ci  # noqa: E402
+
 #: Interleaved A/B rounds; at n=9 the (2nd, 8th) order statistics
 #: bound the median at ~96% confidence (see test_bench_obs.py).
 ROUNDS = 9
@@ -56,19 +60,6 @@ def _timed_campaign(faults, batch):
     start = time.perf_counter()
     result = run_campaign("swmac", faults, batch=batch)
     return time.perf_counter() - start, result
-
-
-def _median(samples):
-    ordered = sorted(samples)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
-def _sign_test_ci(samples):
-    ordered = sorted(samples)
-    return ordered[1], ordered[-2]
 
 
 def measure(rounds=ROUNDS):
@@ -100,13 +91,13 @@ def measure(rounds=ROUNDS):
         f"E24 dependability histogram drifted: {hist} != {E24_HISTOGRAM}"
     )
     speedups = [s / b for s, b in pairs]
-    ci = _sign_test_ci(speedups)
+    ci = sign_test_ci(speedups)[:2]
     return {
         "faults": E24_FAULTS,
         "rounds": rounds,
-        "scalar_campaign_s": round(_median([s for s, _ in pairs]), 4),
-        "batch_campaign_s": round(_median([b for _, b in pairs]), 4),
-        "speedup_vs_scalar": round(_median(speedups), 2),
+        "scalar_campaign_s": round(median([s for s, _ in pairs]), 4),
+        "batch_campaign_s": round(median([b for _, b in pairs]), 4),
+        "speedup_vs_scalar": round(median(speedups), 2),
         "speedup_ci96": [round(x, 2) for x in ci],
         "e24_histogram": hist,
     }

@@ -24,11 +24,16 @@ of grid size.
 """
 
 import json
+import sys
 import time
 from pathlib import Path
 
 from repro.obs import JsonlRecorder, read_samples
 from repro.sweep import expand_grid, run_cell, run_sweep
+
+# the one statistics helper, shared with the end-to-end benchmark
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
+from _stats import median, sign_test_ci  # noqa: E402
 
 GRID = dict(
     generators=["layered", "pipeline"],
@@ -48,19 +53,6 @@ def _timed(fn):
     start = time.perf_counter()
     result = fn()
     return result, time.perf_counter() - start
-
-
-def _median(samples):
-    ordered = sorted(samples)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
-def _sign_test_ci(samples):
-    ordered = sorted(samples)
-    return ordered[1], ordered[-2]
 
 
 def test_flight_recorder_overhead_is_bounded(benchmark, tmp_path):
@@ -111,10 +103,10 @@ def test_flight_recorder_overhead_is_bounded(benchmark, tmp_path):
     # paired per-round overheads: drift hits all three variants alike
     disabled_overheads = [(d - r) / r for r, d, _ in rounds]
     enabled_overheads = [(e - r) / r for r, _, e in rounds]
-    disabled_overhead = _median(disabled_overheads)
-    enabled_overhead = _median(enabled_overheads)
-    dis_ci = _sign_test_ci(disabled_overheads)
-    en_ci = _sign_test_ci(enabled_overheads)
+    disabled_overhead = median(disabled_overheads)
+    enabled_overhead = median(enabled_overheads)
+    dis_ci = sign_test_ci(disabled_overheads)[:2]
+    en_ci = sign_test_ci(enabled_overheads)[:2]
 
     assert disabled_overhead < 0.03, (
         f"unarmed flight-recorder sweep is {disabled_overhead:.1%} "
@@ -132,9 +124,9 @@ def test_flight_recorder_overhead_is_bounded(benchmark, tmp_path):
     record = {
         "cells": len(configs),
         "rounds": ROUNDS,
-        "reference_s": round(_median([r for r, _, _ in rounds]), 4),
-        "disabled_s": round(_median([d for _, d, _ in rounds]), 4),
-        "enabled_s": round(_median([e for _, _, e in rounds]), 4),
+        "reference_s": round(median([r for r, _, _ in rounds]), 4),
+        "disabled_s": round(median([d for _, d, _ in rounds]), 4),
+        "enabled_s": round(median([e for _, _, e in rounds]), 4),
         "disabled_overhead": round(disabled_overhead, 4),
         "enabled_overhead": round(enabled_overhead, 4),
         "disabled_overhead_ci96": [round(x, 4) for x in dis_ci],

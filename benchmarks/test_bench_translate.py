@@ -36,6 +36,10 @@ from repro.isa.translate import auto_translation, install
 
 from test_bench_isa import E18_FAULTS, E18_HISTOGRAM, E18_SEED, STRAIGHT_SRC
 
+# the one statistics helper, shared with the end-to-end benchmark
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
+from _stats import median, sign_test_ci  # noqa: E402
+
 #: Interleaved A/B rounds; at n=9 the (2nd, 8th) order statistics
 #: bound the median at ~96% confidence (see test_bench_obs.py).
 ROUNDS = 9
@@ -63,19 +67,6 @@ def _timed_run(cpu):
     return time.perf_counter() - start
 
 
-def _median(samples):
-    ordered = sorted(samples)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
-def _sign_test_ci(samples):
-    ordered = sorted(samples)
-    return ordered[1], ordered[-2]
-
-
 def measure(limit=LIMIT, rounds=ROUNDS):
     """Interleaved A/B rounds: interpreted tier, then translated."""
     # warm both paths (imports, operand cache shapes, codegen)
@@ -99,10 +90,10 @@ def measure(limit=LIMIT, rounds=ROUNDS):
         last = trans_cpu
 
     speedups = [b / t for b, t in pairs]
-    speedup = _median(speedups)
-    ci = _sign_test_ci(speedups)
-    block_s = _median([b for b, _ in pairs])
-    trans_s = _median([t for _, t in pairs])
+    speedup = median(speedups)
+    ci = sign_test_ci(speedups)[:2]
+    block_s = median([b for b, _ in pairs])
+    trans_s = median([t for _, t in pairs])
     return {
         "program_instrs": n_instr,
         "rounds": rounds,

@@ -3,6 +3,8 @@
 Simulation processes are Python generators that ``yield`` *waitables*:
 
 * :class:`Timeout` — resume after a model-time delay;
+* :class:`Spin` — a zero-delay timeout declaring a pure livelock, which
+  a :class:`Watchdog` may fast-forward to its verdict;
 * :class:`Event` — resume when the event is succeeded, receiving its value;
 * :class:`Process` — resume when another process terminates (join);
 * :class:`AnyOf` — resume when the first of several events fires.
@@ -35,6 +37,8 @@ from typing import (
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
     from repro.cosim.trace import Tracer
 
+_INF = float("inf")
+
 
 class SimulationError(RuntimeError):
     """Raised for kernel misuse (bad yields, double-success, etc.)."""
@@ -59,6 +63,14 @@ class Watchdog:
     steps so the hot loop stays cheap.  A process stuck inside a single
     ``step()`` (never yielding at all) is not detectable from within
     the kernel; the watchdog covers everything the event loop can see.
+
+    A stall made only of declared :class:`Spin` wakeups, with nothing
+    else due at the stuck time and no tracer attached, is fast-forwarded:
+    the run raises the same :class:`HangDetected`, after the same
+    activation count, without resuming the spinners again.  Skipped
+    activations take no host time, so a wall-clock budget cannot run
+    out during them; the run ends with the verdict the slow loop
+    reaches on any host fast enough to finish the stall in budget.
     """
 
     __slots__ = ("max_stalled_activations", "wall_clock_s", "check_every")
@@ -176,6 +188,29 @@ class Timeout:
         self.value = value
 
 
+#: The value a resumed :class:`Spin` delivers: an opaque mark only the
+#: kernel hands out, by which the run loop tells a declared spin wakeup
+#: from every other ready entry.
+_SPUN = object()
+
+
+class Spin(Timeout):
+    """A zero-delay timeout that declares a zero-time livelock.
+
+    A process that yields a ``Spin`` promises the kernel that whenever
+    it is resumed it does nothing but yield a ``Spin`` again — the
+    shape of a saboteur that stops yielding time.  Scheduling is
+    exactly that of ``Timeout(0.0)`` (the yield evaluates to an opaque
+    marker); the promise only lets a :class:`Watchdog` skip a stall
+    whose outcome is already fixed (see :meth:`Simulator._skip_spins`).
+    """
+
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        super().__init__(0.0, _SPUN)
+
+
 class AnyOf:
     """Wait for the first of several events; the process receives the
     pair ``(event, value)`` of whichever fired first."""
@@ -224,30 +259,9 @@ class Process:
         self._pending_interrupt = Interrupt(cause)
         self.sim._schedule(0.0, self, None, self._token)
 
-    def _resume(self, value: Any, token: int) -> None:
-        if token != self._token:
-            return  # stale wakeup from an abandoned waitable
-        self.sim.activations += 1
-        if self.sim.tracer is not None:
-            self.sim.tracer.on_resume(self)
-        try:
-            if self._pending_interrupt is not None:
-                exc, self._pending_interrupt = self._pending_interrupt, None
-                if self.sim.tracer is not None:
-                    self.sim.tracer.on_interrupt(self, exc.cause)
-                command = self.gen.throw(exc)
-            else:
-                command = self.gen.send(value)
-        except StopIteration as stop:
-            self._finish(stop.value)
-            return
-        except Interrupt:
-            # the process chose not to handle its interruption: it dies
-            self._finish(None)
-            return
-        self._dispatch(command)
-
     def _dispatch(self, command: Any) -> None:
+        """Wait on whatever the process yielded.  The run loop handles
+        plain :class:`Timeout` inline and sends everything else here."""
         self._token += 1
         token = self._token
         if isinstance(command, Timeout):
@@ -401,14 +415,18 @@ class Simulator:
         # case at pin level) append here instead of paying heapq churn.
         # Invariant: every entry's time equals `now` — the lane is fully
         # drained (fired or skipped as stale) before time can advance,
-        # and step() interleaves the two lanes in global (time, seq)
-        # order so determinism is bit-identical to a single heap.
+        # and the run loop interleaves the two lanes in global (time,
+        # seq) order so determinism is bit-identical to a single heap.
         self._ready: "deque[Tuple[float, int, Process, Any, int]]" = deque()
         self._seq = 0
         self._procs: List[Process] = []
 
     def attach_tracer(self, tracer: "Tracer") -> "Tracer":
-        """Attach (and bind) a tracer after construction; returns it."""
+        """Attach (and bind) a tracer after construction; returns it.
+
+        The run loop reads the tracer once per :meth:`run` or
+        :meth:`step` call, so attach between runs, not from inside a
+        running process."""
         self.tracer = tracer
         tracer.bind(self)
         return tracer
@@ -449,43 +467,13 @@ class Simulator:
                 self._queue, (self.now + delay, self._seq, proc, value, token)
             )
 
-    def _peek_time(self) -> Optional[float]:
-        """Model time of the next scheduled resumption, or ``None`` when
-        idle — the single horizon check shared by :meth:`run` and
-        :meth:`_run_watched` so the two loops cannot drift."""
-        if self._ready:
-            return self.now
-        if self._queue:
-            return self._queue[0][0]
-        return None
-
     def step(self) -> bool:
         """Run one scheduled resumption.  Returns False when idle.
 
-        Pops from whichever lane holds the globally next ``(time, seq)``
-        entry: the ready lane always sits at the current time, but a
-        heap entry at the same time with a smaller sequence number was
-        scheduled earlier and must fire first.
+        The single-step face of :meth:`run`: the same loop, stopped
+        after one activation (stale wakeups are skipped on the way).
         """
-        ready = self._ready
-        queue = self._queue
-        while ready or queue:
-            if ready and (
-                not queue
-                or queue[0][0] > self.now
-                or (queue[0][0] == self.now and queue[0][1] > ready[0][1])
-            ):
-                time, _seq, proc, value, token = ready.popleft()
-            else:
-                time, _seq, proc, value, token = heapq.heappop(queue)
-                if time < self.now:
-                    raise SimulationError("time went backwards")
-            if not proc.alive or token != proc._token:
-                continue
-            self.now = time
-            proc._resume(value, token)
-            return True
-        return False
+        return self._loop(_INF, None, True)
 
     def run(
         self,
@@ -498,69 +486,155 @@ class Simulator:
         a no-op: time never moves backwards.  An attached ``watchdog``
         raises :class:`HangDetected` when the run stalls (model time
         stuck while processes keep spinning) or overruns its wall-clock
-        budget; ``None`` (the default) keeps the loop exactly as cheap
-        as it was without the feature.
+        budget; ``None`` (the default) leaves its accounting out of the
+        loop behind one local test.
         """
-        if watchdog is not None:
-            return self._run_watched(until, watchdog)
-        step = self.step
-        if until is None:
-            while step():
-                pass
-            return self.now
-        peek = self._peek_time
-        while True:
-            head = peek()
-            if head is None:
-                break
-            if head > until:
-                # advance to the horizon, but never rewind: an `until`
-                # in the past must not drag `now` backwards
-                self.now = max(self.now, until)
-                return self.now
-            if not step():
-                break
+        self._loop(_INF if until is None else until, watchdog, False)
         return self.now
 
-    def _run_watched(self, until: Optional[float], watchdog: Watchdog)\
-            -> float:
-        """The :meth:`run` loop with stall and wall-clock accounting."""
-        last_now = self.now
-        stalled = 0
-        steps = 0
-        deadline = (
-            None if watchdog.wall_clock_s is None
-            else time.perf_counter() + watchdog.wall_clock_s
-        )
+    def _loop(self, horizon: float, watchdog: Optional[Watchdog],
+              once: bool) -> bool:
+        """The one scheduler loop behind :meth:`run` and :meth:`step`.
+
+        Each pass pops the globally next ``(time, seq)`` entry, skips it
+        if stale, and resumes its process, with the resume, the
+        ``Timeout`` dispatch and its scheduling inlined over bound
+        locals.  The watchdog's accounting and the tracer hooks sit
+        behind local ``None`` tests.  Returns whether an activation ran
+        (``once`` stops after the first one).
+        """
+        ready = self._ready
+        queue = self._queue
+        popleft = ready.popleft
+        append = ready.append
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        tracer = self.tracer
+        now = self.now
+        if now > horizon:
+            return False  # an `until` in the past never rewinds
+        budget = None
+        stalled = steps = 0
+        deadline = None
+        if watchdog is not None:
+            budget = watchdog.max_stalled_activations
+            if watchdog.wall_clock_s is not None:
+                deadline = time.perf_counter() + watchdog.wall_clock_s
+                check_every = watchdog.check_every
         while True:
-            head = self._peek_time()
-            if head is None:
-                break
-            if until is not None and head > until:
-                self.now = max(self.now, until)
-                return self.now
-            if not self.step():
-                break
-            if self.now > last_now:
-                last_now = self.now
-                stalled = 0
+            if ready:
+                # the lane-order rule: the smaller (time, seq) head
+                # fires first; ready entries all sit at `now`, so a heap
+                # entry wins only if due now and scheduled earlier
+                if queue and queue[0] < ready[0]:
+                    entry = heappop(queue)
+                else:
+                    entry = popleft()
+            elif queue:
+                if queue[0][0] > horizon:
+                    if horizon > now:  # advance to the horizon
+                        self.now = horizon
+                    return False
+                entry = heappop(queue)
             else:
+                return False
+            when, _seq, proc, value, token = entry
+            if token != proc._token or not proc._alive:
+                continue  # stale wakeup from an abandoned waitable
+            if when != now:
+                if when < now:
+                    raise SimulationError("time went backwards")
+                self.now = now = when
+                stalled = -1  # progress: the count below restarts at 0
+            self.activations += 1
+            if tracer is not None:
+                tracer.on_resume(proc)
+            try:
+                exc = proc._pending_interrupt
+                if exc is None:
+                    command = proc.gen.send(value)
+                else:
+                    proc._pending_interrupt = None
+                    if tracer is not None:
+                        tracer.on_interrupt(proc, exc.cause)
+                    command = proc.gen.throw(exc)
+            except StopIteration as stop:
+                proc._finish(stop.value)
+            except Interrupt:
+                # the process chose not to handle its interruption: it dies
+                proc._finish(None)
+            else:
+                if type(command) is Timeout:
+                    token = proc._token = proc._token + 1
+                    seq = self._seq = self._seq + 1
+                    delay = command.delay
+                    if delay == 0.0:
+                        append((now, seq, proc, command.value, token))
+                    else:
+                        heappush(queue, (now + delay, seq, proc,
+                                         command.value, token))
+                else:
+                    proc._dispatch(command)
+            if once:
+                return True
+            if budget is not None:
                 stalled += 1
-                if stalled >= watchdog.max_stalled_activations:
+                if stalled >= budget or (
+                    ready and ready[0][3] is _SPUN and tracer is None
+                    and self._skip_spins(budget - stalled)
+                ):
                     raise HangDetected(
-                        f"no model-time progress after {stalled} "
-                        f"activations at t={self.now:g}; "
+                        f"no model-time progress after {budget} "
+                        f"activations at t={now:g}; "
                         f"suspects: {self._stalled_suspects()}"
                     )
-            steps += 1
-            if deadline is not None and steps % watchdog.check_every == 0:
-                if time.perf_counter() > deadline:
-                    raise HangDetected(
-                        f"wall-clock budget {watchdog.wall_clock_s:g}s "
-                        f"exhausted at t={self.now:g} "
-                        f"({steps} steps, {stalled} stalled)"
-                    )
-        return self.now
+                if deadline is not None:
+                    steps += 1
+                    if (steps % check_every == 0
+                            and time.perf_counter() > deadline):
+                        raise HangDetected(
+                            f"wall-clock budget {watchdog.wall_clock_s:g}s "
+                            f"exhausted at t={now:g} "
+                            f"({steps} steps, {stalled} stalled)"
+                        )
+
+    def _skip_spins(self, skipped: int) -> bool:
+        """Fast-forward a zero-time livelock by ``skipped`` activations.
+
+        Applies only when every ready wakeup is a live :class:`Spin`
+        with no interrupt pending and nothing else is due at ``now``
+        (the heap is empty or its head is strictly later).  From there
+        the run is fixed: each activation resumes the ready lane's head,
+        whose process yields a ``Spin`` again, so nothing but the
+        activation count, the sequence counter, the spinners' wait
+        tokens and the lane's rotation changes until the watchdog
+        fires.  This applies exactly that change in O(spinners) and
+        returns True; otherwise it changes nothing and returns False.
+        """
+        queue, ready = self._queue, self._ready
+        if queue and queue[0][0] <= self.now:
+            return False
+        for _when, _seq, proc, value, token in ready:
+            if (value is not _SPUN or token != proc._token
+                    or not proc._alive
+                    or proc._pending_interrupt is not None):
+                return False
+        entries = list(ready)
+        n = len(entries)
+        rounds, extra = divmod(skipped, n)
+        for i, entry in enumerate(entries):
+            entry[2]._token += rounds + (i < extra)
+        # pop j (0-based) re-pushes entries[j % n] as seq + j + 1; the
+        # lane ends as the unpopped entries, then the last n re-pushes
+        now, seq = self.now, self._seq
+        ready.clear()
+        ready.extend(entries[skipped:])
+        for j in range(max(0, skipped - n), skipped):
+            _when, _seq, proc, value, _token = entries[j % n]
+            ready.append((now, seq + j + 1, proc, value, proc._token))
+        self._seq = seq + skipped
+        self.activations += skipped
+        return True
 
     def _stalled_suspects(self) -> List[str]:
         """Names of live processes scheduled at the stuck time (the

@@ -13,7 +13,8 @@ Each fault kind maps onto the narrowest hook its layer already offers:
 * ``signal_flip`` / ``reg_flip`` / ``proc_spin`` — a saboteur process
   scheduled at ``spec.time``;
 * ``cpu_*`` — a one-shot retirement observer on
-  :attr:`repro.isa.cpu.Cpu.observers`;
+  :attr:`repro.isa.cpu.Cpu.observers`, which leaves the list as it
+  fires, so the CPU's fast tiers run the rest of the program;
 * ``msg_*`` — a per-instance wrapper around ``Channel.send`` that
   drops, duplicates, delays, reorders, or corrupts the Nth message in
   transport (the class and every other channel stay untouched).
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional
 
-from repro.cosim.kernel import Simulator
+from repro.cosim.kernel import Simulator, Spin
 from repro.cosim.msglevel import Channel
 from repro.cosim.signals import Signal
 from repro.fault.spec import FaultSpec
@@ -55,7 +56,13 @@ class System:
 
 
 class _CpuSaboteur:
-    """One-shot retirement observer implementing the ``cpu_*`` kinds."""
+    """One-shot retirement observer implementing the ``cpu_*`` kinds.
+
+    On firing it removes itself from ``cpu.observers``: with no
+    observer left, ``run_block`` hands the rest of its budget to the
+    fast tiers, which the DESIGN §9 equivalence contract makes
+    indistinguishable from staying on the ``step()`` loop.
+    """
 
     __slots__ = ("cpu", "spec", "retired", "fired")
 
@@ -80,6 +87,7 @@ class _CpuSaboteur:
             cpu.pc ^= (1 << spec.bit)
         else:  # cpu_flag_flip
             setattr(cpu, spec.flag, not getattr(cpu, spec.flag))
+        cpu.observers.remove(self)
 
 
 class _MessageSaboteur:
@@ -148,10 +156,16 @@ def _flip_later(system: System, spec: FaultSpec) -> Generator:
 
 
 def _spin_later(system: System, spec: FaultSpec) -> Generator:
-    """Saboteur that stops yielding time: the watchdog's prey."""
+    """Saboteur that stops yielding time: the watchdog's prey.
+
+    It yields a :class:`~repro.cosim.kernel.Spin`, declaring that it
+    does nothing else from then on, so a watchdog can jump straight to
+    the verdict it would reach by counting every spin.
+    """
     yield system.sim.timeout(spec.time)
+    spin = Spin()
     while True:
-        yield system.sim.timeout(0.0)
+        yield spin
 
 
 class FaultInjector:
@@ -220,7 +234,8 @@ class FaultInjector:
         """Remove every hook :meth:`arm` installed that is removable
         without rewinding the simulator.
 
-        CPU saboteurs leave ``cpu.observers`` — which re-engages
+        CPU saboteurs that have not fired yet leave ``cpu.observers``
+        (a fired one already left on its own) — which re-engages
         whichever fast tier the CPU has (the interpreted block loop
         *and* the translated tier, see DESIGN §13) on the very next
         ``run_block`` call; message saboteurs unwrap, restoring the

@@ -62,6 +62,23 @@ DEFAULT_WATCHDOG = Watchdog(max_stalled_activations=4000)
 #: Sentinel distinguishing "use the default watchdog" from "none".
 _USE_DEFAULT = object()
 
+#: Assembled program images, keyed by assembly source.
+_IMAGES: Dict[str, Dict[int, int]] = {}
+
+
+def _image(source: str) -> Dict[int, int]:
+    """The assembled image of ``source``, assembled once per process.
+
+    Sharing one dict is safe because every consumer copies it:
+    ``Memory.load_image`` into RAM, ``BatchCpu`` into its base image.
+    """
+    image = _IMAGES.get(source)
+    if image is None:
+        from repro.isa.assembler import assemble
+
+        image = _IMAGES[source] = assemble(source).image
+    return image
+
 
 @dataclass(frozen=True)
 class SoftwareWorkload:
@@ -172,12 +189,11 @@ class MacDevice(RegisterDevice):
 def _build_coproc(
     sim: Simulator,
 ) -> Tuple[System, Callable[[], Dict[str, Any]]]:
-    from repro.isa.assembler import assemble
     from repro.isa.cpu import Cpu
     from repro.isa.instructions import Isa
 
     cpu = Cpu(Isa())
-    cpu.memory.load_image(assemble(COPROC_ASM).image)
+    cpu.memory.load_image(_image(COPROC_ASM))
     plane = Backplane(sim, cpu, clock_period=10.0, batch_instructions=4)
 
     fifo = FifoDevice(sim, "rx", depth=16, access_time=2.0)
@@ -343,18 +359,11 @@ agree:  sw   r5, {SW_OUT_BASE + 2}(r0) ; agreement verdict
         halt
 """
 
-_SW_IMAGES: Dict[str, Dict[int, int]] = {}
-
-
 def _sw_image(scenario: Scenario) -> Dict[int, int]:
-    """The assembled image of a software scenario (memoized by name)."""
-    image = _SW_IMAGES.get(scenario.name)
-    if image is None:
-        from repro.isa.assembler import assemble
-
-        image = dict(assemble(scenario.software.source).image)
-        image.setdefault(scenario.software.seed_addr, SW_SEED)
-        _SW_IMAGES[scenario.name] = image
+    """The image of a software scenario: its program plus the golden
+    input seed word (unless the program sets that word itself)."""
+    image = dict(_image(scenario.software.source))
+    image.setdefault(scenario.software.seed_addr, SW_SEED)
     return image
 
 

@@ -324,7 +324,10 @@ class Cpu:
     def _retire(self, pc: int, instr: Instruction, cycles: int) -> None:
         self.instr_count += 1
         self.cycle_count += cycles
-        for observer in self.observers:
+        # a snapshot: an observer may detach itself (a fired one-shot
+        # fault saboteur does) without hiding this retirement from the
+        # observers after it
+        for observer in tuple(self.observers):
             observer(pc, instr)
 
     def run(
@@ -397,7 +400,9 @@ class Cpu:
         (:mod:`repro.isa.translate`) runs, and detaching the last
         observer (``Profiler.detach()``, ``FaultInjector.disarm()``)
         re-engages whichever fast tier is installed on the very next
-        call — there is no sticky disabled state to reset.
+        call — there is no sticky disabled state to reset.  An observer
+        that detaches itself mid-call (a one-shot fault saboteur as it
+        fires) hands the rest of that call's budget to the fast tier.
         """
         if self.halted or max_steps <= 0:
             return 0, 0, None
@@ -594,10 +599,17 @@ class Cpu:
     def _run_block_slow(self, max_steps: int) \
             -> Tuple[int, int, Optional[ExternalAccess]]:
         """:meth:`run_block` semantics over plain :meth:`step` calls —
-        the automatic fallback while observers are armed."""
+        the automatic fallback while observers are armed.  Once the
+        last observer has left (a one-shot fault saboteur leaves as it
+        fires), the rest of the budget runs on the fast tiers."""
         steps = 0
         cycles = 0
         while steps < max_steps and not self.halted:
+            if not self.observers:
+                tier = (self._run_block_fast if self.translator is None
+                        else self.translator.execute)
+                more, more_cycles, access = tier(max_steps - steps)
+                return steps + more, cycles + more_cycles, access
             result = self.step()
             steps += 1
             if isinstance(result, ExternalAccess):

@@ -128,11 +128,56 @@ class TestCpuFaults:
             FaultSpec(kind="cpu_reg_flip", target="cpu", index=1,
                       bit=0, count=1))
         cpu.run()
-        (saboteur,) = cpu.observers
+        ((_kind, saboteur),) = injector._hooks
         assert saboteur.fired
         assert injector.armed  # the spec stayed registered
         # one flip of bit 0 at r1==0 -> 1, then four increments -> 5
         assert cpu.regs[1] == 5
+        assert cpu.observers == []  # it left as it fired
+
+    def test_profiler_beside_saboteur_sees_every_retirement(self):
+        """A saboteur detaching mid-retirement must not hide that
+        retirement from an observer attached after it."""
+        from repro.isa.profiler import Profiler
+
+        cpu = _fresh_cpu()
+        arm_fault(System(Simulator(), cpu=cpu),
+                  FaultSpec(kind="cpu_reg_flip", target="cpu", index=1,
+                            bit=0, count=2))
+        profiler = Profiler(cpu)
+        cpu.run()
+        assert sum(profiler.pc_counts.values()) == cpu.instr_count == 6
+        # r1==1 after instruction 2, flipped to 0, three more -> 3
+        assert cpu.regs[1] == 3
+
+    def test_fired_saboteur_hands_back_the_fast_tier(self):
+        cpu = _fresh_cpu()
+        arm_fault(System(Simulator(), cpu=cpu),
+                  FaultSpec(kind="cpu_reg_flip", target="cpu", index=1,
+                            bit=0, count=1))
+        assert cpu.run_block(1)[0] == 1  # the step loop, until it fires
+        assert cpu.observers == []
+
+        def forbidden(max_steps):
+            raise AssertionError("step loop used after the fault fired")
+
+        cpu._run_block_slow = forbidden
+        cpu.run()
+        assert cpu.halted and cpu.regs[1] == 5
+
+    def test_fired_saboteur_hands_back_within_the_call(self):
+        """One run_block call: step() only up to the fault, then the
+        rest of the budget on the fast tier."""
+        cpu = _fresh_cpu()
+        arm_fault(System(Simulator(), cpu=cpu),
+                  FaultSpec(kind="cpu_reg_flip", target="cpu", index=1,
+                            bit=0, count=2))
+        stepped = []
+        step = cpu.step
+        cpu.step = lambda: stepped.append(cpu.pc) or step()
+        assert cpu.run_block(100) == (6, 6, None)
+        assert stepped == [0, 1]
+        assert cpu.halted and cpu.regs[1] == 3
 
     def test_cpu_fault_needs_a_cpu(self):
         with pytest.raises(InjectionError, match="no CPU"):

@@ -136,8 +136,10 @@ class TestTranslatedTierReengage:
         cpu = make_cpu()
         translator = install(cpu, hot_threshold=1)
         injector = FaultInjector(System(sim=None, cpu=cpu))
+        # count 9: still armed (unfired) through the 8 steps below — a
+        # fired saboteur leaves on its own and hands back mid-call
         injector.arm(FaultSpec(kind="cpu_reg_flip", target="cpu",
-                               index=3, bit=0, count=2))
+                               index=3, bit=0, count=9))
         cpu.run_block(8)  # saboteur armed: literal step loop
         assert translator.translations == 0
 
