@@ -2,15 +2,19 @@
 
 Figure 2 nests co-simulation around co-synthesis for a reason: a
 synthesizer's claimed makespan rests on its scheduler's assumptions.
-This module re-executes a :class:`MultiprocSchedule`'s *mapping* (not
-its timetable) as communicating simulation processes — each processing
-element is a serial resource, each cross-PE edge a message with the
-communication model's latency — and reports what actually happens.
+This module re-executes a :class:`MultiprocSchedule`'s *mapping* and
+each processing element's planned task order (not its timetable) as
+communicating simulation processes — each processing element is a
+serial resource, each cross-PE edge a message with the communication
+model's latency — and reports what actually happens.
 
-Because the simulation re-derives task start times from resource
-contention and message arrival rather than trusting the schedule, any
-optimism in the scheduler (lost arbitration detail, impossible overlap)
-shows up as disagreement here.
+Because the simulation re-derives task start times from message arrival
+and PE release rather than trusting the schedule, any optimism in the
+scheduler (lost arbitration detail, impossible overlap) shows up as
+disagreement here.  The order is replayed because it is a decision of
+the schedule, not an outcome: a PE granted first-come-first-served
+would start whichever mapped task happens to be ready, possibly one the
+schedule deliberately held back for a more critical task.
 """
 
 from __future__ import annotations
@@ -77,6 +81,17 @@ def simulate_schedule(
 
     busy: Dict[str, float] = {name: 0.0 for name in pes}
 
+    # the task planned just before each task on its PE
+    order = {name: i for i, name in enumerate(graph.task_names)}
+    previous: Dict[str, str] = {}
+    last: Dict[str, str] = {}
+    for name in sorted(graph.task_names,
+                       key=lambda n: (schedule.start[n], order[n])):
+        pe_name = schedule.mapping[name]
+        if pe_name in last:
+            previous[name] = last[pe_name]
+        last[pe_name] = name
+
     def task_proc(name: str):
         for edge in graph.in_edges(name):
             key = (edge.src, name)
@@ -84,6 +99,8 @@ def simulate_schedule(
                 yield from channels[key].receive()
             else:
                 yield done[edge.src]
+        if name in previous:
+            yield done[previous[name]]
         pe_name = schedule.mapping[name]
         unit = units[pe_name]
         yield from unit.acquire()

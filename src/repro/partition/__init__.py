@@ -8,7 +8,9 @@ The package separates three concerns:
   actual list schedule of the partitioned graph (software serialized on
   the processor, hardware on the co-processor's controllers,
   communication charged on boundary edges) plus a sharing-aware area
-  estimate;
+  estimate, run against a
+  :class:`~repro.partition.evaluate.CompiledProblem` that each
+  heuristic call builds once;
 * :mod:`repro.partition.cost` — *how factors combine*: the paper's six
   partitioning factors (performance requirements, implementation cost,
   modifiability, nature of computation, concurrency, communication) as a

@@ -11,7 +11,8 @@ import math
 import random
 from typing import FrozenSet, Iterable, Optional
 
-from repro.partition.cost import CostWeights, partition_cost
+from repro.partition.cost import CostWeights
+from repro.partition.evaluate import CompiledProblem
 from repro.partition.problem import PartitionProblem, PartitionResult
 from repro.partition.seeding import ProgressProbe, resolve_rng
 
@@ -45,8 +46,9 @@ def simulated_annealing(
     """
     rng = resolve_rng(seed, rng)
     names = problem.graph.task_names
+    compiled = CompiledProblem(problem)
     hw = frozenset(seed_hw)
-    cost, breakdown, evaluation = partition_cost(problem, hw, weights)
+    cost, breakdown, evaluation = compiled.cost(hw, weights)
     best = (cost, hw, breakdown, evaluation)
     moves = 0
 
@@ -64,8 +66,8 @@ def simulated_annealing(
         for _ in range(steps_per_temperature):
             name = rng.choice(names)
             candidate = hw - {name} if name in hw else hw | {name}
-            cand_cost, cand_break, cand_eval = partition_cost(
-                problem, candidate, weights
+            cand_cost, cand_break, cand_eval = compiled.cost(
+                candidate, weights
             )
             moves += 1
             delta = cand_cost - cost

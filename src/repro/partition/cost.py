@@ -23,19 +23,29 @@ module makes each an explicit, individually-weighted (and individually
 
 The evaluation-derived terms (1, 5, 6) come from the schedule in
 :mod:`repro.partition.evaluate`; the structural terms (2, 3, 4) come
-from the task characterizations.
+from the task characterizations.  Each term is computed in one place,
+:meth:`repro.partition.evaluate.CompiledProblem.cost_terms`; the
+functions here build a compiled view and call it once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterable, Set, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Iterable, Tuple
 
-from repro.partition.evaluate import Evaluation, evaluate_partition
+from repro.partition.evaluate import (
+    VIOLATION_PENALTY,
+    CompiledProblem,
+    Evaluation,
+)
 from repro.partition.problem import PartitionProblem
 
-#: Penalty multiplier applied to constraint violations (deadline, area).
-VIOLATION_PENALTY = 10.0
+__all__ = [
+    "VIOLATION_PENALTY",
+    "CostWeights",
+    "cost_terms",
+    "partition_cost",
+]
 
 
 @dataclass(frozen=True)
@@ -74,56 +84,7 @@ def cost_terms(
     hw_tasks: Iterable[str],
 ) -> Dict[str, float]:
     """The raw (unweighted) value of each factor term."""
-    graph = problem.graph
-    hw = set(hw_tasks)
-
-    # 1. performance: latency, heavily penalized beyond the deadline
-    latency = evaluation.latency_ns
-    performance = latency
-    if problem.deadline_ns is not None and latency > problem.deadline_ns:
-        performance += VIOLATION_PENALTY * (latency - problem.deadline_ns)
-
-    # 2. implementation cost: area, heavily penalized beyond the budget
-    area_term = evaluation.hw_area
-    if (problem.hw_area_budget is not None
-            and evaluation.hw_area > problem.hw_area_budget):
-        area_term += VIOLATION_PENALTY * (
-            evaluation.hw_area - problem.hw_area_budget
-        )
-
-    # 3. modifiability: likely-to-change functionality frozen in silicon
-    # (summed in sorted order: float addition is non-associative, and
-    # set iteration order varies with PYTHONHASHSEED — a hash-order sum
-    # would differ by an ULP between interpreters, breaking the
-    # byte-identical-resume guarantee of the campaign store)
-    modifiability = sum(graph.task(n).modifiability for n in sorted(hw))
-
-    # 4. nature of computation: medium mismatch
-    nature = 0.0
-    for name in graph.task_names:
-        task = graph.task(name)
-        if name in hw:
-            # serial computations gain little in hardware
-            if task.parallelism < 2.0:
-                nature += task.sw_time * (2.0 - task.parallelism)
-        else:
-            # parallel computations squandered on a serial processor
-            nature += task.sw_time * max(0.0, task.parallelism - 2.0) / 2.0
-
-    # 5. concurrency: reward realized overlap (negative term)
-    concurrency = -evaluation.overlap_fraction * latency
-
-    # 6. communication: boundary-crossing time
-    communication = evaluation.comm_ns
-
-    return {
-        "performance": performance,
-        "implementation_cost": area_term,
-        "modifiability": modifiability,
-        "nature": nature,
-        "concurrency": concurrency,
-        "communication": communication,
-    }
+    return CompiledProblem(problem).cost_terms(evaluation, hw_tasks)
 
 
 def partition_cost(
@@ -137,11 +98,4 @@ def partition_cost(
     Returns ``(cost, breakdown, evaluation)``; pass a pre-computed
     ``evaluation`` to avoid re-scheduling.
     """
-    hw = frozenset(hw_tasks)
-    if evaluation is None:
-        evaluation = evaluate_partition(problem, hw)
-    raw = cost_terms(problem, evaluation, hw)
-    breakdown = {
-        name: getattr(weights, name) * value for name, value in raw.items()
-    }
-    return sum(breakdown.values()), breakdown, evaluation
+    return CompiledProblem(problem).cost(hw_tasks, weights, evaluation)

@@ -18,8 +18,8 @@ from __future__ import annotations
 import random
 from typing import FrozenSet, Optional
 
-from repro.partition.cost import CostWeights, partition_cost
-from repro.partition.evaluate import evaluate_partition, hardware_area
+from repro.partition.cost import CostWeights
+from repro.partition.evaluate import CompiledProblem
 from repro.partition.problem import PartitionProblem, PartitionResult
 from repro.partition.seeding import ProgressProbe, resolve_rng
 
@@ -41,8 +41,9 @@ def cosyma_partition(
     """
     resolve_rng(seed, rng)  # validate the uniform interface contract
     graph = problem.graph
+    compiled = CompiledProblem(problem)
     hw: FrozenSet[str] = frozenset()
-    cost, breakdown, evaluation = partition_cost(problem, hw, weights)
+    cost, breakdown, evaluation = compiled.cost(hw, weights)
     moves = 0
     if probe is not None:
         probe.record("cosyma", cost, task=None,
@@ -59,12 +60,12 @@ def cosyma_partition(
             if name in hw:
                 continue
             candidate = hw | {name}
-            area = hardware_area(problem, candidate)
+            area = compiled.hardware_area(candidate)
             if (problem.hw_area_budget is not None
                     and area > problem.hw_area_budget):
                 continue
-            cand_cost, cand_break, cand_eval = partition_cost(
-                problem, candidate, weights
+            cand_cost, cand_break, cand_eval = compiled.cost(
+                candidate, weights
             )
             moves += 1
             saved = evaluation.latency_ns - cand_eval.latency_ns

@@ -6,13 +6,20 @@ the co-processor's thread count) and overlap software, and every
 boundary-crossing edge pays the communication model.  Evaluating with a
 real list schedule is what gives the paper's "concurrency" and
 "communication" factors teeth (experiments E9, E11).
+
+A partitioner costs thousands of candidate moves against one problem,
+so the work is split the way reference [18] splits area estimation
+(:mod:`repro.estimate.incremental`): :class:`CompiledProblem` derives
+once everything the problem fixes, and each move pays only for the
+schedule and the terms that depend on the partition.  The module-level
+functions build a view and call it once.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
 from repro.cosim.trace import COMM, TASK, Tracer
 from repro.estimate.incremental import (
@@ -21,7 +28,14 @@ from repro.estimate.incremental import (
     shared_area,
 )
 from repro.graph.algorithms import b_levels
+from repro.hls.library import default_library
 from repro.partition.problem import PartitionProblem
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.partition.cost import CostWeights
+
+#: Penalty multiplier applied to constraint violations (deadline, area).
+VIOLATION_PENALTY = 10.0
 
 
 @dataclass(frozen=True)
@@ -47,24 +61,249 @@ class Evaluation:
         return min(self.cpu_busy_ns, self.hw_busy_ns) / self.latency_ns
 
 
+class CompiledProblem:
+    """A :class:`PartitionProblem` compiled for many partition evaluations.
+
+    Holds what no move can change: the ready-heap key of each task
+    (``(-b_level, insertion index, name)``), predecessor counts and
+    sources, each task's times and structural cost contributions, its
+    area input, and each out-edge's boundary transfer time.
+
+    Build one per heuristic call and let it go: task graphs and tasks
+    are mutable, so a view kept beyond the call could go stale.
+
+    Floats are summed in a fixed order so records are byte-identical
+    whatever the caller's set order: schedule totals in pop order,
+    ``sw_size`` and ``nature`` in task insertion order, modifiability
+    and the no-sharing area over the sorted hardware set, and the
+    sharing estimate keyed by the sorted area inputs.
+    """
+
+    def __init__(self, problem: PartitionProblem) -> None:
+        graph = problem.graph
+        names = graph.task_names
+        self.problem = problem
+        self._names = frozenset(names)
+        level = b_levels(graph, weight=lambda t: min(t.sw_time, t.hw_time))
+        key = {name: (-level[name], i, name) for i, name in enumerate(names)}
+        self._pending = {name: len(graph.predecessors(name)) for name in names}
+        self._sources = [key[n] for n in names if self._pending[n] == 0]
+        heapq.heapify(self._sources)
+        self._data_ready = dict.fromkeys(names, 0.0)
+        transfer = problem.comm.transfer_ns
+        tasks = [graph.task(name) for name in names]
+        self._schedule = {
+            task.name: (task.sw_time, task.hw_time, tuple(
+                (e.dst, key[e.dst], transfer(e.volume), e.volume)
+                for e in graph.out_edges(task.name)
+            ))
+            for task in tasks
+        }
+        self._sw_size = [(task.name, task.sw_size) for task in tasks]
+        self._modifiability = {task.name: task.modifiability for task in tasks}
+        # nature of computation, per side: serial computations gain
+        # little in hardware, parallel ones are squandered in software
+        # (a parallel task in hardware adds 0.0, which moves no bit)
+        self._nature = [
+            (task.name,
+             task.sw_time * (2.0 - task.parallelism)
+             if task.parallelism < 2.0 else 0.0,
+             task.sw_time * max(0.0, task.parallelism - 2.0) / 2.0)
+            for task in tasks
+        ]
+        if problem.use_sharing:
+            library = default_library()
+            self._area = {
+                task.name: entry_key(
+                    requirements_from_task(task, library),
+                    registers=max(2, int(task.sw_size / 8)),
+                    states=max(4, int(task.hw_time)),
+                )
+                for task in tasks
+            }
+        else:
+            self._area = {task.name: task.hw_area for task in tasks}
+
+    def hardware_area(self, hw_tasks: Iterable[str]) -> float:
+        """Area of the hardware partition, with or without sharing."""
+        hw = sorted(set(hw_tasks))
+        if not hw:
+            return 0.0
+        area = self._area
+        if not self.problem.use_sharing:
+            return sum(area[name] for name in hw)
+        return shared_area(tuple(sorted(area[name] for name in hw)))
+
+    def evaluate(
+        self, hw_tasks: Iterable[str], tracer: Optional[Tracer] = None
+    ) -> Evaluation:
+        """List-schedule the partitioned graph and measure it (see
+        :func:`evaluate_partition`)."""
+        problem = self.problem
+        hw = frozenset(hw_tasks)
+        if not hw <= self._names:
+            raise KeyError(
+                f"unknown tasks in partition: {sorted(hw - self._names)}"
+            )
+        n_hw_units = (
+            problem.hw_parallelism
+            if problem.hw_parallelism is not None
+            else max(1, len(hw))
+        )
+        cpu_free = 0.0
+        hw_free = [0.0] * n_hw_units
+        finish: Dict[str, float] = {}
+        start: Dict[str, float] = {}
+        comm_total = 0.0
+        cpu_busy = 0.0
+        hw_busy = 0.0
+        pending = self._pending.copy()
+        data_ready = self._data_ready.copy()
+        ready = self._sources.copy()
+        schedule = self._schedule
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+
+        while ready:
+            name = heappop(ready)[2]
+            sw_time, hw_time, out_edges = schedule[name]
+            in_hw = name in hw
+            # begin = max(data ready, resource free), spelled out; the
+            # lowest-index unit among equally free ones takes the task
+            begin = data_ready[name]
+            if in_hw:
+                duration = hw_time
+                unit = hw_free.index(min(hw_free))
+                if hw_free[unit] > begin:
+                    begin = hw_free[unit]
+                hw_free[unit] = end = begin + duration
+                hw_busy += duration
+            else:
+                duration = sw_time
+                if cpu_free > begin:
+                    begin = cpu_free
+                cpu_free = end = begin + duration
+                cpu_busy += duration
+            start[name] = begin
+            finish[name] = end
+            if tracer is not None:
+                side = "hw" if in_hw else "sw"
+                tracer.emit(
+                    TASK, name, time=begin, domain=side,
+                    unit=(f"hw{unit}" if in_hw else "cpu"), duration=duration,
+                )
+                tracer.metrics.counter(f"partition.{side}.tasks").inc()
+                tracer.metrics.histogram(
+                    f"partition.{side}.exec_ns"
+                ).observe(duration)
+            for dst, dst_key, delay, volume in out_edges:
+                if (dst in hw) != in_hw:
+                    comm_total += delay
+                    if tracer is not None:
+                        tracer.emit(
+                            COMM, f"{name}->{dst}", time=end,
+                            volume=volume, delay=delay,
+                        )
+                        tracer.metrics.histogram(
+                            "partition.comm_ns"
+                        ).observe(delay)
+                    arrival = end + delay
+                else:
+                    arrival = end
+                if arrival > data_ready[dst]:
+                    data_ready[dst] = arrival
+                pending[dst] -= 1
+                if pending[dst] == 0:
+                    heappush(ready, dst_key)
+
+        if len(finish) != len(schedule):
+            raise RuntimeError("scheduling did not reach every task")
+
+        latency = max(finish.values(), default=0.0)
+        return Evaluation(
+            latency_ns=latency,
+            hw_area=self.hardware_area(hw),
+            sw_size=sum(size for name, size in self._sw_size
+                        if name not in hw),
+            comm_ns=comm_total,
+            cpu_busy_ns=cpu_busy,
+            hw_busy_ns=hw_busy,
+            deadline_met=(
+                problem.deadline_ns is None or latency <= problem.deadline_ns
+            ),
+            start_times=start,
+        )
+
+    def cost_terms(
+        self, evaluation: Evaluation, hw_tasks: Iterable[str]
+    ) -> Dict[str, float]:
+        """The raw (unweighted) value of each factor term (see
+        :func:`repro.partition.cost.cost_terms`)."""
+        problem = self.problem
+        hw = frozenset(hw_tasks)
+
+        # 1. performance: latency, heavily penalized beyond the deadline
+        latency = evaluation.latency_ns
+        performance = latency
+        if problem.deadline_ns is not None and latency > problem.deadline_ns:
+            performance += VIOLATION_PENALTY * (latency - problem.deadline_ns)
+
+        # 2. implementation cost: area, heavily penalized beyond the budget
+        area_term = evaluation.hw_area
+        if (problem.hw_area_budget is not None
+                and evaluation.hw_area > problem.hw_area_budget):
+            area_term += VIOLATION_PENALTY * (
+                evaluation.hw_area - problem.hw_area_budget
+            )
+
+        # 3. modifiability: likely-to-change functionality frozen in
+        # silicon (summed in sorted order: float addition is
+        # non-associative, and set iteration order varies with
+        # PYTHONHASHSEED — a hash-order sum would differ by an ULP between
+        # interpreters, breaking the byte-identical-resume guarantee of
+        # the campaign store)
+        modifiability = sum(self._modifiability[n] for n in sorted(hw))
+
+        # 4. nature of computation: medium mismatch
+        nature = 0.0
+        for name, on_hw, on_sw in self._nature:
+            nature += on_hw if name in hw else on_sw
+
+        return {
+            "performance": performance,
+            "implementation_cost": area_term,
+            "modifiability": modifiability,
+            "nature": nature,
+            # 5. concurrency: reward realized overlap (negative term)
+            "concurrency": -evaluation.overlap_fraction * latency,
+            # 6. communication: boundary-crossing time
+            "communication": evaluation.comm_ns,
+        }
+
+    def cost(
+        self,
+        hw_tasks: Iterable[str],
+        weights: "CostWeights",
+        evaluation: Optional[Evaluation] = None,
+    ) -> Tuple[float, Dict[str, float], Evaluation]:
+        """``(cost, breakdown, evaluation)`` of a partition (see
+        :func:`repro.partition.cost.partition_cost`)."""
+        hw = frozenset(hw_tasks)
+        if evaluation is None:
+            evaluation = self.evaluate(hw)
+        raw = self.cost_terms(evaluation, hw)
+        breakdown = {
+            name: getattr(weights, name) * value
+            for name, value in raw.items()
+        }
+        return sum(breakdown.values()), breakdown, evaluation
+
+
 def hardware_area(
     problem: PartitionProblem, hw_tasks: Iterable[str]
 ) -> float:
     """Area of the hardware partition, with or without sharing."""
-    hw = sorted(set(hw_tasks))
-    if not hw:
-        return 0.0
-    if not problem.use_sharing:
-        return sum(problem.graph.task(name).hw_area for name in hw)
-    entries = tuple(sorted(
-        entry_key(
-            requirements_from_task(task),
-            registers=max(2, int(task.sw_size / 8)),
-            states=max(4, int(task.hw_time)),
-        )
-        for task in (problem.graph.task(name) for name in hw)
-    ))
-    return shared_area(entries)
+    return CompiledProblem(problem).hardware_area(hw_tasks)
 
 
 def evaluate_partition(
@@ -85,107 +324,4 @@ def evaluate_partition(
     unit) and one ``comm`` record per boundary crossing, timestamped on
     the analytic timeline.
     """
-    graph = problem.graph
-    hw: Set[str] = set(hw_tasks)
-    unknown = hw - set(graph.task_names)
-    if unknown:
-        raise KeyError(f"unknown tasks in partition: {sorted(unknown)}")
-
-    priority = b_levels(graph, weight=lambda t: min(t.sw_time, t.hw_time))
-    order = {name: i for i, name in enumerate(graph.task_names)}
-
-    n_hw_units = (
-        problem.hw_parallelism
-        if problem.hw_parallelism is not None
-        else max(1, len(hw))
-    )
-    cpu_free = 0.0
-    hw_free = [0.0] * n_hw_units
-
-    finish: Dict[str, float] = {}
-    start: Dict[str, float] = {}
-    comm_total = 0.0
-    cpu_busy = 0.0
-    hw_busy = 0.0
-
-    pending = {
-        name: len(graph.predecessors(name)) for name in graph.task_names
-    }
-    data_ready: Dict[str, float] = {name: 0.0 for name in graph.task_names}
-    ready = [
-        (-priority[n], order[n], n)
-        for n in graph.task_names if pending[n] == 0
-    ]
-    heapq.heapify(ready)
-
-    while ready:
-        _negp, _o, name = heapq.heappop(ready)
-        task = graph.task(name)
-        in_hw = name in hw
-        duration = task.hw_time if in_hw else task.sw_time
-        if in_hw:
-            unit = min(range(n_hw_units), key=lambda i: hw_free[i])
-            begin = max(data_ready[name], hw_free[unit])
-            hw_free[unit] = begin + duration
-            hw_busy += duration
-        else:
-            begin = max(data_ready[name], cpu_free)
-            cpu_free = begin + duration
-            cpu_busy += duration
-        start[name] = begin
-        finish[name] = begin + duration
-        if tracer is not None:
-            tracer.emit(
-                TASK, name, time=begin, domain="hw" if in_hw else "sw",
-                unit=(f"hw{unit}" if in_hw else "cpu"), duration=duration,
-            )
-            tracer.metrics.counter(
-                f"partition.{'hw' if in_hw else 'sw'}.tasks"
-            ).inc()
-            tracer.metrics.histogram(
-                f"partition.{'hw' if in_hw else 'sw'}.exec_ns"
-            ).observe(duration)
-        for edge in graph.out_edges(name):
-            crosses = (edge.src in hw) != (edge.dst in hw)
-            delay = problem.comm.transfer_ns(edge.volume) if crosses else 0.0
-            if crosses:
-                comm_total += delay
-                if tracer is not None:
-                    tracer.emit(
-                        COMM, f"{edge.src}->{edge.dst}", time=finish[name],
-                        volume=edge.volume, delay=delay,
-                    )
-                    tracer.metrics.histogram(
-                        "partition.comm_ns"
-                    ).observe(delay)
-            arrival = finish[name] + delay
-            if arrival > data_ready[edge.dst]:
-                data_ready[edge.dst] = arrival
-            pending[edge.dst] -= 1
-            if pending[edge.dst] == 0:
-                heapq.heappush(
-                    ready,
-                    (-priority[edge.dst], order[edge.dst], edge.dst),
-                )
-
-    if len(finish) != len(graph):
-        raise RuntimeError("scheduling did not reach every task")
-
-    latency = max(finish.values(), default=0.0)
-    area = hardware_area(problem, hw)
-    sw_size = sum(
-        graph.task(n).sw_size for n in graph.task_names if n not in hw
-    )
-    deadline_met = (
-        problem.deadline_ns is None or latency <= problem.deadline_ns
-    )
-    return Evaluation(
-        latency_ns=latency,
-        hw_area=area,
-        sw_size=sw_size,
-        comm_ns=comm_total,
-        cpu_busy_ns=cpu_busy,
-        hw_busy_ns=hw_busy,
-        deadline_met=deadline_met,
-        start_times=start,
-    )
+    return CompiledProblem(problem).evaluate(hw_tasks, tracer)

@@ -27,8 +27,8 @@ from __future__ import annotations
 import random
 from typing import Dict, FrozenSet, List, Optional
 
-from repro.partition.cost import CostWeights, partition_cost
-from repro.partition.evaluate import evaluate_partition
+from repro.partition.cost import CostWeights
+from repro.partition.evaluate import CompiledProblem
 from repro.partition.problem import PartitionProblem, PartitionResult
 from repro.partition.seeding import ProgressProbe, resolve_rng
 
@@ -63,6 +63,7 @@ def gclp_partition(
     resolve_rng(seed, rng)  # validate the uniform interface contract
     graph = problem.graph
     names = graph.task_names
+    compiled = CompiledProblem(problem)
 
     # local phase: extremity = hw-affinity (high speedup, low area)
     speedups = [graph.task(n).speedup for n in names]
@@ -79,8 +80,8 @@ def gclp_partition(
     hw: set = set()
     moves = 0
 
-    all_sw_latency = evaluate_partition(problem, []).latency_ns
-    all_hw_latency = evaluate_partition(problem, names).latency_ns
+    all_sw_latency = compiled.evaluate([]).latency_ns
+    all_hw_latency = compiled.evaluate(names).latency_ns
     moves += 2
 
     order = graph.topological_order()
@@ -89,8 +90,8 @@ def gclp_partition(
         # pessimistic = committed mapping, everything undecided in SW;
         # optimistic  = committed mapping, everything undecided in HW.
         undecided = set(order[position:])
-        pessimistic = evaluate_partition(problem, hw).latency_ns
-        optimistic = evaluate_partition(problem, hw | undecided).latency_ns
+        pessimistic = compiled.evaluate(hw).latency_ns
+        optimistic = compiled.evaluate(hw | undecided).latency_ns
         moves += 2
         target = deadline if deadline is not None else all_hw_latency
         span = max(pessimistic - optimistic, 1e-9)
@@ -114,7 +115,7 @@ def gclp_partition(
             candidate = hw | {node}
             blocked = False
             if problem.hw_area_budget is not None:
-                area = evaluate_partition(problem, candidate).hw_area
+                area = compiled.hardware_area(candidate)
                 moves += 1
                 blocked = area > problem.hw_area_budget
             if not blocked:
@@ -132,7 +133,7 @@ def gclp_partition(
     # move the best speedup-per-area candidates until it is met (or
     # nothing is left to move / budget blocks every move).
     if deadline is not None:
-        evaluation = evaluate_partition(problem, hw)
+        evaluation = compiled.evaluate(hw)
         moves += 1
         while evaluation.latency_ns > deadline and len(hw) < len(names):
             candidates = sorted(
@@ -146,7 +147,7 @@ def gclp_partition(
             moved = False
             for node in candidates:
                 candidate = hw | {node}
-                cand_eval = evaluate_partition(problem, candidate)
+                cand_eval = compiled.evaluate(candidate)
                 moves += 1
                 if (problem.hw_area_budget is not None
                         and cand_eval.hw_area > problem.hw_area_budget):
@@ -165,7 +166,7 @@ def gclp_partition(
                 break
 
     hw_frozen: FrozenSet[str] = frozenset(hw)
-    cost, breakdown, evaluation = partition_cost(problem, hw_frozen, weights)
+    cost, breakdown, evaluation = compiled.cost(hw_frozen, weights)
     return PartitionResult(
         problem=problem,
         hw_tasks=hw_frozen,

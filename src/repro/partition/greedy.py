@@ -11,7 +11,8 @@ from __future__ import annotations
 import random
 from typing import FrozenSet, Iterable, Optional
 
-from repro.partition.cost import CostWeights, partition_cost
+from repro.partition.cost import CostWeights
+from repro.partition.evaluate import CompiledProblem
 from repro.partition.problem import PartitionProblem, PartitionResult
 from repro.partition.seeding import ProgressProbe, resolve_rng
 
@@ -32,8 +33,9 @@ def greedy_partition(
     ``probe`` receives one convergence record per accepted migration.
     """
     resolve_rng(seed, rng)  # validate the uniform interface contract
+    compiled = CompiledProblem(problem)
     hw = frozenset(seed_hw)
-    cost, breakdown, evaluation = partition_cost(problem, hw, weights)
+    cost, breakdown, evaluation = compiled.cost(hw, weights)
     moves = 0
     if probe is not None:
         probe.record("greedy", cost, moves_evaluated=moves, task=None)
@@ -41,8 +43,8 @@ def greedy_partition(
         best: Optional[tuple] = None
         for name in problem.graph.task_names:
             candidate = hw - {name} if name in hw else hw | {name}
-            cand_cost, cand_break, cand_eval = partition_cost(
-                problem, candidate, weights
+            cand_cost, cand_break, cand_eval = compiled.cost(
+                candidate, weights
             )
             moves += 1
             if cand_cost < cost - 1e-9:

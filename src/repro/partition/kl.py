@@ -12,7 +12,8 @@ from __future__ import annotations
 import random
 from typing import FrozenSet, Iterable, List, Optional, Tuple
 
-from repro.partition.cost import CostWeights, partition_cost
+from repro.partition.cost import CostWeights
+from repro.partition.evaluate import CompiledProblem
 from repro.partition.problem import PartitionProblem, PartitionResult
 from repro.partition.seeding import ProgressProbe, resolve_rng
 
@@ -35,8 +36,9 @@ def kernighan_lin(
     prefix was eventually kept.
     """
     resolve_rng(seed, rng)  # validate the uniform interface contract
+    compiled = CompiledProblem(problem)
     hw = frozenset(seed_hw)
-    cost, breakdown, evaluation = partition_cost(problem, hw, weights)
+    cost, breakdown, evaluation = compiled.cost(hw, weights)
     moves = 0
     if probe is not None:
         probe.record("kl", cost, pass_n=0, moves_evaluated=moves)
@@ -53,9 +55,7 @@ def kernighan_lin(
                 candidate = (
                     current - {name} if name in current else current | {name}
                 )
-                cand_cost, _b, _e = partition_cost(
-                    problem, candidate, weights
-                )
+                cand_cost, _b, _e = compiled.cost(candidate, weights)
                 moves += 1
                 key = (cand_cost, name)
                 if best is None or key < best[:2]:
@@ -75,7 +75,7 @@ def kernighan_lin(
         else:
             break
 
-    cost, breakdown, evaluation = partition_cost(problem, hw, weights)
+    cost, breakdown, evaluation = compiled.cost(hw, weights)
     return PartitionResult(
         problem=problem,
         hw_tasks=hw,

@@ -17,8 +17,8 @@ from __future__ import annotations
 import random
 from typing import FrozenSet, Optional
 
-from repro.partition.cost import CostWeights, partition_cost
-from repro.partition.evaluate import evaluate_partition
+from repro.partition.cost import CostWeights
+from repro.partition.evaluate import CompiledProblem
 from repro.partition.problem import PartitionProblem, PartitionResult
 from repro.partition.seeding import ProgressProbe, resolve_rng
 
@@ -46,15 +46,16 @@ def vulcan_partition(
     """
     resolve_rng(seed, rng)  # validate the uniform interface contract
     graph = problem.graph
+    compiled = CompiledProblem(problem)
     hw = frozenset(graph.task_names)
-    base = evaluate_partition(problem, hw)
+    base = compiled.evaluate(hw)
     deadline = (
         problem.deadline_ns if problem.deadline_ns is not None
         else base.latency_ns * slack_factor
     )
     moves = 0
     if probe is not None:
-        start_cost, _b, _e = partition_cost(problem, hw, weights)
+        start_cost, _b, _e = compiled.cost(hw, weights)
         probe.record("vulcan", start_cost, task=None,
                      latency_ns=base.latency_ns, n_hw=len(hw))
 
@@ -72,19 +73,19 @@ def vulcan_partition(
         )
         for name in candidates:
             candidate = hw - {name}
-            evaluation = evaluate_partition(problem, candidate)
+            evaluation = compiled.evaluate(candidate)
             moves += 1
             if evaluation.latency_ns <= deadline:
                 hw = candidate
                 improved = True
                 if probe is not None:
-                    step_cost, _b, _e = partition_cost(problem, hw, weights)
+                    step_cost, _b, _e = compiled.cost(hw, weights)
                     probe.record("vulcan", step_cost, task=name,
                                  latency_ns=evaluation.latency_ns,
                                  n_hw=len(hw), moves_evaluated=moves)
                 break
 
-    cost, breakdown, evaluation = partition_cost(problem, hw, weights)
+    cost, breakdown, evaluation = compiled.cost(hw, weights)
     return PartitionResult(
         problem=problem,
         hw_tasks=hw,

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cosynth import Allocation, binpack_synthesis, schedule_on
 from repro.cosynth.multiproc.cosimulate import simulate_schedule
@@ -42,14 +42,20 @@ class TestBasics:
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10**6), n_pes=st.integers(1, 3))
+    @example(seed=106789, n_pes=2)
+    @example(seed=838077, n_pes=2)
+    @example(seed=248112, n_pes=2)
     def test_simulation_agrees_with_scheduler(self, seed, n_pes):
-        """The DES must land within 30% of the analytic makespan on
-        arbitrary mappings (it shares the cost model, not the code)."""
+        """Replaying the mapping and each PE's planned order, the DES
+        lands on the analytic makespan (it shares the cost model, not
+        the code).  The examples are cases where a PE granted
+        first-come-first-served started a task the schedule held back
+        (agreement 0.682, 0.643 and 0.621)."""
         graph = random_layered_graph(random.Random(seed), n_tasks=9)
         alloc = Allocation.of({"r32": n_pes}, LIB)
         schedule = schedule_on(graph, alloc, TIGHT)
         sim = simulate_schedule(graph, schedule, TIGHT)
-        assert 0.7 <= sim.agreement(schedule) <= 1.3
+        assert sim.agreement(schedule) == pytest.approx(1.0, rel=1e-9)
 
     def test_validates_synthesizer_output(self):
         """The Figure 2 nesting: co-synthesis results pass through
