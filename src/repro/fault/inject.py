@@ -12,9 +12,10 @@ Each fault kind maps onto the narrowest hook its layer already offers:
 
 * ``signal_flip`` / ``reg_flip`` / ``proc_spin`` — a saboteur process
   scheduled at ``spec.time``;
-* ``cpu_*`` — a one-shot retirement observer on
-  :attr:`repro.isa.cpu.Cpu.observers`, which leaves the list as it
-  fires, so the CPU's fast tiers run the rest of the program;
+* ``cpu_*`` — a one-shot retirement trigger the CPU owns
+  (:meth:`repro.isa.cpu.Cpu.add_trigger`), armed by
+  :func:`arm_cpu_fault`; the CPU's fast tiers run up to the due
+  retirement, fire it there, and run on;
 * ``msg_*`` — a per-instance wrapper around ``Channel.send`` that
   drops, duplicates, delays, reorders, or corrupts the Nth message in
   transport (the class and every other channel stay untouched).
@@ -56,28 +57,22 @@ class System:
 
 
 class _CpuSaboteur:
-    """One-shot retirement observer implementing the ``cpu_*`` kinds.
+    """One-shot retirement trigger implementing the ``cpu_*`` kinds.
 
-    On firing it removes itself from ``cpu.observers``: with no
-    observer left, ``run_block`` hands the rest of its budget to the
-    fast tiers, which the DESIGN §9 equivalence contract makes
-    indistinguishable from staying on the ``step()`` loop.
+    The CPU calls it once, right after the due retirement: after that
+    instruction's writeback and ``pc`` update, so a pc flip xors the
+    *next* pc and a register flip (r0's raw slot included) lands on top
+    of the instruction's own write.
     """
 
-    __slots__ = ("cpu", "spec", "retired", "fired")
+    __slots__ = ("cpu", "spec", "fired")
 
     def __init__(self, cpu: Any, spec: FaultSpec) -> None:
         self.cpu = cpu
         self.spec = spec
-        self.retired = 0
         self.fired = False
 
-    def __call__(self, pc: int, instr: Any) -> None:
-        if self.fired:
-            return
-        self.retired += 1
-        if self.retired < self.spec.count:
-            return
+    def __call__(self) -> None:
         self.fired = True
         spec, cpu = self.spec, self.cpu
         if spec.kind == "cpu_reg_flip":
@@ -87,7 +82,28 @@ class _CpuSaboteur:
             cpu.pc ^= (1 << spec.bit)
         else:  # cpu_flag_flip
             setattr(cpu, spec.flag, not getattr(cpu, spec.flag))
-        cpu.observers.remove(self)
+
+
+def arm_cpu_fault(
+    cpu: Any, spec: FaultSpec, retired: int = 0
+) -> _CpuSaboteur:
+    """Arm one ``cpu_*`` fault on ``cpu``; the one place CPU faults
+    are armed.
+
+    The fault fires after retirement ``max(1, spec.count)`` of the
+    run, ``retired`` of which happened before ``cpu`` took over (a
+    batch lane's exit step; 0 for a fresh CPU).  It is therefore due at
+    ``cpu.instr_count + max(1, spec.count - retired)`` — the rule
+    :meth:`repro.isa.BatchCpu.arm` applies to its lanes.  Raises
+    :class:`InjectionError` if ``cpu`` has no such register.
+    """
+    if spec.kind == "cpu_reg_flip" and not 0 <= spec.index < len(cpu.regs):
+        raise InjectionError(f"cpu_reg_flip: no register r{spec.index}")
+    saboteur = _CpuSaboteur(cpu, spec)
+    cpu.add_trigger(
+        cpu.instr_count + max(1, spec.count - retired), saboteur
+    )
+    return saboteur
 
 
 class _MessageSaboteur:
@@ -207,15 +223,7 @@ class FaultInjector:
         elif spec.kind.startswith("cpu_"):
             if system.cpu is None:
                 raise InjectionError(f"{spec.kind}: system has no CPU")
-            if spec.kind == "cpu_reg_flip" and not (
-                0 <= spec.index < len(system.cpu.regs)
-            ):
-                raise InjectionError(
-                    f"cpu_reg_flip: no register r{spec.index}"
-                )
-            saboteur = _CpuSaboteur(system.cpu, spec)
-            system.cpu.observers.append(saboteur)
-            self._hooks.append(("cpu", saboteur))
+            self._hooks.append(("cpu", arm_cpu_fault(system.cpu, spec)))
         elif spec.kind.startswith("msg_"):
             channel = system.channels.get(spec.target)
             if channel is None:
@@ -234,21 +242,17 @@ class FaultInjector:
         """Remove every hook :meth:`arm` installed that is removable
         without rewinding the simulator.
 
-        CPU saboteurs that have not fired yet leave ``cpu.observers``
-        (a fired one already left on its own) — which re-engages
-        whichever fast tier the CPU has (the interpreted block loop
-        *and* the translated tier, see DESIGN §13) on the very next
-        ``run_block`` call; message saboteurs unwrap, restoring the
-        channel's original ``send`` even when several were stacked.
-        Time-triggered saboteur *processes* (``signal_flip``,
-        ``reg_flip``, ``proc_spin``) already belong to the kernel's
-        run queue and are left to expire on their own.  Idempotent.
+        CPU triggers that have not fired yet are removed from their
+        CPU (a fired one is already gone); message saboteurs unwrap,
+        restoring the channel's original ``send`` even when several
+        were stacked.  Time-triggered saboteur *processes*
+        (``signal_flip``, ``reg_flip``, ``proc_spin``) already belong
+        to the kernel's run queue and are left to expire on their own.
+        Idempotent.
         """
-        cpu = self.system.cpu
         for kind, hook in reversed(self._hooks):
             if kind == "cpu":
-                if cpu is not None and hook in cpu.observers:
-                    cpu.observers.remove(hook)
+                hook.cpu.remove_trigger(hook)
             else:  # msg: unwrap LIFO so stacked wrappers unchain
                 hook.channel.send = hook.orig_send
         self._hooks.clear()

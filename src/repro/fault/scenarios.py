@@ -51,7 +51,7 @@ from repro.fault.inject import (
     FaultInjector,
     InjectionError,
     System,
-    _CpuSaboteur,
+    arm_cpu_fault,
 )
 from repro.fault.spec import CPU_KINDS, FaultSpec
 
@@ -441,7 +441,7 @@ def run_sw_scenario(
     cpu = _build_sw_cpu(scenario)
     if fault is not None:
         _sw_arm_check(scenario, fault)
-        cpu.observers.append(_CpuSaboteur(cpu, fault))
+        arm_cpu_fault(cpu, fault)
     error: Optional[Dict[str, str]] = None
     try:
         _drive_sw(cpu, scenario.software.budget)
@@ -456,14 +456,12 @@ def _finish_lane(scenario: Scenario, exit: Any) -> Dict[str, Any]:
     Every lane — halted, drained, or budget-exhausted — goes through
     the same :func:`_drive_sw` continuation the scalar path uses, so
     the per-lane record is byte-identical to a scalar run of the same
-    fault.  A lane whose saboteur has not fired yet is re-armed with
-    its retirement count pre-set to the lane's exit step.
+    fault.  A lane whose fault has not fired yet is re-armed, counting
+    the lane's exit step as retirements already done.
     """
     cpu = exit.cpu
     if exit.spec is not None and not exit.fired:
-        saboteur = _CpuSaboteur(cpu, exit.spec)
-        saboteur.retired = exit.steps
-        cpu.observers.append(saboteur)
+        arm_cpu_fault(cpu, exit.spec, retired=exit.steps)
     error: Optional[Dict[str, str]] = None
     try:
         _drive_sw(cpu, scenario.software.budget, steps=exit.steps)

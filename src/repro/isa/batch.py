@@ -31,16 +31,17 @@ majority address (``mem``), are about to fault on a zero divisor
 (``div``), reach code the batch cannot fetch uniformly — unprogrammed
 or undecodable words, custom opcodes with stateful semantics,
 self-modified code (``fetch``/``decode``/``custom``/``smc``) — or need
-observer-grade fault handling the vector body cannot reproduce exactly
-(``observer``/``pc_flip``/``halt_flip``/``irq``).  ``halt`` and
-``budget`` are the two non-divergent exits.
+fault handling the vector body cannot reproduce exactly
+(``observer``/``pc_flip``/``halt_flip``/``irq``; ``observer`` is a
+fault due at a ``halt`` retirement or one the scalar side refuses).
+``halt`` and ``budget`` are the two non-divergent exits.
 
 Armed faults (the ``cpu_*`` kinds of :mod:`repro.fault.spec`) execute
 *natively* in the common case: a register flip is a single-element XOR
-on the lane's column at exactly the retirement the scalar saboteur
+on the lane's column at exactly the retirement the scalar trigger
 would fire, after which the lane keeps running vectorized — this is
-where the campaign speedup comes from, since the scalar engine must
-run every armed lane on the instruction-granular observer path.
+where the campaign speedup comes from, since the scalar engine runs
+the lanes one program at a time.
 
 A batched block codegen layer mirrors :mod:`repro.isa.translate`:
 blocks are formed by the same :func:`~repro.isa.translate.scan_block`
@@ -93,8 +94,9 @@ class LaneExit:
     architectural state; ``steps`` is the instruction count already
     retired (the scalar continuation's budget baseline).  ``spec`` and
     ``fired`` carry the lane's fault bookkeeping: an unfired spec must
-    be re-armed scalar-side with its retirement counter preset to
-    ``steps``; a fired one needs nothing.
+    be re-armed scalar-side, counting ``steps`` as retirements already
+    done (``repro.fault.inject.arm_cpu_fault(cpu, spec, steps)``); a
+    fired one needs nothing.
     """
 
     lane: int
@@ -174,8 +176,8 @@ class BatchCpu:
         self.lane_ids = np.arange(m, dtype=np.int64)
         self.specs: List[Any] = [None] * m
         self._fired: List[bool] = [False] * m
-        #: lanes whose spec the scalar observer itself would crash on
-        #: (register index off the file) — pre-drained at the trigger
+        #: lanes whose spec names a register off the file, which the
+        #: scalar side refuses to arm — pre-drained at the trigger
         self._unsafe = np.zeros(m, dtype=bool)
         # shared architectural scalars: every active lane has retired
         # the identical instruction sequence, so these never diverge
@@ -231,8 +233,8 @@ class BatchCpu:
         if self.specs[lane] is not None:
             raise ValueError(f"lane {lane} already armed")
         self.specs[lane] = spec
-        # the scalar saboteur fires at the first retirement where
-        # retired >= count, i.e. at retirement max(1, count)
+        # the scalar side's due rule (repro.fault.inject.arm_cpu_fault):
+        # the fault fires after retirement max(1, count)
         self.trig[lane] = max(1, spec.count)
         if spec.kind == "cpu_reg_flip" and not 0 <= spec.index < N_REGS:
             self._unsafe[lane] = True
@@ -373,7 +375,7 @@ class BatchCpu:
             self.trig[c] = _NO_TRIG
             kind = spec.kind
             if kind == "cpu_reg_flip":
-                # raw row semantics, r0 included — the scalar observer
+                # raw row semantics, r0 included — the scalar trigger
                 # pokes cpu.regs[i] directly too
                 regs[spec.index, c] ^= (1 << spec.bit)
                 regs[spec.index, c] &= _M
@@ -447,7 +449,7 @@ class BatchCpu:
             # a fault fires at this retirement; pre-drain the cases the
             # vector body cannot reproduce exactly
             if op == 0x7F:
-                # an observer at halt retirement may flip flags on the
+                # a trigger at halt retirement may flip flags on the
                 # just-halted CPU (a halted flip even un-halts it)
                 self._exit_all("observer")
                 return

@@ -222,8 +222,13 @@ class Cpu:
         self.instr_count = 0
         self.irq_count = 0
         self._pending: Optional[Tuple[int, Instruction, ExternalAccess]] = None
-        #: observers called as fn(pc, instr) after each retired instruction
+        #: observers called as fn(pc, instr) after each retired
+        #: instruction; while any is attached, run_block uses the
+        #: step() loop
         self.observers: List[Callable[[int, Instruction], None]] = []
+        #: pending one-shot retirement triggers as (due, fire), in
+        #: firing order (see :meth:`add_trigger`)
+        self._triggers: List[Tuple[int, Callable[[], None]]] = []
         # fast-path operand cache: word -> (opcode, rd, rs1, rs2, imm,
         # cycles, Instruction, custom-semantics-or-None), invalidated
         # whenever the ISA's version changes (custom ops, cycle edits)
@@ -231,7 +236,7 @@ class Cpu:
         self._ops_version = -1
         #: the block-translation tier (:mod:`repro.isa.translate`), or
         #: None; :meth:`run_block` dispatches to it whenever no
-        #: observers are armed
+        #: observers are attached
         factory = (_TRANSLATOR_FACTORY if _FACTORY_RESOLVED
                    else _resolve_translator_factory())
         self.translator = factory(self) if factory is not None else None
@@ -262,6 +267,44 @@ class Cpu:
         self.pc = self.ivec
         self.irq_count += 1
         return IRQ_ENTRY_CYCLES
+
+    # ------------------------------------------------------------------
+    # retirement triggers
+    # ------------------------------------------------------------------
+    def add_trigger(self, due: int, fire: Callable[[], None]) -> None:
+        """Call ``fire()`` once, right after retirement number ``due``.
+
+        ``fire`` runs when the instruction that brings ``instr_count``
+        to ``due`` retires: after its writeback and ``pc`` update, after
+        the observers have seen it, and before the next step boundary
+        (so an IRQ flag it flips is checked there).  Then the CPU
+        forgets it.  Triggers due at the same retirement fire in the
+        order they were added.
+
+        A pending trigger, unlike an observer, keeps :meth:`run_block`
+        on the fast tiers: they run up to the due retirement, the
+        trigger fires, and they carry on in the same call.
+        """
+        if due <= self.instr_count:
+            raise ValueError(
+                f"trigger due at retirement {due}, but "
+                f"{self.instr_count} have already retired"
+            )
+        triggers = self._triggers
+        at = len(triggers)
+        while at and triggers[at - 1][0] > due:
+            at -= 1
+        triggers.insert(at, (due, fire))
+
+    def remove_trigger(self, fire: Callable[[], None]) -> None:
+        """Drop ``fire`` if it has not fired yet; otherwise a no-op."""
+        self._triggers[:] = [t for t in self._triggers if t[1] is not fire]
+
+    def _fire_due(self) -> None:
+        """Fire every trigger due at the just-retired instruction."""
+        triggers = self._triggers
+        while triggers and triggers[0][0] <= self.instr_count:
+            triggers.pop(0)[1]()
 
     # ------------------------------------------------------------------
     # execution
@@ -324,11 +367,12 @@ class Cpu:
     def _retire(self, pc: int, instr: Instruction, cycles: int) -> None:
         self.instr_count += 1
         self.cycle_count += cycles
-        # a snapshot: an observer may detach itself (a fired one-shot
-        # fault saboteur does) without hiding this retirement from the
-        # observers after it
+        # a snapshot: an observer may detach itself without hiding this
+        # retirement from the observers after it
         for observer in tuple(self.observers):
             observer(pc, instr)
+        if self._triggers:
+            self._fire_due()
 
     def run(
         self, max_instructions: int = 1_000_000
@@ -338,7 +382,7 @@ class Cpu:
 
         Executes on the :meth:`run_block` fast path, which falls back to
         :meth:`step` semantics automatically whenever observers are
-        armed — the result is observably identical either way.
+        attached — the result is observably identical either way.
         """
         start_cycles = self.cycle_count
         executed = 0
@@ -370,8 +414,8 @@ class Cpu:
 
         Observably identical to calling :meth:`step` up to ``max_steps``
         times, stopping early after ``halt`` retires or an external
-        access defers — but the common case (no observers armed) retires
-        whole runs of instructions in a single Python frame over a
+        access defers — but the common case (no observers attached)
+        retires whole runs of instructions in a single Python frame over a
         pre-decoded operand cache, skipping the per-instruction
         method-call and re-decode overhead (the equivalence contract is
         spelled out in DESIGN.md §9 and enforced by
@@ -391,18 +435,23 @@ class Cpu:
         * ``access`` — the pending :class:`ExternalAccess` if one was
           hit (the CPU is then frozen until :meth:`complete_access`).
 
-        Whenever observers are armed (profilers, fault saboteurs, trace
-        hooks) the fast path disables itself and the same loop runs
-        over :meth:`step`, preserving the repo's convention that hooks
-        cost nothing when absent and change nothing when present.  The
-        check covers *every* fast tier: with observers armed neither
+        Whenever observers are attached (profilers, trace hooks) the
+        fast path disables itself and the same loop runs over
+        :meth:`step`, preserving the repo's convention that hooks cost
+        nothing when absent and change nothing when present.  The
+        check covers *every* fast tier: with observers attached neither
         the interpreted fast loop nor the translated tier
         (:mod:`repro.isa.translate`) runs, and detaching the last
-        observer (``Profiler.detach()``, ``FaultInjector.disarm()``)
-        re-engages whichever fast tier is installed on the very next
-        call — there is no sticky disabled state to reset.  An observer
-        that detaches itself mid-call (a one-shot fault saboteur as it
-        fires) hands the rest of that call's budget to the fast tier.
+        observer (``Profiler.detach()``) re-engages whichever fast tier
+        is installed on the very next call — there is no sticky
+        disabled state to reset.  An observer that detaches itself
+        mid-call hands the rest of that call's budget to the fast tier.
+
+        Pending retirement triggers (:meth:`add_trigger`, which is how
+        a CPU fault is armed) do not leave the fast tiers: the
+        installed tier runs up to the next due retirement, the trigger
+        fires, and the tier carries on within the same call.  With no
+        trigger pending this costs one truthiness test per call.
         """
         if self.halted or max_steps <= 0:
             return 0, 0, None
@@ -410,16 +459,52 @@ class Cpu:
             raise CpuError("run_block() while an external access is pending")
         if self.observers:
             return self._run_block_slow(max_steps)
+        if self._triggers:
+            return self._run_block_tiers(max_steps)
         if self.translator is not None:
             return self.translator.execute(max_steps)
         return self._run_block_fast(max_steps)
+
+    def _run_block_tiers(
+        self, max_steps: int
+    ) -> Tuple[int, int, Optional[ExternalAccess]]:
+        """:meth:`run_block` on the installed fast tier, stopping at
+        each due trigger to fire it (no observer dispatch — callers
+        guarantee no observers are attached).
+
+        A step retires at most one instruction, so running the tier for
+        ``due - instr_count`` steps never passes the due retirement.  A
+        taken IRQ uses up a step without retiring anything; if that
+        leaves the tier short of the due retirement, the loop runs it
+        again.  A deferred access returns before retiring, and
+        :meth:`complete_access` fires what is due when it retires.
+        """
+        tier = (self._run_block_fast if self.translator is None
+                else self.translator.execute)
+        triggers = self._triggers
+        steps = 0
+        cycles = 0
+        while triggers:
+            more, more_cycles, access = tier(
+                min(max_steps - steps, triggers[0][0] - self.instr_count)
+            )
+            steps += more
+            cycles += more_cycles
+            if access is not None:
+                return steps, cycles, access
+            self._fire_due()
+            if steps >= max_steps or self.halted:
+                return steps, cycles, None
+        more, more_cycles, access = tier(max_steps - steps)
+        return steps + more, cycles + more_cycles, access
 
     def _run_block_fast(
         self, max_steps: int
     ) -> Tuple[int, int, Optional[ExternalAccess]]:
         """The interpreted fast tier: :meth:`run_block` semantics over
-        the pre-decoded operand cache (no observer/translator
-        dispatch — callers guarantee no observers are armed)."""
+        the pre-decoded operand cache (no observer, trigger or
+        translator dispatch — callers guarantee no observers are
+        attached and no trigger falls due within ``max_steps``)."""
         if self.halted or max_steps <= 0:
             return 0, 0, None
 
@@ -599,16 +684,17 @@ class Cpu:
     def _run_block_slow(self, max_steps: int) \
             -> Tuple[int, int, Optional[ExternalAccess]]:
         """:meth:`run_block` semantics over plain :meth:`step` calls —
-        the automatic fallback while observers are armed.  Once the
-        last observer has left (a one-shot fault saboteur leaves as it
-        fires), the rest of the budget runs on the fast tiers."""
+        the automatic fallback while observers are attached; triggers
+        due meanwhile fire from :meth:`_retire`.  If the last observer
+        leaves mid-call, the rest of the budget runs on the fast
+        tiers."""
         steps = 0
         cycles = 0
         while steps < max_steps and not self.halted:
             if not self.observers:
-                tier = (self._run_block_fast if self.translator is None
-                        else self.translator.execute)
-                more, more_cycles, access = tier(max_steps - steps)
+                more, more_cycles, access = self._run_block_tiers(
+                    max_steps - steps
+                )
                 return steps + more, cycles + more_cycles, access
             result = self.step()
             steps += 1

@@ -17,10 +17,12 @@ The tier is governed by the DESIGN.md §9/§13 equivalence contract —
 the same way ``run_block`` does:
 
 * **Observers force the slow path.**  ``Cpu.run_block`` dispatches to
-  the translator only when ``cpu.observers`` is empty, so profilers,
-  fault saboteurs, and trace hooks always see instruction-granular
-  execution.  Detaching the last observer re-engages the translated
-  tier on the next call; there is no sticky disabled state.
+  the translator only when ``cpu.observers`` is empty, so profilers
+  and trace hooks always see instruction-granular execution.
+  Detaching the last observer re-engages the translated tier on the
+  next call; there is no sticky disabled state.  A pending fault
+  trigger does not force it: ``run_block`` runs the translator up to
+  the due retirement, fires the trigger, and runs on.
 * **Interrupts hit the same boundaries.**  The dispatcher checks the
   IRQ lines between blocks, and translated code re-checks after every
   instruction whose side effects could raise one mid-block (memory
@@ -141,7 +143,7 @@ def _signed_lines(var: str, out: List[str], indent: str) -> None:
 class BlockTranslator:
     """Attach to a :class:`~repro.isa.cpu.Cpu` as its translated tier.
 
-    ``cpu.run_block`` dispatches here whenever no observers are armed;
+    ``cpu.run_block`` dispatches here whenever no observers are attached;
     :meth:`execute` is observably identical to the interpreted tiers
     (enforced by ``tests/isa/test_translate.py``).  Construction is
     cheap and touches nothing but ``memory.code_watch``; blocks are

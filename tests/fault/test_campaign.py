@@ -8,16 +8,19 @@ from repro.fault import (
     OUTCOMES,
     CampaignError,
     FaultSpec,
+    InjectionError,
     SCENARIOS,
     Scenario,
     System,
     cell_fingerprint,
     classify,
     run_campaign,
+    run_scenario,
     sample_faults,
 )
 from repro.obs.spans import SpanTracer
 from repro.sweep import ResultCache
+from repro.sweep.engine import PoolJobError
 
 
 GOLDEN = {"completed": True, "detected": False, "data": [1, 2, 3],
@@ -124,6 +127,25 @@ class TestCampaign:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(KeyError, match="unknown scenario"):
             run_campaign("ghost", [])
+
+    @pytest.mark.parametrize("batch", [False, True])
+    @pytest.mark.parametrize("name", ["coproc", "swmac"])
+    def test_cpu_register_off_the_file_rejected(self, name, batch):
+        """A malformed CPU fault stops the campaign with the arming
+        helper's InjectionError on every scenario and engine (wrapped
+        in a PoolJobError where the pool ran the cell), never a crash
+        row."""
+        bad = FaultSpec(kind="cpu_reg_flip", target="cpu", index=16,
+                        count=5)
+        with pytest.raises(Exception) as info:
+            run_campaign(name, [bad], batch=batch)
+        error = info.value
+        if isinstance(error, PoolJobError):
+            error = error.__cause__
+        assert isinstance(error, InjectionError)
+        assert str(error) == "cpu_reg_flip: no register r16"
+        with pytest.raises(InjectionError, match="no register r16"):
+            run_scenario(name, bad)
 
     def test_invalid_golden_raises_campaign_error(self, monkeypatch):
         # a scenario whose golden run never completes is unusable as a

@@ -166,8 +166,9 @@ class TestCpuFaults:
         assert cpu.halted and cpu.regs[1] == 5
 
     def test_fired_saboteur_hands_back_within_the_call(self):
-        """One run_block call: step() only up to the fault, then the
-        rest of the budget on the fast tier."""
+        """One run_block call runs the whole faulted program on the
+        fast tier: up to the fault, the fault, then the rest — the
+        step() loop is never entered."""
         cpu = _fresh_cpu()
         arm_fault(System(Simulator(), cpu=cpu),
                   FaultSpec(kind="cpu_reg_flip", target="cpu", index=1,
@@ -176,7 +177,7 @@ class TestCpuFaults:
         step = cpu.step
         cpu.step = lambda: stepped.append(cpu.pc) or step()
         assert cpu.run_block(100) == (6, 6, None)
-        assert stepped == [0, 1]
+        assert stepped == []
         assert cpu.halted and cpu.regs[1] == 3
 
     def test_cpu_fault_needs_a_cpu(self):

@@ -14,12 +14,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.fault import FaultSpec
-from repro.fault.inject import _CpuSaboteur
 from repro.isa import BatchCpu
 from repro.isa.assembler import assemble
 from repro.isa.cpu import Cpu, CpuError, Memory
 from repro.isa.instructions import Instruction, Isa, Opcode
 
+from tests.fault.test_trigger_reference import ObserverSaboteur
 from tests.isa.test_fastpath import (
     BUDGET,
     COMMON,
@@ -66,19 +66,23 @@ def drive_scalar(cpu, budget, steps=0):
 
 
 def run_scalar_lane(image, spec, budget=BUDGET, poke=None):
+    """The scalar reference: the fault as a retirement observer (the
+    independent reference of tests/fault/test_trigger_reference.py)."""
     cpu = make_cpu(image)
     if poke is not None:
         addr, value = poke
         cpu.memory.ram[addr] = value
     if spec is not None:
-        cpu.observers.append(_CpuSaboteur(cpu, spec))
+        cpu.observers.append(ObserverSaboteur(cpu, spec))
     return drive_scalar(cpu, budget), snapshot(cpu)
 
 
 def finish_lane(exit, budget=BUDGET):
+    """A lane's scalar continuation, its unfired fault re-armed as the
+    same reference observer with ``exit.steps`` retirements counted."""
     cpu = exit.cpu
     if exit.spec is not None and not exit.fired:
-        saboteur = _CpuSaboteur(cpu, exit.spec)
+        saboteur = ObserverSaboteur(cpu, exit.spec)
         saboteur.retired = exit.steps
         cpu.observers.append(saboteur)
     return drive_scalar(cpu, budget, exit.steps), snapshot(cpu)

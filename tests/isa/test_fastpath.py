@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.fault import FaultSpec
-from repro.fault.inject import _CpuSaboteur
+from repro.fault.inject import arm_cpu_fault
 from repro.isa.assembler import assemble
 from repro.isa.cpu import Cpu, CpuError, ExternalAccess, Memory
 from repro.isa.instructions import CustomOp, Instruction, Isa, Opcode
@@ -183,15 +183,19 @@ class TestDifferential:
         count=st.integers(1, 40),
     )
     def test_fault_bitflips_identical(self, instrs, chunks, reg, bit, count):
-        """A one-shot register bit-flip saboteur (armed on both engines)
-        must corrupt both identically — including flips of r0, which the
+        """A one-shot register bit-flip — the reference observer on the
+        step loop, the armed trigger on run_block's fast tier — must
+        corrupt both identically, including flips of r0, which the
         architectural read path must still honor."""
+        # imported here: that module imports this one's helpers
+        from tests.fault.test_trigger_reference import ObserverSaboteur
+
         spec = FaultSpec(kind="cpu_reg_flip", target="cpu",
                          index=reg, bit=bit, count=count)
         image = program_words(instrs)
         ref, fast = make_cpu(image), make_cpu(image)
-        ref.observers.append(_CpuSaboteur(ref, spec))
-        fast.observers.append(_CpuSaboteur(fast, spec))
+        ref.observers.append(ObserverSaboteur(ref, spec))
+        arm_cpu_fault(fast, spec)
         assert run_ref(ref) == run_fast(fast, tuple(chunks))
         assert snapshot(ref) == snapshot(fast)
 

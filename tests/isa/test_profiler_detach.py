@@ -133,22 +133,27 @@ class TestTranslatedTierReengage:
         assert translator.translations > 0
 
     def test_injector_disarm_reengages_translated_tier(self):
+        """An armed fault is a retirement trigger, not an observer: it
+        already runs the translated tier before it fires, and after
+        ``disarm()`` nothing but the translated tier runs."""
         cpu = make_cpu()
         translator = install(cpu, hot_threshold=1)
         injector = FaultInjector(System(sim=None, cpu=cpu))
-        # count 9: still armed (unfired) through the 8 steps below — a
-        # fired saboteur leaves on its own and hands back mid-call
+        # count 9: still armed (unfired) through the 8 steps below
         injector.arm(FaultSpec(kind="cpu_reg_flip", target="cpu",
                                index=3, bit=0, count=9))
-        cpu.run_block(8)  # saboteur armed: literal step loop
-        assert translator.translations == 0
+        forbid_slow_path(cpu)
+        cpu.run_block(8)
+        assert translator.translations > 0
+        ((_kind, trigger),) = injector._hooks
+        assert not trigger.fired and cpu._triggers
 
         injector.disarm()
-        assert not cpu.observers
+        assert not cpu.observers and not cpu._triggers
         forbid_all_but_translated(cpu)
         cpu.run_block(1 << 30)
         assert cpu.halted
-        assert translator.translations > 0
+        assert not trigger.fired
 
     def test_disarm_is_idempotent_and_scoped(self):
         cpu = make_cpu()
@@ -157,10 +162,12 @@ class TestTranslatedTierReengage:
         injector = FaultInjector(System(sim=None, cpu=cpu))
         injector.arm(FaultSpec(kind="cpu_reg_flip", target="cpu",
                                index=3, bit=0, count=1))
-        assert len(cpu.observers) == 2
+        assert cpu.observers == [other]
+        assert len(cpu._triggers) == 1
         injector.disarm()
         injector.disarm()
         assert cpu.observers == [other]
+        assert cpu._triggers == []
         assert injector.armed == []
 
     def test_translated_run_matches_interpreted_after_detach(self):

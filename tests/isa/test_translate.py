@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.fault import FaultSpec
-from repro.fault.inject import FaultInjector, System, _CpuSaboteur
+from repro.fault.inject import FaultInjector, System, arm_cpu_fault
 from repro.isa.cpu import Cpu, CpuError, ExternalAccess, Memory
 from repro.isa.instructions import CustomOp, Instruction, Isa, Opcode
 from repro.isa.translate import BlockTranslator, install
@@ -176,9 +176,12 @@ class TestTranslateFaults:
     def test_fault_bitflips_identical(
         self, instrs, chunks, reg, bit, count, hot
     ):
-        """A register bit-flip saboteur must corrupt the reference and
-        the translated engine identically (observers force the literal
-        step loop on both)."""
+        """A register bit-flip must corrupt the reference (an observer
+        on the literal step loop) and the translated engine (an armed
+        trigger, which keeps the translated tier) identically."""
+        # imported here: that module imports this one's helpers
+        from tests.fault.test_trigger_reference import ObserverSaboteur
+
         spec = FaultSpec(
             kind="cpu_reg_flip", target="cpu", index=reg, bit=bit,
             count=count,
@@ -186,8 +189,8 @@ class TestTranslateFaults:
         image = program_words(instrs)
         ref = make_cpu(image)
         trans = make_trans_cpu(image, hot=hot)
-        ref.observers.append(_CpuSaboteur(ref, spec))
-        trans.observers.append(_CpuSaboteur(trans, spec))
+        ref.observers.append(ObserverSaboteur(ref, spec))
+        arm_cpu_fault(trans, spec)
         assert run_ref(ref) == run_fast(trans, tuple(chunks))
         assert snapshot(ref) == snapshot(trans)
 
