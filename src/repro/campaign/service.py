@@ -27,7 +27,6 @@ one source of truth.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
@@ -220,6 +219,8 @@ def run_store_jobs(
                 runner_name, batch, poll_s, heartbeat_s)
         _shard_main(*args)
     else:
+        import multiprocessing
+
         ctx = multiprocessing.get_context()
         shards = [
             ctx.Process(

@@ -40,9 +40,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
-from dataclasses import dataclass, fields
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from dataclasses import MISSING, dataclass, fields
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
 #: Bump when a field's meaning (or the outcome-record schema) changes:
 #: old cache entries then read as misses instead of lying.
@@ -95,6 +96,16 @@ class FaultSpec:
     flag: str = ""       # cpu_flag_flip: which flag
 
     def __post_init__(self) -> None:
+        for name, types in _FIELD_TYPES:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise FaultSpecError(
+                    f"{name} must be {' or '.join(t.__name__ for t in types)}"
+                    f", not {type(value).__name__} ({value!r})"
+                )
+        for name in ("time", "delay"):
+            if not math.isfinite(getattr(self, name)):
+                raise FaultSpecError(f"{self.kind}: {name} must be finite")
         if self.kind not in KINDS:
             raise FaultSpecError(
                 f"unknown fault kind {self.kind!r}; known: {list(KINDS)}"
@@ -129,14 +140,20 @@ class FaultSpec:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FaultSpec":
+    def from_dict(cls, data: Mapping[str, Any]) -> "FaultSpec":
         """Rebuild from :meth:`to_dict` output; unknown keys rejected."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        if not isinstance(data, Mapping):
+            raise FaultSpecError(
+                f"a fault spec is a mapping, not {type(data).__name__}"
+            )
+        unknown = set(data) - {name for name, _ in _FIELD_TYPES}
         if unknown:
             raise FaultSpecError(
-                f"unknown fault fields: {sorted(unknown)}"
+                f"unknown fault fields: {sorted(map(str, unknown))}"
             )
+        missing = [name for name in _REQUIRED if name not in data]
+        if missing:
+            raise FaultSpecError(f"missing fault fields: {missing}")
         return cls(**data)
 
     def canonical_json(self) -> str:
@@ -174,6 +191,18 @@ class FaultSpec:
         if self.kind in MESSAGE_KINDS:
             return f"{self.kind} {self.target}#{self.index}"
         return f"{self.kind} {self.target} @t={self.time:g}"
+
+
+#: (field, admitted types) in field order: a ``float`` field also takes
+#: an ``int``, and ``bool`` is never a number.  Values are stored as
+#: given, so every spec valid before these checks keeps its canonical
+#: JSON and fingerprint.
+_FIELD_TYPES = tuple(
+    (f.name, {"str": (str,), "int": (int,), "float": (int, float)}[f.type])
+    for f in fields(FaultSpec)
+)
+#: the fields without a default
+_REQUIRED = tuple(f.name for f in fields(FaultSpec) if f.default is MISSING)
 
 
 # ----------------------------------------------------------------------

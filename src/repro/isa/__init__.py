@@ -25,17 +25,22 @@ processor end to end:
   scalar tiers (DESIGN §14).
 """
 
+from repro._lazy import lazy_exports
 from repro.isa.instructions import Instruction, Isa, Opcode
 from repro.isa.assembler import AssemblerError, assemble
 from repro.isa.cpu import Cpu, CpuError, Memory
-from repro.isa.translate import (
-    BlockTranslator,
-    auto_translation,
-    disable_auto_translation,
-    enable_auto_translation,
-    install,
-)
-from repro.isa.batch import BatchCpu, BatchStats, LaneExit
+
+# the opt-in translator and the numpy batch tier load on first use
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.isa.translate": (
+        "BlockTranslator",
+        "auto_translation",
+        "disable_auto_translation",
+        "enable_auto_translation",
+        "install",
+    ),
+    "repro.isa.batch": ("BatchCpu", "BatchStats", "LaneExit"),
+})
 
 __all__ = [
     "Isa",

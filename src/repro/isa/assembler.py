@@ -99,6 +99,14 @@ def _parse_int(tok: str, lineno: int) -> int:
         raise AssemblerError(lineno, f"bad integer {tok!r}") from None
 
 
+def _parse_word(tok: str, lineno: int) -> int:
+    """A 32-bit data word: signed or unsigned, so [-2**31, 2**32)."""
+    value = _parse_int(tok, lineno)
+    if not -0x80000000 <= value <= 0xFFFFFFFF:
+        raise AssemblerError(lineno, f"{tok!r} does not fit in 32 bits")
+    return value & 0xFFFFFFFF
+
+
 @dataclass
 class _Item:
     """One location-counter entry produced by pass 1."""
@@ -154,7 +162,7 @@ def _pass1(
         elif mnemonic == ".word":
             for tok in _tokenize_operands(rest):
                 items.append(_Item(loc, lineno, "word",
-                                   value=_parse_int(tok, lineno)))
+                                   value=_parse_word(tok, lineno)))
                 loc += 1
         elif mnemonic == ".space":
             count = _parse_int(rest.strip(), lineno)
@@ -180,7 +188,7 @@ def _instr_size(
     if mnemonic == "li":
         if len(operands) != 2:
             raise AssemblerError(lineno, "li takes rd, imm32")
-        value = _parse_int(operands[1], lineno) & 0xFFFFFFFF
+        value = _parse_word(operands[1], lineno)
         signed = value - 0x100000000 if value & 0x80000000 else value
         return 1 if -0x8000 <= signed < 0x8000 else 2
     if mnemonic in ("mov", "nop"):
@@ -198,12 +206,16 @@ def _pass2(
     prog = Program(entry=origin, symbols=dict(symbols))
     for item in items:
         if item.kind == "word":
-            _emit(prog, item.addr, item.value & 0xFFFFFFFF, item.lineno)
+            _emit(prog, item.addr, item.value, item.lineno)
             continue
         for offset, instr in enumerate(
             _expand(item, symbols, isa)
         ):
-            _emit(prog, item.addr + offset, isa.encode(instr), item.lineno)
+            try:
+                word = isa.encode(instr)
+            except ValueError as exc:  # an operand out of its field
+                raise AssemblerError(item.lineno, str(exc)) from None
+            _emit(prog, item.addr + offset, word, item.lineno)
     return prog
 
 
@@ -242,7 +254,7 @@ def _expand(
     if mn == "li":
         _expect(ops, 2, lineno, "li rd, imm32")
         rd = _parse_reg(ops[0], lineno)
-        value = _parse_int(ops[1], lineno) & 0xFFFFFFFF
+        value = _parse_word(ops[1], lineno)
         return _load_imm(rd, value, lineno)
     if mn == "la":
         _expect(ops, 2, lineno, "la rd, label")

@@ -24,6 +24,11 @@ effort go:
   per-iteration convergence telemetry from every heuristic;
   :func:`convergence_sink` turns its records into span events live.
 
+Only :mod:`~repro.obs.spans` and :mod:`~repro.obs.live` load with the
+package; the exporters, the post-mortem and the re-exported probe load
+on first access, so a run that only records spans and heartbeats never
+imports the partitioners.
+
 The whole package follows PR 1's zero-cost-when-disabled convention:
 every producer guards with ``if <collector> is not None`` and an
 unobserved run allocates nothing.
@@ -41,15 +46,12 @@ Quick tour::
     print(probe.convergence_table("annealing"))
 """
 
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 from repro.obs.spans import Span, SpanEvent, SpanTracer
-from repro.obs.perfetto import (
-    REQUIRED_KEYS,
-    kernel_trace_events,
-    to_perfetto_json,
-    to_trace_events,
-    validate_trace_events,
-)
-from repro.obs.flame import fold_spans, render_flamegraph
 from repro.obs.live import (
     DEFAULT_HEARTBEAT_S,
     JsonlRecorder,
@@ -61,8 +63,23 @@ from repro.obs.live import (
     read_samples,
     render_status,
 )
-from repro.obs.postmortem import PostMortem, post_mortem
-from repro.partition.seeding import ProgressProbe, ProgressRecord
+
+if TYPE_CHECKING:
+    from repro.partition.seeding import ProgressRecord
+
+# exporters, post-mortems and the partitioners' probe load on first use
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.perfetto": (
+        "REQUIRED_KEYS",
+        "kernel_trace_events",
+        "to_perfetto_json",
+        "to_trace_events",
+        "validate_trace_events",
+    ),
+    "repro.obs.flame": ("fold_spans", "render_flamegraph"),
+    "repro.obs.postmortem": ("PostMortem", "post_mortem"),
+    "repro.partition.seeding": ("ProgressProbe", "ProgressRecord"),
+})
 
 
 def convergence_sink(span_tracer: SpanTracer):

@@ -29,36 +29,39 @@ Quick tour::
     print(table.comparison_report())
 """
 
-from repro.sweep.config import (
-    COMM_MODELS,
-    CONFIG_VERSION,
-    SweepConfig,
-    expand_grid,
-    parse_seed_spec,
-)
-from repro.sweep.cache import (
-    CACHE_VERSION,
-    CacheVersionError,
-    ResultCache,
-)
-from repro.sweep.table import SweepResult
-from repro.sweep.engine import (
-    CellTiming,
-    PoolJobError,
-    SweepCellError,
-    SweepStats,
-    pool_map,
-    run_cell,
-    run_cell_observed,
-    run_sweep,
-)
-from repro.sweep.differential import (
-    DifferentialReport,
-    check_result,
-    graph_signature,
-    random_problem_config,
-    run_differential,
-)
+from repro._lazy import lazy_exports
+
+# nothing loads with the package: a fault campaign needs only the cache
+# and the pool fan-out, never the partitioners behind a sweep cell
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sweep.config": (
+        "COMM_MODELS",
+        "CONFIG_VERSION",
+        "SweepConfig",
+        "expand_grid",
+        "parse_seed_spec",
+    ),
+    "repro.sweep.cache": ("CACHE_VERSION", "CacheVersionError",
+                          "ResultCache"),
+    "repro.sweep.table": ("SweepResult",),
+    "repro.sweep.engine": (
+        "CellTiming",
+        "PoolJobError",
+        "SweepCellError",
+        "SweepStats",
+        "pool_map",
+        "run_cell",
+        "run_cell_observed",
+        "run_sweep",
+    ),
+    "repro.sweep.differential": (
+        "DifferentialReport",
+        "check_result",
+        "graph_signature",
+        "random_problem_config",
+        "run_differential",
+    ),
+})
 
 __all__ = [
     "COMM_MODELS",

@@ -36,19 +36,26 @@ import functools
 import os
 import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Tuple,
+)
 
 from repro.cosim.metrics import MetricsRegistry
 from repro.cosim.trace import Tracer
 from repro.obs.live import TelemetryEmitter
 from repro.obs.spans import SpanTracer
-from repro.obs import convergence_sink
-from repro.partition import CostWeights, HEURISTICS, ProgressProbe
-from repro.sweep.config import SweepConfig
-from repro.sweep.cache import ResultCache
-from repro.sweep.table import SweepResult
+
+if TYPE_CHECKING:
+    from repro.partition import CostWeights, ProgressProbe
+    from repro.sweep.cache import ResultCache
+    from repro.sweep.config import SweepConfig
+    from repro.sweep.table import SweepResult
+
+# The partitioners behind a sweep cell, the result table and the
+# process pool are imported where they run (run_cell, run_cell_observed,
+# run_sweep, pool_map's workers > 1 branch): a fault campaign reuses
+# pool_map and CellTiming without loading them.
 
 #: Trace-record kind emitted per completed/cached cell.
 SWEEP_CELL = "sweep_cell"
@@ -93,6 +100,8 @@ def run_cell(
     in it is a pure function of the config — no timestamps, no host
     identity — so rows are comparable and cacheable across machines.
     """
+    from repro.partition import HEURISTICS, CostWeights
+
     weights = weights if weights is not None else CostWeights()
     problem = config.build_problem()
     heuristic = HEURISTICS[config.heuristic]
@@ -115,6 +124,9 @@ def run_cell_observed(
     for the parent to merge.  The payload never enters the row or the
     cache, so tables stay byte-identical with or without observation.
     """
+    from repro.obs import convergence_sink
+    from repro.partition import HEURISTICS, CostWeights, ProgressProbe
+
     weights = weights if weights is not None else CostWeights()
     spans = SpanTracer()
     spans.name_lane(spans.pid, f"sweep worker {os.getpid()}")
@@ -233,6 +245,10 @@ def pool_map(
             on_done(job, result,
                     CellTiming(time.perf_counter() - t0, 0.0))
         return
+    from concurrent.futures import (
+        FIRST_COMPLETED, ProcessPoolExecutor, wait,
+    )
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         submitted = {
             pool.submit(_timed_call, fn, time.perf_counter(), job): job
@@ -344,6 +360,8 @@ def run_sweep(
     rows, fingerprints, or the cache; the table is byte-identical
     with or without a recorder.
     """
+    from repro.sweep.table import SweepResult
+
     if workers < 1:
         raise ValueError("workers must be >= 1")
     configs = list(configs)

@@ -1,8 +1,10 @@
 """Tests for the fault specification model and the seeded sampler."""
 
+import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.fault import (
     CPU_FLAGS,
@@ -139,3 +141,90 @@ class TestSampler:
             assert fault.time >= 0.0
             if fault.kind == "cpu_reg_flip":
                 assert 1 <= fault.index < 16
+
+
+# ----------------------------------------------------------------------
+# malformed values fail loudly, valid specs keep their identity
+# ----------------------------------------------------------------------
+#: the type each field takes: a float field also takes an int
+FIELD_TYPES = {
+    "kind": "str", "target": "str", "index": "int", "bit": "int",
+    "time": "float", "count": "int", "delay": "float", "flag": "str",
+}
+#: values of the wrong type for each field type (bool is no number)
+WRONG = {
+    "str": st.one_of(st.none(), st.booleans(), st.integers(),
+                     st.floats(), st.lists(st.text(max_size=2),
+                                           max_size=2)),
+    "int": st.one_of(st.none(), st.booleans(), st.floats(),
+                     st.integers().map(str), st.text(max_size=3)),
+    "float": st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                       st.sampled_from([float("nan"), float("inf"),
+                                        float("-inf")])),
+}
+VALID = sample_faults(TARGETS, 2 * len(KINDS), seed=5)
+
+
+@st.composite
+def malformed(draw):
+    """A valid spec's dict with one field of the wrong type, a required
+    field dropped, or something that is not a mapping at all."""
+    doc = draw(st.sampled_from(VALID)).to_dict()
+    how = draw(st.sampled_from(("retype", "drop", "shape")))
+    if how == "retype":
+        name = draw(st.sampled_from(sorted(FIELD_TYPES)))
+        doc[name] = draw(WRONG[FIELD_TYPES[name]])
+    elif how == "drop":
+        del doc[draw(st.sampled_from(("kind", "target")))]
+    else:
+        doc = draw(st.one_of(st.none(), st.integers(), st.text(),
+                             st.just(list(doc.items())),
+                             st.just(json.dumps(doc))))
+    return doc
+
+
+class TestMalformedValues:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(doc=malformed())
+    def test_malformed_dicts_raise_fault_spec_error(self, doc):
+        with pytest.raises(FaultSpecError):
+            FaultSpec.from_dict(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "reg_flip", "target": "mac", "bit": 1.5},
+        {"kind": "reg_flip", "target": "mac", "index": 3.0},
+        {"kind": "reg_flip", "target": "mac", "index": "3"},
+        {"kind": "reg_flip", "target": "mac", "index": True},
+        {"kind": "cpu_reg_flip", "target": "cpu", "count": 5.5},
+        {"kind": "signal_flip", "target": "s", "time": float("nan")},
+        {"kind": "proc_spin", "target": "s", "time": float("inf")},
+        {"kind": "msg_delay", "target": "out", "delay": float("nan")},
+        {"kind": "cpu_flag_flip", "target": "cpu", "flag": 1},
+        {"target": "mac"},
+        {"kind": "reg_flip"},
+        ["kind", "reg_flip"],
+    ])
+    def test_reported_cases_raise_fault_spec_error(self, doc):
+        with pytest.raises(FaultSpecError):
+            FaultSpec.from_dict(doc)
+
+    def test_error_names_the_field(self):
+        with pytest.raises(FaultSpecError, match="index must be int"):
+            FaultSpec(kind="reg_flip", target="mac", index=3.0)
+        with pytest.raises(FaultSpecError, match="time must be finite"):
+            FaultSpec(kind="proc_spin", target="s", time=float("nan"))
+        with pytest.raises(FaultSpecError, match=r"missing .*'kind'"):
+            FaultSpec.from_dict({"target": "mac"})
+
+    def test_valid_fingerprints_unchanged(self):
+        # digests from before the type checks: no valid spec moves
+        joined = "".join(f.fingerprint
+                         for f in sample_faults(TARGETS, 60, seed=11))
+        assert hashlib.sha256(joined.encode()).hexdigest() == \
+            "a760636527b58231bb841cd021ada9a5aee4309f89dd64b795741e861abd56e5"
+        # an int in a float field is kept as given, not normalized
+        spec = FaultSpec(kind="signal_flip", target="enable", bit=3,
+                         time=100)
+        assert '"time":100,' in spec.canonical_json()
+        assert spec.fingerprint == ("e30162898bc048188faab02f6104f10e"
+                                    "30d355588aa9cdb2c481479a1dfc9323")

@@ -208,6 +208,37 @@ class TestDirectivesAndPseudos:
         assert cpu.get_reg(2) == 9
 
 
+class TestRangeErrors:
+    """Out-of-range operands name their line instead of escaping as a
+    bare ValueError from the encoder or wrapping silently."""
+
+    @pytest.mark.parametrize("source,lineno,message", [
+        ("addi r1, r0, 100000", 1, "imm16 100000 out of range"),
+        ("halt\nlw r2, 99999(r1)", 2, "imm16 99999 out of range"),
+        ("nop\nnop\nlui r1, 70000", 3, "imm16 70000 out of range"),
+        ("jal 99999999", 1, "imm24 99999999 out of range"),
+        (".word 1\n.word 0x1FFFFFFFF", 2, "does not fit in 32 bits"),
+        (".word -2147483649", 1, "does not fit in 32 bits"),
+        ("li r1, 0x1FFFFFFFF", 1, "does not fit in 32 bits"),
+        ("nop\nli r1, -2147483649", 2, "does not fit in 32 bits"),
+    ])
+    def test_out_of_range_operand_names_its_line(self, source, lineno,
+                                                  message):
+        with pytest.raises(AssemblerError, match=message) as info:
+            assemble(source)
+        assert info.value.lineno == lineno
+        assert str(info.value).startswith(f"line {lineno}: ")
+
+    def test_word_and_li_take_signed_and_unsigned_32_bit_values(self):
+        prog = assemble(".word 0xFFFFFFFF, -2147483648, -1")
+        assert [prog.image[i] for i in range(3)] == \
+            [0xFFFFFFFF, 0x80000000, 0xFFFFFFFF]
+        cpu, _m, _p = run_program("li r1, 0xFFFFFFFF\n"
+                                  "li r2, -2147483648\nhalt")
+        assert cpu.get_reg(1) == 0xFFFFFFFF
+        assert cpu.get_reg(2) == 0x80000000
+
+
 class TestCustomInstructions:
     def test_custom_mnemonic_assembles(self):
         isa = Isa()
