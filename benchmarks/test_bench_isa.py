@@ -7,14 +7,20 @@ the bargain:
 
 * **decode cache** — ``Isa.decode`` (memoized) vs ``decode_uncached``
   (the reference path) over a program's word stream;
-* **trace-cache executor** — ``Cpu.run_block()`` vs a ``step()`` loop,
-  and vs the pre-PR decode-every-step baseline, on a straight-line
-  arithmetic kernel.  The acceptance bar is ≥2× instructions/s over
-  the decode-every-step baseline;
+* **trace-cache executor** — ``Cpu.run_block()`` on the interpreted
+  tier (translation pinned off: ``Cpu.run()`` translates by default)
+  vs a ``step()`` loop, and vs the pre-PR decode-every-step baseline,
+  on a straight-line arithmetic kernel.  The acceptance bar is ≥2×
+  instructions/s over the decode-every-step baseline;
 * **no accuracy regression** — the Figure 3 abstraction-ladder
   activation counts and the E18 dependability histogram (200 faults,
   seed 7) must be byte-identical to their pre-fast-path values: the
   fast paths may only move host time, never model results.
+
+Timing is interleaved rounds — every path once per round, so scheduler
+drift hits all alike — with medians and sign-test ~96% confidence
+intervals from the shared statistics helper (``bench/_stats.py``), the
+same method ``BENCH_translate.json`` uses for the same tier.
 
 Measured numbers land in ``BENCH_isa.json``.  Runnable standalone for
 CI: ``PYTHONPATH=src python benchmarks/test_bench_isa.py --smoke``.
@@ -30,8 +36,16 @@ from repro.fault import SCENARIOS, run_campaign, sample_faults
 from repro.isa.assembler import assemble
 from repro.isa.cpu import Cpu, Memory
 from repro.isa.instructions import Isa
+from repro.isa.translate import auto_translation
 
-REPEATS = 3
+# the one statistics helper, shared with the end-to-end benchmark
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
+from _stats import median, sign_test_ci  # noqa: E402
+
+#: Interleaved rounds; at n=9 the (2nd, 8th) order statistics bound
+#: the median at ~96% confidence.
+ROUNDS = 9
+SMOKE_ROUNDS = 5
 LIMIT = 10_000          # straight-line loop iterations (full run)
 SMOKE_LIMIT = 2_000
 DECODE_PASSES = 200     # decode-bench sweeps over the word stream
@@ -80,14 +94,10 @@ def _build(limit, isa=None):
     return Cpu(isa, mem)
 
 
-def _best_of(repeats, fn):
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return result, best
+def _timed(fn):
+    start = time.perf_counter()
+    result = fn()
+    return result, time.perf_counter() - start
 
 
 def _step_loop(cpu):
@@ -96,11 +106,14 @@ def _step_loop(cpu):
     return cpu.instr_count
 
 
-def measure(limit=LIMIT, repeats=REPEATS):
-    """Time the three executors and the two decode paths."""
-    # --- decode: uncached reference vs memo table -------------------
-    isa = Isa()
-    words = list(_build(limit, isa).memory.ram.values())
+def _block_run(cpu):
+    cpu.run()
+    return cpu.instr_count
+
+
+def measure(limit=LIMIT, rounds=ROUNDS):
+    """Interleaved rounds over the two decode paths and three executors."""
+    words = list(_build(limit).memory.ram.values())
     stream = words * DECODE_PASSES
 
     def decode_uncached():
@@ -113,35 +126,57 @@ def measure(limit=LIMIT, repeats=REPEATS):
         for w in stream:
             fresh.decode(w)
 
-    _, uncached_decode_s = _best_of(repeats, decode_uncached)
-    _, cached_decode_s = _best_of(repeats, decode_cached)
+    paths = {
+        "decode_uncached": decode_uncached,
+        "decode_cached": decode_cached,
+        # the three executors retire the identical instruction stream
+        "baseline": lambda: _step_loop(_build(limit, _UncachedIsa())),
+        "step": lambda: _step_loop(_build(limit)),
+        "block": lambda: _block_run(_build(limit)),
+    }
+    times = {name: [] for name in paths}
+    counts = set()
+    with auto_translation(False):  # run_block on the interpreted tier
+        for fn in paths.values():  # warm every path
+            fn()
+        for _ in range(rounds):
+            for name, fn in paths.items():
+                result, elapsed = _timed(fn)
+                times[name].append(elapsed)
+                if name in ("baseline", "step", "block"):
+                    counts.add(result)
+    (n_instr,) = counts
 
-    # --- execution: uncached-step baseline, cached step, run_block --
-    n_instr, baseline_s = _best_of(
-        repeats, lambda: _step_loop(_build(limit, _UncachedIsa())))
-    _, step_s = _best_of(repeats, lambda: _step_loop(_build(limit)))
-    _, block_s = _best_of(repeats, lambda: _build(limit).run())
+    def ratio(slow, fast):
+        ratios = [s / f for s, f in zip(times[slow], times[fast])]
+        return round(median(ratios), 2), \
+            [round(x, 2) for x in sign_test_ci(ratios)[:2]]
 
-    # all three executors retire the identical instruction stream
-    for executor in (lambda: _step_loop(_build(limit, _UncachedIsa())),
-                     lambda: _step_loop(_build(limit))):
-        assert executor() == n_instr
-    cpu = _build(limit)
-    cpu.run()
-    assert cpu.instr_count == n_instr
+    def ips(name):
+        per_round = [n_instr / t for t in times[name]]
+        return round(median(per_round)), \
+            [round(x) for x in sign_test_ci(per_round)[:2]]
 
+    decode_speedup, decode_ci = ratio("decode_uncached", "decode_cached")
+    vs_baseline, vs_baseline_ci = ratio("baseline", "block")
+    vs_step, vs_step_ci = ratio("step", "block")
+    block_ips, block_ci = ips("block")
     return {
         "program_instrs": n_instr,
-        "repeats": repeats,
+        "rounds": rounds,
         "decode_words": len(stream),
-        "decode_uncached_s": round(uncached_decode_s, 4),
-        "decode_cached_s": round(cached_decode_s, 4),
-        "decode_speedup": round(uncached_decode_s / cached_decode_s, 2),
-        "baseline_ips": round(n_instr / baseline_s),
-        "step_ips": round(n_instr / step_s),
-        "block_ips": round(n_instr / block_s),
-        "speedup_vs_baseline": round(baseline_s / block_s, 2),
-        "speedup_vs_step": round(step_s / block_s, 2),
+        "decode_uncached_s": round(median(times["decode_uncached"]), 4),
+        "decode_cached_s": round(median(times["decode_cached"]), 4),
+        "decode_speedup": decode_speedup,
+        "decode_speedup_ci96": decode_ci,
+        "baseline_ips": ips("baseline")[0],
+        "step_ips": ips("step")[0],
+        "block_ips": block_ips,
+        "block_ips_ci96": block_ci,
+        "speedup_vs_baseline": vs_baseline,
+        "speedup_vs_baseline_ci96": vs_baseline_ci,
+        "speedup_vs_step": vs_step,
+        "speedup_vs_step_ci96": vs_step_ci,
     }
 
 
@@ -164,8 +199,8 @@ def check_model_identity():
     return activations, hist
 
 
-def run_bench(limit=LIMIT, repeats=REPEATS, write=True):
-    record = measure(limit, repeats)
+def run_bench(limit=LIMIT, rounds=ROUNDS, write=True):
+    record = measure(limit, rounds)
     activations, hist = check_model_identity()
     record["fig3_activations"] = activations
     record["e18_histogram"] = hist
@@ -184,9 +219,9 @@ def run_bench(limit=LIMIT, repeats=REPEATS, write=True):
 
 
 def test_fastpath_speedup_and_model_identity(benchmark):
-    run_bench(SMOKE_LIMIT, repeats=1, write=False)  # warm all paths
+    run_bench(SMOKE_LIMIT, rounds=1, write=False)  # warm all paths
     record = benchmark.pedantic(
-        lambda: run_bench(LIMIT, REPEATS), rounds=1, iterations=1
+        lambda: run_bench(LIMIT, ROUNDS), rounds=1, iterations=1
     )
     benchmark.extra_info.update(
         {k: v for k, v in record.items() if not isinstance(v, dict)})
@@ -203,8 +238,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     limit = SMOKE_LIMIT if args.smoke else LIMIT
-    repeats = 1 if args.smoke else REPEATS
-    record = run_bench(limit, repeats, write=False)
+    rounds = SMOKE_ROUNDS if args.smoke else ROUNDS
+    record = run_bench(limit, rounds, write=False)
     out = Path(args.out) if args.out else RESULT_FILE
     out.write_text(json.dumps(record, indent=2) + "\n")
     print(f"straight-line kernel: {record['program_instrs']} instrs")
@@ -212,8 +247,8 @@ def main(argv=None) -> int:
           f"instr/s")
     print(f"  step (cached decode):         {record['step_ips']:>9,} "
           f"instr/s")
-    print(f"  run_block:                    {record['block_ips']:>9,} "
-          f"instr/s  "
+    print(f"  run_block (interpreted):      {record['block_ips']:>9,} "
+          f"instr/s  ~96% CI {record['block_ips_ci96']}  "
           f"({record['speedup_vs_baseline']}x baseline, "
           f"{record['speedup_vs_step']}x step)")
     print(f"decode: {record['decode_speedup']}x cached over uncached")

@@ -12,11 +12,12 @@ The campaign is deterministic end to end: the same seed produces the
 same fault list, the same per-fault outcome, and therefore the same
 histogram at any worker count (``--smoke`` asserts exactly that).
 
-``--batch`` opts software-only scenarios (``swmac``) into the
-vectorized batch tier (DESIGN §14): golden + every fault lane execute
-as columns of one :class:`repro.isa.BatchCpu`, with lane-occupancy and
-divergence-drain counters reported after the table.  Records are
-byte-identical to the scalar path (``--smoke`` asserts that too).
+``--batch`` runs software-only scenarios (``swmac``) as forks of one
+golden run (DESIGN §14): every fault lane leaves golden as a copy
+taken just before its fault is due (:class:`repro.isa.BatchCpu`), and
+the lanes forked, the lanes answered at golden's end, and golden's run
+segments are reported after the table.  Records are byte-identical to
+the scalar path (``--smoke`` asserts that too).
 
 Run:  python examples/fault_campaign.py
       python examples/fault_campaign.py --faults 200 --workers 4
@@ -59,8 +60,8 @@ def main(argv=None) -> int:
                              "and queue gauges into the store's "
                              "telemetry table")
     parser.add_argument("--batch", action="store_true",
-                        help="vectorized batch tier for software-only "
-                             "scenarios (one lane per fault)")
+                        help="fork software-only scenarios' fault "
+                             "cells from one golden run")
     parser.add_argument("--out", metavar="FILE",
                         help="write the dependability report as JSON")
     parser.add_argument("--smoke", action="store_true",
@@ -117,11 +118,11 @@ def main(argv=None) -> int:
         counters = metrics.snapshot()["counters"]
         lanes = counters.get("fault.batch.lanes", 0)
         if lanes:
-            drained = counters.get("fault.batch.drained", 0)
-            dispatches = counters.get("fault.batch.dispatches", 0)
-            print(f"batch: {lanes} lanes, {dispatches} dispatches, "
-                  f"{drained} divergence drains "
-                  f"({drained / lanes:.1%} of lanes)")
+            forked = counters.get("fault.batch.drained", 0)
+            segments = counters.get("fault.batch.dispatches", 0)
+            print(f"batch: {lanes} lanes, {forked} forked from golden, "
+                  f"{lanes - forked} answered at golden's end, "
+                  f"{segments} golden run segments")
         else:
             print(f"batch: scenario {args.scenario!r} has no "
                   f"software-only cells; ran scalar")

@@ -284,8 +284,8 @@ def measure_dependability(
     The campaign's cells land in the same cache/store the genome
     records use — fault fingerprints and genome fingerprints are
     distinct SHA-256 keys — so a warm explorer re-run recomputes
-    neither genomes nor faults.  ``batch`` opts software-only
-    scenarios into the vectorized batch tier (DESIGN §14); the model
+    neither genomes nor faults.  ``batch`` forks the cells of a
+    software-only scenario from one golden run (DESIGN §14); the model
     is byte-identical either way.
     """
     from repro.fault import sample_faults

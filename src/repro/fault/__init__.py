@@ -14,8 +14,9 @@ This package measures that, DAVOS/SBFI style:
 * :mod:`repro.fault.scenarios` — the deterministic campaign workloads
   (``coproc``: full R32 + MAC + FIFO stack; ``msgpipe``: message rung
   only; ``swmac``: CPU-only, batchable) and :func:`run_scenario`,
-  plus :func:`run_sw_batch` / :func:`run_sw_sweep`, the vectorized
-  many-lane drivers for software-only scenarios (DESIGN §14);
+  plus :func:`run_sw_batch` / :func:`run_sw_sweep`, which run many
+  cells of a software-only scenario as forks of one golden run
+  (DESIGN §14);
 * :mod:`repro.fault.campaign` — :func:`run_campaign`: golden-vs-faulty
   fan-out over :func:`repro.sweep.engine.pool_map`, outcome
   classification (masked / sdc / detected / hang / crash), and the

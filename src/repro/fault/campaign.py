@@ -253,12 +253,11 @@ def run_campaign(
     ``recorder`` arms the flight recorder exactly as in ``run_sweep``
     — live run marks and heartbeats, never a byte in the records.
 
-    ``batch=True`` routes the uncached cells of a software-only
-    scenario (golden + every CPU fault) through one
-    :class:`~repro.isa.BatchCpu` — one lane per cell, executed in the
-    parent (DESIGN §14).  Records, classification, and the cache
-    content are byte-identical to the scalar path; only wall clock and
-    the volatile stats change.  The flag is a no-op for scenarios that
+    ``batch=True`` runs the uncached cells of a software-only
+    scenario (golden + every CPU fault) as forks of one golden run
+    (:class:`~repro.isa.BatchCpu`), in the parent (DESIGN §14).
+    Records, classification, and the cache content are byte-identical
+    to the scalar path; only wall clock and the volatile stats change.  The flag is a no-op for scenarios that
     need the simulation kernel and in store mode (where shards own
     execution).
     """
@@ -371,15 +370,12 @@ def run_campaign(
                 batch_stats.dispatches)
             metrics.counter("fault.batch.drained").inc(
                 batch_stats.drained())
-            metrics.histogram("fault.batch.occupancy").observe(
-                batch_stats.occupancy())
             if emitter is not None:
                 emitter.emit(
                     "batch", scenario=scenario,
                     lanes=batch_stats.lanes,
                     dispatches=batch_stats.dispatches,
                     drained=batch_stats.drained(),
-                    occupancy=round(batch_stats.occupancy(), 4),
                     reasons=dict(batch_stats.reasons),
                 )
             for (fingerprint, _spec), record in zip(lanes, lane_records):

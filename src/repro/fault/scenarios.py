@@ -26,9 +26,9 @@ Three scenarios:
 * ``swmac`` — software only (no kernel, no devices): a pure-R32
   duplicated multiply-accumulate over an LCG input stream, with the
   redundant copy as the detection mechanism.  Because the whole run is
-  CPU-resident, its fault campaign can execute as lanes of one
-  :class:`repro.isa.BatchCpu` (DESIGN §14) — this is the workload the
-  batch tier's speedup is measured on (EXPERIMENTS E24).
+  CPU-resident, its fault campaign can fork every cell from one golden
+  run with :class:`repro.isa.BatchCpu` (DESIGN §14) — this is the
+  workload the fork engine's speedup is measured on (EXPERIMENTS E24).
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def _image(source: str) -> Dict[int, int]:
     """The assembled image of ``source``, assembled once per process.
 
     Sharing one dict is safe because every consumer copies it:
-    ``Memory.load_image`` into RAM, ``BatchCpu`` into its base image.
+    ``Memory.load_image`` into RAM, directly or inside ``BatchCpu``.
     """
     image = _IMAGES.get(source)
     if image is None:
@@ -87,8 +87,8 @@ class SoftwareWorkload:
 
     Such scenarios need no simulation kernel — the instruction
     ``budget`` plays the watchdog's role — and, because every run is
-    CPU-resident, a fault campaign over one can execute as lanes of a
-    single :class:`repro.isa.BatchCpu` (see :func:`run_sw_batch`).
+    CPU-resident, a fault campaign over one can fork its cells from one
+    golden run (:class:`repro.isa.BatchCpu`, see :func:`run_sw_batch`).
     """
 
     #: assembly source of the program
@@ -380,7 +380,7 @@ def _drive_sw(cpu: Any, budget: int, steps: int = 0) -> None:
     """Run a software-scenario CPU to completion on the scalar tiers.
 
     Used both for whole scalar runs (``steps=0``) and to finish lanes
-    the batch tier drained at ``steps`` — the one shared driver is what
+    forked from golden at ``steps`` — the one shared driver is what
     makes the two paths structurally byte-identical.  Raises
     :class:`~repro.cosim.kernel.HangDetected` when the instruction
     budget is exhausted (the software analogue of the watchdog) and
@@ -451,16 +451,16 @@ def run_sw_scenario(
 
 
 def _finish_lane(scenario: Scenario, exit: Any) -> Dict[str, Any]:
-    """Drain one batch lane to its outcome record.
+    """Finish one batch lane to its outcome record.
 
-    Every lane — halted, drained, or budget-exhausted — goes through
-    the same :func:`_drive_sw` continuation the scalar path uses, so
-    the per-lane record is byte-identical to a scalar run of the same
-    fault.  A lane whose fault has not fired yet is re-armed, counting
-    the lane's exit step as retirements already done.
+    Every lane — forked, or left with golden's final state — goes
+    through the same :func:`_drive_sw` continuation the scalar path
+    uses, so the per-lane record is byte-identical to a scalar run of
+    the same fault.  The lane's fault, never fired yet, is re-armed
+    counting the lane's exit step as retirements already done.
     """
     cpu = exit.cpu
-    if exit.spec is not None and not exit.fired:
+    if exit.spec is not None:
         arm_cpu_fault(cpu, exit.spec, retired=exit.steps)
     error: Optional[Dict[str, str]] = None
     try:
@@ -474,7 +474,8 @@ def run_sw_batch(
     scenario: Scenario,
     faults: List[Optional[FaultSpec]],
 ) -> Tuple[List[Dict[str, Any]], Any]:
-    """Run one fault per lane of a single :class:`~repro.isa.BatchCpu`.
+    """Run one fault per lane, forked from one golden run
+    (:class:`~repro.isa.BatchCpu`).
 
     ``faults[i]`` arms lane ``i`` (``None`` = fault-free lane, e.g. the
     golden run).  Returns ``(records, stats)`` with ``records[i]``
@@ -503,10 +504,10 @@ def run_sw_sweep(
 ) -> Tuple[List[Dict[str, Any]], Any]:
     """Run one input seed per lane of a single batch (no faults).
 
-    The input-sweep twin of :func:`run_sw_batch`: every lane executes
-    the same program over a different seed word, diverging only where
-    the data makes it diverge.  ``records[i]`` is byte-identical to a
-    scalar run with ``seeds[i]`` poked into the image.
+    The input-sweep twin of :func:`run_sw_batch`: every lane forks from
+    golden's initial state with its own seed word written in.
+    ``records[i]`` is byte-identical to a scalar run with ``seeds[i]``
+    poked into the image.
     """
     from repro.isa import BatchCpu
     from repro.isa.instructions import Isa

@@ -10,19 +10,22 @@ processor end to end:
 * :mod:`repro.isa.assembler` — a two-pass assembler with labels, data
   directives, and pseudo-instructions;
 * :mod:`repro.isa.cpu` — a cycle-counting functional CPU model with
-  memory-mapped I/O and interrupts;
+  memory-mapped I/O and interrupts, and :meth:`~repro.isa.cpu.Cpu.fork`
+  to copy a running one;
 * :mod:`repro.isa.codegen` — a code generator lowering CDFG behaviors to
   R32 assembly (the same behaviors high-level synthesis lowers to
   hardware, enabling true co-verification);
 * :mod:`repro.isa.profiler` — execution profiling for hot-spot-driven
   partitioning and custom-instruction mining;
 * :mod:`repro.isa.translate` — the block-translation execution tier:
-  hot basic blocks compiled to specialized Python closures, proven
-  equivalent to ``step()``/``run_block()`` (DESIGN §13);
-* :mod:`repro.isa.batch` — the vectorized batch execution tier: many
-  near-identical runs (fault lanes, input sweeps) as columns of one
-  structure-of-arrays machine, with divergent lanes drained to the
-  scalar tiers (DESIGN §14).
+  hot basic blocks compiled to specialized Python closures, shared by
+  every CPU in the process and proven equivalent to
+  ``step()``/``run_block()`` (DESIGN §13); long CPU-resident runs use
+  it by default;
+* :mod:`repro.isa.batch` — the fork engine: many near-identical runs
+  (fault lanes, input sweeps) leave one golden run as copies taken
+  just before their fault is due, and finish on the scalar tiers
+  (DESIGN §14).
 """
 
 from repro._lazy import lazy_exports
@@ -30,13 +33,12 @@ from repro.isa.instructions import Instruction, Isa, Opcode
 from repro.isa.assembler import AssemblerError, assemble
 from repro.isa.cpu import Cpu, CpuError, Memory
 
-# the opt-in translator and the numpy batch tier load on first use
+# the translator (built by the first long run_block call) and the
+# fork engine load on first use
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.isa.translate": (
         "BlockTranslator",
         "auto_translation",
-        "disable_auto_translation",
-        "enable_auto_translation",
         "install",
     ),
     "repro.isa.batch": ("BatchCpu", "BatchStats", "LaneExit"),
@@ -57,6 +59,4 @@ __all__ = [
     "LaneExit",
     "install",
     "auto_translation",
-    "enable_auto_translation",
-    "disable_auto_translation",
 ]

@@ -24,6 +24,11 @@ Addresses are *word* addresses; the location counter advances by one per
 instruction or data word.  Custom instructions installed on the
 :class:`repro.isa.instructions.Isa` assemble like R-type ops by their
 mnemonic.
+
+Every error is an :class:`AssemblerError` naming its source line.  R32
+addresses are 32-bit, so nothing is placed at ``2**32`` or above, and
+an image holds at most :data:`MAX_IMAGE_WORDS` words; a directive that
+would break either limit fails before it places a word.
 """
 
 from __future__ import annotations
@@ -75,7 +80,15 @@ class Program:
         return "\n".join(lines)
 
 
+#: One past the highest word address: R32 addresses are 32-bit.
+ADDRESS_LIMIT = 1 << 32
+#: Most words one image may hold (256 KiB of 32-bit words).  ``.space``
+#: is the one directive that places words without a source token for
+#: each, so this is what bounds the memory and time assembling takes.
+MAX_IMAGE_WORDS = 1 << 16
+
 _LABEL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_REG_RE = re.compile(r"^r([0-9]+)$")
 _MEM_RE = re.compile(r"^(-?\w+)\((r\d+|zero|ra|sp)\)$")
 
 REG_ALIASES = {"zero": 0, "ra": 15, "sp": 14}
@@ -85,10 +98,9 @@ def _parse_reg(tok: str, lineno: int) -> int:
     tok = tok.lower()
     if tok in REG_ALIASES:
         return REG_ALIASES[tok]
-    if tok.startswith("r") and tok[1:].isdigit():
-        n = int(tok[1:])
-        if 0 <= n < 16:
-            return n
+    match = _REG_RE.match(tok)
+    if match and int(match.group(1)) < 16:
+        return int(match.group(1))
     raise AssemblerError(lineno, f"bad register {tok!r}")
 
 
@@ -133,9 +145,29 @@ def assemble(text: str, isa: Optional[Isa] = None, origin: int = 0) -> Program:
 def _pass1(
     text: str, isa: Isa, origin: int
 ) -> Tuple[List[_Item], Dict[str, int]]:
+    if not 0 <= origin < ADDRESS_LIMIT:
+        raise ValueError(f"origin {origin} is not a 32-bit address")
     loc = origin
+    placed = 0  # words in the image so far
     items: List[_Item] = []
     symbols: Dict[str, int] = {}
+
+    def reserve(count: int) -> int:
+        """Claim ``count`` words at the location counter, checking both
+        limits before anything is placed; returns the first address."""
+        nonlocal loc, placed
+        if loc + count > ADDRESS_LIMIT:
+            raise AssemblerError(
+                lineno, f"{count} word(s) at {loc:#x} run past the "
+                        "32-bit address space")
+        if placed + count > MAX_IMAGE_WORDS:
+            raise AssemblerError(
+                lineno, f"image exceeds {MAX_IMAGE_WORDS} words")
+        addr = loc
+        loc += count
+        placed += count
+        return addr
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split(";")[0].split("#")[0].strip()
         while line:
@@ -158,24 +190,27 @@ def _pass1(
             new_loc = _parse_int(rest.strip(), lineno)
             if new_loc < loc:
                 raise AssemblerError(lineno, ".org may not move backwards")
+            if new_loc >= ADDRESS_LIMIT:
+                raise AssemblerError(
+                    lineno, f".org {new_loc:#x} is past the 32-bit "
+                            "address space")
             loc = new_loc
         elif mnemonic == ".word":
             for tok in _tokenize_operands(rest):
-                items.append(_Item(loc, lineno, "word",
-                                   value=_parse_word(tok, lineno)))
-                loc += 1
+                value = _parse_word(tok, lineno)
+                items.append(_Item(reserve(1), lineno, "word", value=value))
         elif mnemonic == ".space":
             count = _parse_int(rest.strip(), lineno)
             if count < 0:
                 raise AssemblerError(lineno, ".space count must be >= 0")
-            for _ in range(count):
-                items.append(_Item(loc, lineno, "word", value=0))
-                loc += 1
+            first = reserve(count)
+            items.extend(_Item(addr, lineno, "word", value=0)
+                         for addr in range(first, first + count))
         else:
             operands = tuple(_tokenize_operands(rest))
             size = _instr_size(mnemonic, operands, isa, lineno)
-            items.append(_Item(loc, lineno, "instr", mnemonic, operands))
-            loc += size
+            items.append(_Item(reserve(size), lineno, "instr", mnemonic,
+                               operands))
     return items, symbols
 
 
@@ -259,8 +294,10 @@ def _expand(
     if mn == "la":
         _expect(ops, 2, lineno, "la rd, label")
         rd = _parse_reg(ops[0], lineno)
-        value = _resolve(ops[1], symbols, lineno) & 0xFFFFFFFF
-        seq = _load_imm(rd, value, lineno)
+        value = _resolve(ops[1], symbols, lineno)
+        if not -0x80000000 <= value <= 0xFFFFFFFF:
+            raise AssemblerError(lineno, f"{ops[1]!r} does not fit in 32 bits")
+        seq = _load_imm(rd, value & 0xFFFFFFFF, lineno)
         if len(seq) == 1:
             seq.append(Instruction(Opcode.ADD, rd, rd, 0))  # keep size == 2
         return seq

@@ -21,7 +21,6 @@ than just an interpreter:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
@@ -168,24 +167,18 @@ class _Defer(Exception):
 IRQ_ENTRY_CYCLES = 4
 
 
-#: When set, every new :class:`Cpu` gets ``factory(cpu)`` as its
-#: :attr:`~Cpu.translator` — how ``repro.isa.translate`` enables the
-#: block-translation tier fleet-wide (scenario builders construct their
-#: own CPUs, so a per-instance install cannot reach them).  Managed by
-#: :func:`repro.isa.translate.enable_auto_translation`; also armed by
-#: the ``REPRO_TRANSLATE=1`` environment variable.
-_TRANSLATOR_FACTORY: Optional[Callable[["Cpu"], Any]] = None
-_FACTORY_RESOLVED = False
+#: Longest translated block, in instructions.  A CPU builds its block
+#: translator (:mod:`repro.isa.translate`) on its first
+#: :meth:`~Cpu.run_block` call whose budget can hold a whole block:
+#: CPU-resident runs get such budgets, while a backplane stepping the
+#: CPU in a few instructions at a time never does, so it never pays
+#: for scanning blocks it could not run whole.
+MAX_BLOCK_LEN = 64
 
-
-def _resolve_translator_factory() -> Optional[Callable[["Cpu"], Any]]:
-    global _TRANSLATOR_FACTORY, _FACTORY_RESOLVED
-    _FACTORY_RESOLVED = True
-    if os.environ.get("REPRO_TRANSLATE", "") not in ("", "0"):
-        from repro.isa.translate import BlockTranslator
-
-        _TRANSLATOR_FACTORY = BlockTranslator
-    return _TRANSLATOR_FACTORY
+#: Whether CPUs build that translator at all; switched by
+#: :func:`repro.isa.translate.auto_translation`, the one switch tests
+#: and tier-pinning benches use.
+_AUTO_TRANSLATE = True
 
 
 class Cpu:
@@ -235,11 +228,43 @@ class Cpu:
         self._ops: Dict[int, tuple] = {}
         self._ops_version = -1
         #: the block-translation tier (:mod:`repro.isa.translate`), or
-        #: None; :meth:`run_block` dispatches to it whenever no
-        #: observers are attached
-        factory = (_TRANSLATOR_FACTORY if _FACTORY_RESOLVED
-                   else _resolve_translator_factory())
-        self.translator = factory(self) if factory is not None else None
+        #: None until the first run_block call long enough to build it;
+        #: :meth:`run_block` dispatches to it whenever no observers are
+        #: attached
+        self.translator: Any = None
+
+    def fork(self) -> "Cpu":
+        """A copy of this CPU that runs on independently of it.
+
+        The copy has this CPU's registers, ``pc``, ``epc``, halted and
+        IRQ flags, cycle/instruction/IRQ counters, RAM, and load/store
+        counters.  It shares the ISA and the decode cache, which is
+        keyed by instruction word and so safe to share.  It starts with
+        no observers, triggers or translator of its own.  Only a
+        plain-RAM CPU with no pending access forks: device regions hold
+        state a copy cannot own, so such a CPU raises :class:`CpuError`.
+        """
+        memory = self.memory
+        if memory._regions or self._pending is not None:
+            raise CpuError(
+                "fork() needs a plain-RAM CPU with no pending access"
+            )
+        twin = Memory()
+        twin.ram = dict(memory.ram)
+        twin.loads = memory.loads
+        twin.stores = memory.stores
+        cpu = Cpu(self.isa, twin, pc=self.pc, ivec=self.ivec)
+        cpu.regs = list(self.regs)
+        cpu.epc = self.epc
+        cpu.halted = self.halted
+        cpu.irq_pending = self.irq_pending
+        cpu.irq_enabled = self.irq_enabled
+        cpu.cycle_count = self.cycle_count
+        cpu.instr_count = self.instr_count
+        cpu.irq_count = self.irq_count
+        cpu._ops = self._ops
+        cpu._ops_version = self._ops_version
+        return cpu
 
     # ------------------------------------------------------------------
     # register access helpers (r0 is hardwired to zero)
@@ -452,6 +477,10 @@ class Cpu:
         installed tier runs up to the next due retirement, the trigger
         fires, and the tier carries on within the same call.  With no
         trigger pending this costs one truthiness test per call.
+
+        The first call whose ``max_steps`` can hold a whole block
+        (:data:`MAX_BLOCK_LEN`) builds the translated tier, unless
+        :func:`repro.isa.translate.auto_translation` turned it off.
         """
         if self.halted or max_steps <= 0:
             return 0, 0, None
@@ -459,6 +488,11 @@ class Cpu:
             raise CpuError("run_block() while an external access is pending")
         if self.observers:
             return self._run_block_slow(max_steps)
+        if (self.translator is None and max_steps >= MAX_BLOCK_LEN
+                and _AUTO_TRANSLATE):
+            from repro.isa.translate import BlockTranslator
+
+            self.translator = BlockTranslator(self)
         if self._triggers:
             return self._run_block_tiers(max_steps)
         if self.translator is not None:

@@ -40,22 +40,30 @@ the same way ``run_block`` does:
   with the identical boundary snapshot the interpreter's ``finally``
   would leave.
 
-The block cache is keyed by ``(pc, Isa.version, code words)``: blocks
-are stored per entry ``pc``; :attr:`Isa.version` invalidates the whole
-cache on ``add_custom`` or cycle-table edits; and the code words are
-guarded by a write-watch — :class:`~repro.isa.cpu.Memory` bumps its
-``code_version`` whenever a store or ``load_image`` touches an address
-covered by translated code, from *any* tier (so self-modifying stores
-executed under observers still invalidate), and translated stores
-additionally early-exit their own block when they rewrite it.  RAM
-mutations that bypass ``Memory.write``/``load_image`` (direct pokes at
-the ``ram`` dict) are outside the contract.
+Compiled blocks live in one process-wide cache keyed by the entry
+``pc``, the block's code words, the ISA's cycle table and the semantics
+objects of any custom ops in the block — everything code generation
+bakes in.  A compiled block holds no per-CPU state (the CPU, its
+registers and memory are arguments), so every translator in the process
+reuses it without compiling.  Each translator keeps its own ``pc`` ->
+block map on top, guarded per CPU: :attr:`Isa.version` drops the map on
+``add_custom`` or cycle-table edits, and a write-watch guards the code
+words — :class:`~repro.isa.cpu.Memory` bumps its ``code_version``
+whenever a store or ``load_image`` touches an address covered by a
+block this translator runs, compiled or reused, from *any* tier (so
+self-modifying stores executed under observers still invalidate), and
+translated stores additionally early-exit their own block when they
+rewrite it.  RAM mutations that bypass ``Memory.write``/``load_image``
+(direct pokes at the ``ram`` dict) are outside the contract.
 
 Budget exactness: the backplane's ``batch_instructions`` budget is a
 step-equivalent count, so a block longer than the remaining budget is
 never run translated — the dispatcher hands the exact remainder to the
 interpreted fast tier instead, preserving the precise sequence of
-timeouts and adapter activations at any batch size.
+timeouts and adapter activations at any batch size.  A CPU builds its
+translator only on a ``run_block`` call whose budget can hold a whole
+block (:data:`~repro.isa.cpu.MAX_BLOCK_LEN`), so a CPU the backplane
+steps a few instructions at a time never builds one.
 """
 
 from __future__ import annotations
@@ -64,22 +72,19 @@ import contextlib
 from typing import Dict, List, Optional, Tuple
 
 from repro.isa import cpu as _cpu_mod
-from repro.isa.cpu import Cpu, CpuError, ExternalAccess, _Defer
+from repro.isa.cpu import MAX_BLOCK_LEN, Cpu, CpuError, ExternalAccess, _Defer
 from repro.isa.instructions import Instruction, MASK32
 
 __all__ = [
     "BlockTranslator",
     "install",
-    "scan_block",
-    "enable_auto_translation",
-    "disable_auto_translation",
     "auto_translation",
 ]
 
-#: Longest translated block, in instructions.
-MAX_BLOCK_LEN = 64
-#: Block-cache entries before the oldest translation is evicted.
+#: Per-translator block-map entries before the oldest is evicted.
 MAX_BLOCKS = 1024
+#: Process-wide compiled blocks before the oldest is evicted.
+MAX_SHARED_BLOCKS = 4 * MAX_BLOCKS
 #: Entries into a block before it is compiled (1 = translate eagerly).
 DEFAULT_HOT_THRESHOLD = 2
 
@@ -101,37 +106,14 @@ _M = MASK32  # literal spelled into generated source
 _SIGN = 0x80000000
 _WRAP = 0x100000000
 
+#: compiled blocks shared by every translator in the process:
+#: (pc, code words, cycle table, custom semantics) -> (fn, addrs)
+_SHARED: Dict[tuple, Tuple] = {}
+
 
 def _reg(index: int) -> str:
     """Operand source text with r0 pre-resolved to a literal zero."""
     return f"regs[{index}]" if index else "0"
-
-
-def scan_block(ram_get, decode, pc: int, max_len: int = MAX_BLOCK_LEN):
-    """Decode the basic block entered at ``pc`` straight from RAM.
-
-    Stops at the first control transfer (inclusive), at an
-    unprogrammed or undecodable word (exclusive), or at ``max_len``.
-    Shared by the scalar translator and the batch tier
-    (:mod:`repro.isa.batch`) so both form identical blocks from
-    identical code.  Returns ``(instrs, addrs)``.
-    """
-    instrs: List[Instruction] = []
-    addrs: List[int] = []
-    while len(instrs) < max_len:
-        word = ram_get(pc)
-        if word is None:
-            break
-        try:
-            instr = decode(word)
-        except ValueError:
-            break
-        instrs.append(instr)
-        addrs.append(pc)
-        if instr.opcode in _TERMINATORS:
-            break
-        pc += 1
-    return instrs, addrs
 
 
 def _signed_lines(var: str, out: List[str], indent: str) -> None:
@@ -147,8 +129,9 @@ class BlockTranslator:
     :meth:`execute` is observably identical to the interpreted tiers
     (enforced by ``tests/isa/test_translate.py``).  Construction is
     cheap and touches nothing but ``memory.code_watch``; blocks are
-    scanned on first entry and compiled once entered
-    ``hot_threshold`` times.
+    scanned on first entry, taken from the process-wide cache if any
+    translator compiled them already, and otherwise compiled once
+    entered ``hot_threshold`` times.
     """
 
     def __init__(
@@ -164,12 +147,19 @@ class BlockTranslator:
         self.hot_threshold = hot_threshold
         self.max_blocks = max_blocks
         self.max_block_len = max_block_len
-        #: pc -> (fn, length, memory.code_version at translation)
+        #: pc -> (fn, length, memory.code_version at installation)
         self._blocks: Dict[int, Tuple] = {}
         self._counts: Dict[int, int] = {}
         self._isa_version = cpu.isa.version
-        #: blocks compiled over the translator's lifetime
+        #: the cycle table as a shared-cache key part (None = not yet
+        #: built for this ISA version) and whether the ISA has customs
+        self._table_key: Optional[tuple] = None
+        self._has_customs = False
+        #: blocks installed over the translator's lifetime, compiled
+        #: here or reused from the shared cache
         self.translations = 0
+        #: of those, blocks reused without compiling
+        self.reused = 0
         #: whole-cache drops (ISA mutation)
         self.invalidations = 0
         #: single blocks dropped oldest-first at ``max_blocks``
@@ -217,6 +207,7 @@ class BlockTranslator:
             self._blocks.clear()
             self._counts.clear()
             self._isa_version = isa.version
+            self._table_key = None
             self.invalidations += 1
         blocks = self._blocks
         counts = self._counts
@@ -260,13 +251,20 @@ class BlockTranslator:
                 self.early_exits += 1  # _IRQ or _SMC: re-dispatch
                 continue
             # cold block, or stale after a code-watch bump
-            instrs, addrs = self._scan(pc)
+            instrs, addrs, words = self._scan(pc)
             if not instrs:
                 self._raise_fetch_error(pc)
-            hits = counts.get(pc, 0) + 1
-            counts[pc] = hits
-            if entry is not None or hits >= self.hot_threshold:
-                blocks[pc] = self._compile(pc, instrs, addrs)
+            key = self._key(pc, instrs, words)
+            shared = _SHARED.get(key)
+            if shared is not None:
+                self.reused += 1
+            else:
+                hits = counts.get(pc, 0) + 1
+                counts[pc] = hits
+                if entry is not None or hits >= self.hot_threshold:
+                    shared = self._compile(pc, instrs, addrs, key)
+            if shared is not None:
+                blocks[pc] = self._install(pc, *shared)
                 continue
             before = cpu.cycle_count
             s, c, access = cpu._run_block_fast(
@@ -283,17 +281,66 @@ class BlockTranslator:
     # ------------------------------------------------------------------
     # block formation
     # ------------------------------------------------------------------
-    def _scan(self, pc: int) -> Tuple[List[Instruction], List[int]]:
+    def _scan(self, pc: int) -> Tuple[List[Instruction], List[int], tuple]:
         """Decode the basic block entered at ``pc`` straight from RAM.
 
         Stops at the first control transfer (inclusive), at an
         unprogrammed or undecodable word (exclusive), or at
-        ``max_block_len``.
+        ``max_block_len``.  Returns ``(instrs, addrs, words)``.
         """
-        return scan_block(
-            self.cpu.memory.ram.get, self.cpu.isa.decode, pc,
-            self.max_block_len,
-        )
+        ram_get = self.cpu.memory.ram.get
+        decode = self.cpu.isa.decode
+        instrs: List[Instruction] = []
+        addrs: List[int] = []
+        words: List[int] = []
+        while len(instrs) < self.max_block_len:
+            word = ram_get(pc)
+            if word is None:
+                break
+            try:
+                instr = decode(word)
+            except ValueError:
+                break
+            instrs.append(instr)
+            addrs.append(pc)
+            words.append(word)
+            if instr.opcode in _TERMINATORS:
+                break
+            pc += 1
+        return instrs, addrs, tuple(words)
+
+    def _key(self, pc: int, instrs: List[Instruction],
+             words: tuple) -> tuple:
+        """The shared-cache key: everything code generation bakes in."""
+        isa = self.cpu.isa
+        if self._table_key is None:
+            self._table_key = tuple(sorted(isa.cycle_table().items()))
+            self._has_customs = bool(isa.customs)
+        customs: tuple = ()
+        if self._has_customs:
+            customs = tuple(
+                op.semantics for op in map(isa.custom,
+                                           (i.opcode for i in instrs))
+                if op is not None
+            )
+        return (pc, words, self._table_key, customs)
+
+    def _install(self, pc: int, fn, addrs: tuple) -> Tuple:
+        """This translator's map entry for a compiled block, watching
+        its addresses in this CPU's memory."""
+        blocks = self._blocks
+        if pc not in blocks and len(blocks) >= self.max_blocks:
+            # evict oldest-first (dict insertion order) so a long
+            # campaign replaces one cold block instead of periodically
+            # re-installing every hot one
+            oldest = next(iter(blocks))
+            del blocks[oldest]
+            self._counts.pop(oldest, None)
+            self.evictions += 1
+        memory = self.cpu.memory
+        memory.code_watch.update(addrs)
+        self.translations += 1
+        return (fn, len(addrs), memory.code_version)
 
     def _raise_fetch_error(self, pc: int) -> None:
         """Reproduce the interpreter's fetch/decode error exactly."""
@@ -312,20 +359,12 @@ class BlockTranslator:
     # code generation
     # ------------------------------------------------------------------
     def _compile(
-        self, pc0: int, instrs: List[Instruction], addrs: List[int]
+        self, pc0: int, instrs: List[Instruction], addrs: List[int],
+        key: tuple,
     ) -> Tuple:
-        """Compile one scanned block into its specialized function."""
-        if pc0 not in self._blocks and len(self._blocks) >= self.max_blocks:
-            # evict oldest-first (dict insertion order) so a long
-            # campaign replaces one cold translation instead of
-            # periodically re-translating every hot block
-            oldest = next(iter(self._blocks))
-            del self._blocks[oldest]
-            self._counts.pop(oldest, None)
-            self.evictions += 1
-        cpu = self.cpu
-        isa = cpu.isa
-        table = isa.cycle_table()
+        """Compile one scanned block into its specialized function and
+        share it; returns the shared ``(fn, addrs)`` entry."""
+        table = self.cpu.isa.cycle_table()
         # compile-time cycle prefix sums: cyc[k] = cycles retired
         # before instruction k
         cyc = [0]
@@ -355,10 +394,11 @@ class BlockTranslator:
         source = "\n".join(lines)
         code = compile(source, f"<r32-block@{pc0:#x}>", "exec")
         exec(code, namespace)
-        fn = namespace[f"_block_{pc0 & _M:x}"]
-        self.translations += 1
-        cpu.memory.code_watch.update(addrs)
-        return (fn, len(instrs), cpu.memory.code_version)
+        if len(_SHARED) >= MAX_SHARED_BLOCKS:
+            del _SHARED[next(iter(_SHARED))]
+        shared = _SHARED[key] = (namespace[f"_block_{pc0 & _M:x}"],
+                                 tuple(addrs))
+        return shared
 
     def _emit(
         self,
@@ -587,38 +627,15 @@ def install(cpu: Cpu, **kwargs) -> BlockTranslator:
     return translator
 
 
-def enable_auto_translation(**kwargs) -> None:
-    """Give every subsequently constructed :class:`Cpu` a translated
-    tier (scenario builders, campaigns, and examples construct their
-    own CPUs — this is the fleet-wide switch the byte-identity
-    acceptance tests toggle).  ``kwargs`` forward to
-    :class:`BlockTranslator`."""
-    _cpu_mod._FACTORY_RESOLVED = True
-    if kwargs:
-        _cpu_mod._TRANSLATOR_FACTORY = (
-            lambda cpu: BlockTranslator(cpu, **kwargs)
-        )
-    else:
-        _cpu_mod._TRANSLATOR_FACTORY = BlockTranslator
-
-
-def disable_auto_translation() -> None:
-    """New CPUs get no translated tier (the seed default)."""
-    _cpu_mod._FACTORY_RESOLVED = True
-    _cpu_mod._TRANSLATOR_FACTORY = None
-
-
 @contextlib.contextmanager
-def auto_translation(enabled: bool = True, **kwargs):
-    """Scoped :func:`enable_auto_translation` /
-    :func:`disable_auto_translation`, restoring the previous factory —
-    how tests compare whole subsystems translation-on vs -off."""
-    saved = (_cpu_mod._FACTORY_RESOLVED, _cpu_mod._TRANSLATOR_FACTORY)
+def auto_translation(enabled: bool = True):
+    """Within the block, CPUs build their translated tier by the
+    budget rule (``enabled``, the default) or never — the one switch
+    the differential tests and the tier-pinning benches use.  A CPU
+    that already built its translator keeps it."""
+    saved = _cpu_mod._AUTO_TRANSLATE
+    _cpu_mod._AUTO_TRANSLATE = enabled
     try:
-        if enabled:
-            enable_auto_translation(**kwargs)
-        else:
-            disable_auto_translation()
         yield
     finally:
-        _cpu_mod._FACTORY_RESOLVED, _cpu_mod._TRANSLATOR_FACTORY = saved
+        _cpu_mod._AUTO_TRANSLATE = saved

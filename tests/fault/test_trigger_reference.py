@@ -468,7 +468,7 @@ def test_backplane_deferred_access_is_the_due_retirement(spec, profiled,
 LANE_ASM = """
         addi r1, r0, 0
         addi r2, r0, 0
-        beq  r1, r0, skip      ; lanes flipped at retirement 1 fall through
+        beq  r1, r0, skip      ; runs flipped at retirement 1 fall through
         addi r2, r2, 7
 skip:   addi r3, r0, 3
 loop:   addi r2, r2, 1
@@ -487,8 +487,8 @@ def test_finish_lane_arms_after_instr_count_was_set(chunk):
         cpu_fault("cpu_pc_flip", 6, bit=1),
         cpu_fault("cpu_flag_flip", 9, flag="halted"),
     ]
-    # four flipped lanes out-vote the three unfired ones at the beq, so
-    # those drain as the minority with their faults still due
+    # the late lanes fork from golden past the beq, their faults due at
+    # the next retirement
     lanes = [flip_r1] * 4 + late
     batch = BatchCpu(Isa(), image, n_lanes=len(lanes))
     for lane, spec in enumerate(lanes):
@@ -497,7 +497,8 @@ def test_finish_lane_arms_after_instr_count_was_set(chunk):
     drained = [e for e in exits if e.spec in late]
     assert len(drained) == len(late)
     for exit in drained:
-        assert exit.reason == "branch" and not exit.fired
+        assert exit.reason == "fork"
+        assert exit.steps == max(1, exit.spec.count) - 1
         cpu = exit.cpu
         assert cpu.instr_count == exit.steps > 0
         arm_cpu_fault(cpu, exit.spec, retired=exit.steps)

@@ -2,8 +2,11 @@
 
 A fault campaign is the innermost task of the paper's flow (Figure 2:
 co-simulation inside co-synthesis inside partitioning), so it must not
-load the outer ones: no numpy batch tier, no translator, no
-partitioners, estimators, HLS or graph generators, no process pool.
+load the outer ones: no numpy, no fork engine, no translator (a
+backplane-stepped CPU never builds one), no partitioners, estimators,
+HLS or graph generators, no process pool.  A software-only campaign
+forked from one golden run loads the fork engine and the translator,
+and still no numpy.
 Package surfaces keep every public name, resolving the heavy ones on
 first access.
 
@@ -35,12 +38,13 @@ ENTRY_POINTS = {
 
 #: the seed-7 E18 dependability histogram (200 coproc faults)
 E18 = {"masked": 96, "sdc": 49, "detected": 6, "hang": 40, "crash": 9}
+#: the seed-7 E24 dependability histogram (200 swmac faults)
+E24 = {"masked": 64, "sdc": 46, "detected": 16, "hang": 24, "crash": 50}
 
 #: (package, name, defining module) of every lazily resolved name
 LAZY = [
     ("repro.isa", name, "repro.isa.translate") for name in (
-        "BlockTranslator", "auto_translation", "disable_auto_translation",
-        "enable_auto_translation", "install")
+        "BlockTranslator", "auto_translation", "install")
 ] + [
     ("repro.isa", name, "repro.isa.batch")
     for name in ("BatchCpu", "BatchStats", "LaneExit")
@@ -88,7 +92,6 @@ def run_python(code: str, lines: int = 1):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    env.pop("REPRO_TRANSLATE", None)
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -102,21 +105,40 @@ def test_entry_point_imports_nothing_heavy(entry):
     assert run_python(ENTRY_POINTS[entry] + REPORT_HEAVY) == []
 
 
-def test_coproc_campaign_runs_without_numpy():
-    """The seed-7 E18 campaign gives its pinned histogram with numpy
-    unimportable, and running it loads nothing heavy either."""
-    code = (
+def campaign_without_numpy(scenario: str, batch: bool = False) -> str:
+    """Source that runs the seed-7 campaign of 200 faults with numpy
+    unimportable, prints its histogram, then what it loaded of HEAVY."""
+    return (
         "import json, sys\n"
         "sys.modules['numpy'] = None\n"
         "from repro.fault import SCENARIOS, run_campaign, sample_faults\n"
-        "faults = sample_faults(SCENARIOS['coproc'].targets, 200, seed=7)\n"
-        "doc = run_campaign('coproc', faults).to_json()\n"
+        f"faults = sample_faults(SCENARIOS[{scenario!r}].targets, 200,\n"
+        "                       seed=7)\n"
+        f"doc = run_campaign({scenario!r}, faults,\n"
+        f"                   batch={batch!r}).to_json()\n"
         "print(json.dumps(json.loads(doc)['histogram']))\n"
         "sys.modules.pop('numpy')\n"
     ) + REPORT_HEAVY
-    histogram, heavy = run_python(code, lines=2)
+
+
+def test_coproc_campaign_runs_without_numpy():
+    """The seed-7 E18 campaign gives its pinned histogram with numpy
+    unimportable, and running it loads nothing heavy either."""
+    histogram, heavy = run_python(campaign_without_numpy("coproc"),
+                                  lines=2)
     assert histogram == E18
     assert heavy == []
+
+
+def test_forked_swmac_campaign_runs_without_numpy():
+    """The seed-7 E24 campaign forked from one golden run gives its
+    pinned histogram with numpy unimportable; it loads the fork engine
+    and the translator it runs, and no numpy."""
+    histogram, heavy = run_python(
+        campaign_without_numpy("swmac", batch=True), lines=2)
+    assert histogram == E24
+    assert "repro.isa.batch" in heavy
+    assert not [m for m in heavy if m.split(".")[0] == "numpy"]
 
 
 def test_lazy_names_resolve_to_the_defining_modules_objects():

@@ -1,8 +1,14 @@
 """Tests for the two-pass assembler."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.isa.assembler import AssemblerError, assemble
+from repro.isa.assembler import (
+    ADDRESS_LIMIT,
+    MAX_IMAGE_WORDS,
+    AssemblerError,
+    assemble,
+)
 from repro.isa.cpu import Cpu, Memory
 from repro.isa.instructions import CustomOp, Isa, Opcode
 
@@ -229,6 +235,34 @@ class TestRangeErrors:
         assert info.value.lineno == lineno
         assert str(info.value).startswith(f"line {lineno}: ")
 
+    @pytest.mark.parametrize("source,lineno,message", [
+        (".org 0x100000000\nhalt", 1, "past the 32-bit address space"),
+        (".org 0xFFFFFFFF\nhalt\nhalt", 3,
+         "at 0x100000000 run past the 32-bit address space"),
+        (".org 0xFFFFFFFF\nli r1, 0x12345678", 2,
+         "2 word.s. at 0xffffffff run past"),
+        (".org 0xFFFFFFFE\n.word 1, 2, 3", 2, "run past the 32-bit"),
+        (".org 0xFFFFFFF0\n.space 17", 2, "run past the 32-bit"),
+        (".space 0x1FFFFFFFF", 1, "run past the 32-bit"),
+        (".space 99999999", 1, f"image exceeds {MAX_IMAGE_WORDS} words"),
+        (f".space {MAX_IMAGE_WORDS}\nhalt", 2, "image exceeds"),
+        ("la r1, end\n.org 0xFFFFFFFF\nhalt\nend:", 1,
+         "'end' does not fit in 32 bits"),
+        ("la r2, 0x100000000", 1, "does not fit in 32 bits"),
+        ("addi r\u00b2, r0, 1", 1, "bad register"),
+    ])
+    def test_nothing_is_placed_past_the_address_space(self, source,
+                                                      lineno, message):
+        with pytest.raises(AssemblerError, match=message) as info:
+            assemble(source)
+        assert info.value.lineno == lineno
+
+    def test_the_last_word_of_the_address_space_is_usable(self):
+        prog = assemble(".org 0xFFFFFFFF\nhalt")
+        assert list(prog.image) == [ADDRESS_LIMIT - 1]
+        assert len(assemble(f".space {MAX_IMAGE_WORDS}").image) \
+            == MAX_IMAGE_WORDS
+
     def test_word_and_li_take_signed_and_unsigned_32_bit_values(self):
         prog = assemble(".word 0xFFFFFFFF, -2147483648, -1")
         assert [prog.image[i] for i in range(3)] == \
@@ -260,3 +294,77 @@ class TestListing:
         listing = prog.listing(isa)
         assert "addi r1, r0, 4" in listing
         assert "halt" in listing
+
+
+# ----------------------------------------------------------------------
+# fuzzing: random lines of every form must assemble or fail precisely
+# ----------------------------------------------------------------------
+MNEMONICS = [op.name.lower() for op in Opcode] + ["li", "la", "mov", "nop"]
+DIRECTIVES = [".org", ".word", ".space", ".bss"]
+REGISTERS = [f"r{i}" for i in range(16)] + [
+    "R7", "zero", "ra", "sp", "SP", "r16", "r99", "r-1", "x3", "r",
+    "r\u00b2", "r 1"]
+LABELS = ["start", "loop", "data", "_tail", "end"]
+
+#: field edges, 32-bit edges, past 2**32, and sizes far past the image
+#: bound — large draws are the point, none are filtered out
+EDGES = [
+    0x7FFF, 0x8000, 0xFFFF, 0x10000, -0x8000, -0x8001, 0x7FFFFF,
+    0x800000, 0xFFFFFF, 0x1000000, -0x800001, 0x7FFFFFFF, 0x80000000,
+    0xFFFFFFFE, 0xFFFFFFFF, ADDRESS_LIMIT, ADDRESS_LIMIT + 1,
+    0x1FFFFFFFF, 99999999, MAX_IMAGE_WORDS - 1, MAX_IMAGE_WORDS,
+    MAX_IMAGE_WORDS + 1, -0x80000000, -0x80000001, 10 ** 30,
+]
+value_st = st.one_of(st.integers(-40, 40), st.sampled_from(EDGES),
+                     st.integers(-(2 ** 40), 2 ** 40))
+
+
+def spell(value, form):
+    if form == "hex":
+        return f"{'-' if value < 0 else ''}{abs(value):#x}"
+    return str(value)
+
+
+number_st = st.builds(spell, value_st, st.sampled_from(["dec", "hex"]))
+operand_st = st.one_of(
+    st.sampled_from(REGISTERS),
+    number_st,
+    st.sampled_from(LABELS + ["nowhere"]),
+    st.builds("{}({})".format,
+              st.one_of(number_st, st.sampled_from(LABELS)),
+              st.sampled_from(REGISTERS)),
+    st.text(max_size=6),
+)
+statement_st = st.builds(
+    lambda label, head, operands: (
+        (f"{label}: " if label else "") + head
+        + (" " + ", ".join(operands) if operands else "")),
+    st.one_of(st.none(), st.sampled_from(LABELS)),
+    st.sampled_from(MNEMONICS + DIRECTIVES),
+    st.lists(operand_st, max_size=4),
+)
+line_st = st.one_of(
+    statement_st,
+    st.builds("{}:".format, st.sampled_from(LABELS)),
+    st.just("; a comment"),
+    st.just(""),
+    st.text(max_size=12),
+)
+
+
+class TestFuzz:
+    @settings(max_examples=600, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(lines=st.lists(line_st, min_size=1, max_size=12))
+    def test_random_source_assembles_or_names_its_line(self, lines):
+        source = "\n".join(lines)
+        try:
+            prog = assemble(source)
+        except AssemblerError as exc:
+            assert 1 <= exc.lineno <= len(source.splitlines())
+            assert str(exc).startswith(f"line {exc.lineno}: ")
+        else:
+            assert all(0 <= addr < ADDRESS_LIMIT for addr in prog.image)
+            assert all(0 <= word <= 0xFFFFFFFF
+                       for word in prog.image.values())
+            assert len(prog.image) <= MAX_IMAGE_WORDS

@@ -8,7 +8,10 @@ random programs per property through all three engines and compares
 complete architectural snapshots: wild jumps, illegal words, division
 faults, device IRQs raised mid-block, fault bit-flips, stores into
 already-translated code, mid-run ISA mutation, and observer
-attach/detach cycles that must re-engage the translated tier.
+attach/detach cycles that must re-engage the translated tier.  The
+process-wide block cache is checked on its own: a block compiled on one
+CPU runs on another without compiling, only when everything its code
+bakes in matches, and still under the reusing CPU's write-watch.
 
 Every property here must pass under ``PYTHONHASHSEED`` 0 and 1 (the
 suite is derandomized, so CI runs are reproducible).
@@ -20,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro.fault import FaultSpec
 from repro.fault.inject import FaultInjector, System, arm_cpu_fault
 from repro.isa.cpu import Cpu, CpuError, ExternalAccess, Memory
+from repro.isa import translate
 from repro.isa.instructions import CustomOp, Instruction, Isa, Opcode
 from repro.isa.translate import BlockTranslator, install
 
@@ -47,6 +51,13 @@ def make_trans_cpu(image, isa=None, hot=1):
     cpu = make_cpu(image, isa)
     install(cpu, hot_threshold=hot)
     return cpu
+
+
+@pytest.fixture
+def empty_cache(monkeypatch):
+    """Start from an empty process-wide block cache, so compile counts
+    do not depend on which tests ran before (restored afterwards)."""
+    monkeypatch.setattr(translate, "_SHARED", {})
 
 
 def forbid_untranslated(cpu):
@@ -481,8 +492,125 @@ class TestTranslateExternalAccess:
 
 
 # ----------------------------------------------------------------------
+# the process-wide block cache
+# ----------------------------------------------------------------------
+ADDI_R1 = Instruction(0x20, rd=1, rs1=1, imm=1)
+
+
+def forbid_compile(monkeypatch):
+    def boom(self, *args):
+        raise AssertionError("compiled a block the cache holds")
+
+    monkeypatch.setattr(BlockTranslator, "_compile", boom)
+
+
+@pytest.mark.usefixtures("empty_cache")
+class TestSharedCache:
+    def test_block_compiled_on_one_cpu_runs_on_another(self, monkeypatch):
+        image = program_words([ADDI_R1] * 5)
+        first = make_trans_cpu(image)
+        first.run_block(50)
+        assert (first.translator.translations,
+                first.translator.reused) == (1, 0)
+
+        forbid_compile(monkeypatch)
+        second = make_cpu(image)
+        install(second)  # default threshold: a cached block is not cold
+        forbid_untranslated(second)
+        second.run_block(50)
+        assert (second.translator.translations,
+                second.translator.reused) == (1, 1)
+        assert snapshot(second) == snapshot(first)
+        assert set(range(6)) <= second.memory.code_watch
+
+    def test_a_different_code_word_compiles_its_own_block(self):
+        first = make_trans_cpu(program_words([ADDI_R1] * 5))
+        first.run_block(50)
+        other = program_words([ADDI_R1] * 4 + [
+            Instruction(0x20, rd=1, rs1=1, imm=9)])
+        second = make_trans_cpu(other)
+        second.run_block(50)
+        assert second.translator.reused == 0
+        assert second.get_reg(1) == 13 and first.get_reg(1) == 5
+
+    def test_a_different_cycle_table_compiles_its_own_block(self):
+        image = program_words([ADDI_R1] * 5)
+        first = make_trans_cpu(image)
+        first.run_block(50)
+        slow = Isa()
+        slow.cycles[int(Opcode.ADDI)] = 3
+        second = make_trans_cpu(image, slow)
+        ref = make_cpu(image, slow)
+        second.run_block(50)
+        run_ref(ref)
+        assert second.translator.reused == 0
+        assert snapshot(second) == snapshot(ref)
+        assert second.cycle_count == first.cycle_count + 10
+
+    def test_custom_ops_share_only_with_the_same_semantics(self):
+        image = program_words([ADDI_R1, ADDI_R1])
+        image[2] = CUSTOM_WORD  # r7 = mac(r1, r2)
+        image[3] = _ENC.encode(Instruction(int(Opcode.HALT)))
+
+        def isa_with(semantics):
+            isa = Isa()
+            isa.add_custom(CustomOp("mac", 0x80, semantics))
+            return isa
+
+        double = lambda a, b: 2 * a  # noqa: E731
+        cpus = []
+        for semantics in (double, lambda a, b: 3 * a, double):
+            cpu = make_trans_cpu(image, isa_with(semantics))
+            cpu.run_block(50)
+            cpus.append(cpu)
+        assert [cpu.translator.reused for cpu in cpus] == [0, 0, 1]
+        assert [cpu.get_reg(7) for cpu in cpus] == [4, 6, 4]
+
+    def test_a_store_into_a_reused_block_invalidates_it(self):
+        image = program_words([ADDI_R1] * 4)
+        make_trans_cpu(image).run_block(50)
+        patch = _ENC.encode(Instruction(0x20, rd=1, rs1=1, imm=100))
+
+        def run_twice(cpu, runner):
+            runner(cpu)
+            cpu.pc, cpu.halted = 0, False
+            cpu.memory.write(2, patch)
+            runner(cpu)
+
+        reused = make_trans_cpu(image)
+        run_twice(reused, lambda c: c.run_block(50))
+        ref = make_cpu(image)
+        run_twice(ref, run_ref)
+        assert reused.translator.reused == 1
+        assert reused.get_reg(1) == 4 + 103
+        assert snapshot(reused) == snapshot(ref)
+
+    @settings(max_examples=50, **COMMON)
+    @given(
+        target=st.integers(2, 8),
+        word=st.sampled_from(REWRITE_WORDS),
+        rounds=st.integers(1, 5),
+        chunks=chunks_st,
+    )
+    def test_self_modifying_code_on_a_reusing_cpu(self, target, word,
+                                                  rounds, chunks):
+        """The in-block store exit and the write-watch both hold on a
+        CPU that never compiled the block it runs."""
+        image = smc_image(target, word, rounds)
+        budget = 40 * rounds + 60
+        run_fast(make_trans_cpu(image), tuple(chunks), budget)
+        ref = make_cpu(image)
+        reused = make_trans_cpu(image)
+        assert run_ref(ref, budget) == run_fast(reused, tuple(chunks),
+                                                budget)
+        assert snapshot(reused) == snapshot(ref)
+        assert reused.translator.reused > 0
+
+
+# ----------------------------------------------------------------------
 # translator unit behavior
 # ----------------------------------------------------------------------
+@pytest.mark.usefixtures("empty_cache")
 class TestTranslatorMechanics:
     def test_blocks_actually_translate_and_execute(self):
         image = program_words(

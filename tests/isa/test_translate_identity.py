@@ -1,28 +1,32 @@
 """Cross-engine byte-identity acceptance tests for the translated tier.
 
 The whole-subsystem form of the DESIGN §13 contract: not just single
-CPUs, but the E18 fault-campaign dependability table and an E21
-``explore()`` front must serialize to *byte-identical* JSON with the
-block translator enabled, disabled, and with a warm vs cold block
-cache.  Fleet-wide enablement goes through
-:func:`repro.isa.translate.auto_translation`, the same switch the
-benchmarks and the ``REPRO_TRANSLATE`` environment hook use — so these
-tests also pin that scenario builders constructing their own CPUs
-(``coproc`` builds one internally) actually pick the translator up.
+CPUs, but the E18 and E24 fault-campaign dependability tables and an
+E21 ``explore()`` front must serialize to *byte-identical* JSON with the
+block translator at its default and switched off, and with a warm vs
+cold block cache.  The switch is
+:func:`repro.isa.translate.auto_translation`, the one the benchmarks
+use too.  By default a CPU builds its translator on its first
+``run_block`` call long enough to hold a block: the CPU-resident
+``swmac`` runs translate, while ``coproc``'s backplane-stepped CPU
+never does (``TestBudgetRule``).
 """
 
 import dataclasses
-import json
-import os
-import subprocess
-import sys
 
 import pytest
 
+from repro.cosim.backplane import Backplane, RegisterAdapter
+from repro.cosim.kernel import Simulator
+from repro.cosim.translevel import RegisterDevice
 from repro.explore import ExploreSpec, explore
 from repro.fault import SCENARIOS, run_campaign, sample_faults
 from repro.fault.scenarios import run_scenario
-from repro.isa.translate import auto_translation
+from repro.isa import translate
+from repro.isa.assembler import assemble
+from repro.isa.cpu import MAX_BLOCK_LEN, Cpu, Memory
+from repro.isa.instructions import Isa
+from repro.isa.translate import BlockTranslator, auto_translation
 
 pytestmark = pytest.mark.slow  # whole-subsystem runs: smoke lane skips
 
@@ -34,17 +38,23 @@ SMOKE_SPEC = ExploreSpec(population=4, generations=2,
                          scenario="coproc", scenario_faults=6)
 
 
-def campaign_json(enabled):
+def campaign_json(enabled, name="coproc", batch=False):
     faults = sample_faults(
-        SCENARIOS["coproc"].targets, CAMPAIGN_FAULTS, seed=CAMPAIGN_SEED
+        SCENARIOS[name].targets, CAMPAIGN_FAULTS, seed=CAMPAIGN_SEED
     )
     with auto_translation(enabled):
-        return run_campaign("coproc", faults, workers=1).to_json()
+        return run_campaign(name, faults, workers=1,
+                            batch=batch).to_json()
 
 
 class TestCampaignIdentity:
     def test_e18_table_byte_identical_translation_on_off(self):
         assert campaign_json(True) == campaign_json(False)
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_e24_table_byte_identical_translation_on_off(self, batch):
+        assert campaign_json(True, "swmac", batch) \
+            == campaign_json(False, "swmac", False)
 
     def test_e18_table_byte_identical_warm_vs_cold(self):
         """Back-to-back campaigns under one enablement: the second run
@@ -58,36 +68,40 @@ class TestCampaignIdentity:
             warm = run_campaign("coproc", faults, workers=1).to_json()
         assert cold == warm
 
-    def test_eager_translation_identical_to_default_threshold(self):
-        """hot_threshold=1 forces every block through the translator
-        (no cold-path delegation warm-up) — same bytes."""
+    def test_eager_translation_identical_to_default_threshold(
+            self, monkeypatch):
+        """A warm process-wide block cache hands every CPU its blocks
+        translated from their first entry (no cold-path delegation
+        warm-up); a cold one delegates cold blocks first — same bytes."""
         faults = sample_faults(
-            SCENARIOS["coproc"].targets, 16, seed=CAMPAIGN_SEED
+            SCENARIOS["swmac"].targets, 16, seed=CAMPAIGN_SEED
         )
-        with auto_translation(True, hot_threshold=1):
-            eager = run_campaign("coproc", faults, workers=1).to_json()
+        monkeypatch.setattr(translate, "_SHARED", {})
         with auto_translation(True):
-            default = run_campaign("coproc", faults, workers=1).to_json()
-        assert eager == default
+            cold = run_campaign("swmac", faults, workers=1).to_json()
+            assert translate._SHARED
+            eager = run_campaign("swmac", faults, workers=1).to_json()
+        assert eager == cold
 
 
 class TestScenarioIdentity:
-    @pytest.mark.parametrize("name", ["coproc", "msgpipe"])
+    @pytest.mark.parametrize("name", ["coproc", "msgpipe", "swmac"])
     def test_golden_record_identical(self, name):
         with auto_translation(False):
             off = run_scenario(name)
-        with auto_translation(True, hot_threshold=1):
+        with auto_translation(True):
             on = run_scenario(name)
         assert off == on
 
     def test_faulted_record_identical(self):
-        faults = sample_faults(SCENARIOS["coproc"].targets, 6, seed=3)
-        for fault in faults:
-            with auto_translation(False):
-                off = run_scenario("coproc", fault)
-            with auto_translation(True, hot_threshold=1):
-                on = run_scenario("coproc", fault)
-            assert off == on, fault
+        for name in ("coproc", "swmac"):
+            faults = sample_faults(SCENARIOS[name].targets, 6, seed=3)
+            for fault in faults:
+                with auto_translation(False):
+                    off = run_scenario(name, fault)
+                with auto_translation(True):
+                    on = run_scenario(name, fault)
+                assert off == on, (name, fault)
 
 
 class TestExploreIdentity:
@@ -113,45 +127,54 @@ class TestExploreIdentity:
         assert on == off
 
 
-class TestEnvironmentHook:
-    def test_repro_translate_env_var_enables_fleet_wide(self):
-        """``REPRO_TRANSLATE=1`` in a fresh interpreter must give every
-        CPU a translator and still produce the reference golden record."""
-        snippet = (
-            "import json, sys\n"
-            "from repro.fault.scenarios import run_scenario\n"
-            "from repro.isa import Cpu, Isa\n"
-            "assert Cpu(Isa()).translator is not None\n"
-            "json.dump(run_scenario('coproc'), sys.stdout,\n"
-            "          sort_keys=True)\n"
-        )
-        env = dict(os.environ, REPRO_TRANSLATE="1")
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, ["src", env.get("PYTHONPATH")])
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", snippet],
-            capture_output=True, text=True, env=env, cwd=os.getcwd(),
-            check=True,
-        )
-        with auto_translation(False):
-            reference = run_scenario("coproc")
-        assert json.loads(proc.stdout) == json.loads(
-            json.dumps(reference, sort_keys=True)
-        )
+LOOP_ASM = """
+        li   r1, 20
+loop:   addi r2, r2, 3
+        sw   r2, 0x200(r0)
+        addi r1, r1, -1
+        bne  r1, r0, loop
+        halt
+"""
 
-    def test_env_var_off_means_no_translator(self):
-        snippet = (
-            "from repro.isa import Cpu, Isa\n"
-            "assert Cpu(Isa()).translator is None\n"
-        )
-        env = dict(os.environ)
-        env.pop("REPRO_TRANSLATE", None)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, ["src", env.get("PYTHONPATH")])
-        )
-        subprocess.run(
-            [sys.executable, "-c", snippet],
-            capture_output=True, text=True, env=env, cwd=os.getcwd(),
-            check=True,
-        )
+
+def loop_cpu():
+    memory = Memory()
+    memory.load_image(assemble(LOOP_ASM).image)
+    return Cpu(Isa(), memory)
+
+
+def backplane_cpu(batch_instructions):
+    """A CPU the backplane steps ``batch_instructions`` at a time, its
+    stores going to a register device; returns the CPU after the run."""
+    sim = Simulator()
+    cpu = loop_cpu()
+    backplane = Backplane(sim, cpu, batch_instructions=batch_instructions)
+    backplane.mount(0x200, 4, RegisterAdapter(RegisterDevice(sim, "d", 4)))
+    backplane.start()
+    sim.run()
+    assert cpu.halted
+    return cpu
+
+
+class TestBudgetRule:
+    def test_cpu_run_builds_a_translator(self):
+        cpu = loop_cpu()
+        cpu.run_block(MAX_BLOCK_LEN - 1)
+        assert cpu.translator is None
+        cpu.run()
+        assert isinstance(cpu.translator, BlockTranslator)
+        assert cpu.translator.translations > 0
+
+    @pytest.mark.parametrize("batch_instructions", [1, 4, MAX_BLOCK_LEN - 1])
+    def test_backplane_stepped_cpu_never_builds_a_translator(
+            self, batch_instructions):
+        assert backplane_cpu(batch_instructions).translator is None
+
+    def test_auto_translation_off_stops_both(self):
+        with auto_translation(False):
+            cpu = loop_cpu()
+            cpu.run()
+            assert cpu.translator is None
+            assert backplane_cpu(MAX_BLOCK_LEN).translator is None
+        # the switch is scoped: the default is back afterwards
+        assert backplane_cpu(MAX_BLOCK_LEN).translator is not None
