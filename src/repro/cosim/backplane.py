@@ -20,6 +20,7 @@ accuracy/cost ladder.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Generator, List, Optional, Tuple
 
@@ -142,6 +143,11 @@ class Backplane:
         clock_period: float = 10.0,
         batch_instructions: int = 1,
     ) -> None:
+        if not 0.0 < clock_period < math.inf:  # also rejects NaN
+            raise ValueError(
+                f"clock_period must be finite and positive, "
+                f"got {clock_period!r}"
+            )
         if batch_instructions < 1:
             raise ValueError("batch_instructions must be >= 1")
         self.sim = sim

@@ -177,13 +177,16 @@ class Event:
 
 
 class Timeout:
-    """Delay for a fixed amount of model time, optionally with a value."""
+    """Delay for a fixed, finite, non-negative amount of model time,
+    optionally with a value."""
 
     __slots__ = ("delay", "value")
 
     def __init__(self, delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout {delay}")
+        if not 0.0 <= delay < _INF:  # also rejects NaN
+            raise SimulationError(
+                f"timeout delay must be finite and >= 0, got {delay!r}"
+            )
         self.delay = delay
         self.value = value
 
@@ -209,6 +212,25 @@ class Spin(Timeout):
 
     def __init__(self) -> None:
         super().__init__(0.0, _SPUN)
+
+
+class _Leap:
+    """A clock's jump: resume at absolute model time ``when``, crediting
+    ``skipped`` activations as if each had run.
+
+    Only :class:`repro.cosim.signals.Clock` yields it, and only when it
+    is the last process scheduled in a :meth:`Simulator.run` and nothing
+    can observe its edges (DESIGN §8).  The kernel adds ``skipped`` to
+    ``activations``, ``_seq`` and the process's wait token and schedules
+    the wakeup at ``when`` itself: ``now + (when - now)`` can miss it by
+    an ulp.
+    """
+
+    __slots__ = ("when", "skipped")
+
+    def __init__(self, when: float, skipped: int) -> None:
+        self.when = when
+        self.skipped = skipped
 
 
 class AnyOf:
@@ -272,6 +294,14 @@ class Process:
             command.done._add_waiter(self, token)
         elif isinstance(command, AnyOf):
             self._wait_any(command, token)
+        elif isinstance(command, _Leap):
+            sim = self.sim
+            skipped = command.skipped
+            token = self._token = token + skipped
+            sim.activations += skipped
+            sim._seq += skipped + 1
+            heapq.heappush(sim._queue,
+                           (command.when, sim._seq, self, None, token))
         else:
             raise SimulationError(
                 f"process {self.name!r} yielded unsupported {command!r}"
@@ -420,6 +450,9 @@ class Simulator:
         self._ready: "deque[Tuple[float, int, Process, Any, int]]" = deque()
         self._seq = 0
         self._procs: List[Process] = []
+        #: the horizon of the run() in progress (``inf`` for none), or
+        #: None while step() runs: how far a lone clock may leap
+        self._horizon: Optional[float] = None
 
     def attach_tracer(self, tracer: "Tracer") -> "Tracer":
         """Attach (and bind) a tracer after construction; returns it.
@@ -483,13 +516,18 @@ class Simulator:
         """Run until the queue drains or model time reaches ``until``.
 
         Returns the final model time.  ``until`` earlier than ``now`` is
-        a no-op: time never moves backwards.  An attached ``watchdog``
-        raises :class:`HangDetected` when the run stalls (model time
-        stuck while processes keep spinning) or overruns its wall-clock
+        a no-op: time never moves backwards; a NaN ``until`` raises
+        ``ValueError``.  An attached ``watchdog`` raises
+        :class:`HangDetected` when the run stalls (model time stuck
+        while processes keep spinning) or overruns its wall-clock
         budget; ``None`` (the default) leaves its accounting out of the
         loop behind one local test.
         """
-        self._loop(_INF if until is None else until, watchdog, False)
+        if until is None:
+            until = _INF
+        elif until != until:
+            raise ValueError(f"run() horizon must be a number, got {until!r}")
+        self._loop(until, watchdog, False)
         return self.now
 
     def _loop(self, horizon: float, watchdog: Optional[Watchdog],
@@ -513,6 +551,7 @@ class Simulator:
         now = self.now
         if now > horizon:
             return False  # an `until` in the past never rewinds
+        self._horizon = None if once else horizon
         budget = None
         stalled = steps = 0
         deadline = None

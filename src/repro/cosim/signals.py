@@ -9,9 +9,10 @@ VCD-like in-memory form for assertions and waveform dumps.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from repro.cosim.kernel import Event, Simulator
+from repro.cosim.kernel import Event, Simulator, Timeout, _Leap
 
 
 class Signal:
@@ -94,8 +95,19 @@ class Clock(Signal):
 
     ``period`` is the full cycle time; the clock is high for the first
     half and low for the second.  The driving process is registered on
-    construction and runs until ``until`` (or forever if None — callers
-    should then stop the simulation with ``run(until=...)``).
+    construction.  It rises at every rising position before ``until``
+    and finishes at the first rising position at or after it: period
+    10 with ``until=35`` rises at 0, 10, 20 and 30 and finishes at 40.
+    With ``until=None`` it runs forever — callers should then stop the
+    simulation with ``run(until=...)``.  Positions are reached by
+    repeated addition of half periods, as the kernel adds delays.
+
+    An edge nobody can observe — no waiter or callback on ``changed``,
+    no ``trace``, no tracer, and the current ``changed`` event not
+    handed out — only updates the value.  When such a clock is the
+    last process scheduled in a ``run()``, it leaps to its last
+    activation due by the horizon.  ``cycles`` and the kernel's
+    ``activations`` count every edge either way (DESIGN §8).
     """
 
     def __init__(
@@ -106,21 +118,76 @@ class Clock(Signal):
         until: Optional[float] = None,
         trace: Optional["Trace"] = None,
     ) -> None:
-        if period <= 0:
-            raise ValueError("clock period must be positive")
+        if not 0.0 < period < math.inf:  # also rejects NaN
+            raise ValueError(
+                f"clock period must be finite and positive, got {period!r}"
+            )
         super().__init__(sim, name, init=0, trace=trace)
         self.period = period
         self.cycles = 0
+        #: the ``changed`` event last handed out; while it is still the
+        #: current one, every edge runs in full
+        self._held: Optional[Event] = None
         sim.process(self._drive(until), name=f"{name}.driver")
 
+    @property
+    def changed(self) -> Event:
+        """Event that fires on the next value change."""
+        event = self._held = self._changed
+        return event
+
     def _drive(self, until: Optional[float]) -> Generator:
-        half = self.period / 2.0
-        while until is None or self.sim.now < until:
-            self.set(1)
-            self.cycles += 1
-            yield self.sim.timeout(half)
-            self.set(0)
-            yield self.sim.timeout(half)
+        sim = self.sim
+        tick = Timeout(self.period / 2.0)
+        level = 1  # what this activation drives: 1 rises, 0 falls
+        # a rising activation at or after `until` finishes the driver
+        while not level or until is None or sim.now < until:
+            event = self._changed
+            if (event._waiters or event._callbacks or event is self._held
+                    or self.trace is not None or sim.tracer is not None):
+                self.set(level)
+            elif sim._queue or sim._ready or sim._horizon is None:
+                self._value = level  # nothing can observe this edge
+            else:  # nor can anything run before the horizon
+                level = yield from self._leap(level, until, tick)
+                continue
+            self.cycles += level
+            level ^= 1
+            yield tick
+
+    def _leap(self, level: int, until: Optional[float],
+              tick: Timeout) -> Generator:
+        """Run this edge and every later one before the last activation
+        due by the run's horizon as one wait; return the level that
+        activation drives.
+
+        The driver calls it when nothing else is scheduled in a
+        ``run()``, so no other process can run before that activation.
+        """
+        sim = self.sim
+        horizon = sim._horizon
+        half = tick.delay
+        when, landing, edges = sim.now, level, 0
+        if until is not None or horizon < math.inf:
+            # the activation times the kernel would reach, by the same
+            # repeated addition, up to the horizon or the activation
+            # that finishes the driver
+            while True:
+                later = when + half
+                if not when < later <= horizon:
+                    break
+                when, landing, edges = later, landing ^ 1, edges + 1
+                if landing and until is not None and not when < until:
+                    break
+        if edges < 2:  # nothing to skip: just this edge
+            self._value = level
+            self.cycles += level
+            yield tick
+            return level ^ 1
+        self._value = landing ^ 1
+        self.cycles += (edges + level) // 2
+        yield _Leap(when, edges - 1)
+        return landing
 
 
 class Trace:

@@ -80,6 +80,26 @@ def _image(source: str) -> Dict[int, int]:
     return image
 
 
+#: The stock ISA every scenario CPU runs on (see :func:`_stock_isa`).
+_ISA: Optional[Any] = None
+
+
+def _stock_isa() -> Any:
+    """The stock ISA, built once per process and shared by every
+    scenario CPU, so each cell finds its decode and operand caches warm.
+
+    An ISA whose ``version`` moved (a custom op was added or its cycles
+    edited, through any CPU that ran on it) is never handed out again:
+    the next call builds a fresh one.
+    """
+    global _ISA
+    if _ISA is None or _ISA.version:
+        from repro.isa.instructions import Isa
+
+        _ISA = Isa()
+    return _ISA
+
+
 @dataclass(frozen=True)
 class SoftwareWorkload:
     """A pure-software (CPU-only) workload: one R32 program whose whole
@@ -190,9 +210,8 @@ def _build_coproc(
     sim: Simulator,
 ) -> Tuple[System, Callable[[], Dict[str, Any]]]:
     from repro.isa.cpu import Cpu
-    from repro.isa.instructions import Isa
 
-    cpu = Cpu(Isa())
+    cpu = Cpu(_stock_isa())
     cpu.memory.load_image(_image(COPROC_ASM))
     plane = Backplane(sim, cpu, clock_period=10.0, batch_instructions=4)
 
@@ -369,9 +388,8 @@ def _sw_image(scenario: Scenario) -> Dict[int, int]:
 
 def _build_sw_cpu(scenario: Scenario) -> Any:
     from repro.isa.cpu import Cpu
-    from repro.isa.instructions import Isa
 
-    cpu = Cpu(Isa())
+    cpu = Cpu(_stock_isa())
     cpu.memory.load_image(_sw_image(scenario))
     return cpu
 
@@ -484,12 +502,11 @@ def run_sw_batch(
     :class:`~repro.isa.BatchStats`.
     """
     from repro.isa import BatchCpu
-    from repro.isa.instructions import Isa
 
     for fault in faults:
         if fault is not None:
             _sw_arm_check(scenario, fault)
-    batch = BatchCpu(Isa(), _sw_image(scenario), n_lanes=len(faults))
+    batch = BatchCpu(_stock_isa(), _sw_image(scenario), n_lanes=len(faults))
     for lane, fault in enumerate(faults):
         if fault is not None:
             batch.arm(lane, fault)
@@ -510,10 +527,9 @@ def run_sw_sweep(
     poked into the image.
     """
     from repro.isa import BatchCpu
-    from repro.isa.instructions import Isa
 
     sw = scenario.software
-    batch = BatchCpu(Isa(), _sw_image(scenario), n_lanes=len(seeds))
+    batch = BatchCpu(_stock_isa(), _sw_image(scenario), n_lanes=len(seeds))
     for lane, seed in enumerate(seeds):
         batch.seed_lane(lane, sw.seed_addr, seed & MASK32)
     exits = batch.run(sw.budget)

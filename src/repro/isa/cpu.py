@@ -222,11 +222,6 @@ class Cpu:
         #: pending one-shot retirement triggers as (due, fire), in
         #: firing order (see :meth:`add_trigger`)
         self._triggers: List[Tuple[int, Callable[[], None]]] = []
-        # fast-path operand cache: word -> (opcode, rd, rs1, rs2, imm,
-        # cycles, Instruction, custom-semantics-or-None), invalidated
-        # whenever the ISA's version changes (custom ops, cycle edits)
-        self._ops: Dict[int, tuple] = {}
-        self._ops_version = -1
         #: the block-translation tier (:mod:`repro.isa.translate`), or
         #: None until the first run_block call long enough to build it;
         #: :meth:`run_block` dispatches to it whenever no observers are
@@ -238,11 +233,11 @@ class Cpu:
 
         The copy has this CPU's registers, ``pc``, ``epc``, halted and
         IRQ flags, cycle/instruction/IRQ counters, RAM, and load/store
-        counters.  It shares the ISA and the decode cache, which is
-        keyed by instruction word and so safe to share.  It starts with
-        no observers, triggers or translator of its own.  Only a
-        plain-RAM CPU with no pending access forks: device regions hold
-        state a copy cannot own, so such a CPU raises :class:`CpuError`.
+        counters.  It shares the ISA, and with it the decode and
+        operand caches.  It starts with no observers, triggers or
+        translator of its own.  Only a plain-RAM CPU with no pending
+        access forks: device regions hold state a copy cannot own, so
+        such a CPU raises :class:`CpuError`.
         """
         memory = self.memory
         if memory._regions or self._pending is not None:
@@ -262,8 +257,6 @@ class Cpu:
         cpu.cycle_count = self.cycle_count
         cpu.instr_count = self.instr_count
         cpu.irq_count = self.irq_count
-        cpu._ops = self._ops
-        cpu._ops_version = self._ops_version
         return cpu
 
     # ------------------------------------------------------------------
@@ -546,10 +539,10 @@ class Cpu:
         ram_get = memory.ram.get
         regs = self.regs
         isa = self.isa
-        if self._ops_version != isa.version:
-            self._ops.clear()
-            self._ops_version = isa.version
-        ops_get = self._ops.get
+        if isa._ops_version != isa.version:
+            isa._ops.clear()
+            isa._ops_version = isa.version
+        ops_get = isa._ops.get
         instr0 = self.instr_count
         cycles0 = self.cycle_count
         pc = self.pc
@@ -738,7 +731,7 @@ class Cpu:
         return steps, cycles, None
 
     def _predecode(self, word: int, pc: int) -> tuple:
-        """Fill one fast-path operand-cache entry for ``word``."""
+        """Fill the ISA's fast-path operand-cache entry for ``word``."""
         isa = self.isa
         try:
             instr = isa.decode(word)
@@ -750,7 +743,7 @@ class Cpu:
             isa.cycle_table()[instr.opcode], instr,
             custom.semantics if custom is not None else None,
         )
-        self._ops[word] = entry
+        isa._ops[word] = entry
         return entry
 
     # ------------------------------------------------------------------

@@ -207,7 +207,8 @@ class Isa:
     and the per-opcode timing model can be flattened into one dict by
     :meth:`cycle_table`.  :attr:`version` counts every mutation that
     could invalidate either — installing a custom op or editing
-    :attr:`cycles` — so caches key on it.
+    :attr:`cycles` — so caches key on it.  The CPU fast path's per-word
+    operand cache lives here too, so every CPU on one ISA shares it.
     """
 
     def __init__(self, name: str = "r32") -> None:
@@ -220,6 +221,11 @@ class Isa:
         self._decode_cache: Dict[int, Instruction] = {}
         self._cycle_table: Optional[Dict[int, int]] = None
         self._cycle_table_version = -1
+        #: word -> (opcode, rd, rs1, rs2, imm, cycles, Instruction,
+        #: custom-semantics-or-None), filled by the CPU fast path
+        #: (``Cpu._predecode``) and valid for ``_ops_version`` only
+        self._ops: Dict[int, tuple] = {}
+        self._ops_version = -1
 
     def add_custom(self, op: CustomOp) -> CustomOp:
         """Install a custom instruction (R-type)."""

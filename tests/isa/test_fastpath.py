@@ -344,6 +344,32 @@ class TestInvalidation:
         assert snapshot(ref) == snapshot(fast)
         assert ref.cycle_count == 9 * 2 + 2 * 2 + 1  # 2 old, 2 new, halt
 
+    def test_operand_cache_lives_on_the_isa(self, monkeypatch):
+        """CPUs on one ISA share its operand cache; after a version
+        change the next CPU to run rebuilds it with the new timing."""
+        mul = Instruction(int(Opcode.MUL), rd=1, rs1=1, rs2=1)
+        image = program_words([mul] * 4)
+        isa = Isa()
+        run_fast(make_cpu(image, isa), (8,))
+        word = _ENC.encode(mul)
+        assert isa._ops[word][5] == 4
+        predecoded = []
+        predecode = Cpu._predecode
+
+        def counting(cpu, word, pc):
+            predecoded.append(word)
+            return predecode(cpu, word, pc)
+
+        monkeypatch.setattr(Cpu, "_predecode", counting)
+        run_fast(make_cpu(image, isa), (8,))
+        assert predecoded == []
+        isa.cycles[int(Opcode.MUL)] = 7
+        cpu = make_cpu(image, isa)
+        run_fast(cpu, (8,))
+        assert predecoded == [word, image[4]]
+        assert isa._ops[word][5] == 7
+        assert cpu.cycle_count == 4 * 7 + 1
+
     def test_decode_is_a_pure_cache(self):
         """decode() is defined as a memo over decode_uncached()."""
         isa = Isa()
