@@ -4,9 +4,10 @@ Type I hardware/software systems (Figure 1a) view software as a program
 executing on an instruction-set processor.  This package provides that
 processor end to end:
 
-* :mod:`repro.isa.instructions` — the R32 ISA definition and binary
-  encoding, including a reserved *custom-instruction* opcode space used
-  by the ASIP tools (Section 4.3/4.4 of the paper);
+* :mod:`repro.isa.instructions` — the R32 ISA definition, the one
+  semantics table every execution tier builds each opcode from, and
+  the binary encoding, including a reserved *custom-instruction*
+  opcode space used by the ASIP tools (Section 4.3/4.4 of the paper);
 * :mod:`repro.isa.assembler` — a two-pass assembler with labels, data
   directives, and pseudo-instructions;
 * :mod:`repro.isa.cpu` — a cycle-counting functional CPU model with

@@ -37,7 +37,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.isa.instructions import Format, Instruction, Isa, Opcode
+from repro.isa.instructions import (
+    PSEUDO_OPS, Format, Instruction, Isa, Opcode,
+)
 
 
 class AssemblerError(ValueError):
@@ -226,7 +228,7 @@ def _instr_size(
         value = _parse_word(operands[1], lineno)
         signed = value - 0x100000000 if value & 0x80000000 else value
         return 1 if -0x8000 <= signed < 0x8000 else 2
-    if mnemonic in ("mov", "nop"):
+    if mnemonic in PSEUDO_OPS:  # mov, nop
         return 1
     try:
         isa.opcode_of(mnemonic)

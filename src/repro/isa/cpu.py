@@ -25,21 +25,14 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.isa.instructions import (
+    TAKEN,
+    CpuError,
     Instruction,
     Isa,
     MASK32,
     N_REGS,
     Opcode,
 )
-
-
-class CpuError(RuntimeError):
-    """Raised for illegal instructions or execution faults."""
-
-
-def _signed(x: int) -> int:
-    x &= MASK32
-    return x - 0x100000000 if x & 0x80000000 else x
 
 
 @dataclass
@@ -536,62 +529,49 @@ class Cpu:
             return 0, 0, None
 
         memory = self.memory
-        ram_get = memory.ram.get
+        ram = memory.ram
         regs = self.regs
         isa = self.isa
         if isa._ops_version != isa.version:
             isa._ops.clear()
             isa._ops_version = isa.version
-        ops_get = isa._ops.get
+        ops = isa._ops
         instr0 = self.instr_count
         cycles0 = self.cycle_count
         pc = self.pc
         retired = 0
-        steps = 0
+        limit = max_steps  # less one step per interrupt taken
         cycles = 0
         irq_cycles = 0  # returned to the caller, never in cycle_count
         try:
-            while steps < max_steps:
+            while retired < limit:
                 if self.irq_pending and self.irq_enabled:
                     self.pc = pc
                     irq_cycles += self._take_irq()
                     pc = self.pc
-                    steps += 1
+                    limit -= 1
                     continue
-                word = ram_get(pc)
-                if word is None:
-                    raise CpuError(
-                        f"fetch from unprogrammed address {pc:#x}"
-                    )
-                entry = ops_get(word)
-                if entry is None:
+                try:
+                    entry = ops[ram[pc]]
+                except KeyError:  # an operand-cache miss, or no word
+                    word = ram.get(pc)
+                    if word is None:
+                        raise CpuError(
+                            f"fetch from unprogrammed address {pc:#x}"
+                        ) from None
                     entry = self._predecode(word, pc)
-                op, rd, rs1, rs2, imm, cyc, instr, custom = entry
+                op, rd, rs1, rs2, imm, cyc, instr, value, taken = entry
                 a = regs[rs1] if rs1 else 0
-                next_pc = pc + 1
-                if custom is not None:
-                    v = custom(a, regs[rs2] if rs2 else 0) & MASK32
+                if value:  # the table's ALU rows, custom ops
+                    v = value(a, regs[rs2] if rs2 else 0, imm)
                     if rd:
                         regs[rd] = v
-                elif op == 0x20:  # ADDI
-                    if rd:
-                        regs[rd] = (a + imm) & MASK32
-                elif op == 0x01:  # ADD
-                    if rd:
-                        regs[rd] = (a + (regs[rs2] if rs2 else 0)) & MASK32
-                elif 0x40 <= op <= 0x43:  # BEQ/BNE/BLT/BGE
-                    lhs = regs[rd] if rd else 0
-                    if op == 0x40:
-                        taken = lhs == a
-                    elif op == 0x41:
-                        taken = lhs != a
-                    else:
-                        sl = lhs - 0x100000000 if lhs & 0x80000000 else lhs
-                        sa = a - 0x100000000 if a & 0x80000000 else a
-                        taken = sl < sa if op == 0x42 else sl >= sa
-                    if taken:
-                        next_pc = pc + 1 + imm
+                    pc += 1
+                elif taken:  # the table's branch rows
+                    if taken(regs[rd] if rd else 0, a):
+                        pc += imm
                         cyc += 1  # taken-branch penalty
+                    pc += 1
                 elif op == 0x30 or op == 0x31:  # LW / SW
                     # call-out: expose architectural state to handlers
                     self.pc = pc
@@ -606,107 +586,33 @@ class Cpu:
                             memory.write(a + imm, regs[rd] if rd else 0)
                     except _Defer as defer:
                         self._pending = (pc, instr, defer.access)
-                        return steps + 1, cycles + irq_cycles, defer.access
-                elif op == 0x02:  # SUB
-                    if rd:
-                        regs[rd] = (a - (regs[rs2] if rs2 else 0)) & MASK32
-                elif op == 0x03:  # MUL
-                    if rd:
-                        regs[rd] = (a * (regs[rs2] if rs2 else 0)) & MASK32
-                elif op == 0x04:  # DIV
-                    v = self._div(a, regs[rs2] if rs2 else 0) & MASK32
-                    if rd:
-                        regs[rd] = v
-                elif op == 0x05:  # MOD
-                    v = self._mod(a, regs[rs2] if rs2 else 0) & MASK32
-                    if rd:
-                        regs[rd] = v
-                elif op == 0x06:  # AND
-                    if rd:
-                        regs[rd] = a & (regs[rs2] if rs2 else 0)
-                elif op == 0x07:  # OR
-                    if rd:
-                        regs[rd] = a | (regs[rs2] if rs2 else 0)
-                elif op == 0x08:  # XOR
-                    if rd:
-                        regs[rd] = a ^ (regs[rs2] if rs2 else 0)
-                elif op == 0x09:  # SLL
-                    if rd:
-                        regs[rd] = (
-                            a << ((regs[rs2] if rs2 else 0) & 31)
-                        ) & MASK32
-                elif op == 0x0A:  # SRL
-                    if rd:
-                        regs[rd] = (a & MASK32) >> (
-                            (regs[rs2] if rs2 else 0) & 31
-                        )
-                elif op == 0x0B:  # SRA
-                    sa = a - 0x100000000 if a & 0x80000000 else a
-                    if rd:
-                        regs[rd] = (
-                            sa >> ((regs[rs2] if rs2 else 0) & 31)
-                        ) & MASK32
-                elif op == 0x0C:  # SLT
-                    b = regs[rs2] if rs2 else 0
-                    sa = a - 0x100000000 if a & 0x80000000 else a
-                    sb = b - 0x100000000 if b & 0x80000000 else b
-                    if rd:
-                        regs[rd] = int(sa < sb)
-                elif op == 0x0D:  # SLTU
-                    if rd:
-                        regs[rd] = int(
-                            (a & MASK32) < ((regs[rs2] if rs2 else 0)
-                                            & MASK32)
-                        )
-                elif op == 0x21:  # ANDI
-                    if rd:
-                        regs[rd] = a & (imm & 0xFFFF)
-                elif op == 0x22:  # ORI
-                    if rd:
-                        regs[rd] = (a | (imm & 0xFFFF)) & MASK32
-                elif op == 0x23:  # XORI
-                    if rd:
-                        regs[rd] = (a ^ (imm & 0xFFFF)) & MASK32
-                elif op == 0x24:  # SLLI
-                    if rd:
-                        regs[rd] = (a << (imm & 31)) & MASK32
-                elif op == 0x25:  # SRLI
-                    if rd:
-                        regs[rd] = (a & MASK32) >> (imm & 31)
-                elif op == 0x26:  # SLTI
-                    sa = a - 0x100000000 if a & 0x80000000 else a
-                    if rd:
-                        regs[rd] = int(sa < imm)
-                elif op == 0x27:  # LUI
-                    if rd:
-                        regs[rd] = ((imm & 0xFFFF) << 16) & MASK32
+                        steps = retired + max_steps - limit + 1
+                        return steps, cycles + irq_cycles, defer.access
+                    pc += 1
                 elif op == 0x50:  # J
-                    next_pc = imm
+                    pc = imm
                 elif op == 0x51:  # JAL
                     regs[15] = (pc + 1) & MASK32
-                    next_pc = imm
+                    pc = imm
                 elif op == 0x52:  # JR
-                    next_pc = a
+                    pc = a
                 elif op == 0x60:  # RETI
-                    next_pc = self.epc
+                    pc = self.epc
                     self.irq_enabled = True
-                elif op == 0x7F:  # HALT
+                elif op == 0x7F:  # HALT: pc stays put
                     self.halted = True
-                    next_pc = pc
+                    cycles += cyc
+                    retired += 1
+                    break
                 else:  # pragma: no cover - decode guarantees known opcodes
                     raise CpuError(f"unimplemented opcode {op:#x}")
-
                 cycles += cyc
                 retired += 1
-                steps += 1
-                pc = next_pc
-                if self.halted:
-                    break
         finally:
             self.pc = pc
             self.instr_count = instr0 + retired
             self.cycle_count = cycles0 + cycles
-        return steps, cycles + irq_cycles, None
+        return retired + max_steps - limit, cycles + irq_cycles, None
 
     def _run_block_slow(self, max_steps: int) \
             -> Tuple[int, int, Optional[ExternalAccess]]:
@@ -737,11 +643,10 @@ class Cpu:
             instr = isa.decode(word)
         except ValueError as exc:
             raise CpuError(f"pc={pc:#x}: {exc}") from None
-        custom = isa.custom(instr.opcode)
+        op = instr.opcode
         entry = (
-            instr.opcode, instr.rd, instr.rs1, instr.rs2, instr.imm,
-            isa.cycle_table()[instr.opcode], instr,
-            custom.semantics if custom is not None else None,
+            op, instr.rd, instr.rs1, instr.rs2, instr.imm,
+            isa.cycle_table()[op], instr, isa._values.get(op), TAKEN.get(op),
         )
         isa._ops[word] = entry
         return entry
@@ -749,107 +654,29 @@ class Cpu:
     # ------------------------------------------------------------------
     def _execute(self, instr: Instruction) -> int:
         op = instr.opcode
-        cycles = self.isa.cycles_of(op)
+        isa = self.isa
+        cycles = isa.cycles_of(op)
         next_pc = self.pc + 1
-        # read the register file once; r0 semantics (reads as zero,
-        # writes discarded) are kept inline instead of paying a
-        # get_reg/set_reg method call per operand
+        # r0 semantics (reads as zero, writes discarded) are kept inline
+        # instead of paying a get_reg/set_reg method call per operand
         regs = self.regs
         rd = instr.rd
-        rs1 = instr.rs1
-        rs2 = instr.rs2
-        a = regs[rs1] if rs1 else 0
-        b = regs[rs2] if rs2 else 0
-
-        custom = self.isa.custom(op)
-        if custom is not None:
-            v = custom.semantics(a, b) & MASK32
+        a = regs[instr.rs1] if instr.rs1 else 0
+        value = isa._values.get(op)
+        if value is not None:
+            v = value(a, regs[instr.rs2] if instr.rs2 else 0, instr.imm)
             if rd:
                 regs[rd] = v
-        elif op == Opcode.ADD:
-            if rd:
-                regs[rd] = (a + b) & MASK32
-        elif op == Opcode.SUB:
-            if rd:
-                regs[rd] = (a - b) & MASK32
-        elif op == Opcode.MUL:
-            if rd:
-                regs[rd] = (a * b) & MASK32
-        elif op == Opcode.DIV:
-            v = self._div(a, b) & MASK32
-            if rd:
-                regs[rd] = v
-        elif op == Opcode.MOD:
-            v = self._mod(a, b) & MASK32
-            if rd:
-                regs[rd] = v
-        elif op == Opcode.AND:
-            if rd:
-                regs[rd] = a & b
-        elif op == Opcode.OR:
-            if rd:
-                regs[rd] = a | b
-        elif op == Opcode.XOR:
-            if rd:
-                regs[rd] = a ^ b
-        elif op == Opcode.SLL:
-            if rd:
-                regs[rd] = (a << (b & 31)) & MASK32
-        elif op == Opcode.SRL:
-            if rd:
-                regs[rd] = (a & MASK32) >> (b & 31)
-        elif op == Opcode.SRA:
-            if rd:
-                regs[rd] = (_signed(a) >> (b & 31)) & MASK32
-        elif op == Opcode.SLT:
-            if rd:
-                regs[rd] = int(_signed(a) < _signed(b))
-        elif op == Opcode.SLTU:
-            if rd:
-                regs[rd] = int((a & MASK32) < (b & MASK32))
-        elif op == Opcode.ADDI:
-            if rd:
-                regs[rd] = (a + instr.imm) & MASK32
-        elif op == Opcode.ANDI:
-            if rd:
-                regs[rd] = a & (instr.imm & 0xFFFF)
-        elif op == Opcode.ORI:
-            if rd:
-                regs[rd] = (a | (instr.imm & 0xFFFF)) & MASK32
-        elif op == Opcode.XORI:
-            if rd:
-                regs[rd] = (a ^ (instr.imm & 0xFFFF)) & MASK32
-        elif op == Opcode.SLLI:
-            if rd:
-                regs[rd] = (a << (instr.imm & 31)) & MASK32
-        elif op == Opcode.SRLI:
-            if rd:
-                regs[rd] = (a & MASK32) >> (instr.imm & 31)
-        elif op == Opcode.SLTI:
-            if rd:
-                regs[rd] = int(_signed(a) < instr.imm)
-        elif op == Opcode.LUI:
-            if rd:
-                regs[rd] = ((instr.imm & 0xFFFF) << 16) & MASK32
+        elif op in TAKEN:
+            if TAKEN[op](regs[rd] if rd else 0, a):
+                next_pc += instr.imm
+                cycles += 1  # taken-branch penalty
         elif op == Opcode.LW:
             v = self.memory.read(a + instr.imm) & MASK32
             if rd:
                 regs[rd] = v
         elif op == Opcode.SW:
             self.memory.write(a + instr.imm, regs[rd] if rd else 0)
-        elif op in (Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE):
-            lhs = regs[rd] if rd else 0
-            if op == Opcode.BEQ:
-                taken = lhs == a
-            elif op == Opcode.BNE:
-                taken = lhs != a
-            elif op == Opcode.BLT:
-                taken = _signed(lhs) < _signed(a)
-            else:
-                taken = _signed(lhs) >= _signed(a)
-            if taken:
-                next_pc = self.pc + 1 + instr.imm
-                cycles += 1  # taken-branch penalty
         elif op == Opcode.J:
             next_pc = instr.imm
         elif op == Opcode.JAL:
@@ -868,22 +695,6 @@ class Cpu:
 
         self.pc = next_pc
         return cycles
-
-    @staticmethod
-    def _div(a: int, b: int) -> int:
-        sa, sb = _signed(a), _signed(b)
-        if sb == 0:
-            raise CpuError("division by zero")
-        q = abs(sa) // abs(sb)
-        return q if (sa >= 0) == (sb >= 0) else -q
-
-    @staticmethod
-    def _mod(a: int, b: int) -> int:
-        sa, sb = _signed(a), _signed(b)
-        if sb == 0:
-            raise CpuError("modulo by zero")
-        r = abs(sa) % abs(sb)
-        return r if sa >= 0 else -r
 
     def __repr__(self) -> str:
         return (

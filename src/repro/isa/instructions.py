@@ -15,6 +15,10 @@ Binary layout (32 bits)::
     [31:24] opcode   [23:20] rd   [19:16] rs1   [15:0]  imm16 (signed)
     [31:24] opcode   [23:0]  imm24 (signed)
 
+What each base opcode computes is written once, in :data:`SEMANTICS`;
+the interpreter, the interpreted fast tier and the block translator
+all build their arithmetic from it.
+
 Opcodes ``0x80``-``0xFF`` are the *custom instruction* space: an ASIP
 derivative of R32 binds these to application-specific functional units
 (Section 4.3/4.4 of the paper; PEAS-I [14], instruction-set metamorphosis
@@ -24,7 +28,8 @@ derivative of R32 binds these to application-specific functional units
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 MASK32 = 0xFFFFFFFF
@@ -84,34 +89,148 @@ class Opcode(enum.IntEnum):
     HALT = 0x7F
 
 
-FORMATS: Dict[int, Format] = {
-    Opcode.ADD: Format.R, Opcode.SUB: Format.R, Opcode.MUL: Format.R,
-    Opcode.DIV: Format.R, Opcode.MOD: Format.R, Opcode.AND: Format.R,
-    Opcode.OR: Format.R, Opcode.XOR: Format.R, Opcode.SLL: Format.R,
-    Opcode.SRL: Format.R, Opcode.SRA: Format.R, Opcode.SLT: Format.R,
-    Opcode.SLTU: Format.R,
-    Opcode.ADDI: Format.I, Opcode.ANDI: Format.I, Opcode.ORI: Format.I,
-    Opcode.XORI: Format.I, Opcode.SLLI: Format.I, Opcode.SRLI: Format.I,
-    Opcode.SLTI: Format.I, Opcode.LUI: Format.I,
-    Opcode.LW: Format.I, Opcode.SW: Format.I,
-    Opcode.BEQ: Format.I, Opcode.BNE: Format.I, Opcode.BLT: Format.I,
-    Opcode.BGE: Format.I,
-    Opcode.J: Format.J, Opcode.JAL: Format.J, Opcode.JR: Format.I,
-    Opcode.RETI: Format.J, Opcode.HALT: Format.J,
+class CpuError(RuntimeError):
+    """Raised for illegal instructions or execution faults."""
+
+
+def _signed(x: int) -> int:
+    x &= MASK32
+    return x - 0x100000000 if x & 0x80000000 else x
+
+
+def _div(a: int, b: int) -> int:
+    """Signed division truncating toward zero; traps on a zero divisor."""
+    sa, sb = _signed(a), _signed(b)
+    if sb == 0:
+        raise CpuError("division by zero")
+    q = abs(sa) // abs(sb)
+    return q if (sa >= 0) == (sb >= 0) else -q
+
+
+def _mod(a: int, b: int) -> int:
+    """Signed remainder with the dividend's sign; traps on a zero divisor."""
+    sa, sb = _signed(a), _signed(b)
+    if sb == 0:
+        raise CpuError("modulo by zero")
+    r = abs(sa) % abs(sb)
+    return r if sa >= 0 else -r
+
+
+@dataclass(frozen=True)
+class Semantics:
+    """One row of :data:`SEMANTICS`: an opcode's format, default cycles
+    and meaning.
+
+    ``value`` (ALU ops) is the word written to ``rd``, a Python
+    expression over ``{a}`` (rs1's value), ``{b}`` (rs2's value) and
+    ``{imm}`` (the decoded, sign-extended immediate).  ``taken``
+    (branches) is the condition over ``{l}`` (rd's value) and ``{a}``.
+    Loads, stores, jumps, ``reti`` and ``halt`` have neither: what they
+    do is control and memory glue that each execution tier spells out.
+    """
+
+    fmt: Format
+    cycles: int = 1
+    value: Optional[str] = None
+    taken: Optional[str] = None
+    #: may raise, so it is evaluated after the state commit even when
+    #: rd is r0
+    raises: bool = False
+    #: ends a basic block of the translated tier
+    ends_block: bool = False
+
+
+_R, _I, _J = Format.R, Format.I, Format.J
+
+#: The R32 semantics table: one row per base opcode, the one place
+#: that says what each computes.  ``Cpu.step()`` and the interpreted
+#: fast tier call each expression compiled once (:data:`VALUES`,
+#: :data:`TAKEN`); the block translator pastes operand text into the
+#: same strings (registers as ``regs[i]``, r0 as ``0``, the immediate
+#: as a literal), so every expression is written the way translated
+#: code should run it:
+#:
+#: * every placeholder is parenthesised, so negative immediates and
+#:   subscripts compose, and CPython's constant folder reduces
+#:   ``addi rd, r0, k`` and ``lui rd, k`` to stored constants;
+#: * register values are words in ``[0, 2**32)``, so a result is
+#:   masked only when it can leave that range, and a signed compare
+#:   flips the sign bit of both sides (``x ^ 0x80000000`` orders words
+#:   as their two's-complement values) instead of sign-extending;
+#: * no builtin calls: ``1 if x < y else 0``, not ``int(x < y)``.
+SEMANTICS: Dict[int, Semantics] = {
+    Opcode.ADD: Semantics(_R, value="(({a}) + ({b})) & 0xFFFFFFFF"),
+    Opcode.SUB: Semantics(_R, value="(({a}) - ({b})) & 0xFFFFFFFF"),
+    Opcode.MUL: Semantics(_R, 4, "(({a}) * ({b})) & 0xFFFFFFFF"),
+    Opcode.DIV: Semantics(_R, 12, "_div(({a}), ({b})) & 0xFFFFFFFF",
+                          raises=True),
+    Opcode.MOD: Semantics(_R, 12, "_mod(({a}), ({b})) & 0xFFFFFFFF",
+                          raises=True),
+    Opcode.AND: Semantics(_R, value="({a}) & ({b})"),
+    Opcode.OR: Semantics(_R, value="({a}) | ({b})"),
+    Opcode.XOR: Semantics(_R, value="({a}) ^ ({b})"),
+    Opcode.SLL: Semantics(_R, value="(({a}) << (({b}) & 31)) & 0xFFFFFFFF"),
+    Opcode.SRL: Semantics(_R, value="({a}) >> (({b}) & 31)"),
+    Opcode.SRA: Semantics(_R, value="(((({a}) ^ 0x80000000) - 0x80000000)"
+                                    " >> (({b}) & 31)) & 0xFFFFFFFF"),
+    Opcode.SLT: Semantics(_R, value="1 if (({a}) ^ 0x80000000)"
+                                    " < (({b}) ^ 0x80000000) else 0"),
+    Opcode.SLTU: Semantics(_R, value="1 if ({a}) < ({b}) else 0"),
+    Opcode.ADDI: Semantics(_I, value="(({a}) + ({imm})) & 0xFFFFFFFF"),
+    Opcode.ANDI: Semantics(_I, value="({a}) & (({imm}) & 0xFFFF)"),
+    Opcode.ORI: Semantics(_I, value="({a}) | (({imm}) & 0xFFFF)"),
+    Opcode.XORI: Semantics(_I, value="({a}) ^ (({imm}) & 0xFFFF)"),
+    Opcode.SLLI: Semantics(_I, value="(({a}) << (({imm}) & 31))"
+                                     " & 0xFFFFFFFF"),
+    Opcode.SRLI: Semantics(_I, value="({a}) >> (({imm}) & 31)"),
+    Opcode.SLTI: Semantics(_I, value="1 if (({a}) ^ 0x80000000)"
+                                     " < ({imm}) + 0x80000000 else 0"),
+    Opcode.LUI: Semantics(_I, value="(({imm}) & 0xFFFF) << 16"),
+    Opcode.LW: Semantics(_I, 2),
+    Opcode.SW: Semantics(_I, 2),
+    Opcode.BEQ: Semantics(_I, taken="({l}) == ({a})", ends_block=True),
+    Opcode.BNE: Semantics(_I, taken="({l}) != ({a})", ends_block=True),
+    Opcode.BLT: Semantics(_I, taken="(({l}) ^ 0x80000000)"
+                                    " < (({a}) ^ 0x80000000)",
+                          ends_block=True),
+    Opcode.BGE: Semantics(_I, taken="(({l}) ^ 0x80000000)"
+                                    " >= (({a}) ^ 0x80000000)",
+                          ends_block=True),
+    Opcode.J: Semantics(_J, ends_block=True),
+    Opcode.JAL: Semantics(_J, 2, ends_block=True),
+    Opcode.JR: Semantics(_I, ends_block=True),  # jumps to rs1
+    Opcode.RETI: Semantics(_J, 2, ends_block=True),
+    Opcode.HALT: Semantics(_J, ends_block=True),
 }
 
-#: Default cycle costs per opcode family; an :class:`Isa` may override.
-DEFAULT_CYCLES: Dict[int, int] = {
-    Opcode.MUL: 4,
-    Opcode.DIV: 12,
-    Opcode.MOD: 12,
-    Opcode.LW: 2,
-    Opcode.SW: 2,
-    Opcode.JAL: 2,
-    Opcode.J: 1,
-    Opcode.JR: 1,
-    Opcode.RETI: 2,
+#: The names the table's expressions call, for every tier's namespace.
+HELPERS = {"_div": _div, "_mod": _mod}
+
+
+def _compile(params: str, text: str, **operands: str) -> Callable:
+    return eval(f"lambda {params}: {text.format(**operands)}", dict(HELPERS))
+
+
+#: opcode -> ``value(a, b, imm)`` of every ALU row
+VALUES: Dict[int, Callable[[int, int, int], int]] = {
+    int(op): _compile("a, b, imm", row.value, a="a", b="b", imm="imm")
+    for op, row in SEMANTICS.items() if row.value is not None
 }
+#: opcode -> ``taken(l, a)`` of every branch row
+TAKEN: Dict[int, Callable[[int, int], bool]] = {
+    int(op): _compile("l, a", row.taken, l="l", a="a")
+    for op, row in SEMANTICS.items() if row.taken is not None
+}
+FORMATS: Dict[int, Format] = {op: row.fmt for op, row in SEMANTICS.items()}
+#: Default cycle costs; an :class:`Isa` may override.
+DEFAULT_CYCLES: Dict[int, int] = {
+    op: row.cycles for op, row in SEMANTICS.items()
+}
+
+#: Assembler pseudo-ops: expanded before custom ops are looked up, so
+#: no custom op may take one of these names.
+PSEUDO_OPS = frozenset(("nop", "mov", "li", "la"))
+_MNEMONIC_RE = re.compile(r"[a-z_][a-z0-9_]*")
 
 
 @dataclass(frozen=True)
@@ -156,41 +275,33 @@ class CustomOp:
 class _CycleMap(dict):
     """The ISA's opcode→cycles override table, invalidation-aware.
 
-    Behaves exactly like the plain dict it replaces, but bumps the
-    owning :class:`Isa`'s :attr:`~Isa.version` on every mutation so the
-    memoized :meth:`Isa.cycle_table` (and any CPU-side cache keyed on
-    the version) can never serve stale timing.
+    Behaves exactly like the plain dict it replaces, but every mutating
+    method (:data:`_CYCLE_MUTATORS`) bumps the owning :class:`Isa`'s
+    :attr:`~Isa.version`, so the memoized :meth:`Isa.cycle_table` (and
+    any cache keyed on the version) can never serve stale timing.
     """
 
     def __init__(self, isa: "Isa", *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._isa = isa
 
-    def __setitem__(self, key, value) -> None:
-        super().__setitem__(key, value)
-        self._isa.version += 1
 
-    def __delitem__(self, key) -> None:
-        super().__delitem__(key)
-        self._isa.version += 1
+_CYCLE_MUTATORS = ("__setitem__", "__delitem__", "__ior__", "update", "pop",
+                   "popitem", "clear", "setdefault")
 
-    def update(self, *args, **kwargs) -> None:
-        super().update(*args, **kwargs)
-        self._isa.version += 1
 
-    def pop(self, *args):
-        result = super().pop(*args)
+def _bumping(method: Callable) -> Callable:
+    def bump(self, *args, **kwargs):
+        result = method(self, *args, **kwargs)
         self._isa.version += 1
         return result
 
-    def clear(self) -> None:
-        super().clear()
-        self._isa.version += 1
+    bump.__name__ = method.__name__
+    return bump
 
-    def setdefault(self, key, default=None):
-        result = super().setdefault(key, default)
-        self._isa.version += 1
-        return result
+
+for _name in _CYCLE_MUTATORS:
+    setattr(_CycleMap, _name, _bumping(getattr(dict, _name)))
 
 
 class Isa:
@@ -206,9 +317,10 @@ class Isa:
     the same :class:`Instruction` forever under a fixed custom-op set),
     and the per-opcode timing model can be flattened into one dict by
     :meth:`cycle_table`.  :attr:`version` counts every mutation that
-    could invalidate either — installing a custom op or editing
-    :attr:`cycles` — so caches key on it.  The CPU fast path's per-word
-    operand cache lives here too, so every CPU on one ISA shares it.
+    could invalidate either — :meth:`add_custom` and each mutating
+    method of :attr:`cycles` — so caches key on it.  The CPU fast
+    path's per-word operand cache lives here too, so every CPU on one
+    ISA shares it.
     """
 
     def __init__(self, name: str = "r32") -> None:
@@ -221,21 +333,44 @@ class Isa:
         self._decode_cache: Dict[int, Instruction] = {}
         self._cycle_table: Optional[Dict[int, int]] = None
         self._cycle_table_version = -1
+        #: opcode -> value(a, b, imm): the table's ALU rows
+        #: (:data:`VALUES`) plus the installed custom ops
+        self._values: Dict[int, Callable[[int, int, int], int]] = \
+            dict(VALUES)
         #: word -> (opcode, rd, rs1, rs2, imm, cycles, Instruction,
-        #: custom-semantics-or-None), filled by the CPU fast path
+        #: value-or-None, taken-or-None), filled by the CPU fast path
         #: (``Cpu._predecode``) and valid for ``_ops_version`` only
         self._ops: Dict[int, tuple] = {}
         self._ops_version = -1
 
     def add_custom(self, op: CustomOp) -> CustomOp:
-        """Install a custom instruction (R-type)."""
+        """Install a custom instruction (R-type).
+
+        Its name must be one the assembler can emit: a lowercase
+        identifier (the assembler lowercases every mnemonic) that is no
+        base mnemonic, pseudo-op (:data:`PSEUDO_OPS`) or installed
+        custom op.
+        """
+        name = op.name
         if op.opcode in self._customs:
             raise ValueError(f"custom opcode {op.opcode:#x} already in use")
-        if op.name.upper() in Opcode.__members__ or \
-                op.name in self._custom_by_name:
-            raise ValueError(f"mnemonic {op.name!r} already in use")
+        if not _MNEMONIC_RE.fullmatch(name):
+            raise ValueError(
+                f"custom op name {name!r} is not a lowercase identifier, "
+                "so the assembler could never emit it"
+            )
+        if name in PSEUDO_OPS:
+            raise ValueError(
+                f"custom op name {name!r} clashes with the assembler "
+                f"pseudo-op {name!r}"
+            )
+        if name.upper() in Opcode.__members__ or \
+                name in self._custom_by_name:
+            raise ValueError(f"mnemonic {name!r} already in use")
         self._customs[op.opcode] = op
-        self._custom_by_name[op.name] = op
+        self._custom_by_name[name] = op
+        self._values[op.opcode] = \
+            lambda a, b, imm: op.semantics(a, b) & MASK32
         # a formerly-illegal word may now decode; drop the memo table
         self._decode_cache.clear()
         self.version += 1

@@ -60,6 +60,8 @@ class Profiler:
         self.opcode_cycles: Dict[int, int] = {}
         self.executed_pairs: Dict[Tuple[int, int], int] = {}
         self._last_pc: Optional[int] = None
+        #: ``cpu.cycle_count`` at the last retirement observed
+        self._last_cycles = cpu.cycle_count
         cpu.observers.append(self._observe)
 
     def detach(self) -> None:
@@ -89,9 +91,14 @@ class Profiler:
         self.pc_counts[pc] = self.pc_counts.get(pc, 0) + 1
         op = instr.opcode
         self.opcode_counts[op] = self.opcode_counts.get(op, 0) + 1
+        # observers run right after the CPU charges a retirement, so
+        # the counter's growth is what this one cost: taken-branch
+        # penalties and backplane stall cycles included
+        now = self.cpu.cycle_count
         self.opcode_cycles[op] = (
-            self.opcode_cycles.get(op, 0) + self.isa.cycles_of(op)
+            self.opcode_cycles.get(op, 0) + now - self._last_cycles
         )
+        self._last_cycles = now
         if self._last_pc is not None:
             pair = (self._last_pc, pc)
             self.executed_pairs[pair] = self.executed_pairs.get(pair, 0) + 1
@@ -105,7 +112,8 @@ class Profiler:
 
     @property
     def total_cycles(self) -> int:
-        """Total cycles attributed to observed instructions."""
+        """Total cycles attributed to observed instructions: the growth
+        of ``cpu.cycle_count`` over the retirements observed."""
         return sum(self.opcode_cycles.values())
 
     def hot_pcs(self, top: int = 10) -> List[Tuple[int, int]]:

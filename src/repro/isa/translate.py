@@ -5,12 +5,14 @@ reference interpreter) and ``Cpu._run_block_fast`` (the pre-decoded
 operand-cache loop).  A :class:`BlockTranslator` compiles each hot
 basic block — a maximal straight-line run of instructions ending at
 the first control transfer — into one specialized Python function:
-operands are pre-resolved to direct ``regs[i]`` subscripts (``r0``
-folds to literal zeros, ``lui``/``addi r, r0`` to constants), cycle
-accounting is fused into compile-time prefix sums, and the dispatch
-chain of the interpreter disappears entirely.  Executing a block is
-one function call instead of one interpreter iteration per
-instruction.
+each instruction's meaning is pasted from the R32 semantics table
+(:data:`repro.isa.instructions.SEMANTICS`) with its operands
+pre-resolved to direct ``regs[i]`` subscripts, ``r0`` to a literal
+zero and the immediate to a literal (so CPython's constant folder
+turns ``lui``/``addi r, r0`` into constants), cycle accounting is
+fused into compile-time prefix sums, and the dispatch chain of the
+interpreter disappears entirely.  Executing a block is one function
+call instead of one interpreter iteration per instruction.
 
 The tier is governed by the DESIGN.md §9/§13 equivalence contract —
 **a fast path may move host time, never model results** — and keeps it
@@ -73,7 +75,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.isa import cpu as _cpu_mod
 from repro.isa.cpu import MAX_BLOCK_LEN, Cpu, CpuError, ExternalAccess, _Defer
-from repro.isa.instructions import Instruction, MASK32
+from repro.isa.instructions import HELPERS, MASK32, SEMANTICS, Instruction
 
 __all__ = [
     "BlockTranslator",
@@ -99,12 +101,10 @@ _HALT = 4    # halt retired
 
 #: Opcodes that end a basic block.
 _TERMINATORS = frozenset(
-    (0x40, 0x41, 0x42, 0x43, 0x50, 0x51, 0x52, 0x60, 0x7F)
+    op for op, row in SEMANTICS.items() if row.ends_block
 )
 
 _M = MASK32  # literal spelled into generated source
-_SIGN = 0x80000000
-_WRAP = 0x100000000
 
 #: compiled blocks shared by every translator in the process:
 #: (pc, code words, cycle table, custom semantics) -> (fn, addrs)
@@ -114,12 +114,6 @@ _SHARED: Dict[tuple, Tuple] = {}
 def _reg(index: int) -> str:
     """Operand source text with r0 pre-resolved to a literal zero."""
     return f"regs[{index}]" if index else "0"
-
-
-def _signed_lines(var: str, out: List[str], indent: str) -> None:
-    out.append(
-        f"{indent}{var} = {var} - {_WRAP} if {var} & {_SIGN} else {var}"
-    )
 
 
 class BlockTranslator:
@@ -139,14 +133,12 @@ class BlockTranslator:
         cpu: Cpu,
         hot_threshold: int = DEFAULT_HOT_THRESHOLD,
         max_blocks: int = MAX_BLOCKS,
-        max_block_len: int = MAX_BLOCK_LEN,
     ) -> None:
         if hot_threshold < 1:
             raise ValueError("hot_threshold must be >= 1")
         self.cpu = cpu
         self.hot_threshold = hot_threshold
         self.max_blocks = max_blocks
-        self.max_block_len = max_block_len
         #: pc -> (fn, length, memory.code_version at installation)
         self._blocks: Dict[int, Tuple] = {}
         self._counts: Dict[int, int] = {}
@@ -286,14 +278,16 @@ class BlockTranslator:
 
         Stops at the first control transfer (inclusive), at an
         unprogrammed or undecodable word (exclusive), or at
-        ``max_block_len``.  Returns ``(instrs, addrs, words)``.
+        :data:`~repro.isa.cpu.MAX_BLOCK_LEN` instructions, the longest
+        block the budget rule assumes.  Returns ``(instrs, addrs,
+        words)``.
         """
         ram_get = self.cpu.memory.ram.get
         decode = self.cpu.isa.decode
         instrs: List[Instruction] = []
         addrs: List[int] = []
         words: List[int] = []
-        while len(instrs) < self.max_block_len:
+        while len(instrs) < MAX_BLOCK_LEN:
             word = ram_get(pc)
             if word is None:
                 break
@@ -371,9 +365,8 @@ class BlockTranslator:
         for instr in instrs:
             cyc.append(cyc[-1] + table[instr.opcode])
         namespace = {
+            **HELPERS,
             "_Defer": _Defer,
-            "_div": Cpu._div,
-            "_mod": Cpu._mod,
             "INSTRS": tuple(instrs),
             "ADDRS": frozenset(addrs),
         }
@@ -439,107 +432,25 @@ class BlockTranslator:
             out.append("    if cpu.irq_pending and cpu.irq_enabled:")
             exit_next(_IRQ, "        ")
 
-        custom = isa.custom(op)
-        if custom is not None:
-            cname = f"C{k}"
-            namespace[cname] = custom.semantics
-            commit_here()
-            call = f"{cname}({a}, {b}) & {_M}"
-            out.append(f"    {f'regs[{rd}] = ' if rd else ''}{call}")
-            irq_recheck()
-        elif op == 0x20:  # ADDI
-            if rd:
-                if rs1:
-                    out.append(f"    regs[{rd}] = ({a} + {imm}) & {_M}")
-                else:
-                    out.append(f"    regs[{rd}] = {imm & _M}")
-        elif op == 0x01:  # ADD
-            if rd:
-                out.append(f"    regs[{rd}] = ({a} + {b}) & {_M}")
-        elif op == 0x02:  # SUB
-            if rd:
-                out.append(f"    regs[{rd}] = ({a} - {b}) & {_M}")
-        elif op == 0x03:  # MUL
-            if rd:
-                out.append(f"    regs[{rd}] = ({a} * {b}) & {_M}")
-        elif op in (0x04, 0x05):  # DIV / MOD
-            fn = "_div" if op == 0x04 else "_mod"
-            commit_here()
-            call = f"{fn}({a}, {b}) & {_M}"
-            out.append(f"    {f'regs[{rd}] = ' if rd else ''}{call}")
-        elif op == 0x06:  # AND
-            if rd:
-                out.append(f"    regs[{rd}] = {a} & {b}")
-        elif op == 0x07:  # OR
-            if rd:
-                out.append(f"    regs[{rd}] = {a} | {b}")
-        elif op == 0x08:  # XOR
-            if rd:
-                out.append(f"    regs[{rd}] = {a} ^ {b}")
-        elif op == 0x09:  # SLL
-            if rd:
-                out.append(
-                    f"    regs[{rd}] = ({a} << ({b} & 31)) & {_M}"
-                )
-        elif op == 0x0A:  # SRL
-            if rd:
-                out.append(
-                    f"    regs[{rd}] = ({a} & {_M}) >> ({b} & 31)"
-                )
-        elif op == 0x0B:  # SRA
-            if rd:
-                out.append(f"    _a = {a}")
-                _signed_lines("_a", out, "    ")
-                out.append(
-                    f"    regs[{rd}] = (_a >> ({b} & 31)) & {_M}"
-                )
-        elif op == 0x0C:  # SLT
-            if rd:
-                out.append(f"    _a = {a}")
-                out.append(f"    _b = {b}")
-                _signed_lines("_a", out, "    ")
-                _signed_lines("_b", out, "    ")
-                out.append(f"    regs[{rd}] = 1 if _a < _b else 0")
-        elif op == 0x0D:  # SLTU
-            if rd:
-                out.append(
-                    f"    regs[{rd}] = "
-                    f"1 if ({a} & {_M}) < ({b} & {_M}) else 0"
-                )
-        elif op == 0x21:  # ANDI
-            if rd:
-                out.append(f"    regs[{rd}] = {a} & {imm & 0xFFFF}")
-        elif op == 0x22:  # ORI
-            if rd:
-                out.append(
-                    f"    regs[{rd}] = ({a} | {imm & 0xFFFF}) & {_M}"
-                )
-        elif op == 0x23:  # XORI
-            if rd:
-                out.append(
-                    f"    regs[{rd}] = ({a} ^ {imm & 0xFFFF}) & {_M}"
-                )
-        elif op == 0x24:  # SLLI
-            if rd:
-                out.append(
-                    f"    regs[{rd}] = ({a} << {imm & 31}) & {_M}"
-                )
-        elif op == 0x25:  # SRLI
-            if rd:
-                out.append(
-                    f"    regs[{rd}] = ({a} & {_M}) >> {imm & 31}"
-                )
-        elif op == 0x26:  # SLTI
-            if rd:
-                out.append(f"    _a = {a}")
-                _signed_lines("_a", out, "    ")
-                out.append(f"    regs[{rd}] = 1 if _a < {imm} else 0")
-        elif op == 0x27:  # LUI
-            if rd:
-                out.append(f"    regs[{rd}] = {((imm & 0xFFFF) << 16) & _M}")
+        row = SEMANTICS.get(op)  # None for a custom op
+        if row is None:
+            namespace[f"C{k}"] = isa.custom(op).semantics
+            value, raises = f"C{k}(({a}), ({b})) & {_M}", True
+        else:
+            value, raises = row.value, row.raises
+            if value is not None:
+                value = value.format(a=a, b=b, imm=imm)
+        if value is not None:
+            if raises:
+                commit_here()
+                out.append(f"    {f'regs[{rd}] = ' if rd else ''}{value}")
+            elif rd:
+                out.append(f"    regs[{rd}] = {value}")
+            if row is None:
+                irq_recheck()
         elif op == 0x30:  # LW
             commit_here()
-            addr = f"{a} + {imm}" if rs1 else f"{imm}"
+            addr = f"({a}) + ({imm})"
             out.append("    try:")
             if rd:
                 out.append(f"        _v = memory.read({addr}) & {_M}")
@@ -555,10 +466,7 @@ class BlockTranslator:
             irq_recheck()
         elif op == 0x31:  # SW
             commit_here()
-            if rs1:
-                out.append(f"    _wa = ({a} + {imm}) & {_M}")
-            else:
-                out.append(f"    _wa = {imm & _M}")
+            out.append(f"    _wa = (({a}) + ({imm})) & {_M}")
             out.append("    try:")
             out.append(f"        memory.write(_wa, {_reg(rd)})")
             out.append("    except _Defer as _d:")
@@ -569,15 +477,8 @@ class BlockTranslator:
             out.append("    if _wa in ADDRS:")
             exit_next(_SMC, "        ")
             irq_recheck()
-        elif 0x40 <= op <= 0x43:  # BEQ/BNE/BLT/BGE
-            lhs = _reg(rd)
-            out.append(f"    _l = {lhs}")
-            out.append(f"    _a = {a}")
-            if op in (0x42, 0x43):
-                _signed_lines("_l", out, "    ")
-                _signed_lines("_a", out, "    ")
-            cond = {0x40: "==", 0x41: "!=", 0x42: "<", 0x43: ">="}[op]
-            out.append(f"    if _l {cond} _a:")
+        elif row.taken is not None:  # BEQ/BNE/BLT/BGE
+            out.append(f"    if {row.taken.format(l=_reg(rd), a=a)}:")
             out.append(f"        cpu.pc = {pc + 1 + imm}")
             out.append(f"        cpu.cycle_count = c0 + {cyc[k1] + 1}")
             out.append("    else:")

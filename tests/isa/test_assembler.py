@@ -10,7 +10,7 @@ from repro.isa.assembler import (
     assemble,
 )
 from repro.isa.cpu import Cpu, Memory
-from repro.isa.instructions import CustomOp, Isa, Opcode
+from repro.isa.instructions import PSEUDO_OPS, CustomOp, Isa, Opcode
 
 
 def run_program(text, isa=None, max_instructions=100_000):
@@ -285,6 +285,33 @@ class TestCustomInstructions:
             halt
         """, isa=isa)
         assert cpu.get_reg(3) == 7
+
+
+    @pytest.mark.parametrize("name", ["mac", "fx_0a1b2c3d"])
+    def test_every_installable_name_assembles(self, name):
+        isa = Isa()
+        isa.add_custom(CustomOp(name, 0x80, lambda a, b: a + b))
+        cpu, _m, _p = run_program(f"""
+            addi r1, r0, 3
+            addi r2, r0, 4
+            {name.upper()} r3, r1, r2
+            halt
+        """, isa=isa)
+        assert cpu.get_reg(3) == 7
+
+    def test_pseudo_ops_keep_their_expansion(self):
+        """No custom op can take a pseudo-op's name, so ``nop`` stays
+        ``add r0, r0, r0`` on every ISA."""
+        isa = Isa()
+        with pytest.raises(ValueError, match="pseudo-op 'nop'"):
+            isa.add_custom(CustomOp("nop", 0x80, lambda a, b: a))
+        assert assemble("nop", isa).image == {0: 0x01000000}
+        lines = {"nop": "nop", "mov": "mov r1, r2", "li": "li r1, 5",
+                 "la": "la r1, 0"}
+        assert set(lines) == PSEUDO_OPS
+        for mnemonic, line in lines.items():
+            assert mnemonic.upper() not in Opcode.__members__
+            assert assemble(line, isa).image
 
 
 class TestListing:

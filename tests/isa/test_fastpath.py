@@ -120,6 +120,39 @@ def run_fast(cpu, chunks=(BUDGET,), budget=BUDGET):
         return str(exc)
 
 
+#: a 3-iteration loop whose cycle count every edit below moves
+CYCLE_LOOP = """
+        addi r1, r0, 3
+    loop:
+        add  r2, r2, r1
+        mul  r3, r2, r1
+        addi r1, r1, -1
+        bne  r1, r0, loop
+        halt
+"""
+_ADD, _MUL = int(Opcode.ADD), int(Opcode.MUL)
+
+
+def _move_last(cycles, op, cost):
+    """Re-insert ``op`` at ``cost`` as the table's last entry."""
+    cycles.pop(op, None)
+    cycles[op] = cost
+
+
+#: every mutating dict method, as (setup before caches warm, the edit)
+CYCLE_EDITS = {
+    "__setitem__": (lambda c: None, lambda c: c.__setitem__(_ADD, 9)),
+    "__delitem__": (lambda c: None, lambda c: c.__delitem__(_MUL)),
+    "__ior__": (lambda c: None, lambda c: c.__ior__({_ADD: 9})),
+    "update": (lambda c: None, lambda c: c.update({_ADD: 9})),
+    "pop": (lambda c: None, lambda c: c.pop(_MUL)),
+    "popitem": (lambda c: _move_last(c, _ADD, 9), lambda c: c.popitem()),
+    "clear": (lambda c: None, lambda c: c.clear()),
+    "setdefault": (lambda c: c.pop(_ADD, None),
+                   lambda c: c.setdefault(_ADD, 9)),
+}
+
+
 # ----------------------------------------------------------------------
 # the core differential: random programs, random block sizes
 # ----------------------------------------------------------------------
@@ -369,6 +402,37 @@ class TestInvalidation:
         assert predecoded == [word, image[4]]
         assert isa._ops[word][5] == 7
         assert cpu.cycle_count == 4 * 7 + 1
+
+    @pytest.mark.parametrize("method", sorted(CYCLE_EDITS))
+    def test_every_cycle_edit_reaches_every_tier(self, method):
+        """Each mutating dict method on ``Isa.cycles`` bumps the ISA's
+        version, so the cycle table, the operand cache and translated
+        blocks warmed before the edit all see it, as ``step()`` does."""
+        from repro.isa.translate import auto_translation, install
+
+        setup, edit = CYCLE_EDITS[method]
+        isa = Isa()
+        setup(isa.cycles)
+        image = assemble(CYCLE_LOOP, isa).image
+        before = make_cpu(image, isa)
+        before.run_block(BUDGET)  # warms every cache, translated
+        with auto_translation(False):
+            run_fast(make_cpu(image, isa))
+        version = isa.version
+        edit(isa.cycles)
+        assert isa.version > version
+        ref = make_cpu(image, isa)
+        run_ref(ref)
+        assert ref.cycle_count != before.cycle_count  # the edit shows
+        with auto_translation(False):
+            fast = make_cpu(image, isa)
+            run_fast(fast)
+        translated = make_cpu(image, isa)
+        install(translated, hot_threshold=1)
+        run_fast(translated)
+        assert translated.translator.translations > 0
+        assert snapshot(fast) == snapshot(ref)
+        assert snapshot(translated) == snapshot(ref)
 
     def test_decode_is_a_pure_cache(self):
         """decode() is defined as a memo over decode_uncached()."""

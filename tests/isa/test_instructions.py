@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.isa.instructions import (
     CUSTOM_BASE,
+    PSEUDO_OPS,
     CustomOp,
     Format,
     Instruction,
@@ -92,6 +93,31 @@ class TestCustomOps:
         isa = Isa()
         with pytest.raises(ValueError):
             isa.add_custom(CustomOp("add", 0x80, lambda a, b: a))
+
+    @pytest.mark.parametrize("name", ["MAC", "fx_Mac", "my op", "mac\t",
+                                      "1mac", "mac-2", "mac:", ""])
+    def test_names_the_assembler_cannot_emit_rejected(self, name):
+        """The assembler lowercases every mnemonic and splits on
+        whitespace, so only a lowercase identifier can be emitted."""
+        isa = Isa()
+        with pytest.raises(ValueError, match="not a lowercase identifier"):
+            isa.add_custom(CustomOp(name, 0x80, lambda a, b: a))
+        assert isa.customs == () and isa.version == 0
+
+    @pytest.mark.parametrize("name", sorted(PSEUDO_OPS))
+    def test_pseudo_op_names_rejected(self, name):
+        """The assembler expands pseudo-ops before it looks custom ops
+        up, so a custom op by such a name would never be emitted."""
+        with pytest.raises(ValueError, match=f"pseudo-op '{name}'"):
+            Isa().add_custom(CustomOp(name, 0x80, lambda a, b: a))
+
+    @pytest.mark.parametrize("name", ["mac", "mac3", "sad", "fma0",
+                                      "mulx", "badfx", "c0", "_x",
+                                      "fx_0123456789abcdef"])
+    def test_names_in_use_still_install(self, name):
+        isa = Isa()
+        isa.add_custom(CustomOp(name, 0x80, lambda a, b: a))
+        assert isa.opcode_of(name) == 0x80
 
     def test_next_custom_opcode_skips_used(self):
         isa = Isa()

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.isa.assembler import assemble
-from repro.isa.cpu import Cpu, Memory
-from repro.isa.instructions import Isa
+from repro.isa.cpu import Cpu, ExternalAccess, Memory
+from repro.isa.instructions import Isa, Opcode
 from repro.isa.profiler import Profiler
 
 
@@ -34,10 +34,34 @@ class TestCounting:
     def test_totals_match_cpu(self):
         cpu, prof, _p = profiled_run(LOOP_PROGRAM)
         assert prof.total_instructions == cpu.instr_count
-        # opcode cycle attribution excludes the taken-branch penalty,
-        # so it is a lower bound on the CPU's cycle count
-        assert prof.total_cycles <= cpu.cycle_count
-        assert prof.total_cycles >= cpu.cycle_count - cpu.instr_count
+        assert prof.total_cycles == cpu.cycle_count
+
+    def test_taken_branch_penalties_are_charged_to_the_branch(self):
+        cpu, prof, _p = profiled_run("""
+                addi r1, r0, 10
+            loop:
+                addi r1, r1, -1
+                bne  r1, r0, loop
+                halt
+        """)
+        assert cpu.cycle_count == 31
+        assert prof.total_cycles == 31
+        assert prof.opcode_cycles[int(Opcode.BNE)] == 10 + 9  # 9 taken
+
+    def test_backplane_stall_cycles_are_charged_to_the_access(self):
+        isa = Isa()
+        memory = Memory()
+        memory.load_image(assemble("lw r1, 0(r2)\nhalt", isa).image)
+        memory.add_region("dev", 0x1000, 4, external=True)
+        cpu = Cpu(isa, memory)
+        cpu.regs[2] = 0x1000
+        prof = Profiler(cpu)
+        assert isinstance(cpu.step(), ExternalAccess)
+        cpu.complete_access(7, extra_cycles=5)
+        cpu.step()
+        assert cpu.cycle_count == 2 + 5 + 1
+        assert prof.total_cycles == cpu.cycle_count
+        assert prof.opcode_cycles[int(Opcode.LW)] == 7
 
     def test_hot_pcs_are_the_loop_body(self):
         _c, prof, prog = profiled_run(LOOP_PROGRAM)
