@@ -70,13 +70,16 @@ METRICS = {
         # campaign path on its acceptance floor instead
         Metric("speedup_campaign4", "floor", tol=2.0, min_cpus=4),
     ],
+    # overheads as exact call counts over the bare run_cell loop; the
+    # wall-clock medians beside them are reported, not gated (their
+    # run-to-run drift on a shared host exceeds any useful band)
     "BENCH_obs.json": [
-        Metric("disabled_overhead", "abs", tol=0.05),
-        Metric("enabled_overhead", "abs", tol=0.05),
+        Metric("disabled_call_overhead", "abs", tol=0.01),
+        Metric("enabled_call_overhead", "abs", tol=0.01),
     ],
     "BENCH_telemetry.json": [
-        Metric("disabled_overhead", "abs", tol=0.05),
-        Metric("enabled_overhead", "abs", tol=0.05),
+        Metric("disabled_call_overhead", "abs", tol=0.01),
+        Metric("enabled_call_overhead", "abs", tol=0.01),
     ],
     "BENCH_fault.json": [
         Metric("idle_injector_overhead", "abs", tol=0.05),

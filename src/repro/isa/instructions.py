@@ -317,10 +317,10 @@ class Isa:
     the same :class:`Instruction` forever under a fixed custom-op set),
     and the per-opcode timing model can be flattened into one dict by
     :meth:`cycle_table`.  :attr:`version` counts every mutation that
-    could invalidate either — :meth:`add_custom` and each mutating
-    method of :attr:`cycles` — so caches key on it.  The CPU fast
-    path's per-word operand cache lives here too, so every CPU on one
-    ISA shares it.
+    could invalidate either — :meth:`add_custom`, each mutating method
+    of :attr:`cycles` and assigning :attr:`cycles` — so caches key on
+    it.  The CPU fast path's per-word operand cache lives here too, so
+    every CPU on one ISA shares it.
     """
 
     def __init__(self, name: str = "r32") -> None:
@@ -329,7 +329,7 @@ class Isa:
         self._custom_by_name: Dict[str, CustomOp] = {}
         #: bumped on any change to decode or timing behavior
         self.version = 0
-        self.cycles: Dict[int, int] = _CycleMap(self, DEFAULT_CYCLES)
+        self._cycles: Dict[int, int] = _CycleMap(self, DEFAULT_CYCLES)
         self._decode_cache: Dict[int, Instruction] = {}
         self._cycle_table: Optional[Dict[int, int]] = None
         self._cycle_table_version = -1
@@ -342,6 +342,21 @@ class Isa:
         #: (``Cpu._predecode``) and valid for ``_ops_version`` only
         self._ops: Dict[int, tuple] = {}
         self._ops_version = -1
+
+    @property
+    def cycles(self) -> Dict[int, int]:
+        """The opcode→cycles overrides of the base opcodes.
+
+        Every edit bumps :attr:`version`: each mutating dict method of
+        the table, and assigning a new table, which is copied into a
+        fresh invalidation-aware map.
+        """
+        return self._cycles
+
+    @cycles.setter
+    def cycles(self, table: Dict[int, int]) -> None:
+        self._cycles = _CycleMap(self, table)
+        self.version += 1
 
     def add_custom(self, op: CustomOp) -> CustomOp:
         """Install a custom instruction (R-type).
@@ -426,7 +441,7 @@ class Isa:
         """Cycle cost of ``opcode`` under this ISA's timing model."""
         if opcode in self._customs:
             return self._customs[opcode].cycles
-        return self.cycles.get(opcode, 1)
+        return self._cycles.get(opcode, 1)
 
     def cycle_table(self) -> Dict[int, int]:
         """The timing model flattened to one opcode→cycles dict.

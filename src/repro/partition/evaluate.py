@@ -11,8 +11,11 @@ A partitioner costs thousands of candidate moves against one problem,
 so the work is split the way reference [18] splits area estimation
 (:mod:`repro.estimate.incremental`): :class:`CompiledProblem` derives
 once everything the problem fixes, and each move pays only for the
-schedule and the terms that depend on the partition.  The module-level
-functions build a view and call it once.
+schedule and the terms that depend on the partition.  Like [18]'s
+shared-area memo, the view also remembers the costs it computed
+recently, because a heuristic proposes the same partition again and
+again (a cooled annealer keeps flipping the same few tasks).  The
+module-level functions build a view and call it once.
 """
 
 from __future__ import annotations
@@ -70,7 +73,17 @@ class CompiledProblem:
     area input, and each out-edge's boundary transfer time.
 
     Build one per heuristic call and let it go: task graphs and tasks
-    are mutable, so a view kept beyond the call could go stale.
+    are mutable, so a view kept beyond the call could go stale.  The
+    problem's bounds (``deadline_ns``, ``hw_area_budget``,
+    ``hw_parallelism``, ``use_sharing``) are read once, here.
+
+    :meth:`cost` keeps a FIFO memo of its last ``4 * len(tasks)``
+    results, keyed by the hardware set and the weights, so a partition
+    a heuristic proposes again costs one dict lookup instead of a
+    schedule.  A hit returns the very objects of the first call, so
+    callers must not mutate a breakdown or ``start_times`` (none does).
+    A call that passes its own ``evaluation`` bypasses the memo, and
+    :meth:`evaluate` keeps none, so a traced schedule always runs.
 
     Floats are summed in a fixed order so records are byte-identical
     whatever the caller's set order: schedule totals in pop order,
@@ -83,7 +96,15 @@ class CompiledProblem:
         graph = problem.graph
         names = graph.task_names
         self.problem = problem
+        self._deadline = problem.deadline_ns
+        self._budget = problem.hw_area_budget
+        self._parallelism = problem.hw_parallelism
+        self._sharing = problem.use_sharing
         self._names = frozenset(names)
+        #: (hw, weights) -> (weights, (cost, breakdown, evaluation)),
+        #: oldest first; see :meth:`cost`
+        self._memo: Dict[tuple, tuple] = {}
+        self._memo_cap = 4 * len(names)
         level = b_levels(graph, weight=lambda t: min(t.sw_time, t.hw_time))
         key = {name: (-level[name], i, name) for i, name in enumerate(names)}
         self._pending = {name: len(graph.predecessors(name)) for name in names}
@@ -111,7 +132,7 @@ class CompiledProblem:
              task.sw_time * max(0.0, task.parallelism - 2.0) / 2.0)
             for task in tasks
         ]
-        if problem.use_sharing:
+        if self._sharing:
             library = default_library()
             self._area = {
                 task.name: entry_key(
@@ -130,7 +151,7 @@ class CompiledProblem:
         if not hw:
             return 0.0
         area = self._area
-        if not self.problem.use_sharing:
+        if not self._sharing:
             return sum(area[name] for name in hw)
         return shared_area(tuple(sorted(area[name] for name in hw)))
 
@@ -139,15 +160,14 @@ class CompiledProblem:
     ) -> Evaluation:
         """List-schedule the partitioned graph and measure it (see
         :func:`evaluate_partition`)."""
-        problem = self.problem
         hw = frozenset(hw_tasks)
         if not hw <= self._names:
             raise KeyError(
                 f"unknown tasks in partition: {sorted(hw - self._names)}"
             )
         n_hw_units = (
-            problem.hw_parallelism
-            if problem.hw_parallelism is not None
+            self._parallelism
+            if self._parallelism is not None
             else max(1, len(hw))
         )
         cpu_free = 0.0
@@ -229,7 +249,7 @@ class CompiledProblem:
             cpu_busy_ns=cpu_busy,
             hw_busy_ns=hw_busy,
             deadline_met=(
-                problem.deadline_ns is None or latency <= problem.deadline_ns
+                self._deadline is None or latency <= self._deadline
             ),
             start_times=start,
         )
@@ -239,22 +259,20 @@ class CompiledProblem:
     ) -> Dict[str, float]:
         """The raw (unweighted) value of each factor term (see
         :func:`repro.partition.cost.cost_terms`)."""
-        problem = self.problem
         hw = frozenset(hw_tasks)
+        deadline = self._deadline
+        budget = self._budget
 
         # 1. performance: latency, heavily penalized beyond the deadline
         latency = evaluation.latency_ns
         performance = latency
-        if problem.deadline_ns is not None and latency > problem.deadline_ns:
-            performance += VIOLATION_PENALTY * (latency - problem.deadline_ns)
+        if deadline is not None and latency > deadline:
+            performance += VIOLATION_PENALTY * (latency - deadline)
 
         # 2. implementation cost: area, heavily penalized beyond the budget
         area_term = evaluation.hw_area
-        if (problem.hw_area_budget is not None
-                and evaluation.hw_area > problem.hw_area_budget):
-            area_term += VIOLATION_PENALTY * (
-                evaluation.hw_area - problem.hw_area_budget
-            )
+        if budget is not None and evaluation.hw_area > budget:
+            area_term += VIOLATION_PENALTY * (evaluation.hw_area - budget)
 
         # 3. modifiability: likely-to-change functionality frozen in
         # silicon (summed in sorted order: float addition is
@@ -287,10 +305,31 @@ class CompiledProblem:
         evaluation: Optional[Evaluation] = None,
     ) -> Tuple[float, Dict[str, float], Evaluation]:
         """``(cost, breakdown, evaluation)`` of a partition (see
-        :func:`repro.partition.cost.partition_cost`)."""
+        :func:`repro.partition.cost.partition_cost`).
+
+        Without ``evaluation``, served from the memo when this view
+        already costed ``hw_tasks`` under this very ``weights`` object.
+        Equal weights are not enough: ``0.0`` and ``-0.0``, or ``1`` and
+        ``1.0``, compare equal but give breakdowns that print
+        differently.
+        """
         hw = frozenset(hw_tasks)
-        if evaluation is None:
-            evaluation = self.evaluate(hw)
+        if evaluation is not None:
+            return self._cost(hw, weights, evaluation)
+        memo = self._memo
+        key = (hw, weights)
+        hit = memo.get(key)
+        if hit is not None and hit[0] is weights:
+            return hit[1]
+        result = self._cost(hw, weights, self.evaluate(hw))
+        if hit is None and len(memo) >= self._memo_cap:
+            del memo[next(iter(memo))]
+        memo[key] = (weights, result)
+        return result
+
+    def _cost(
+        self, hw: frozenset, weights: "CostWeights", evaluation: Evaluation
+    ) -> Tuple[float, Dict[str, float], Evaluation]:
         raw = self.cost_terms(evaluation, hw)
         breakdown = {
             name: getattr(weights, name) * value

@@ -38,10 +38,23 @@ class PartitionProblem:
 
     def __post_init__(self) -> None:
         self.graph.validate()
-        if self.hw_parallelism is not None and self.hw_parallelism < 1:
-            raise ValueError("hw_parallelism must be >= 1 or None")
-        if self.hw_area_budget is not None and self.hw_area_budget < 0:
-            raise ValueError("hw_area_budget must be >= 0")
+        parallelism = self.hw_parallelism
+        if parallelism is not None and (
+            isinstance(parallelism, bool)
+            or not isinstance(parallelism, int)
+            or parallelism < 1
+        ):
+            raise ValueError(
+                f"hw_parallelism must be an int >= 1 or None, "
+                f"got {parallelism!r}"
+            )
+        for name in ("hw_area_budget", "deadline_ns"):
+            bound = getattr(self, name)
+            # NaN fails every comparison, so it is caught by "not >="
+            if bound is not None and not bound >= 0:
+                raise ValueError(
+                    f"{name} must be >= 0 or None, got {bound!r}"
+                )
 
     @classmethod
     def from_task_graph(

@@ -26,6 +26,7 @@ import itertools
 import json
 import random
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.estimate.communication import DEFAULT, LOOSE, TIGHT, CommModel
@@ -116,9 +117,17 @@ class SweepConfig:
             sort_keys=True, separators=(",", ":"),
         )
 
-    @property
+    @cached_property
     def fingerprint(self) -> str:
-        """Stable hex digest of the full config (the cache key)."""
+        """Stable hex digest of the full config (the cache key).
+
+        Computed once per instance: the sweep engine reads it several
+        times per cell.  The cached value sits in the instance
+        ``__dict__``, outside the dataclass fields, so equality, hashing
+        and ``repr`` ignore it, a pickled config carries it, and
+        ``dataclasses.replace`` builds a new instance that computes its
+        own.
+        """
         return _digest(self.canonical_json())
 
     def problem_dict(self) -> Dict[str, Any]:

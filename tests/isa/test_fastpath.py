@@ -408,18 +408,40 @@ class TestInvalidation:
         """Each mutating dict method on ``Isa.cycles`` bumps the ISA's
         version, so the cycle table, the operand cache and translated
         blocks warmed before the edit all see it, as ``step()`` does."""
-        from repro.isa.translate import auto_translation, install
-
         setup, edit = CYCLE_EDITS[method]
         isa = Isa()
         setup(isa.cycles)
+        self._check_edit_reaches_every_tier(isa, lambda: edit(isa.cycles))
+
+    def test_rebinding_cycles_reaches_every_tier(self):
+        """Assigning a new table to ``Isa.cycles`` is an edit too: the
+        ISA copies it into a map that bumps the version, now and on
+        every later edit."""
+        isa = Isa()
+        table = {Opcode.ADD: 9}
+
+        def rebind():
+            isa.cycles = table
+
+        self._check_edit_reaches_every_tier(isa, rebind)
+        assert isa.cycles == table and isa.cycles is not table
+        version = isa.version
+        isa.cycles[_MUL] = 5
+        assert isa.version > version
+        table[_ADD] = 2  # the ISA kept a copy
+        assert isa.cycles_of(_ADD) == 9
+
+    @staticmethod
+    def _check_edit_reaches_every_tier(isa, edit):
+        from repro.isa.translate import auto_translation, install
+
         image = assemble(CYCLE_LOOP, isa).image
         before = make_cpu(image, isa)
         before.run_block(BUDGET)  # warms every cache, translated
         with auto_translation(False):
             run_fast(make_cpu(image, isa))
         version = isa.version
-        edit(isa.cycles)
+        edit()
         assert isa.version > version
         ref = make_cpu(image, isa)
         run_ref(ref)

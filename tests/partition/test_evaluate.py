@@ -1,5 +1,8 @@
 """Tests for schedule-based partition evaluation."""
 
+import math
+import re
+
 import pytest
 
 from repro.estimate.communication import CommModel
@@ -110,6 +113,32 @@ class TestValidation:
     def test_bad_budget_rejected(self):
         with pytest.raises(ValueError):
             PartitionProblem(two_parallel_tasks(), hw_area_budget=-1.0)
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, False, "2"])
+    def test_non_int_parallelism_rejected(self, value):
+        with pytest.raises(ValueError, match=r"hw_parallelism .*got "
+                           + re.escape(repr(value))):
+            PartitionProblem(two_parallel_tasks(), hw_parallelism=value)
+
+    @pytest.mark.parametrize("field", ["hw_area_budget", "deadline_ns"])
+    @pytest.mark.parametrize("value", [math.nan, -1.0, -math.inf, -1e-9])
+    def test_bad_bound_rejected(self, field, value):
+        """A NaN bound would add no penalty to the cost yet mark every
+        result infeasible; a negative one can never be met."""
+        with pytest.raises(ValueError, match=rf"{field} .*got "
+                           + re.escape(repr(value))):
+            PartitionProblem(two_parallel_tasks(), **{field: value})
+
+    @pytest.mark.parametrize("field", ["hw_area_budget", "deadline_ns"])
+    @pytest.mark.parametrize("value", [None, 0, 0.0, -0.0, 12.5, math.inf])
+    def test_good_bound_accepted(self, field, value):
+        problem = PartitionProblem(two_parallel_tasks(), **{field: value})
+        assert getattr(problem, field) is value
+
+    @pytest.mark.parametrize("value", [None, 1, 2, 7])
+    def test_good_parallelism_accepted(self, value):
+        problem = PartitionProblem(two_parallel_tasks(), hw_parallelism=value)
+        assert problem.hw_parallelism is value
 
 
 class TestTracedEvaluation:

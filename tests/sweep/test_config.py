@@ -1,6 +1,9 @@
 """Tests for sweep configs: fingerprints, seeds, grids, problems."""
 
+import dataclasses
+import hashlib
 import json
+import pickle
 
 import pytest
 
@@ -56,6 +59,39 @@ class TestFingerprint:
         clone = SweepConfig.from_dict(config.to_dict())
         assert clone == config
         assert clone.fingerprint == config.fingerprint
+
+    def test_cached_fingerprint_is_the_digest(self):
+        """The fingerprint is computed once per instance; the cached
+        value is the SHA-256 of the canonical form, travels with a
+        pickled config, and a ``replace``d config computes its own."""
+        config = SweepConfig(generator="pipeline", seed=4, heuristic="kl")
+
+        def digest(c):
+            return hashlib.sha256(
+                c.canonical_json().encode("utf-8")).hexdigest()
+
+        assert "fingerprint" not in vars(config)
+        first = config.fingerprint
+        assert first == digest(config)
+        assert config.fingerprint is first  # served from the cache
+        assert vars(config)["fingerprint"] == first
+
+        clone = pickle.loads(pickle.dumps(config))
+        assert clone == config
+        assert clone.fingerprint == first == digest(clone)
+
+        changed = dataclasses.replace(config, seed=5)
+        assert "fingerprint" not in vars(changed)
+        assert changed.fingerprint == digest(changed) != first
+        same = dataclasses.replace(config)
+        assert same.fingerprint == first
+
+    def test_cache_leaves_identity_alone(self):
+        cached, fresh = SweepConfig(seed=2), SweepConfig(seed=2)
+        cached.fingerprint
+        assert cached == fresh and hash(cached) == hash(fresh)
+        assert repr(cached) == repr(fresh)
+        assert cached.to_dict() == fresh.to_dict()
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(KeyError):
