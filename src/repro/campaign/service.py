@@ -10,8 +10,11 @@ of :func:`~repro.sweep.engine.pool_map`:
   SIGKILL'd run), enqueues the still-missing cells, and spawns shard
   processes;
 * each shard loops *claim batch → compute → commit batch* against the
-  store, so any interruption loses at most one uncommitted batch and a
-  restarted campaign recomputes only uncommitted cells;
+  store, so any interruption loses at most one uncommitted batch per
+  shard and a restarted campaign recomputes only uncommitted cells.
+  A batch is sized by time, not by count (:func:`claim_limit`): about
+  :data:`COMMIT_INTERVAL_S` of work at the shard's measured mean cell
+  time, or one cell when a cell takes longer;
 * shards steal work: a claim considers expired or dead-owner leases
   runnable, so one slow or dead shard never strands its cells;
 * the coordinator streams completions back through ``on_done`` in
@@ -43,6 +46,12 @@ from repro.obs.live import (
 OnDone = Callable[[str, Dict[str, Any], Optional[Dict[str, Any]], float],
                   None]
 
+#: Seconds of cell work a shard claims, and so commits, at once.  A
+#: claim and a commit cost ~0.1–0.3 ms each, so at this size the two
+#: transactions are well under 1% of the batch they bracket, and a kill
+#: still loses at most a tenth of a second of work per shard.
+COMMIT_INTERVAL_S = 0.1
+
 
 class CampaignInterrupted(RuntimeError):
     """Every shard died while runnable jobs remained.
@@ -69,10 +78,40 @@ class CampaignCellError(RuntimeError):
         self.failures = dict(failures)
 
 
+def claim_limit(cells: int, busy_s: float, lease_s: float) -> int:
+    """How many cells a shard that has run ``cells`` cells in
+    ``busy_s`` seconds claims next.
+
+    Until a cell time is measured a claim takes one cell.  Every
+    later claim takes as many cells as fit in :data:`COMMIT_INTERVAL_S`
+    at the mean cell time so far, and at least one.  The interval is
+    capped at half the lease, so a batch of typical cells commits well
+    before its lease could be stolen.  :meth:`CampaignStore.claim`
+    caps the count again at an equal share of the runnable jobs
+    (guided self-scheduling), which keeps sharded runs balanced.
+    """
+    if busy_s <= 0.0:
+        return 1
+    interval = min(COMMIT_INTERVAL_S, lease_s / 2)
+    return max(1, int(interval * cells / busy_s))
+
+
 def _shard_main(path, lease_s: float, max_attempts: int,
-                runner_name: str, batch: int, poll_s: float,
+                runner_name: str, shards: int, poll_s: float,
                 heartbeat_s: Optional[float] = None) -> None:
-    """One shard process: claim → compute → commit until drained.
+    """One shard process: open the store, then run the shard loop."""
+    store = CampaignStore(path, lease_s=lease_s,
+                          max_attempts=max_attempts)
+    _run_shard(store, runner_name, shards, poll_s, heartbeat_s)
+
+
+def _run_shard(store: CampaignStore, runner_name: str, shards: int,
+               poll_s: float, heartbeat_s: Optional[float]) -> None:
+    """One shard: claim → compute → commit until drained.
+
+    Each claim is sized by :func:`claim_limit` from the cell times
+    this shard has measured, and capped at a ``1 / shards`` share of
+    the runnable jobs.
 
     With ``heartbeat_s`` set, the shard also heartbeats into the
     store's ``telemetry`` table (cumulative ``done``/``failed`` gauges
@@ -81,8 +120,6 @@ def _shard_main(path, lease_s: float, max_attempts: int,
     judge its liveness from the outside.  ``None`` constructs no
     telemetry object at all — the zero-cost-when-disabled contract.
     """
-    store = CampaignStore(path, lease_s=lease_s,
-                          max_attempts=max_attempts)
     runner = get_runner(runner_name)
     owner = f"pid:{os.getpid()}"
     emitter = None
@@ -91,8 +128,10 @@ def _shard_main(path, lease_s: float, max_attempts: int,
                                    role="shard",
                                    interval_s=heartbeat_s)
     done = failed = 0
+    busy_s = 0.0  # in-worker time of every cell this shard ran
     while True:
-        jobs = store.claim(owner, batch)
+        limit = claim_limit(done + failed, busy_s, store.lease_s)
+        jobs = store.claim(owner, limit, shards=shards)
         if emitter is not None:
             emitter.heartbeat(done=done, failed=failed,
                               in_flight=len(jobs))
@@ -112,13 +151,14 @@ def _shard_main(path, lease_s: float, max_attempts: int,
             try:
                 record, obs = runner(payload)
             except Exception as exc:  # noqa: BLE001 — cell isolation
+                busy_s += time.perf_counter() - t0
                 store.fail(owner, fingerprint,
                            f"{type(exc).__name__}: {exc}")
                 failed += 1
                 continue
-            completed.append(
-                (fingerprint, record, obs, time.perf_counter() - t0)
-            )
+            elapsed = time.perf_counter() - t0
+            busy_s += elapsed
+            completed.append((fingerprint, record, obs, elapsed))
             if emitter is not None:
                 emitter.heartbeat(
                     done=done + len(completed), failed=failed,
@@ -133,7 +173,6 @@ def run_store_jobs(
     jobs: Iterable[Tuple[str, Dict[str, Any]]],
     workers: int,
     on_done: OnDone,
-    batch: int = 2,
     poll_s: float = 0.02,
     metrics=None,
     span_tracer=None,
@@ -142,10 +181,11 @@ def run_store_jobs(
 ) -> None:
     """Run ``jobs`` through the store's queue on ``workers`` shards.
 
-    ``workers == 1`` runs the shard loop in-process (still durable and
-    resumable — every batch commits); more workers spawn shard
-    processes and the coordinator streams completions, reclaims stale
-    leases, and emits queue-depth telemetry.  Raises
+    ``workers == 1`` runs the shard loop in-process on ``store``'s own
+    connection (still durable and resumable — every batch commits);
+    more workers spawn shard processes, each opening the store file,
+    and the coordinator streams completions, reclaims stale leases,
+    and emits queue-depth telemetry.  Raises
     :class:`CampaignCellError` when cells exhausted their attempts and
     :class:`CampaignInterrupted` when all shards died early.
 
@@ -215,9 +255,7 @@ def run_store_jobs(
     depth_event()
     pulse(force=True)
     if workers == 1 or remaining <= 1:
-        args = (store.path, store.lease_s, store.max_attempts,
-                runner_name, batch, poll_s, heartbeat_s)
-        _shard_main(*args)
+        _run_shard(store, runner_name, 1, poll_s, heartbeat_s)
     else:
         import multiprocessing
 
@@ -226,7 +264,7 @@ def run_store_jobs(
             ctx.Process(
                 target=_shard_main,
                 args=(store.path, store.lease_s, store.max_attempts,
-                      runner_name, batch, poll_s, heartbeat_s),
+                      runner_name, workers, poll_s, heartbeat_s),
                 name=f"campaign-shard-{i}",
                 daemon=True,
             )

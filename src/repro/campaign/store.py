@@ -168,9 +168,11 @@ class CampaignStore:
             "SELECT version, record FROM results WHERE fingerprint = ?",
             (fingerprint,),
         ).fetchone()
-        if row is None:
-            return None
-        version, record = row
+        return None if row is None else self._served(fingerprint, *row)
+
+    def _served(self, fingerprint: str, version: int,
+                record: str) -> Optional[Dict[str, Any]]:
+        """What :meth:`get` serves for one ``results`` row."""
         if version > CACHE_VERSION:
             raise CacheVersionError(
                 f"store entry {fingerprint} in {self.path} was written "
@@ -269,31 +271,46 @@ class CampaignStore:
         """Add jobs to the queue; returns how many are left to run.
 
         Idempotent on resume: a fingerprint already queued keeps its
-        row (and its state), and any job whose result is already
-        committed is marked ``done`` immediately so it is never
-        recomputed.
+        row (and its state).  A job is ``done`` exactly when
+        :meth:`get` would serve its result row, so a committed cell is
+        never recomputed.  An enqueued job that an earlier run finished
+        goes back to ``pending`` when its row is missing, of an older
+        ``CACHE_VERSION``, or no longer decodes to a dict, and its
+        commit overwrites the row.
         """
         rows = [(fp, json.dumps(payload, sort_keys=True))
                 for fp, payload in jobs]
         with self._txn():
             if rows:
                 self.conn.executemany(
-                    "INSERT OR IGNORE INTO jobs (fingerprint, payload) "
-                    "VALUES (?, ?)",
+                    "INSERT INTO jobs (fingerprint, payload) "
+                    "VALUES (?, ?) ON CONFLICT (fingerprint) "
+                    "DO UPDATE SET state = 'pending' "
+                    "WHERE state = 'done'",
                     rows,
                 )
-            self.conn.execute(
+            served = [
+                (fp,) for fp, version, record in self.conn.execute(
+                    "SELECT fingerprint, r.version, r.record "
+                    "FROM jobs JOIN results r USING (fingerprint) "
+                    "WHERE state != 'done'"
+                ).fetchall()
+                if self._served(fp, version, record) is not None
+            ]
+            self.conn.executemany(
                 "UPDATE jobs SET state = 'done', lease_owner = NULL "
-                "WHERE state != 'done' AND fingerprint IN "
-                "(SELECT fingerprint FROM results)"
+                "WHERE fingerprint = ?",
+                served,
             )
             remaining = self.conn.execute(
                 "SELECT COUNT(*) FROM jobs WHERE state != 'done'"
             ).fetchone()[0]
         return remaining
 
-    def claim(self, owner: str, limit: int) -> List[ClaimedJob]:
-        """Atomically lease up to ``limit`` runnable jobs to ``owner``.
+    def claim(self, owner: str, limit: int,
+              shards: int = 1) -> List[ClaimedJob]:
+        """Atomically lease up to ``limit`` runnable jobs to ``owner``,
+        and never more than an equal share ⌈runnable / ``shards``⌉.
 
         Runnable: ``pending``, ``failed`` with attempts left, or
         ``leased`` past its deadline (work stealing — the previous
@@ -304,6 +321,11 @@ class CampaignStore:
         of ping-ponging between thieves forever.
         """
         now = time.time()
+        runnable = (
+            "(state = 'pending'"
+            " OR (state = 'failed' AND attempts < ?)"
+            " OR (state = 'leased' AND lease_deadline < ?))"
+        )
         with self._txn():
             self.conn.execute(
                 "UPDATE jobs SET state = 'failed', lease_owner = NULL, "
@@ -313,11 +335,14 @@ class CampaignStore:
                 "AND attempts >= ?",
                 (now, self.max_attempts),
             )
+            if shards > 1:
+                count = self.conn.execute(
+                    f"SELECT COUNT(*) FROM jobs WHERE {runnable}",
+                    (self.max_attempts, now),
+                ).fetchone()[0]
+                limit = min(limit, -(-count // shards))
             rows = self.conn.execute(
-                "SELECT fingerprint, payload FROM jobs WHERE "
-                "(state = 'pending'"
-                " OR (state = 'failed' AND attempts < ?)"
-                " OR (state = 'leased' AND lease_deadline < ?)) "
+                f"SELECT fingerprint, payload FROM jobs WHERE {runnable} "
                 "ORDER BY fingerprint LIMIT ?",
                 (self.max_attempts, now, limit),
             ).fetchall()

@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -87,12 +88,29 @@ class SweepConfig:
                 f"unknown comm model {self.comm!r}; "
                 f"known: {sorted(COMM_MODELS)}"
             )
-        if self.n_tasks < 1:
-            raise ValueError("n_tasks must be >= 1")
+        # CLI flags, genomes and store payloads all reach these fields:
+        # a bad value fails here, by name, before it is fingerprinted
+        if not _is_int(self.n_tasks) or self.n_tasks < 1:
+            raise ValueError(
+                f"n_tasks must be an int >= 1, got {self.n_tasks!r}")
+        if not _is_int(self.seed):
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
+        parallelism = self.hw_parallelism
+        if parallelism is not None and (
+                not _is_int(parallelism) or parallelism < 1):
+            raise ValueError(
+                f"hw_parallelism must be an int >= 1 or None, "
+                f"got {parallelism!r}")
         for factor_name in ("deadline_factor", "area_budget_factor"):
             value = getattr(self, factor_name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{factor_name} must be > 0 or None")
+            # NaN fails "0 < value", so it is caught with the rest
+            if value is not None and (
+                    isinstance(value, bool)
+                    or not isinstance(value, (int, float))
+                    or not 0 < value < math.inf):
+                raise ValueError(
+                    f"{factor_name} must be a finite number > 0 or "
+                    f"None, got {value!r}")
 
     # ------------------------------------------------------------------
     # identity
@@ -186,6 +204,10 @@ class SweepConfig:
             deadline_ns=deadline,
             hw_parallelism=self.hw_parallelism,
         )
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _digest(text: str) -> str:

@@ -2,12 +2,13 @@
 
 A ``cpu_*`` fault is a one-shot retirement *trigger* the CPU owns
 (``Cpu.add_trigger``, armed by ``arm_cpu_fault``): the fast tiers run
-up to the due retirement, fire it, and run on.  The reference below,
-``_CpuSaboteur``, is a verbatim copy of the class of that name in
-``repro/fault/inject.py`` as it stood when a CPU fault was a retirement
-*observer*: it sat on ``cpu.observers``, counted the retirements it
-saw, fired at retirement ``max(1, count)`` and detached itself.  It
-shares no code with the trigger mechanism.
+up to the due retirement, fire it, and run on.  The reference,
+``ObserverSaboteur`` (``tests/fault/observer_reference.py``), is a
+verbatim copy of the class ``_CpuSaboteur`` in ``repro/fault/inject.py``
+as it stood when a CPU fault was a retirement *observer*: it sat on
+``cpu.observers``, counted the retirements it saw, fired at retirement
+``max(1, count)`` and detached itself.  It shares no code with the
+trigger mechanism.
 
 The reference CPU runs on the literal ``step()`` loop with that
 observer attached.  The CPU under test arms the same faults through
@@ -40,61 +41,18 @@ from repro.isa.instructions import Instruction, Isa, Opcode
 from repro.isa.profiler import Profiler
 from repro.isa.translate import install
 
+from tests.fault.observer_reference import ObserverSaboteur
 from tests.fault.test_pins import DOCUMENT_SHA256
-from tests.isa.test_fastpath import (
+from tests.isa.r32_harness import (
     BUDGET,
     COMMON,
-    _ENC,
+    ENC,
+    chunks_st,
     instr_st,
     make_cpu,
     program_words,
     snapshot,
 )
-from tests.isa.test_translate import chunks_st
-
-MASK32 = 0xFFFFFFFF
-
-
-# ----------------------------------------------------------------------
-# reference: the observer form of the CPU fault saboteur, verbatim
-# ----------------------------------------------------------------------
-class _CpuSaboteur:
-    """One-shot retirement observer implementing the ``cpu_*`` kinds.
-
-    On firing it removes itself from ``cpu.observers``: with no
-    observer left, ``run_block`` hands the rest of its budget to the
-    fast tiers, which the DESIGN §9 equivalence contract makes
-    indistinguishable from staying on the ``step()`` loop.
-    """
-
-    __slots__ = ("cpu", "spec", "retired", "fired")
-
-    def __init__(self, cpu: Any, spec: FaultSpec) -> None:
-        self.cpu = cpu
-        self.spec = spec
-        self.retired = 0
-        self.fired = False
-
-    def __call__(self, pc: int, instr: Any) -> None:
-        if self.fired:
-            return
-        self.retired += 1
-        if self.retired < self.spec.count:
-            return
-        self.fired = True
-        spec, cpu = self.spec, self.cpu
-        if spec.kind == "cpu_reg_flip":
-            cpu.regs[spec.index] ^= (1 << spec.bit)
-            cpu.regs[spec.index] &= MASK32
-        elif spec.kind == "cpu_pc_flip":
-            cpu.pc ^= (1 << spec.bit)
-        else:  # cpu_flag_flip
-            setattr(cpu, spec.flag, not getattr(cpu, spec.flag))
-        cpu.observers.remove(self)
-
-
-#: the name the other differential suites import the reference by
-ObserverSaboteur = _CpuSaboteur
 
 
 # ----------------------------------------------------------------------
@@ -259,8 +217,8 @@ fault_st = st.one_of(reg_flip, pc_flip, flag_flip)
 
 #: an interrupt handler at the default ``ivec``: count entries, return
 HANDLER = {
-    0x40: _ENC.encode(Instruction(int(Opcode.ADDI), rd=13, rs1=13, imm=1)),
-    0x41: _ENC.encode(Instruction(int(Opcode.RETI))),
+    0x40: ENC.encode(Instruction(int(Opcode.ADDI), rd=13, rs1=13, imm=1)),
+    0x41: ENC.encode(Instruction(int(Opcode.RETI))),
 }
 
 

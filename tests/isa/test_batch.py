@@ -20,11 +20,10 @@ from repro.isa.assembler import assemble
 from repro.isa.cpu import Cpu, CpuError, Memory
 from repro.isa.instructions import Instruction, Isa, Opcode
 
-from tests.fault.test_trigger_reference import ObserverSaboteur
-from tests.isa.test_fastpath import (
+from tests.fault.observer_reference import ObserverSaboteur
+from tests.isa.r32_harness import (
     BUDGET,
     COMMON,
-    _ENC,
     instr_st,
     make_cpu,
     program_words,

@@ -29,7 +29,7 @@ from repro.isa.instructions import (
 )
 from repro.isa.translate import auto_translation, install
 
-from tests.isa.test_fastpath import snapshot
+from tests.isa.r32_harness import snapshot
 
 
 def _signed(x: int) -> int:

@@ -27,10 +27,12 @@ from repro.isa import translate
 from repro.isa.instructions import CustomOp, Instruction, Isa, Opcode
 from repro.isa.translate import BlockTranslator, install
 
-from tests.isa.test_fastpath import (
+from tests.fault.observer_reference import ObserverSaboteur
+from tests.isa.r32_harness import (
     BUDGET,
     COMMON,
-    _ENC,
+    ENC,
+    chunks_st,
     instr_st,
     make_cpu,
     make_ext_cpu,
@@ -44,7 +46,6 @@ from tests.isa.test_fastpath import (
 pytestmark = pytest.mark.slow  # exhaustive: the smoke lane skips it
 
 hot_st = st.sampled_from([1, 2, 4])  # 1 = translate eagerly
-chunks_st = st.lists(st.integers(1, 9), min_size=1, max_size=4)
 
 
 def make_trans_cpu(image, isa=None, hot=1):
@@ -190,9 +191,6 @@ class TestTranslateFaults:
         """A register bit-flip must corrupt the reference (an observer
         on the literal step loop) and the translated engine (an armed
         trigger, which keeps the translated tier) identically."""
-        # imported here: that module imports this one's helpers
-        from tests.fault.test_trigger_reference import ObserverSaboteur
-
         spec = FaultSpec(
             kind="cpu_reg_flip", target="cpu", index=reg, bit=bit,
             count=count,
@@ -267,17 +265,17 @@ def smc_image(target, word, rounds):
         Instruction(0x41, rd=1, rs1=0, imm=-8),      # 8: bne r1,r0 -> 2
         Instruction(int(Opcode.HALT)),               # 9
     ]
-    image = {i: _ENC.encode(x) for i, x in enumerate(instrs)}
+    image = {i: ENC.encode(x) for i, x in enumerate(instrs)}
     image[30] = word
     return image
 
 
 REWRITE_WORDS = [
-    _ENC.encode(Instruction(0x01, rd=7, rs1=1, rs2=2)),   # add
-    _ENC.encode(Instruction(0x20, rd=3, rs1=0, imm=11)),  # addi
-    _ENC.encode(Instruction(0x50, imm=9)),                # j halt
-    _ENC.encode(Instruction(int(Opcode.HALT))),
-    0x1F000000,                                           # illegal word
+    ENC.encode(Instruction(0x01, rd=7, rs1=1, rs2=2)),   # add
+    ENC.encode(Instruction(0x20, rd=3, rs1=0, imm=11)),  # addi
+    ENC.encode(Instruction(0x50, imm=9)),                # j halt
+    ENC.encode(Instruction(int(Opcode.HALT))),
+    0x1F000000,                                          # illegal word
 ]
 
 
@@ -550,7 +548,7 @@ class TestSharedCache:
     def test_custom_ops_share_only_with_the_same_semantics(self):
         image = program_words([ADDI_R1, ADDI_R1])
         image[2] = CUSTOM_WORD  # r7 = mac(r1, r2)
-        image[3] = _ENC.encode(Instruction(int(Opcode.HALT)))
+        image[3] = ENC.encode(Instruction(int(Opcode.HALT)))
 
         def isa_with(semantics):
             isa = Isa()
@@ -569,7 +567,7 @@ class TestSharedCache:
     def test_a_store_into_a_reused_block_invalidates_it(self):
         image = program_words([ADDI_R1] * 4)
         make_trans_cpu(image).run_block(50)
-        patch = _ENC.encode(Instruction(0x20, rd=1, rs1=1, imm=100))
+        patch = ENC.encode(Instruction(0x20, rd=1, rs1=1, imm=100))
 
         def run_twice(cpu, runner):
             runner(cpu)

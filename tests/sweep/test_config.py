@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import pickle
+import re
 
 import pytest
 
@@ -114,6 +115,38 @@ class TestFingerprint:
             SweepConfig(n_tasks=0)
         with pytest.raises(ValueError):
             SweepConfig(deadline_factor=-1.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("deadline_factor", float("nan")),
+        ("deadline_factor", float("inf")),
+        ("deadline_factor", True),
+        ("deadline_factor", "0.7"),
+        ("area_budget_factor", float("nan")),
+        ("area_budget_factor", 0),
+        ("hw_parallelism", 0),
+        ("hw_parallelism", True),
+        ("hw_parallelism", 2.0),
+        ("n_tasks", 2.5),
+        ("n_tasks", True),
+        ("n_tasks", "12"),
+        ("seed", 1.5),
+        ("seed", None),
+    ])
+    def test_bad_value_is_named_at_construction(self, field, value):
+        """Config values come from CLI flags, genomes and store
+        payloads: each bad one fails when the config is built, naming
+        the field and the value, not later in build_problem()."""
+        pattern = rf"^{field} must .*, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=pattern):
+            SweepConfig(**{field: value})
+        with pytest.raises(ValueError, match=pattern):
+            SweepConfig.from_dict({**SweepConfig().to_dict(),
+                                   field: value})
+
+    def test_integral_factors_are_accepted_as_given(self):
+        config = SweepConfig(deadline_factor=1, area_budget_factor=2)
+        assert '"deadline_factor":1,' in config.canonical_json()
+        config.build_problem()
 
 
 class TestSeedDerivation:
