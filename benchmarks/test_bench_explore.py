@@ -1,6 +1,6 @@
 """E21 — Closed-loop design-space exploration: GA vs random search.
 
-The explorer's claim is twofold: it is *cheap* (the ResultCache makes
+The explorer's claim is twofold: it is *cheap* (the campaign store makes
 repeated genomes free, so a warm re-run recomputes nothing) and it is
 *better than blind sampling* (at an equal evaluation budget the GA's
 Pareto front covers at least as much objective space as uniform random
@@ -8,10 +8,11 @@ search).  This benchmark pins both on the coproc scenario — the
 three-objective (cost, latency, fault exposure) problem of Figure 8 —
 and records the numbers in ``BENCH_explore.json``:
 
-* **cold serial** — ``workers=1``, empty cache, seed 0;
-* **cold parallel** — ``workers=4``, separate empty cache; the result
+* **cold serial** — ``workers=1``, empty
+  :class:`~repro.campaign.store.CampaignStore`, seed 0;
+* **cold parallel** — ``workers=4``, separate empty store; the result
   must be byte-identical to the serial run;
-* **warm** — the serial run's cache; zero genomes recomputed
+* **warm** — the serial run's store; zero genomes recomputed
   (asserted via metrics counters, not timing);
 * **GA vs random** — over four ``ga_seed`` values, each GA run is
   paired with a :func:`random_search` of the *same* number of distinct
@@ -33,6 +34,7 @@ import os
 import time
 from pathlib import Path
 
+from repro.campaign import CampaignStore
 from repro.cosim.metrics import MetricsRegistry
 from repro.explore import (
     ExploreSpec,
@@ -41,7 +43,6 @@ from repro.explore import (
     objective_bounds,
     random_search,
 )
-from repro.sweep import ResultCache
 
 # one workload (not a mix: with several n_tasks the smallest problem
 # dominates every objective and the front degenerates to two points)
@@ -70,8 +71,8 @@ def _distinct_budget(result):
 
 
 def test_explore_beats_random_and_caches(benchmark, tmp_path):
-    serial_cache = ResultCache(tmp_path / "serial")
-    parallel_cache = ResultCache(tmp_path / "parallel")
+    serial_cache = CampaignStore(tmp_path / "serial.sqlite")
+    parallel_cache = CampaignStore(tmp_path / "parallel.sqlite")
 
     cold_metrics = MetricsRegistry()
     serial, serial_s = _timed_explore(BASE, 1, serial_cache, cold_metrics)
@@ -85,7 +86,7 @@ def test_explore_beats_random_and_caches(benchmark, tmp_path):
     assert hv_history == sorted(hv_history)
     assert len(hv_history) == BASE.generations
 
-    # warm run: every genome served from the serial run's cache
+    # warm run: every genome served from the serial run's store
     warm_metrics = MetricsRegistry()
     (warm, warm_s) = benchmark.pedantic(
         _timed_explore, args=(BASE, 1, serial_cache, warm_metrics),

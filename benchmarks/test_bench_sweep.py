@@ -1,4 +1,4 @@
-"""E11 — Sweep-engine throughput: serial vs parallel vs cached.
+"""E11 — Sweep-engine throughput: serial vs parallel vs warm.
 
 The ROADMAP north star asks for running experiments "as fast as the
 hardware allows".  This benchmark drives a 64-cell grid (2 generators x
@@ -7,13 +7,13 @@ hardware allows".  This benchmark drives a 64-cell grid (2 generators x
 ``BENCH_sweep.json``:
 
 * **cold serial** — ``workers=1``, the median of five rounds, each
-  against a fresh empty cache;
-* **cold parallel** — ``workers=4``, separate empty cache;
-* **cold campaign** — ``workers=4`` shards against an empty
-  :class:`~repro.campaign.store.CampaignStore` (the durable,
-  resumable execution path);
+  against a fresh empty :class:`~repro.campaign.store.CampaignStore`;
+* **cold parallel** — ``workers=4`` with no store: four shards on a
+  temporary store the run deletes;
+* **cold campaign** — ``workers=4`` shards against an empty store of
+  the caller's (the durable, resumable execution path);
 * **warm** — ``workers=1``, the median of five rounds against the last
-  serial round's cache (every cell served from disk).
+  serial round's store (every cell served from it).
 
 Both serial timings are medians because one cold sweep takes about a
 tenth of a second: a single round of either swings the warm fraction
@@ -22,8 +22,8 @@ by more than the comparison gate allows.
 Asserted: the warm run finishes in < 10% of the cold-serial time with
 zero recomputation (checked via metrics counters, not timing), all
 four tables are byte-identical, and a re-run against the populated
-campaign store computes nothing.  The >= 2x speedup criteria (pool
-and campaign) are asserted only when the machine actually has >= 4
+campaign store computes nothing.  The >= 2x speedup criteria (no-store
+parallel and campaign) are asserted only when the machine actually has >= 4
 CPUs — on fewer cores the honest numbers are still recorded in the
 JSON.
 """
@@ -36,7 +36,7 @@ from pathlib import Path
 
 from repro.campaign import CampaignStore
 from repro.cosim.metrics import MetricsRegistry
-from repro.sweep import ResultCache, expand_grid, run_sweep
+from repro.sweep import expand_grid, run_sweep
 
 # the one statistics helper, shared with the end-to-end benchmark
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
@@ -70,15 +70,14 @@ def test_sweep_serial_parallel_cached(benchmark, tmp_path):
     serial_times = []
     serial_docs = set()
     for round_n in range(ROUNDS):
-        serial_cache = ResultCache(tmp_path / f"serial{round_n}")
+        serial_cache = CampaignStore(tmp_path / f"serial{round_n}.sqlite")
         serial_table, seconds = _timed_sweep(configs, 1, serial_cache)
         serial_docs.add(serial_table.to_json())
         serial_times.append(seconds)
     assert len(serial_docs) == 1
     serial_s = median(serial_times)
 
-    parallel_cache = ResultCache(tmp_path / "parallel")
-    parallel_table, parallel_s = _timed_sweep(configs, 4, parallel_cache)
+    parallel_table, parallel_s = _timed_sweep(configs, 4, None)
 
     # determinism: worker count must not leak into the results
     assert parallel_table.to_json() == serial_table.to_json()
@@ -94,7 +93,7 @@ def test_sweep_serial_parallel_cached(benchmark, tmp_path):
     assert resume_metrics.counter("sweep.cells.computed").value == 0
     assert resumed.to_json() == serial_table.to_json()
 
-    # warm runs: everything served from the last serial round's cache
+    # warm runs: everything served from the last serial round's store
     def warm_rounds():
         rounds = []
         for _ in range(ROUNDS):

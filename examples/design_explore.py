@@ -3,19 +3,19 @@
 
 Runs the DoE-seeded genetic explorer over (graph generator, task
 count, heuristic + knobs, cost-tuning weights), evaluating genomes
-through the sweep execution engine with full cache reuse, and prints
+through the campaign service (reusing a ``--store`` when given), and prints
 the Pareto front plus the weighted-sum recommendation.  With
 ``--scenario coproc`` the front gains a third objective: fault
 *exposure*, measured by a real (cached) fault-injection campaign.
 
 The front is deterministic end to end: the same spec produces
-byte-identical front JSON at any worker count, cold or warm, with a
-JSON cache or a durable SQLite store (``--smoke`` asserts exactly
-that, plus that a warm re-run recomputes zero genomes).
+byte-identical front JSON at any worker count, cold or warm, with or
+without a durable SQLite store (``--smoke`` asserts exactly that,
+plus, with ``--store``, that a warm re-run recomputes zero genomes).
 
 Run:  python examples/design_explore.py
       python examples/design_explore.py --scenario coproc \\
-          --population 16 --generations 5 --workers 4 --cache .dse
+          --population 16 --generations 5 --workers 4 --store dse.sqlite
       python examples/design_explore.py --store dse.sqlite --resume
       python examples/design_explore.py --smoke --out front.json
 """
@@ -33,7 +33,6 @@ from repro.explore import (
 )
 from repro.obs.spans import SpanTracer
 from repro.partition.seeding import ProgressProbe
-from repro.sweep import ResultCache
 
 
 def main(argv=None) -> int:
@@ -58,11 +57,9 @@ def main(argv=None) -> int:
                              "2-objective cost x latency")
     parser.add_argument("--scenario-faults", type=int, default=40)
     parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--cache", metavar="DIR",
-                        help="JSON result cache (reuse across runs)")
     parser.add_argument("--store", metavar="FILE",
-                        help="SQLite campaign store (durable, "
-                             "resumable; excludes --cache)")
+                        help="SQLite campaign store (reused across "
+                             "runs, durable, resumable)")
     parser.add_argument("--resume", action="store_true",
                         help="with --store: narrate committed progress "
                              "before running (resume is automatic)")
@@ -77,7 +74,7 @@ def main(argv=None) -> int:
     parser.add_argument("--quiet", action="store_true")
     parser.add_argument("--smoke", action="store_true",
                         help="small search + determinism assertions: "
-                             "serial == pooled front JSON, warm re-run "
+                             "serial == sharded front JSON, warm re-run "
                              "recomputes zero genomes")
     args = parser.parse_args(argv)
 
@@ -98,10 +95,9 @@ def main(argv=None) -> int:
         scenario_faults=args.scenario_faults,
     )
 
-    if args.store and args.cache:
-        raise SystemExit("--store and --cache are mutually exclusive")
     if args.resume and not args.store:
         raise SystemExit("--resume requires --store")
+    cache = None
     if args.store:
         from repro.campaign import CampaignStore
 
@@ -109,16 +105,13 @@ def main(argv=None) -> int:
         if args.resume and not args.quiet:
             print(f"resume: {len(cache)} cells already committed in "
                   f"{args.store}")
-    else:
-        cache = ResultCache(args.cache) if args.cache else None
 
     tracer = SpanTracer() if args.trace else None
     probe = ProgressProbe()
     metrics = MetricsRegistry()
 
     if not args.quiet:
-        backing = (args.store and f"store {args.store}") or \
-            (args.cache and f"cache {args.cache}") or "off"
+        backing = f"store {args.store}" if args.store else "off"
         print(f"explore: population={spec.population} "
               f"generations={spec.generations} "
               f"scenario={spec.scenario or 'none'} "

@@ -32,7 +32,6 @@ import time
 
 from repro.cosim.metrics import MetricsRegistry
 from repro.fault import OUTCOMES, SCENARIOS, run_campaign, sample_faults
-from repro.sweep import ResultCache
 
 
 def main(argv=None) -> int:
@@ -44,11 +43,9 @@ def main(argv=None) -> int:
                         help="campaign size (default 66)")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--cache", metavar="DIR",
-                        help="reuse results across runs")
     parser.add_argument("--store", metavar="FILE",
                         help="SQLite campaign store (durable queue + "
-                             "results, resumable; excludes --cache)")
+                             "results, reused across runs, resumable)")
     parser.add_argument("--resume", action="store_true",
                         help="with --store: narrate committed progress "
                              "before running (resume is automatic)")
@@ -73,13 +70,12 @@ def main(argv=None) -> int:
 
     scenario = SCENARIOS[args.scenario]
     faults = sample_faults(scenario.targets, args.faults, seed=args.seed)
-    if args.store and args.cache:
-        raise SystemExit("--store and --cache are mutually exclusive")
     if args.resume and not args.store:
         raise SystemExit("--resume requires --store")
     if args.telemetry and not args.store:
-        raise SystemExit("--telemetry requires --store (pool mode "
-                         "records with --flight-recorder instead)")
+        raise SystemExit("--telemetry requires --store (without one, "
+                         "record with --flight-recorder instead)")
+    cache = None
     if args.store:
         from repro.campaign import CampaignStore
 
@@ -87,8 +83,6 @@ def main(argv=None) -> int:
         if args.resume:
             print(f"resume: {len(cache)} cells already committed in "
                   f"{args.store}")
-    else:
-        cache = ResultCache(args.cache) if args.cache else None
 
     recorder = None
     if args.flight_recorder:
@@ -131,8 +125,8 @@ def main(argv=None) -> int:
         # the acceptance contract: identical histogram at 1 and N
         # workers, and every outcome class exercised
         serial = run_campaign(args.scenario, faults, workers=1)
-        pooled = run_campaign(args.scenario, faults, workers=2)
-        assert serial.to_json() == pooled.to_json(), \
+        sharded = run_campaign(args.scenario, faults, workers=2)
+        assert serial.to_json() == sharded.to_json(), \
             "campaign result differs across worker counts"
         if args.batch:
             assert result.to_json() == serial.to_json(), \

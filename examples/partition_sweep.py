@@ -2,26 +2,24 @@
 """Parallel partition-heuristic sweep from the command line.
 
 Fan a grid of (graph generator x cost model x heuristic x seed) cells
-across worker processes, cache every completed cell on disk, and print
-the Section 5-style comparison table over the swept workloads.
+across worker processes and print the Section 5-style comparison table
+over the swept workloads.
 
 Grid syntax: each axis is a comma-separated list; seeds also accept
-inclusive ranges ("0-7" or "0-3,8,12-13").  Cells are cached under
---cache keyed by a fingerprint of the full cell config, so re-running
-with a grown grid only computes the new cells, and a pure re-run
-computes nothing.
+inclusive ranges ("0-7" or "0-3,8,12-13").
 
-With --store the sweep runs on the durable campaign service instead:
-cells are queued in a SQLite store, N shard processes claim/commit
-them in batches, and a run interrupted at any point (Ctrl-C, SIGKILL,
-power loss) resumes recomputing only uncommitted cells — with a final
-table byte-identical to an uninterrupted run.  --import-cache migrates
-an existing JSON --cache directory into the store.
+With --store every completed cell is committed to a SQLite campaign
+store keyed by a fingerprint of the full cell config: re-running with a
+grown grid only computes the new cells, a pure re-run computes nothing,
+and a run interrupted at any point (Ctrl-C, SIGKILL, power loss)
+resumes recomputing only uncommitted cells — with a final table
+byte-identical to an uninterrupted run.  --import-cache migrates a JSON
+cache directory written by an earlier version into the store.
 
 Run:  python examples/partition_sweep.py \\
           --generators layered,forkjoin --cost-models default,comm_heavy \\
           --heuristics greedy,kl,vulcan,cosyma --seeds 0-3 \\
-          --workers 4 --cache .sweep-cache
+          --workers 4 --store sweep.sqlite
       python examples/partition_sweep.py \\
           --seeds 0-31 --workers 4 --store sweep.sqlite --resume
 """
@@ -34,7 +32,6 @@ from repro.graph.generators import COST_MODELS, GENERATORS
 from repro.partition import HEURISTICS
 from repro.sweep import (
     COMM_MODELS,
-    ResultCache,
     expand_grid,
     parse_seed_spec,
     run_differential,
@@ -89,19 +86,17 @@ def main(argv=None) -> int:
                              "('none' = unbounded; default 0.5)")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes (default 1 = in-process)")
-    parser.add_argument("--cache", default=None, metavar="DIR",
-                        help="result cache directory (default: no cache)")
     parser.add_argument("--store", default=None, metavar="FILE",
                         help="SQLite campaign store (durable job queue "
-                             "+ results; resumable after any "
-                             "interruption; excludes --cache)")
+                             "+ results; reused across runs and "
+                             "resumable after any interruption)")
     parser.add_argument("--resume", action="store_true",
                         help="with --store: narrate how much of the "
                              "grid is already committed before running "
                              "(resume itself is automatic)")
     parser.add_argument("--import-cache", default=None, metavar="DIR",
-                        help="with --store: first import a JSON "
-                             "ResultCache directory into the store")
+                        help="with --store: first import a JSON cache "
+                             "directory an earlier version wrote")
     parser.add_argument("--flight-recorder", default=None,
                         metavar="FILE",
                         help="record live telemetry (heartbeats, "
@@ -139,19 +134,18 @@ def main(argv=None) -> int:
         deadline_factor=args.deadline_factor,
         area_budget_factor=args.budget_factor,
     )
-    if args.store and args.cache:
-        raise SystemExit("--store and --cache are mutually exclusive")
     if (args.resume or args.import_cache) and not args.store:
         raise SystemExit("--resume/--import-cache require --store")
     if args.telemetry and not args.store:
-        raise SystemExit("--telemetry requires --store (pool mode "
-                         "records with --flight-recorder instead)")
+        raise SystemExit("--telemetry requires --store (without one, "
+                         "record with --flight-recorder instead)")
+    cache = None
     if args.store:
         from repro.campaign import CampaignStore
 
         cache = CampaignStore(args.store)
         if args.import_cache:
-            imported = cache.import_cache(ResultCache(args.import_cache))
+            imported = cache.import_cache(args.import_cache)
             if not args.quiet:
                 print(f"imported {imported} records from "
                       f"{args.import_cache} into {args.store}")
@@ -159,8 +153,6 @@ def main(argv=None) -> int:
             done = sum(1 for c in grid if c.fingerprint in cache)
             print(f"resume: {done}/{len(grid)} grid cells already "
                   f"committed in {args.store}")
-    else:
-        cache = ResultCache(args.cache) if args.cache else None
     metrics = MetricsRegistry()
 
     recorder = None
@@ -174,8 +166,7 @@ def main(argv=None) -> int:
         recorder = StoreRecorder(cache)
 
     if not args.quiet:
-        backing = (args.store and f"store {args.store}") or \
-            (args.cache and f"cache {args.cache}") or "off"
+        backing = f"store {args.store}" if args.store else "off"
         print(f"sweep: {len(grid)} cells, workers={args.workers}, "
               f"results={backing}")
     table = run_sweep(grid, workers=args.workers, cache=cache,
@@ -190,8 +181,8 @@ def main(argv=None) -> int:
     if args.smoke:
         # the acceptance contract: identical table at 1 and 2 workers
         serial = run_sweep(grid, workers=1, cache=cache)
-        pooled = run_sweep(grid, workers=2, cache=cache)
-        assert serial.to_json() == pooled.to_json(), \
+        sharded = run_sweep(grid, workers=2, cache=cache)
+        assert serial.to_json() == sharded.to_json(), \
             "sweep table differs across worker counts"
         if not args.quiet:
             print("\nsmoke: table identical at 1 and 2 workers")

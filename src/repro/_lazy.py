@@ -2,7 +2,7 @@
 
 A package ``__init__`` imports eagerly only what every user of the
 package needs.  The rest of its public surface — names whose defining
-module pulls in numpy, the partitioners or the process pool, or a tier
+module pulls in numpy, the partitioners or the campaign store, or a tier
 only some runs use — is
 declared with :func:`lazy_exports` and imported on first attribute
 access, so an entry point loads only the code it runs::

@@ -1,20 +1,19 @@
 """Campaign-as-a-service: durable, sharded, resumable experiment runs.
 
-The substrate ROADMAP item 1 asks for, under both the sweep and fault
-engines:
+The one execution path under the sweep, fault and explore engines:
 
 * :mod:`repro.campaign.store` — :class:`CampaignStore`, one SQLite
-  file holding a fingerprint-keyed result store (drop-in for
-  :class:`repro.sweep.cache.ResultCache`, same ``CACHE_VERSION``
-  semantics, plus a migration import from existing cache directories)
-  and a lease-stamped persistent job queue;
-* :mod:`repro.campaign.service` — :func:`run_store_jobs`, the
-  coordinator + N work-stealing shard processes that drain the queue
-  with batched claim/commit transactions, reclaim dead leases, and
-  make any interrupted campaign resumable with byte-identical final
-  tables;
+  file holding a fingerprint-keyed result store (``CACHE_VERSION``
+  semantics, plus an import of the JSON cache directories earlier
+  versions wrote) and a lease-stamped persistent job queue;
+* :mod:`repro.campaign.service` — :func:`run_cells`, the dispatch
+  every engine calls (a plain in-process loop with no store and one
+  worker, the store otherwise), and :func:`run_store_jobs`, the
+  coordinator + N shard processes that drain the queue with batched
+  claim/commit transactions, reclaim dead leases, and make any
+  interrupted campaign resumable with byte-identical final tables;
 * :mod:`repro.campaign.runners` — the named payload→record runner
-  registry shards execute from.
+  registry both paths execute from.
 
 Quick tour::
 
@@ -27,26 +26,27 @@ Quick tour::
     table = run_sweep(grid, workers=4, cache=store)   # resumes, 0 recompute
 """
 
-from repro.campaign.store import (
-    CampaignStore,
-    JOB_STATES,
-)
-from repro.campaign.service import (
-    CampaignCellError,
-    CampaignInterrupted,
-    run_store_jobs,
-)
-from repro.campaign.runners import (
-    RUNNERS,
-    get_runner,
-    register_runner,
-)
+from repro._lazy import lazy_exports
+
+# nothing loads with the package: a workers=1 campaign with no store
+# runs its cells through repro.campaign.service without sqlite3
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.campaign.store": ("CACHE_VERSION", "CacheVersionError",
+                             "CampaignStore", "JOB_STATES"),
+    "repro.campaign.service": ("CampaignCellError", "CampaignInterrupted",
+                               "run_cells", "run_store_jobs"),
+    "repro.campaign.runners": ("RUNNERS", "get_runner",
+                               "register_runner"),
+})
 
 __all__ = [
+    "CACHE_VERSION",
+    "CacheVersionError",
     "CampaignStore",
     "JOB_STATES",
     "CampaignCellError",
     "CampaignInterrupted",
+    "run_cells",
     "run_store_jobs",
     "RUNNERS",
     "get_runner",

@@ -1,4 +1,4 @@
-"""Payload runners: how a campaign worker turns a queued job into a
+"""Payload runners: how a campaign cell turns a queued job into a
 record.
 
 A job payload must be plain JSON (it lives in the ``jobs`` table and
@@ -9,9 +9,13 @@ observability payload (or None on the unobserved path); records are
 pure functions of the payload, so a resumed, re-sharded, or
 work-stolen cell produces byte-identical output wherever it runs.
 
-The registry is keyed by name because worker *processes* receive the
-runner by name over ``multiprocessing`` — a string round-trips through
-spawn/fork and the jobs table; a closure does not.
+Both execution paths of :func:`repro.campaign.service.run_cells` — the
+in-process loop and the store's shards — run the runner registered
+under the campaign's name, and each runner calls its engine's cell
+function through the engine module's attribute, looked up at call
+time.  The registry is keyed by name because shard *processes*
+receive the runner by name — a string round-trips through the
+process boundary and the jobs table; a closure does not.
 """
 
 from __future__ import annotations
@@ -92,14 +96,14 @@ def run_fault_payload_observed(payload: Dict[str, Any]) -> RunnerResult:
 # ----------------------------------------------------------------------
 def run_explore_payload(payload: Dict[str, Any]) -> RunnerResult:
     """One explorer genome evaluation from its JSON payload."""
-    from repro.explore.evaluate import run_genome
+    from repro.explore.driver import run_genome
 
     return run_genome(payload), None
 
 
 def run_explore_payload_observed(payload: Dict[str, Any]) -> RunnerResult:
     """One explorer genome evaluation plus its observability payload."""
-    from repro.explore.evaluate import run_genome_observed
+    from repro.explore.driver import run_genome_observed
 
     return run_genome_observed(payload)
 

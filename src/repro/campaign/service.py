@@ -1,10 +1,18 @@
-"""The campaign service: a coordinator plus N work-stealing shards.
+"""The campaign service: the one way every campaign's cells run.
 
-:func:`run_store_jobs` is the execution discipline both engines
-(:func:`repro.sweep.engine.run_sweep` and
-:func:`repro.fault.campaign.run_campaign`) delegate to when handed a
-:class:`~repro.campaign.store.CampaignStore` — the durable counterpart
-of :func:`~repro.sweep.engine.pool_map`:
+:func:`run_cells` is the execution path the three drivers
+(:func:`repro.sweep.engine.run_sweep`,
+:func:`repro.fault.campaign.run_campaign` and
+:func:`repro.explore.driver.explore`) hand their uncached cells to.
+With no store and ``workers == 1`` the cells run in a plain loop in
+this process.  Every other run goes through :func:`run_store_jobs`,
+on the caller's :class:`~repro.campaign.store.CampaignStore` or, when
+``workers > 1`` and no store was given, on a temporary store deleted
+afterwards.  Either way a cell runs the runner registered under its
+name (:mod:`repro.campaign.runners`), so every path computes the same
+record.
+
+:func:`run_store_jobs` is a coordinator plus N shards:
 
 * the coordinator reclaims stale leases (instant resume after a
   SIGKILL'd run), enqueues the still-missing cells, and spawns shard
@@ -15,8 +23,12 @@ of :func:`~repro.sweep.engine.pool_map`:
   A batch is sized by time, not by count (:func:`claim_limit`): about
   :data:`COMMIT_INTERVAL_S` of work at the shard's measured mean cell
   time, or one cell when a cell takes longer;
-* shards steal work: a claim considers expired or dead-owner leases
-  runnable, so one slow or dead shard never strands its cells;
+* a shard exits as soon as a claim comes back empty, and the
+  coordinator sleeps on the shards' process sentinels, so the last
+  shard's exit wakes it at once;
+* a shard that dies mid-run leaves leases behind; the coordinator
+  reclaims them and starts one replacement shard, so the dead shard's
+  cells finish in the same run;
 * the coordinator streams completions back through ``on_done`` in
   deterministic (fingerprint) batches — callers key results by
   fingerprint, so table order never depends on completion order.
@@ -32,15 +44,22 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, Optional, Tuple,
+)
 
 from repro.campaign.runners import get_runner
-from repro.campaign.store import CampaignStore
 from repro.obs.live import (
     DEFAULT_HEARTBEAT_S,
     StoreRecorder,
     TelemetryEmitter,
 )
+
+if TYPE_CHECKING:
+    from repro.campaign.store import CampaignStore
+
+# the store (sqlite3), multiprocessing and tempfile are imported where
+# a run needs them: a workers=1 run with no store touches none of them
 
 #: ``on_done(fingerprint, record, obs_or_none, in_worker_elapsed_s)``.
 OnDone = Callable[[str, Dict[str, Any], Optional[Dict[str, Any]], float],
@@ -52,9 +71,15 @@ OnDone = Callable[[str, Dict[str, Any], Optional[Dict[str, Any]], float],
 #: still loses at most a tenth of a second of work per shard.
 COMMIT_INTERVAL_S = 0.1
 
+#: Longest the coordinator of a sharded run sleeps between looks at
+#: the store.  A shard's exit wakes it at once; the timeout bounds how
+#: late completions stream to ``on_done`` and how late a hung shard's
+#: stale lease is noticed.
+POLL_S = 0.02
+
 
 class CampaignInterrupted(RuntimeError):
-    """Every shard died while runnable jobs remained.
+    """No shard is alive while runnable jobs remain.
 
     The committed cells are safe in the store — re-running the same
     campaign against it resumes where this one stopped.
@@ -65,7 +90,8 @@ class CampaignCellError(RuntimeError):
     """One or more cells failed on every attempt.
 
     ``failures`` maps fingerprint → last error text; completed cells
-    stay committed, so a fixed build re-runs only the failures.
+    stay committed, and re-enqueueing gives the failed ones a fresh
+    retry budget, so a fixed build re-runs only the failures.
     """
 
     def __init__(self, failures: Dict[str, str]) -> None:
@@ -96,29 +122,83 @@ def claim_limit(cells: int, busy_s: float, lease_s: float) -> int:
     return max(1, int(interval * cells / busy_s))
 
 
+def run_cells(
+    jobs: Iterable[Tuple[str, Dict[str, Any]]],
+    runner_name: str,
+    workers: int,
+    on_done: OnDone,
+    store: Optional[CampaignStore] = None,
+    metrics=None,
+    span_tracer=None,
+    recorder=None,
+) -> None:
+    """Run every ``(fingerprint, payload)`` job through the runner
+    registered as ``runner_name``; report each through ``on_done``.
+
+    With no ``store`` and ``workers == 1`` the jobs run in order in
+    this process, and a cell that raises propagates unwrapped.  Every
+    other run is :func:`run_store_jobs` — on ``store``, or on a
+    temporary store deleted afterwards — and raises
+    :class:`CampaignCellError` for cells that failed on every attempt.
+    ``recorder`` goes to the caller's store only: without one, the
+    driver records its own run.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    runner = get_runner(runner_name)
+    jobs = list(jobs)
+    if store is None and (workers == 1 or not jobs):
+        for fingerprint, payload in jobs:
+            t0 = time.perf_counter()
+            record, obs = runner(payload)
+            on_done(fingerprint, record, obs, time.perf_counter() - t0)
+        return
+    if store is not None:
+        run_store_jobs(store, runner_name, jobs, workers, on_done,
+                       metrics=metrics, span_tracer=span_tracer,
+                       recorder=recorder)
+        return
+    import tempfile
+
+    from repro.campaign.store import CampaignStore
+
+    with tempfile.TemporaryDirectory(prefix="campaign-") as tmp:
+        temp = CampaignStore(os.path.join(tmp, "campaign.sqlite"))
+        try:
+            run_store_jobs(temp, runner_name, jobs, workers, on_done,
+                           metrics=metrics, span_tracer=span_tracer)
+        finally:
+            temp.close()
+
+
 def _shard_main(path, lease_s: float, max_attempts: int,
-                runner_name: str, shards: int, poll_s: float,
+                runner_name: str, shards: int,
                 heartbeat_s: Optional[float] = None) -> None:
     """One shard process: open the store, then run the shard loop."""
+    from repro.campaign.store import CampaignStore
+
     store = CampaignStore(path, lease_s=lease_s,
                           max_attempts=max_attempts)
-    _run_shard(store, runner_name, shards, poll_s, heartbeat_s)
+    _run_shard(store, runner_name, shards, heartbeat_s)
 
 
 def _run_shard(store: CampaignStore, runner_name: str, shards: int,
-               poll_s: float, heartbeat_s: Optional[float]) -> None:
-    """One shard: claim → compute → commit until drained.
+               heartbeat_s: Optional[float]) -> None:
+    """One shard: claim → compute → commit until a claim is empty.
 
     Each claim is sized by :func:`claim_limit` from the cell times
     this shard has measured, and capped at a ``1 / shards`` share of
-    the runnable jobs.
+    the runnable jobs.  An empty claim ends the shard at once, even
+    while peers still hold leases: if a peer dies, the coordinator
+    reclaims its leases and starts a replacement shard.
 
     With ``heartbeat_s`` set, the shard also heartbeats into the
     store's ``telemetry`` table (cumulative ``done``/``failed`` gauges
     plus the in-flight batch size) so the coordinator, a live
     ``campaign_top``, and :meth:`CampaignStore.reclaim_stale` can all
-    judge its liveness from the outside.  ``None`` constructs no
-    telemetry object at all — the zero-cost-when-disabled contract.
+    judge its liveness from the outside; its last beat says
+    ``exiting``.  ``None`` constructs no telemetry object at all — the
+    zero-cost-when-disabled contract.
     """
     runner = get_runner(runner_name)
     owner = f"pid:{os.getpid()}"
@@ -136,15 +216,10 @@ def _run_shard(store: CampaignStore, runner_name: str, shards: int,
             emitter.heartbeat(done=done, failed=failed,
                               in_flight=len(jobs))
         if not jobs:
-            if store.remaining_runnable() == 0:
-                if emitter is not None:
-                    emitter.heartbeat(force=True, done=done,
-                                      failed=failed, in_flight=0,
-                                      exiting=True)
-                return
-            # peers hold live leases; wait for expiry/reclaim to steal
-            time.sleep(poll_s)
-            continue
+            if emitter is not None:
+                emitter.heartbeat(force=True, done=done, failed=failed,
+                                  in_flight=0, exiting=True)
+            return
         completed = []
         for fingerprint, payload in jobs:
             t0 = time.perf_counter()
@@ -173,7 +248,6 @@ def run_store_jobs(
     jobs: Iterable[Tuple[str, Dict[str, Any]]],
     workers: int,
     on_done: OnDone,
-    poll_s: float = 0.02,
     metrics=None,
     span_tracer=None,
     recorder=None,
@@ -184,10 +258,12 @@ def run_store_jobs(
     ``workers == 1`` runs the shard loop in-process on ``store``'s own
     connection (still durable and resumable — every batch commits);
     more workers spawn shard processes, each opening the store file,
-    and the coordinator streams completions, reclaims stale leases,
-    and emits queue-depth telemetry.  Raises
-    :class:`CampaignCellError` when cells exhausted their attempts and
-    :class:`CampaignInterrupted` when all shards died early.
+    and the coordinator streams completions, reclaims stale leases
+    (starting one replacement shard whenever it does), and emits
+    queue-depth telemetry.  Raises :class:`CampaignCellError` when
+    cells of ``jobs`` exhausted their attempts and
+    :class:`CampaignInterrupted` when no shard is left alive while
+    runnable jobs remain.
 
     ``recorder``/``heartbeat_s`` arm the flight recorder: shards
     heartbeat into the store's ``telemetry`` table every
@@ -254,55 +330,85 @@ def run_store_jobs(
 
     depth_event()
     pulse(force=True)
-    if workers == 1 or remaining <= 1:
-        _run_shard(store, runner_name, 1, poll_s, heartbeat_s)
-    else:
+    inline = workers == 1 or remaining <= 1
+    shards = []  # the shard processes this run started
+
+    def start_shard() -> None:
+        if inline:
+            _run_shard(store, runner_name, 1, heartbeat_s)
+            return
         import multiprocessing
 
-        ctx = multiprocessing.get_context()
-        shards = [
-            ctx.Process(
-                target=_shard_main,
-                args=(store.path, store.lease_s, store.max_attempts,
-                      runner_name, workers, poll_s, heartbeat_s),
-                name=f"campaign-shard-{i}",
-                daemon=True,
-            )
-            for i in range(workers)
-        ]
-        for shard in shards:
-            shard.start()
-        try:
-            while True:
-                drain()
-                depth_event()
-                pulse()
-                counts = store.queue_counts()
-                undone = sum(
-                    n for state, n in counts.items() if state != "done"
-                )
-                if undone == 0:
-                    break
-                stale = store.reclaim_stale()
-                if stale and metrics is not None:
+        shard = multiprocessing.get_context().Process(
+            target=_shard_main,
+            args=(store.path, store.lease_s, store.max_attempts,
+                  runner_name, workers, heartbeat_s),
+            name=f"campaign-shard-{len(shards)}",
+            daemon=True,
+        )
+        shard.start()
+        shards.append(shard)
+
+    def coordinate() -> None:
+        """Watch the shards until no job is left undone.
+
+        Between looks at the store the coordinator sleeps on the
+        shards' process sentinels, so a shard's exit — the last one's
+        above all — wakes it at once.  When
+        :meth:`CampaignStore.reclaim_stale` puts a dead or hung
+        shard's leases back in the queue, one replacement shard
+        starts; every claim burns an attempt, so replacements are
+        bounded by the retry budget.  Jobs leased to a live worker
+        this run did not start are waited for until that worker
+        commits them or its lease goes stale.
+        """
+        from multiprocessing.connection import wait
+
+        while True:
+            counts = store.queue_counts()
+            if all(n == 0 for state, n in counts.items()
+                   if state != "done"):
+                return
+            # read before the reclaim (is_alive also reaps a dead
+            # shard), so a shard that dies in between has its leases
+            # reclaimed next time round
+            alive = [s for s in shards if s.is_alive()]
+            stale = store.reclaim_stale()
+            if stale:
+                if metrics is not None:
                     metrics.counter(
                         "campaign.leases.reclaimed").inc(stale)
-                if not any(s.is_alive() for s in shards):
-                    if store.remaining_runnable() > 0:
-                        raise CampaignInterrupted(
-                            f"all {workers} shards exited with "
-                            f"{store.remaining_runnable()} runnable "
-                            f"job(s) left in {store.path}; re-run to "
-                            f"resume from the committed cells"
-                        )
-                    break  # only permanently-failed jobs remain
-                time.sleep(poll_s)
-        finally:
-            for shard in shards:
-                shard.join(timeout=5.0)
-                if shard.is_alive():
-                    shard.terminate()
-    drain()
+                start_shard()
+            elif not alive:
+                runnable = store.remaining_runnable()
+                if not runnable:
+                    return  # only permanently-failed jobs remain
+                if runnable > store.queue_counts()["leased"]:
+                    raise CampaignInterrupted(
+                        f"no shard alive with {runnable} runnable "
+                        f"job(s) left in {store.path}; re-run to "
+                        f"resume from the committed cells"
+                    )
+            wait([s.sentinel for s in shards if s.is_alive()],
+                 timeout=POLL_S)
+            drain()
+            depth_event()
+            pulse()
+
+    try:
+        for _ in range(1 if inline else workers):
+            start_shard()
+        drain()
+        # an in-process shard that delivered every wanted job leaves
+        # nothing to watch
+        if not inline or wanted - delivered:
+            coordinate()
+            drain()
+    finally:
+        for shard in shards:
+            shard.join(timeout=5.0)
+            if shard.is_alive():
+                shard.terminate()
     # belt-and-braces: anything committed but missed by the drain
     # cursor (e.g. drained by a concurrent coordinator) is read back
     # from the results table so every wanted job is delivered
@@ -313,7 +419,10 @@ def run_store_jobs(
     depth_event()
     pulse(force=True, exiting=True)
 
-    failures = dict(store.failed_jobs())
+    # only this run's jobs: a failure another campaign left in a
+    # shared store is not this run's to report
+    failures = {fp: error for fp, error in store.failed_jobs()
+                if fp in wanted}
     if failures:
         if metrics is not None:
             metrics.counter("campaign.cells.failed").inc(len(failures))

@@ -4,12 +4,10 @@ One database file holds two tables that together make a campaign
 durable and resumable:
 
 ``results``
-    fingerprint-addressed records, drop-in compatible with
-    :class:`repro.sweep.cache.ResultCache` (same SHA-256 fingerprint
-    keys, same :data:`~repro.sweep.cache.CACHE_VERSION` semantics —
-    an entry written by a *newer* schema raises
-    :class:`~repro.sweep.cache.CacheVersionError`, an older one reads
-    as a miss and is recomputed over);
+    fingerprint-addressed records (the engines' SHA-256 config
+    fingerprints), each stamped with :data:`CACHE_VERSION` — a row
+    written by a *newer* schema raises :class:`CacheVersionError`, an
+    older one reads as a miss and is recomputed over;
 
 ``jobs``
     the work queue: each row is one cell awaiting computation, with a
@@ -24,9 +22,13 @@ durable and resumable:
     neighbour's cells.
 
 The store opens its connection lazily *per process* — a store object
-that crosses a ``fork`` (pool workers, service shards) transparently
-reopens in the child instead of sharing the parent's connection, which
-SQLite forbids.
+that crosses a ``fork`` (service shards) transparently reopens in the
+child instead of sharing the parent's connection, which SQLite
+forbids.
+
+:meth:`CampaignStore.import_cache` reads the one-JSON-file-per-
+fingerprint cache directories earlier versions wrote, so their
+results carry over into a store.
 
 Durability tuning: WAL journal (readers never block the writer),
 ``synchronous=NORMAL`` (a power loss can lose the last transactions
@@ -37,13 +39,15 @@ so this is the right trade), and batched commits on the write paths.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sqlite3
 import time
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.sweep.cache import CACHE_VERSION, CacheVersionError, ResultCache
+#: Bump to invalidate every stored result (record schema change).
+CACHE_VERSION = 1
 
 #: A claimed unit of work: (fingerprint, payload dict).
 ClaimedJob = Tuple[str, Dict[str, Any]]
@@ -91,6 +95,27 @@ CREATE INDEX IF NOT EXISTS telemetry_kind_owner
 JOB_STATES = ("pending", "leased", "done", "failed")
 
 
+class CacheVersionError(RuntimeError):
+    """A stored result was written by a newer, incompatible schema.
+
+    Raised instead of a silent miss: recomputing over it would clobber
+    results another (newer) tool still trusts.  The message names the
+    offending entry and both versions so the fix — a fresh store, or
+    an upgrade — is obvious.
+    """
+
+
+def _positive(name: str, value: float) -> float:
+    """``value`` as a finite float > 0, or ValueError naming ``name``."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not (math.isfinite(number) and number > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    return number
+
+
 def _pid_alive(pid: int) -> bool:
     """Is a process with this pid running on this box?"""
     try:
@@ -105,27 +130,35 @@ def _pid_alive(pid: int) -> bool:
 class CampaignStore:
     """Durable result store + job queue for sweep/fault campaigns.
 
-    Implements the same ``get``/``put``/``fingerprints``/``clear``
-    surface as :class:`~repro.sweep.cache.ResultCache`, so anything
-    that takes a ``cache=`` accepts a store; the queue methods on top
-    are what the campaign service schedules with.
+    The ``get``/``put``/``fingerprints``/``clear`` surface is what the
+    engines' ``cache=`` keyword reads and writes; the queue methods on
+    top are what the campaign service schedules with.
+
+    ``lease_s`` and ``heartbeat_timeout_s`` must be finite and > 0,
+    ``max_attempts`` an int >= 1; anything else raises ValueError
+    naming the field (a zero lease would let every claim steal its
+    peers' cells, a NaN one never expires).
     """
 
     def __init__(self, path, lease_s: float = 20.0,
                  max_attempts: int = 3,
                  heartbeat_timeout_s: Optional[float] = None) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.lease_s = float(lease_s)
-        self.max_attempts = int(max_attempts)
+        if isinstance(max_attempts, bool) or \
+                not isinstance(max_attempts, int) or max_attempts < 1:
+            raise ValueError(
+                f"max_attempts must be an int >= 1, got {max_attempts!r}")
+        self.lease_s = _positive("lease_s", lease_s)
+        self.max_attempts = max_attempts
         #: a lease owner that *has* emitted heartbeats but has been
         #: silent this long is presumed dead/hung even if its lease
         #: deadline has not passed — the liveness test that survives
         #: the move to cross-box shards, where ``_pid_alive`` cannot
         self.heartbeat_timeout_s = (
-            float(heartbeat_timeout_s)
+            _positive("heartbeat_timeout_s", heartbeat_timeout_s)
             if heartbeat_timeout_s is not None else 2.0 * self.lease_s
         )
+        self.path = Path(path)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         self._conn: Optional[sqlite3.Connection] = None
         self._conn_pid: Optional[int] = None
         self.conn  # create the schema eagerly
@@ -156,13 +189,13 @@ class CampaignStore:
         self._conn_pid = None
 
     # ------------------------------------------------------------------
-    # result store (ResultCache-compatible surface)
+    # result store
     # ------------------------------------------------------------------
     def get(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         """The stored record, or None on miss/stale version.
 
-        Raises :class:`~repro.sweep.cache.CacheVersionError` for rows
-        written by a newer schema — same contract as the JSON cache.
+        Raises :class:`CacheVersionError` for rows written by a newer
+        schema.
         """
         row = self.conn.execute(
             "SELECT version, record FROM results WHERE fingerprint = ?",
@@ -249,19 +282,36 @@ class CampaignStore:
     # ------------------------------------------------------------------
     # migration
     # ------------------------------------------------------------------
-    def import_cache(self, cache: ResultCache) -> int:
-        """Import every readable entry of a JSON :class:`ResultCache`.
+    def import_cache(self, path) -> int:
+        """Import a JSON cache directory; returns records imported.
 
-        The upgrade path from the flat one-file-per-fingerprint layout:
-        unreadable/stale entries are skipped (they were misses there
-        too); a newer-versioned entry raises, exactly as reading it
-        from the cache would.  Returns how many records were imported.
+        The upgrade path from the flat layout earlier versions wrote:
+        one ``<fingerprint>.json`` file per cell holding ``version``,
+        ``fingerprint`` and ``record``.  A file that does not parse,
+        is not of this :data:`CACHE_VERSION`, names another
+        fingerprint, or holds no record dict is skipped (it read as a
+        miss there too); one written by a newer schema raises
+        :class:`CacheVersionError` naming the file.
         """
         items = []
-        for fingerprint in cache.fingerprints():
-            record = cache.get(fingerprint)
-            if record is not None:
-                items.append((fingerprint, record))
+        for entry in sorted(Path(path).glob("*.json")):
+            try:
+                doc = json.loads(entry.read_text(encoding="utf-8"))
+            except (OSError, ValueError):
+                continue
+            if not isinstance(doc, dict):
+                continue
+            version = doc.get("version")
+            if isinstance(version, int) and version > CACHE_VERSION:
+                raise CacheVersionError(
+                    f"cache entry {entry} was written by schema version "
+                    f"{version}, but this build only supports up to "
+                    f"{CACHE_VERSION}; upgrade the tool to import it"
+                )
+            record = doc.get("record")
+            if version == CACHE_VERSION and isinstance(record, dict) \
+                    and doc.get("fingerprint") == entry.stem:
+                items.append((entry.stem, record))
         return self.put_many(items)
 
     # ------------------------------------------------------------------
@@ -276,17 +326,24 @@ class CampaignStore:
         never recomputed.  An enqueued job that an earlier run finished
         goes back to ``pending`` when its row is missing, of an older
         ``CACHE_VERSION``, or no longer decodes to a dict, and its
-        commit overwrites the row.
+        commit overwrites the row.  An enqueued job that failed on
+        every attempt goes back to ``pending`` with a fresh retry
+        budget, so a fixed build re-runs exactly the failures.  A
+        leased job is never touched: its owner may still commit it.
         """
-        rows = [(fp, json.dumps(payload, sort_keys=True))
+        rows = [(fp, json.dumps(payload, sort_keys=True),
+                 self.max_attempts)
                 for fp, payload in jobs]
         with self._txn():
             if rows:
                 self.conn.executemany(
                     "INSERT INTO jobs (fingerprint, payload) "
                     "VALUES (?, ?) ON CONFLICT (fingerprint) "
-                    "DO UPDATE SET state = 'pending' "
-                    "WHERE state = 'done'",
+                    "DO UPDATE SET state = 'pending', "
+                    "attempts = CASE state WHEN 'failed' THEN 0 "
+                    "ELSE attempts END, error = NULL "
+                    "WHERE state = 'done' "
+                    "OR (state = 'failed' AND attempts >= ?)",
                     rows,
                 )
             served = [

@@ -209,8 +209,8 @@ class MetricsRegistry:
 
         Unlike :meth:`to_dict` (a reporting form), a snapshot carries
         full histogram state and round-trips through
-        :meth:`merge`: take one in a worker process, ship it back over
-        the pool's result pipe, and fold it into the parent registry so
+        :meth:`merge`: take one in a worker process, ship it back with
+        the cell's result, and fold it into the parent registry so
         counters stay truthful at any worker count.
         """
         return {

@@ -11,10 +11,9 @@ tool into a search driver.  One run:
    (:mod:`repro.explore.doe`);
 3. **evaluates populations** through the exact execution discipline
    the engines already trust — deduplicated by effective-genome
-   fingerprint, served from the :class:`~repro.sweep.cache.ResultCache`
-   / :class:`~repro.campaign.store.CampaignStore` when warm, fanned
-   over :func:`repro.sweep.engine.pool_map` (or the durable campaign
-   service when the cache is a store) when cold;
+   fingerprint, served from a :class:`~repro.campaign.store.CampaignStore`
+   when warm, and run through the campaign service's one execution
+   path (:func:`repro.campaign.service.run_cells`) when cold;
 4. **selects** by non-dominated sort + crowding distance over the
    *entire archive* (elitist: the front can only grow, so each
    generation is provably no worse than its DoE seed — asserted by
@@ -47,8 +46,11 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.campaign.service import run_cells
 from repro.cosim.metrics import MetricsRegistry
 from repro.explore.doe import doe_population
+# the ``explore`` runners call run_genome and run_genome_observed
+# through this module, the driver's evaluation surface
 from repro.explore.evaluate import (
     DependabilityModel,
     ProblemSpec,
@@ -70,7 +72,6 @@ from repro.explore.pareto import (
 from repro.obs.live import TelemetryEmitter
 from repro.obs.spans import SpanTracer
 from repro.partition.seeding import ProgressProbe
-from repro.sweep.engine import CellTiming, pool_map
 
 #: Schema version of the explorer's result JSON.
 FRONT_VERSION = 1
@@ -342,11 +343,12 @@ def explore(
 ) -> ExploreResult:
     """Run the closed-loop GA/DoE search; return the evaluated archive.
 
-    ``cache`` accepts a :class:`~repro.sweep.cache.ResultCache` or a
-    :class:`~repro.campaign.store.CampaignStore` (duck-typed on
-    ``.claim``, exactly like the engines) — with a store, genome
-    evaluation runs on the durable campaign service and an interrupted
-    exploration resumes without recomputing committed genomes.
+    ``cache`` takes a :class:`~repro.campaign.store.CampaignStore`:
+    genome evaluation then runs on the durable campaign service and an
+    interrupted exploration resumes without recomputing committed
+    genomes.  Without one, ``workers=1`` evaluates in-process (a
+    genome that raises propagates unwrapped) and more workers run on
+    a temporary store.
 
     ``recorder`` arms the flight recorder: run marks, evaluation
     heartbeats, and one ``generation`` sample per selection round
@@ -363,8 +365,8 @@ def explore(
 
     emitter = None
     if recorder is not None:
-        # distinct owner: in store mode the campaign coordinator (and
-        # a workers=1 in-process shard) shares this pid
+        # distinct owner: on a store the campaign coordinator (and a
+        # workers=1 in-process shard) shares this pid
         emitter = TelemetryEmitter(recorder,
                                    owner=f"explore:{os.getpid()}",
                                    role="explore")
@@ -522,7 +524,7 @@ def random_search(
 
     Draws ``evaluations`` genomes uniformly from the same space
     (seeded from ``spec.ga_seed``), evaluates them through the
-    identical cache/pool discipline, and packages the result exactly
+    identical store/execution discipline, and packages the result exactly
     like :func:`explore` — so front hypervolumes are directly
     comparable at equal budget.
     """
@@ -590,7 +592,7 @@ def random_search(
 # internals
 # ----------------------------------------------------------------------
 class _Evaluator:
-    """Population evaluation with archive/cache dedup and fan-out.
+    """Population evaluation with archive/store dedup and fan-out.
 
     Archive insertion follows *population order*, never completion
     order, which is what keeps row order — and therefore every
@@ -613,7 +615,6 @@ class _Evaluator:
         self.archive_order = archive_order
         self.records = records
         self.full_genomes = full_genomes
-        self.store_mode = cache is not None and hasattr(cache, "claim")
         self.observed = span_tracer is not None
 
     def evaluate(self, population: Sequence[Genome],
@@ -672,8 +673,7 @@ class _Evaluator:
         metrics = self.metrics
 
         def finish(fp: str, record: Dict[str, Any],
-                   timing: CellTiming,
-                   obs: Optional[Dict[str, Any]]) -> None:
+                   obs: Optional[Dict[str, Any]], elapsed_s: float) -> None:
             results[fp] = record
             self.stats.computed += 1
             if self.emitter is not None:
@@ -682,42 +682,16 @@ class _Evaluator:
                     requested=self.stats.requested)
             metrics.counter("explore.genomes.computed").inc()
             metrics.histogram("explore.genome.elapsed_s").observe(
-                timing.elapsed_s)
-            if self.cache is not None and not self.store_mode:
-                self.cache.put(fp, record)
+                elapsed_s)
             if obs is not None:
                 metrics.merge(obs["metrics"])
                 if self.span_tracer is not None:
-                    lane = ("campaign shard" if self.store_mode
-                            else "explore worker")
-                    self.span_tracer.merge_snapshot(
-                        obs["spans"], lane=f"{lane} {obs['pid']}",
-                    )
+                    self.span_tracer.merge_snapshot(obs["spans"])
 
-        if self.store_mode:
-            from repro.campaign.service import run_store_jobs
-
-            def on_committed(fp: str, record: Dict[str, Any],
-                             obs: Optional[Dict[str, Any]],
-                             elapsed_s: float) -> None:
-                finish(fp, record, CellTiming(elapsed_s), obs)
-
-            runner = ("explore_observed" if self.observed
-                      else "explore")
-            run_store_jobs(self.cache, runner, pending, self.workers,
-                           on_committed, metrics=metrics,
-                           span_tracer=self.span_tracer,
-                           recorder=self.recorder)
-        else:
-            fn = run_genome_observed if self.observed else run_genome
-
-            def on_done(job: Dict[str, Any], out: Any,
-                        timing: CellTiming) -> None:
-                record, obs = out if self.observed else (out, None)
-                finish(job["fingerprint"], record, timing, obs)
-
-            pool_map(fn, [payload for _, payload in pending],
-                     self.workers, on_done)
+        run_cells(pending,
+                  "explore_observed" if self.observed else "explore",
+                  self.workers, finish, store=self.cache, metrics=metrics,
+                  span_tracer=self.span_tracer, recorder=self.recorder)
 
         # archive in population order, not completion order
         for fp, _ in pending:

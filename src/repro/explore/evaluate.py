@@ -95,11 +95,11 @@ def genome_config(genome: Genome, problem: ProblemSpec) -> SweepConfig:
 
 
 def run_genome(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Evaluate one genome payload (top-level: pool workers pickle it).
+    """Evaluate one genome payload (the ``explore`` runner calls it).
 
     ``payload`` is plain JSON: ``{"genome": <effective genome>,
     "problem": <ProblemSpec dict>}`` — the same dict the campaign
-    store queues, so pool mode and store mode run identical code.
+    store queues, so in-process and store runs execute identical code.
     """
     from repro.partition.cost import cost_terms, partition_cost
 

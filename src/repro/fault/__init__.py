@@ -18,9 +18,11 @@ This package measures that, DAVOS/SBFI style:
   cells of a software-only scenario as forks of one golden run
   (DESIGN §14);
 * :mod:`repro.fault.campaign` — :func:`run_campaign`: golden-vs-faulty
-  fan-out over :func:`repro.sweep.engine.pool_map`, outcome
-  classification (masked / sdc / detected / hang / crash), and the
-  dependability report.
+  cells run through the campaign service's one execution path
+  (:func:`repro.campaign.service.run_cells`: in-process at one worker,
+  on a :class:`~repro.campaign.CampaignStore`'s shards otherwise),
+  outcome classification (masked / sdc / detected / hang / crash),
+  and the dependability report.
 
 Quick tour::
 

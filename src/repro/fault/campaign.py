@@ -1,10 +1,11 @@
 """Fault campaigns: golden-vs-faulty runs, classified and tabulated.
 
 A campaign takes one scenario and a list of :class:`FaultSpec`, runs
-the golden (fault-free) reference plus one run per fault — reusing the
-sweep engine's :func:`~repro.sweep.engine.pool_map` fan-out and
-:class:`~repro.sweep.cache.ResultCache` — and classifies every outcome
-record against the golden one:
+the golden (fault-free) reference plus one run per fault — through the
+campaign service's one execution path
+(:func:`repro.campaign.service.run_cells`), with results reused from a
+:class:`~repro.campaign.store.CampaignStore` when one is given — and
+classifies every outcome record against the golden one:
 
 ``crash``
     the run raised (CPU fault, kernel error) — anything but a watchdog
@@ -34,15 +35,19 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple,
+)
 
+from repro.campaign.service import run_cells
 from repro.fault.scenarios import SCENARIOS, run_scenario
 from repro.fault.spec import FAULT_VERSION, OUTCOMES, FaultSpec
 from repro.cosim.metrics import MetricsRegistry
 from repro.obs.live import TelemetryEmitter
 from repro.obs.spans import SpanTracer
-from repro.sweep.cache import ResultCache
-from repro.sweep.engine import CellTiming, pool_map
+
+if TYPE_CHECKING:
+    from repro.campaign.store import CampaignStore
 
 #: A campaign job: (scenario name, fault dict or None for golden).
 Job = Tuple[str, Optional[Dict[str, Any]]]
@@ -71,7 +76,7 @@ def cell_fingerprint(scenario: str, fault: Optional[FaultSpec]) -> str:
 
 
 def run_fault_cell(job: Job) -> Dict[str, Any]:
-    """Run one campaign cell (top-level, so pool workers can pickle it)."""
+    """Run one campaign cell (the ``fault`` runner calls it by name)."""
     scenario, fault_dict = job
     fault = FaultSpec.from_dict(fault_dict) if fault_dict else None
     return run_scenario(scenario, fault)
@@ -236,7 +241,7 @@ def run_campaign(
     scenario: str,
     faults: Iterable[FaultSpec],
     workers: int = 1,
-    cache: Optional[ResultCache] = None,
+    cache: Optional[CampaignStore] = None,
     span_tracer: Optional[SpanTracer] = None,
     metrics: Optional[MetricsRegistry] = None,
     recorder=None,
@@ -245,9 +250,12 @@ def run_campaign(
     """Run the golden reference plus one cell per fault; classify all.
 
     Identical execution discipline to :func:`repro.sweep.engine.run_sweep`:
-    ``workers=1`` stays in-process, more workers fan the uncached cells
-    over a process pool; duplicate faults are computed once; a
-    ``cache`` makes re-runs incremental; attaching a ``span_tracer``
+    the uncached cells go to :func:`repro.campaign.service.run_cells`
+    (in-process at ``workers=1`` with no ``cache``, on store shards
+    otherwise), and an in-process cell that raises propagates
+    unwrapped; duplicate faults are computed once; a
+    :class:`~repro.campaign.store.CampaignStore` as ``cache`` makes
+    re-runs incremental and resumable; attaching a ``span_tracer``
     puts per-fault spans (recorded inside the workers) onto the
     parent's Perfetto timeline without perturbing the records.
     ``recorder`` arms the flight recorder exactly as in ``run_sweep``
@@ -255,10 +263,12 @@ def run_campaign(
 
     ``batch=True`` runs the uncached cells of a software-only
     scenario (golden + every CPU fault) as forks of one golden run
-    (:class:`~repro.isa.BatchCpu`), in the parent (DESIGN §14).
-    Records, classification, and the cache content are byte-identical
-    to the scalar path; only wall clock and the volatile stats change.  The flag is a no-op for scenarios that
-    need the simulation kernel and in store mode (where shards own
+    (:class:`~repro.isa.BatchCpu`), in the parent (DESIGN §14), at any
+    ``workers`` when no store is given; the remaining cells take the
+    usual path.  Records, classification, and the stored content are
+    byte-identical to the scalar path; only wall clock and the
+    volatile stats change.  The flag is a no-op for scenarios that
+    need the simulation kernel and with a store (whose shards own
     execution).
     """
     if scenario not in SCENARIOS:
@@ -283,7 +293,7 @@ def run_campaign(
         campaign_span = None
 
     records: Dict[str, Dict[str, Any]] = {}
-    pending: List[Tuple[str, Job]] = []  # (fingerprint, job)
+    pending: List[Tuple[str, Dict[str, Any]]] = []  # (fingerprint, payload)
 
     def want(fault: Optional[FaultSpec]) -> str:
         """Register one cell; returns its fingerprint."""
@@ -298,32 +308,26 @@ def run_campaign(
             metrics.counter("fault.cache.hits").inc()
         else:
             records[fingerprint] = {}  # reserve against duplicates
-            job: Job = (
-                scenario, fault.to_dict() if fault is not None else None
-            )
-            pending.append((fingerprint, job))
+            pending.append((fingerprint, {
+                "scenario": scenario,
+                "fault": fault.to_dict() if fault is not None else None,
+            }))
             metrics.counter("fault.cache.misses").inc()
         return fingerprint
 
     golden_fp = want(None)
     fault_fps = [want(fault) for fault in faults]
 
-    #: a CampaignStore (duck-typed on its queue surface) switches the
-    #: fan-out to the durable campaign service — resumable after any
-    #: interruption, results committed by the shards themselves.
-    store_mode = cache is not None and hasattr(cache, "claim")
-
-    #: pool mode emits from the parent; store mode hands the recorder
-    #: to the campaign service (coordinator + shard streams) instead
+    #: with no store the parent emits; a store's coordinator and
+    #: shards own their telemetry streams instead
     emitter = None
-    if recorder is not None and not store_mode:
+    if recorder is not None and cache is None:
         emitter = TelemetryEmitter(recorder, role="fault")
         emitter.emit("run", event="start", scenario=scenario,
                      faults=len(faults), workers=workers)
 
     def finish(fingerprint: str, record: Dict[str, Any],
-               timing: CellTiming,
-               obs: Optional[Dict[str, Any]]) -> None:
+               obs: Optional[Dict[str, Any]], elapsed_s: float) -> None:
         records[fingerprint] = record
         stats.computed += 1
         if emitter is not None:
@@ -331,34 +335,26 @@ def run_campaign(
                               cache_hits=stats.cache_hits,
                               total=len(faults) + 1)
         metrics.counter("fault.cells.computed").inc()
-        metrics.histogram("fault.cell.elapsed_s").observe(
-            timing.elapsed_s)
-        if timing.wait_s is not None:
-            metrics.histogram("fault.cell.wait_s").observe(
-                timing.wait_s)
-        if cache is not None and not store_mode:
-            cache.put(fingerprint, record)
+        metrics.histogram("fault.cell.elapsed_s").observe(elapsed_s)
         if obs is not None:
             metrics.merge(obs["metrics"])
-            span_tracer.merge_snapshot(
-                obs["spans"], lane=f"fault worker {obs['pid']}"
-            )
+            span_tracer.merge_snapshot(obs["spans"])
 
     scenario_obj = SCENARIOS[scenario]
-    if (batch and not store_mode and pending
+    if (batch and cache is None and pending
             and scenario_obj.software is not None):
         from repro.fault.scenarios import run_sw_batch
         from repro.fault.spec import CPU_KINDS
 
         lanes: List[Tuple[str, Optional[FaultSpec]]] = []
-        rest: List[Tuple[str, Job]] = []
-        for fingerprint, job in pending:
-            fault_dict = job[1]
+        rest: List[Tuple[str, Dict[str, Any]]] = []
+        for fingerprint, payload in pending:
+            fault_dict = payload["fault"]
             spec = FaultSpec.from_dict(fault_dict) if fault_dict else None
             if spec is None or spec.kind in CPU_KINDS:
                 lanes.append((fingerprint, spec))
             else:
-                rest.append((fingerprint, job))
+                rest.append((fingerprint, payload))
         if lanes:
             t_batch = time.perf_counter()
             lane_records, batch_stats = run_sw_batch(
@@ -379,41 +375,15 @@ def run_campaign(
                     reasons=dict(batch_stats.reasons),
                 )
             for (fingerprint, _spec), record in zip(lanes, lane_records):
-                finish(fingerprint, record, CellTiming(per_cell), None)
+                finish(fingerprint, record, None, per_cell)
         pending = rest
 
     try:
-        if store_mode:
-            from repro.campaign.service import run_store_jobs
-
-            payloads = [
-                (fp, {"scenario": scenario_name, "fault": fault_dict})
-                for fp, (scenario_name, fault_dict) in pending
-            ]
-
-            def on_committed(fingerprint: str, record: Dict[str, Any],
-                             obs: Optional[Dict[str, Any]],
-                             elapsed_s: float) -> None:
-                finish(fingerprint, record, CellTiming(elapsed_s), obs)
-
-            runner = "fault_observed" if observed else "fault"
-            run_store_jobs(cache, runner, payloads, workers,
-                           on_committed, metrics=metrics,
-                           span_tracer=span_tracer, recorder=recorder)
-        else:
-            by_job_fp = {id(job): fp for fp, job in pending}
-
-            def on_done(job: Job, out: Any,
-                        timing: CellTiming) -> None:
-                record, obs = out if observed else (out, None)
-                finish(by_job_fp[id(job)], record, timing, obs)
-
-            cell_fn = (run_fault_cell_observed if observed
-                       else run_fault_cell)
-            pool_map(cell_fn, [job for _, job in pending], workers,
-                     on_done)
+        run_cells(pending, "fault_observed" if observed else "fault",
+                  workers, finish, store=cache, metrics=metrics,
+                  span_tracer=span_tracer, recorder=recorder)
     except BaseException:
-        # never leave the campaign span open across a failed fan-out
+        # never leave the campaign span open across a failed run
         if campaign_span is not None:
             campaign_span.__exit__(*sys.exc_info())
             campaign_span = None

@@ -18,8 +18,9 @@ Two sinks, matched to the two execution modes:
   they describe (``--store`` mode; one durable file holds results,
   queue, and black box);
 * :class:`JsonlRecorder` — an append-only JSONL file, one sample per
-  line, flushed per write (pool mode; a SIGKILL loses at most the
-  half-written last line, which :func:`read_samples` tolerates).
+  line, flushed per write (runs without a store; a SIGKILL loses at
+  most the half-written last line, which :func:`read_samples`
+  tolerates).
 
 Three invariants, enforced by test:
 
@@ -101,7 +102,7 @@ class TelemetrySample:
 
 
 class JsonlRecorder:
-    """Append-only JSONL flight-recorder file (pool mode).
+    """Append-only JSONL flight-recorder file (runs without a store).
 
     Each sample is one ``json.dumps`` line, written and flushed
     atomically enough for a black box: the file is opened in append

@@ -10,8 +10,8 @@ with per-worker pid/tid lanes, which is what makes a 2-worker sweep
 render as two parallel swimlanes in Perfetto.
 
 Timestamps come from ``time.perf_counter()`` (CLOCK_MONOTONIC on
-Linux), which is system-wide on one machine, so spans recorded in pool
-workers align with the parent's without clock negotiation; exporters
+Linux), which is system-wide on one machine, so spans recorded in
+worker processes align with the parent's without clock negotiation; exporters
 normalize to the earliest span anyway.
 
 Same zero-cost discipline as the kernel tracer: callers guard every
@@ -191,7 +191,7 @@ class SpanTracer:
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
         """Everything recorded so far, JSON-serializable — the payload
-        a pool worker ships back with its result."""
+        a worker process ships back with its result."""
         return {
             "pid": self.pid,
             "tid": self.tid,

@@ -8,9 +8,10 @@ time.
 * :mod:`repro.sweep.config` — sweep cells (generator × cost model ×
   heuristic × seed), stable fingerprints, deterministic seed
   derivation, grid expansion;
-* :mod:`repro.sweep.engine` — the ``ProcessPoolExecutor`` fan-out with
-  result caching and PR 1 metrics instrumentation;
-* :mod:`repro.sweep.cache` — the fingerprint-keyed on-disk JSON cache;
+* :mod:`repro.sweep.engine` — ``run_sweep``, which runs the cells
+  through the campaign service's one execution path (in-process, or
+  on a :class:`~repro.campaign.CampaignStore`'s shards) with result
+  reuse and metrics instrumentation;
 * :mod:`repro.sweep.table` — the canonical result table and the
   Section 5-style comparison report;
 * :mod:`repro.sweep.differential` — the cross-heuristic invariant
@@ -18,21 +19,22 @@ time.
 
 Quick tour::
 
-    from repro.sweep import ResultCache, expand_grid, run_sweep
+    from repro.campaign import CampaignStore
+    from repro.sweep import expand_grid, run_sweep
 
     grid = expand_grid(
         generators=("layered", "forkjoin"),
         heuristics=("greedy", "kl", "vulcan", "cosyma"),
         seeds=range(8),
     )
-    table = run_sweep(grid, workers=4, cache=ResultCache(".sweep-cache"))
+    table = run_sweep(grid, workers=4, cache=CampaignStore("sweep.sqlite"))
     print(table.comparison_report())
 """
 
 from repro._lazy import lazy_exports
 
-# nothing loads with the package: a fault campaign needs only the cache
-# and the pool fan-out, never the partitioners behind a sweep cell
+# nothing loads with the package: importing it never pulls in the
+# partitioners behind a sweep cell
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.sweep.config": (
         "COMM_MODELS",
@@ -41,15 +43,10 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "expand_grid",
         "parse_seed_spec",
     ),
-    "repro.sweep.cache": ("CACHE_VERSION", "CacheVersionError",
-                          "ResultCache"),
     "repro.sweep.table": ("SweepResult",),
     "repro.sweep.engine": (
-        "CellTiming",
-        "PoolJobError",
         "SweepCellError",
         "SweepStats",
-        "pool_map",
         "run_cell",
         "run_cell_observed",
         "run_sweep",
@@ -69,15 +66,9 @@ __all__ = [
     "SweepConfig",
     "expand_grid",
     "parse_seed_spec",
-    "CACHE_VERSION",
-    "CacheVersionError",
-    "ResultCache",
     "SweepResult",
-    "CellTiming",
-    "PoolJobError",
     "SweepCellError",
     "SweepStats",
-    "pool_map",
     "run_cell",
     "run_cell_observed",
     "run_sweep",

@@ -138,7 +138,7 @@ class TestShardClaims:
         store = CampaignStore(tmp_path / "s.sqlite")
         store.enqueue(timed_jobs(costs))
         sizes = recorded_claims(monkeypatch, store)
-        service._run_shard(store, "test_timed", 2, 0.0, None)
+        service._run_shard(store, "test_timed", 2, None)
         assert sizes == [1, 10, 5, 2, 1, 1]
         assert sizes == expected_claims(costs, store.lease_s, shards=2)
         assert store.queue_counts()["done"] == len(costs)

@@ -89,6 +89,51 @@ class TestRunStoreJobs:
         finally:
             del RUNNERS["test_boom"]
 
+    def test_fixed_runner_reruns_only_the_failures(self, store):
+        """A cell that failed on every attempt runs again once the
+        runner is fixed; the committed good cell is not recomputed."""
+        jobs = [("a" * 64, {"ok": True}), ("b" * 64, {"boom": True})]
+        calls = []
+
+        def fixed(payload):
+            calls.append(payload)
+            return dict(payload), None
+
+        register_runner("test_boom", _boom_runner)
+        try:
+            with pytest.raises(CampaignCellError):
+                run_store_jobs(store, "test_boom", jobs, workers=1,
+                               on_done=lambda *a: None)
+            register_runner("test_boom", fixed)
+            done = {}
+            run_store_jobs(store, "test_boom", jobs, workers=1,
+                           on_done=lambda fp, r, o, e:
+                           done.update({fp: r}))
+        finally:
+            del RUNNERS["test_boom"]
+        assert calls == [{"boom": True}]
+        assert done == {"a" * 64: {"ok": True}, "b" * 64: {"boom": True}}
+        assert store.failed_jobs() == []
+        assert store.queue_counts()["done"] == 2
+
+    def test_another_campaigns_failure_is_not_reported(self, store):
+        """A cell that failed for good in one campaign does not fail a
+        later, healthy campaign on the same store."""
+        register_runner("test_boom", _boom_runner)
+        try:
+            with pytest.raises(CampaignCellError):
+                run_store_jobs(store, "test_boom",
+                               [("a" * 64, {"boom": True})], workers=1,
+                               on_done=lambda *a: None)
+            done = {}
+            run_store_jobs(store, "test_boom", [("b" * 64, {"ok": 1})],
+                           workers=1, on_done=lambda fp, r, o, e:
+                           done.update({fp: r}))
+        finally:
+            del RUNNERS["test_boom"]
+        assert done == {"b" * 64: {"ok": 1}}
+        assert [fp for fp, _ in store.failed_jobs()] == ["a" * 64]
+
     def test_unknown_runner_name(self, store):
         with pytest.raises(KeyError, match="no_such_runner"):
             run_store_jobs(store, "no_such_runner",

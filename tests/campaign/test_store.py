@@ -1,5 +1,6 @@
-"""Tests for the SQLite result store: ResultCache parity, migration,
-and multi-process write safety."""
+"""Tests for the SQLite result store: the result surface, argument
+checks, migration from JSON cache directories, and multi-process write
+safety."""
 
 import json
 import multiprocessing
@@ -7,8 +8,7 @@ import os
 
 import pytest
 
-from repro.campaign import CampaignStore
-from repro.sweep import CACHE_VERSION, CacheVersionError, ResultCache
+from repro.campaign import CACHE_VERSION, CacheVersionError, CampaignStore
 
 RECORD = {"fingerprint": "f" * 64, "cost": 12.5, "hw_tasks": ["a", "b"]}
 
@@ -19,7 +19,7 @@ def store(tmp_path):
 
 
 class TestResultSurface:
-    """The store is a drop-in for ResultCache's cache surface."""
+    """The get/put surface the engines' ``cache=`` keyword uses."""
 
     def test_roundtrip(self, store):
         fp = "a" * 64
@@ -81,22 +81,92 @@ class TestResultSurface:
         assert path.exists()
 
 
+class TestArguments:
+    """Malformed store arguments raise ValueError naming the field."""
+
+    @pytest.mark.parametrize("value", [0, -1, float("nan"), float("inf"),
+                                       "soon", None])
+    def test_lease_must_be_finite_and_positive(self, tmp_path, value):
+        with pytest.raises(ValueError, match="lease_s"):
+            CampaignStore(tmp_path / "s.sqlite", lease_s=value)
+
+    @pytest.mark.parametrize("value", [0, -1.5, float("nan"),
+                                       float("inf")])
+    def test_heartbeat_timeout_must_be_finite_and_positive(
+            self, tmp_path, value):
+        with pytest.raises(ValueError, match="heartbeat_timeout_s"):
+            CampaignStore(tmp_path / "s.sqlite",
+                          heartbeat_timeout_s=value)
+
+    @pytest.mark.parametrize("value", [0, -2, 1.5, "3", True])
+    def test_max_attempts_must_be_an_int_of_at_least_one(
+            self, tmp_path, value):
+        with pytest.raises(ValueError, match="max_attempts"):
+            CampaignStore(tmp_path / "s.sqlite", max_attempts=value)
+
+    def test_rejected_arguments_create_no_file(self, tmp_path):
+        with pytest.raises(ValueError):
+            CampaignStore(tmp_path / "s.sqlite", lease_s=0)
+        assert not (tmp_path / "s.sqlite").exists()
+
+
+class TestRequeue:
+    """Re-enqueueing a job: what it resets, and what it never touches."""
+
+    JOB = ("a" * 64, {"cell": 1})
+
+    def _state(self, store):
+        return store.conn.execute(
+            "SELECT state, lease_owner, attempts, error FROM jobs "
+            "WHERE fingerprint = ?", (self.JOB[0],)).fetchone()
+
+    def test_spent_failure_gets_a_fresh_budget(self, store):
+        store.enqueue([self.JOB])
+        for attempt in range(store.max_attempts):
+            assert store.claim("owner", 1)
+            store.fail("owner", self.JOB[0], f"boom {attempt}")
+        assert store.claim("owner", 1) == []
+        assert store.enqueue([self.JOB]) == 1
+        assert self._state(store) == ("pending", None, 0, None)
+        assert store.failed_jobs() == []
+        assert len(store.claim("owner", 1)) == 1
+
+    def test_leased_job_is_never_touched(self, store):
+        store.enqueue([self.JOB])
+        store.claim("pid:1", 1)
+        before = self._state(store)
+        store.enqueue([self.JOB])
+        assert self._state(store) == before == ("leased", "pid:1", 1,
+                                                None)
+
+
+def _write_entries(root, entries):
+    """A JSON cache directory: one ``<fp>.json`` per (fp, record)."""
+    root.mkdir(parents=True, exist_ok=True)
+    for fp, record in entries:
+        (root / f"{fp}.json").write_text(json.dumps({
+            "version": CACHE_VERSION, "fingerprint": fp, "record": record,
+        }), encoding="utf-8")
+
+
 class TestMigration:
     def test_import_cache(self, tmp_path):
-        cache = ResultCache(tmp_path / "json")
-        for i in range(4):
-            cache.put(f"{i}" * 64, {"cost": float(i)})
+        _write_entries(tmp_path / "json",
+                       [(f"{i}" * 64, {"cost": float(i)}) for i in range(4)])
         store = CampaignStore(tmp_path / "store.sqlite")
-        assert store.import_cache(cache) == 4
+        assert store.import_cache(tmp_path / "json") == 4
         for i in range(4):
             assert store.get(f"{i}" * 64) == {"cost": float(i)}
 
     def test_import_skips_unreadable_entries(self, tmp_path):
-        cache = ResultCache(tmp_path / "json")
-        cache.put("a" * 64, RECORD)
-        cache.path_for("b" * 64).write_text("{corrupt", encoding="utf-8")
+        root = tmp_path / "json"
+        _write_entries(root, [("a" * 64, RECORD)])
+        (root / f"{'b' * 64}.json").write_text("{corrupt",
+                                               encoding="utf-8")
+        # a crashed writer's temp file is not an entry
+        (root / f".{'c' * 64}.json.123.tmp").write_text("{}")
         store = CampaignStore(tmp_path / "store.sqlite")
-        assert store.import_cache(cache) == 1
+        assert store.import_cache(root) == 1
         assert store.get("a" * 64) == RECORD
         assert store.get("b" * 64) is None
 

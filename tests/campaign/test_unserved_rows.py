@@ -9,9 +9,8 @@ row, and gives the reference document.
 
 import pytest
 
-from repro.campaign import CampaignStore
+from repro.campaign import CACHE_VERSION, CampaignStore
 from repro.fault import SCENARIOS, run_campaign, sample_faults
-from repro.sweep import CACHE_VERSION
 
 FAULTS = sample_faults(SCENARIOS["msgpipe"].targets, 12, seed=7)
 

@@ -53,10 +53,8 @@ def test_every_example_is_covered():
 @pytest.mark.parametrize("name", EXAMPLES)
 def test_smoke_runs_clean(name, tmp_path):
     extra = []
-    if name in ("design_explore.py", "partition_sweep.py",
-                "fault_campaign.py"):
-        extra = ["--cache", str(tmp_path / "cache")] \
-            if name == "design_explore.py" else []
+    if name == "design_explore.py":
+        extra = ["--store", str(tmp_path / "dse.sqlite")]
     proc = _run(name, "--smoke", *extra)
     assert proc.returncode == 0, (
         f"{name} --smoke exited {proc.returncode}\n"

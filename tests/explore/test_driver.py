@@ -31,7 +31,6 @@ from repro.explore import (
 )
 from repro.obs.spans import SpanTracer
 from repro.partition.seeding import ProgressProbe
-from repro.sweep import ResultCache
 
 #: Small but real: three generations over both objective arities.
 SPEC_2D = ExploreSpec(population=6, generations=3, n_tasks=(8,),
@@ -72,7 +71,7 @@ class TestCacheClosure:
     @pytest.mark.slow
     def test_warm_run_recomputes_nothing(self, tmp_path,
                                          baseline_json):
-        cache = ResultCache(tmp_path / "cache")
+        cache = CampaignStore(tmp_path / "cache.sqlite")
         cold = explore(SPEC_3D, workers=1, cache=cache)
         assert cold.to_json() == baseline_json
         assert cold.stats.computed > 0
@@ -172,7 +171,7 @@ class TestRandomBaseline:
         assert a.to_json() == b.to_json()
 
     def test_random_search_shares_the_cache(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = CampaignStore(tmp_path / "cache.sqlite")
         random_search(SPEC_2D, evaluations=10, cache=cache)
         warm = random_search(SPEC_2D, evaluations=10, cache=cache)
         assert warm.stats.computed == 0

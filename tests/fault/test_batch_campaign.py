@@ -21,7 +21,7 @@ from repro.fault import (
     run_sw_sweep,
     sample_faults,
 )
-from repro.sweep.cache import ResultCache
+from repro.campaign import CampaignStore
 
 E24_FAULTS = 200
 E24_SEED = 7
@@ -65,12 +65,12 @@ class TestBatchIdentity:
         assert batch.to_json() == scalar.to_json()
 
     def test_warm_and_partial_cache_identical(self, tmp_path):
-        """A cache half-filled by a batch run, then extended by a
-        second batch run, then replayed fully warm — every variant
-        yields the scalar document."""
+        """A store half-filled by one run, then extended by a second,
+        then replayed fully warm — every variant yields the document
+        the forked (batch) run gives with no store."""
         faults = swmac_faults(60)
-        reference = run_campaign("swmac", faults).to_json()
-        cache = ResultCache(str(tmp_path / "cells.json"))
+        reference = run_campaign("swmac", faults, batch=True).to_json()
+        cache = CampaignStore(tmp_path / "cells.sqlite")
         run_campaign("swmac", faults[:30], batch=True, cache=cache)
         extended = run_campaign("swmac", faults, batch=True, cache=cache)
         assert extended.to_json() == reference
@@ -79,11 +79,14 @@ class TestBatchIdentity:
         assert warm.stats.computed == 0
 
     def test_scalar_cache_feeds_batch_run(self, tmp_path):
-        """Cells cached by scalar runs must be indistinguishable from
-        batch-computed ones — same fingerprints, same records."""
+        """Cells stored by scalar runs must be indistinguishable from
+        forked ones — same fingerprints, same records — and serve a
+        batch-flagged run entirely."""
         faults = swmac_faults(30)
-        cache = ResultCache(str(tmp_path / "cells.json"))
+        cache = CampaignStore(tmp_path / "cells.sqlite")
         scalar = run_campaign("swmac", faults, cache=cache)
+        assert scalar.to_json() == \
+            run_campaign("swmac", faults, batch=True).to_json()
         batch = run_campaign("swmac", faults, batch=True, cache=cache)
         assert batch.to_json() == scalar.to_json()
         assert batch.stats.cache_hits == len(faults) + 1

@@ -19,8 +19,7 @@ from repro.fault import (
     sample_faults,
 )
 from repro.obs.spans import SpanTracer
-from repro.sweep import ResultCache
-from repro.sweep.engine import PoolJobError
+from repro.campaign import CampaignStore
 
 
 GOLDEN = {"completed": True, "detected": False, "data": [1, 2, 3],
@@ -113,7 +112,7 @@ class TestCampaign:
         assert serial.to_json() == pooled.to_json()
 
     def test_cache_makes_reruns_incremental(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = CampaignStore(tmp_path / "cache.sqlite")
         faults = sample_faults(SCENARIOS["msgpipe"].targets, 6, seed=1)
         first = run_campaign("msgpipe", faults, cache=cache)
         assert first.stats.cache_hits == 0
@@ -132,18 +131,13 @@ class TestCampaign:
     @pytest.mark.parametrize("name", ["coproc", "swmac"])
     def test_cpu_register_off_the_file_rejected(self, name, batch):
         """A malformed CPU fault stops the campaign with the arming
-        helper's InjectionError on every scenario and engine (wrapped
-        in a PoolJobError where the pool ran the cell), never a crash
-        row."""
+        helper's InjectionError, unwrapped, on every scenario and
+        engine, never a crash row."""
         bad = FaultSpec(kind="cpu_reg_flip", target="cpu", index=16,
                         count=5)
-        with pytest.raises(Exception) as info:
+        with pytest.raises(InjectionError) as info:
             run_campaign(name, [bad], batch=batch)
-        error = info.value
-        if isinstance(error, PoolJobError):
-            error = error.__cause__
-        assert isinstance(error, InjectionError)
-        assert str(error) == "cpu_reg_flip: no register r16"
+        assert str(info.value) == "cpu_reg_flip: no register r16"
         with pytest.raises(InjectionError, match="no register r16"):
             run_scenario(name, bad)
 

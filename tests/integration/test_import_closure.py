@@ -64,14 +64,22 @@ LAZY = [
         "COMM_MODELS", "CONFIG_VERSION", "SweepConfig", "expand_grid",
         "parse_seed_spec")
 ] + [
-    ("repro.sweep", name, "repro.sweep.cache")
-    for name in ("CACHE_VERSION", "CacheVersionError", "ResultCache")
-] + [
     ("repro.sweep", "SweepResult", "repro.sweep.table"),
 ] + [
     ("repro.sweep", name, "repro.sweep.engine") for name in (
-        "CellTiming", "PoolJobError", "SweepCellError", "SweepStats",
-        "pool_map", "run_cell", "run_cell_observed", "run_sweep")
+        "SweepCellError", "SweepStats", "run_cell", "run_cell_observed",
+        "run_sweep")
+] + [
+    ("repro.campaign", name, "repro.campaign.store") for name in (
+        "CACHE_VERSION", "CacheVersionError", "CampaignStore",
+        "JOB_STATES")
+] + [
+    ("repro.campaign", name, "repro.campaign.service") for name in (
+        "CampaignCellError", "CampaignInterrupted", "run_cells",
+        "run_store_jobs")
+] + [
+    ("repro.campaign", name, "repro.campaign.runners")
+    for name in ("RUNNERS", "get_runner", "register_runner")
 ] + [
     ("repro.sweep", name, "repro.sweep.differential") for name in (
         "DifferentialReport", "check_result", "graph_signature",
@@ -130,6 +138,22 @@ def test_coproc_campaign_runs_without_numpy():
     assert heavy == []
 
 
+def test_serial_campaign_opens_no_store():
+    """A workers=1 campaign with no store runs its cells in a plain
+    loop: it never loads sqlite3, a temporary store or a
+    process pool."""
+    code = (
+        "import json, sys\n"
+        "from repro.fault import SCENARIOS, run_campaign, sample_faults\n"
+        "faults = sample_faults(SCENARIOS['msgpipe'].targets, 8, seed=7)\n"
+        "run_campaign('msgpipe', faults)\n"
+        "print(json.dumps(sorted(m for m in ('sqlite3', 'multiprocessing',\n"
+        "                                    'repro.campaign.store')\n"
+        "                        if m in sys.modules)))\n"
+    )
+    assert run_python(code) == []
+
+
 def test_forked_swmac_campaign_runs_without_numpy():
     """The seed-7 E24 campaign forked from one golden run gives its
     pinned histogram with numpy unimportable; it loads the fork engine
@@ -158,8 +182,8 @@ def test_lazy_names_resolve_to_the_defining_modules_objects():
     assert run_python(code) == {"eager": [], "wrong": []}
 
 
-@pytest.mark.parametrize("package", ["repro.isa", "repro.obs",
-                                     "repro.sweep"])
+@pytest.mark.parametrize("package", ["repro.campaign", "repro.isa",
+                                     "repro.obs", "repro.sweep"])
 def test_star_import_and_dir_list_every_public_name(package):
     code = (
         "import importlib, json\n"

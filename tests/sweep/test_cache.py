@@ -1,154 +1,119 @@
-"""Tests for the on-disk result cache."""
+"""Reading the JSON cache directories earlier versions wrote.
+
+Such a directory holds one ``<fingerprint>.json`` file per cell, with
+the cache version, the fingerprint and the record.
+:meth:`CampaignStore.import_cache` carries its entries into a store
+under the rules the cache read them by: anything unreadable, stale or
+fingerprint-mismatched is a miss (skipped), and an entry of a newer
+schema raises :class:`CacheVersionError`.
+"""
 
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
-from repro.sweep import CACHE_VERSION, CacheVersionError, ResultCache
+from repro.campaign import CACHE_VERSION, CacheVersionError, CampaignStore
 
 
 RECORD = {"fingerprint": "f" * 64, "cost": 12.5, "hw_tasks": ["a", "b"]}
 
 
+def write_entry(root, fp, doc):
+    root.mkdir(parents=True, exist_ok=True)
+    path = root / f"{fp}.json"
+    text = doc if isinstance(doc, str) else json.dumps(doc)
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def imported(tmp_path, root):
+    """(records imported, the store they went into)."""
+    store = CampaignStore(tmp_path / "store.sqlite")
+    return store.import_cache(root), store
+
+
 def test_roundtrip(tmp_path):
-    cache = ResultCache(tmp_path / "cache")
+    root = tmp_path / "cache"
     fp = "a" * 64
-    assert cache.get(fp) is None
-    cache.put(fp, RECORD)
-    assert cache.get(fp) == RECORD
-    assert fp in cache
-    assert len(cache) == 1
+    write_entry(root, fp, {"version": CACHE_VERSION, "fingerprint": fp,
+                           "record": RECORD})
+    count, store = imported(tmp_path, root)
+    assert count == 1
+    assert store.get(fp) == RECORD
+    assert fp in store
 
 
 def test_miss_on_absent(tmp_path):
-    cache = ResultCache(tmp_path)
-    assert cache.get("b" * 64) is None
-    assert ("b" * 64) not in cache
+    count, store = imported(tmp_path, tmp_path / "no-such-cache")
+    assert count == 0
+    assert store.get("b" * 64) is None
 
 
 def test_corrupt_file_reads_as_miss(tmp_path):
-    cache = ResultCache(tmp_path)
+    root = tmp_path / "cache"
     fp = "c" * 64
-    cache.path_for(fp).write_text("{not json", encoding="utf-8")
-    assert cache.get(fp) is None
+    write_entry(root, fp, "{not json")
+    count, store = imported(tmp_path, root)
+    assert count == 0
+    assert store.get(fp) is None
 
 
 def test_older_version_reads_as_miss(tmp_path):
     """Entries from an *older* schema are safe to recompute over."""
-    cache = ResultCache(tmp_path)
+    root = tmp_path / "cache"
     fp = "d" * 64
-    cache.path_for(fp).write_text(json.dumps({
-        "version": CACHE_VERSION - 1, "fingerprint": fp, "record": RECORD,
-    }), encoding="utf-8")
-    assert cache.get(fp) is None
+    write_entry(root, fp, {"version": CACHE_VERSION - 1,
+                           "fingerprint": fp, "record": RECORD})
+    count, store = imported(tmp_path, root)
+    assert count == 0
+    assert store.get(fp) is None
 
 
 def test_newer_version_raises_clear_error(tmp_path):
-    """Regression: an entry written by a newer schema used to read as a
-    silent miss, so a sweep against a newer cache would quietly
-    recompute (and clobber) everything.  It must fail loudly instead,
-    naming the file and both versions."""
-    cache = ResultCache(tmp_path)
+    """An entry written by a newer schema must fail loudly, naming the
+    file and both versions, instead of reading as a silent miss that a
+    recomputation would clobber."""
+    root = tmp_path / "cache"
     fp = "d" * 64
-    cache.path_for(fp).write_text(json.dumps({
-        "version": CACHE_VERSION + 1, "fingerprint": fp, "record": RECORD,
-    }), encoding="utf-8")
+    write_entry(root, fp, {"version": CACHE_VERSION + 1,
+                           "fingerprint": fp, "record": RECORD})
     with pytest.raises(CacheVersionError) as exc:
-        cache.get(fp)
+        imported(tmp_path, root)
     message = str(exc.value)
     assert str(CACHE_VERSION + 1) in message
     assert str(CACHE_VERSION) in message
     assert f"{fp}.json" in message
-    # membership checks stay cheap and do not parse the entry
-    assert fp in cache
 
 
 def test_non_integer_version_reads_as_miss(tmp_path):
-    cache = ResultCache(tmp_path)
+    root = tmp_path / "cache"
     fp = "e" * 64
-    cache.path_for(fp).write_text(json.dumps({
-        "version": "2", "fingerprint": fp, "record": RECORD,
-    }), encoding="utf-8")
-    assert cache.get(fp) is None
+    write_entry(root, fp, {"version": "2", "fingerprint": fp,
+                           "record": RECORD})
+    count, _store = imported(tmp_path, root)
+    assert count == 0
 
 
 def test_fingerprint_mismatch_reads_as_miss(tmp_path):
-    cache = ResultCache(tmp_path)
+    root = tmp_path / "cache"
     fp = "e" * 64
-    cache.path_for(fp).write_text(json.dumps({
-        "version": CACHE_VERSION, "fingerprint": "0" * 64, "record": RECORD,
-    }), encoding="utf-8")
-    assert cache.get(fp) is None
+    write_entry(root, fp, {"version": CACHE_VERSION,
+                           "fingerprint": "0" * 64, "record": RECORD})
+    count, store = imported(tmp_path, root)
+    assert count == 0
+    assert store.get(fp) is None
+    assert store.get("0" * 64) is None
 
 
 def test_overwrite_replaces(tmp_path):
-    cache = ResultCache(tmp_path)
+    """Importing a directory again after an entry changed replaces the
+    stored record, as rewriting the file replaced the cached one."""
+    root = tmp_path / "cache"
     fp = "f" * 64
-    cache.put(fp, {"cost": 1.0})
-    cache.put(fp, {"cost": 2.0})
-    assert cache.get(fp) == {"cost": 2.0}
-    assert len(cache) == 1
-
-
-def test_clear_and_listing(tmp_path):
-    cache = ResultCache(tmp_path)
-    for i in range(3):
-        cache.put(f"{i}" * 64, {"cost": float(i)})
-    assert len(cache.fingerprints()) == 3
-    assert cache.clear() == 3
-    assert len(cache) == 0
-
-
-def test_creates_directory(tmp_path):
-    root = tmp_path / "deep" / "nested" / "cache"
-    ResultCache(root)
-    assert root.is_dir()
-
-
-def _dead_pid():
-    proc = subprocess.Popen([sys.executable, "-c", "pass"])
-    proc.wait()
-    return proc.pid
-
-
-class TestStaleTmpSweep:
-    """Crashed writers' ``.<fp>.json.<pid>.tmp`` litter is swept on
-    open; in-flight writes of live processes are left alone."""
-
-    def test_dead_writer_tmp_removed_on_open(self, tmp_path):
-        stale = tmp_path / f".{'a' * 64}.json.{_dead_pid()}.tmp"
-        stale.write_text("{}")
-        ResultCache(tmp_path)
-        assert not stale.exists()
-
-    def test_live_writer_tmp_kept_on_open(self, tmp_path):
-        inflight = tmp_path / f".{'b' * 64}.json.{os.getpid()}.tmp"
-        inflight.write_text("{}")
-        ResultCache(tmp_path)
-        assert inflight.exists()
-
-    def test_unparseable_tmp_removed_on_open(self, tmp_path):
-        junk = tmp_path / ".not-a-cache-write.tmp"
-        junk.write_text("x")
-        ResultCache(tmp_path)
-        assert not junk.exists()
-
-    def test_sweep_does_not_touch_entries(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put("c" * 64, {"cost": 1.0})
-        stale = tmp_path / f".{'a' * 64}.json.{_dead_pid()}.tmp"
-        stale.write_text("{}")
-        assert ResultCache(tmp_path).get("c" * 64) == {"cost": 1.0}
-        assert not stale.exists()
-
-    def test_clear_removes_all_tmp_including_live(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put("c" * 64, {"cost": 1.0})
-        inflight = tmp_path / f".{'b' * 64}.json.{os.getpid()}.tmp"
-        inflight.write_text("{}")
-        assert cache.clear() == 1
-        assert not inflight.exists()
-        assert len(cache) == 0
+    store = CampaignStore(tmp_path / "store.sqlite")
+    for cost in (1.0, 2.0):
+        write_entry(root, fp, {"version": CACHE_VERSION, "fingerprint": fp,
+                               "record": {"cost": cost}})
+        assert store.import_cache(root) == 1
+    assert store.get(fp) == {"cost": 2.0}
+    assert len(store) == 1

@@ -4,26 +4,22 @@ The two load-bearing guarantees (ISSUE 2's determinism satellite):
 
 * identical grid + seeds produce *byte-identical* result tables at
   ``workers=1`` and ``workers=4``;
-* a second run against a warm cache recomputes nothing, asserted
+* a second run against a warm store recomputes nothing, asserted
   through the PR 1 metrics layer rather than by timing.
 """
 
-import time
-
 import pytest
 
+from repro.campaign import CampaignStore
 from repro.cosim.metrics import MetricsRegistry
 from repro.cosim.trace import Tracer
 from repro.obs.spans import SpanTracer
 from repro.partition import HEURISTICS
 from repro.sweep import (
-    PoolJobError,
-    ResultCache,
     SweepCellError,
     SweepConfig,
     SweepResult,
     expand_grid,
-    pool_map,
     run_cell,
     run_sweep,
 )
@@ -91,7 +87,7 @@ class TestDeterminism:
 class TestCaching:
     def test_second_run_is_fully_cached(self, tmp_path):
         grid = small_grid()
-        cache = ResultCache(tmp_path / "cache")
+        cache = CampaignStore(tmp_path / "cache.sqlite")
 
         cold_metrics = MetricsRegistry()
         cold = run_sweep(grid, workers=1, cache=cache,
@@ -109,7 +105,7 @@ class TestCaching:
         assert warm.to_json() == cold.to_json()
 
     def test_incremental_grid_extension(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = CampaignStore(tmp_path / "cache.sqlite")
         base = small_grid(heuristics=("greedy",))
         run_sweep(base, workers=1, cache=cache)
 
@@ -124,7 +120,7 @@ class TestCaching:
 
     def test_parallel_run_populates_cache(self, tmp_path):
         grid = small_grid()
-        cache = ResultCache(tmp_path / "cache")
+        cache = CampaignStore(tmp_path / "cache.sqlite")
         run_sweep(grid, workers=2, cache=cache)
         assert len(cache) == len(grid)
         metrics = MetricsRegistry()
@@ -146,7 +142,7 @@ class TestObservability:
     def test_tracer_records_cells(self, tmp_path):
         grid = small_grid(heuristics=("greedy",))
         tracer = Tracer()
-        cache = ResultCache(tmp_path / "cache")
+        cache = CampaignStore(tmp_path / "cache.sqlite")
         run_sweep(grid, workers=1, cache=cache, tracer=tracer)
         cells = tracer.records_of("sweep_cell")
         assert len(cells) == len(grid)
@@ -194,65 +190,8 @@ class TestTable:
         assert table.wins() == {}
 
 
-def _explode_on_boom(job):
-    if job == "boom":
-        raise ValueError("cell exploded")
-    return job.upper()
-
-
-def _sleep_job(seconds):
-    time.sleep(seconds)
-    return seconds
-
-
 def _boom_heuristic(problem, weights=None, seed=None, probe=None):
     raise RuntimeError("heuristic exploded")
-
-
-class TestPoolMapCrashPath:
-    def test_serial_failure_names_job_and_keeps_completions(self):
-        done = {}
-        with pytest.raises(PoolJobError) as exc:
-            pool_map(_explode_on_boom, ["a", "boom", "c"], workers=1,
-                     on_done=lambda job, r, t: done.update({job: r}))
-        assert exc.value.job == "boom"
-        assert "boom" in str(exc.value)
-        assert done == {"a": "A"}
-
-    def test_pooled_failure_delivers_finished_successes(self):
-        done = {}
-        with pytest.raises(PoolJobError) as exc:
-            pool_map(_explode_on_boom, ["a", "b", "boom", "d"], workers=2,
-                     on_done=lambda job, r, t: done.update({job: r}))
-        assert exc.value.job == "boom"
-        assert "boom" not in done
-        for job, result in done.items():
-            assert result == job.upper()
-
-
-class TestPoolMapTiming:
-    def test_serial_timing_has_no_queue_wait(self):
-        timings = []
-        pool_map(_sleep_job, [0.01, 0.01], workers=1,
-                 on_done=lambda job, r, t: timings.append(t))
-        assert all(t.wait_s == 0.0 for t in timings)
-        assert all(t.elapsed_s >= 0.01 for t in timings)
-
-    def test_pool_elapsed_excludes_queue_wait(self):
-        """Four 0.25s jobs on two workers: the second round queues for
-        a full job length, but per-job elapsed must stay one job long.
-        The pre-fix clock started at submission, so the second round
-        reported ~2x the real cell time."""
-        timings = {}
-        pool_map(_sleep_job, [0.25] * 4, workers=2,
-                 on_done=lambda job, r, t: timings.setdefault(
-                     len(timings), t))
-        assert len(timings) == 4
-        for t in timings.values():
-            assert 0.25 <= t.elapsed_s < 0.45
-            assert t.wait_s >= 0.0
-        # somebody actually queued behind the first round
-        assert max(t.wait_s for t in timings.values()) > 0.15
 
 
 class TestSweepCrashPath:
@@ -264,7 +203,7 @@ class TestSweepCrashPath:
                                                    tmp_path):
         grid = self.grid()
         monkeypatch.setitem(HEURISTICS, "vulcan", _boom_heuristic)
-        cache = ResultCache(tmp_path / "cache")
+        cache = CampaignStore(tmp_path / "cache.sqlite")
         with pytest.raises(SweepCellError) as exc:
             run_sweep(grid, workers=1, cache=cache)
         err = exc.value

@@ -11,6 +11,7 @@ The acceptance criteria for the tentpole's sweep integration:
 
 import json
 
+from repro.campaign import CampaignStore
 from repro.cosim.metrics import MetricsRegistry
 from repro.obs import (
     ProgressProbe,
@@ -18,8 +19,8 @@ from repro.obs import (
     convergence_sink,
     validate_trace_events,
 )
-from repro.sweep import ResultCache, expand_grid, run_cell, \
-    run_cell_observed, run_sweep
+from repro.sweep import expand_grid, run_cell, run_cell_observed, \
+    run_sweep
 
 
 def small_grid(heuristics=("greedy", "vulcan"), seeds=range(2)):
@@ -148,7 +149,7 @@ class TestObservationDoesNotPerturb:
 
     def test_cache_entries_carry_no_obs_payload(self, tmp_path):
         grid = small_grid(heuristics=("greedy",), seeds=range(1))
-        cache = ResultCache(tmp_path / "cache")
+        cache = CampaignStore(tmp_path / "cache.sqlite")
         observed_sweep_table, _s, _p, _m = (
             run_sweep(grid, workers=1, cache=cache,
                       span_tracer=SpanTracer()),
@@ -163,7 +164,7 @@ class TestObservationDoesNotPerturb:
 
     def test_cache_hits_skip_workers_but_emit_events(self, tmp_path):
         grid = small_grid()
-        cache = ResultCache(tmp_path / "cache")
+        cache = CampaignStore(tmp_path / "cache.sqlite")
         run_sweep(grid, workers=1, cache=cache)
         spans = SpanTracer()
         metrics = MetricsRegistry()
