@@ -36,6 +36,7 @@ from pathlib import Path
 
 from repro.campaign import CampaignStore
 from repro.cosim.metrics import MetricsRegistry
+from repro.obs import Obs
 from repro.explore import (
     ExploreSpec,
     explore,
@@ -61,7 +62,8 @@ RESULT_FILE = Path(__file__).parent / "BENCH_explore.json"
 
 def _timed_explore(spec, workers, cache, metrics=None):
     start = time.perf_counter()
-    result = explore(spec, workers=workers, cache=cache, metrics=metrics)
+    result = explore(spec, workers=workers, cache=cache,
+                     obs=Obs(metrics=metrics))
     return result, time.perf_counter() - start
 
 

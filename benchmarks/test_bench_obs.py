@@ -1,19 +1,20 @@
 """E17 — Observability overhead: disabled vs enabled instrumentation.
 
 The observability layer promises the kernel tracer's zero-cost
-discipline across the whole stack: every hot-path hook is guarded by a
-single ``if probe is not None`` / ``if span_tracer is not None``, so a
-sweep that attaches nothing must run at raw-computation speed.  This
-benchmark runs the same 12-cell grid three ways and records the
-results in ``BENCH_obs.json``:
+discipline across the whole stack: a run given no session uses the
+disabled :class:`~repro.obs.session.Obs`, whose every method is one
+``is not None`` check on an absent collector, so a sweep that attaches
+nothing must run at raw-computation speed.  This benchmark runs the
+same 12-cell grid three ways and records the results in
+``BENCH_obs.json``:
 
 * **reference** — a bare ``run_cell`` loop, no engine bookkeeping and
   no observability arguments at all;
-* **disabled** — ``run_sweep`` with no tracer, probe, or metrics
-  attached (the guards are evaluated and always skip);
-* **enabled** — ``run_sweep`` with a :class:`SpanTracer`, a
-  :class:`ProgressProbe` wired to the span tracer's event stream, and
-  a :class:`MetricsRegistry` all attached.
+* **disabled** — ``run_sweep`` with no session (the checks are
+  evaluated and always skip);
+* **enabled** — ``run_sweep`` with one session holding a
+  :class:`SpanTracer`, a :class:`ProgressProbe` wired to the span
+  tracer's event stream, and a :class:`MetricsRegistry`.
 
 Asserted: the disabled sweep makes under 3% more calls than the
 reference loop.  A call count is exact — every Python and builtin
@@ -40,7 +41,7 @@ import time
 from pathlib import Path
 
 from repro.cosim.metrics import MetricsRegistry
-from repro.obs import ProgressProbe, SpanTracer, convergence_sink
+from repro.obs import Obs, ProgressProbe, SpanTracer, convergence_sink
 from repro.sweep import expand_grid, run_cell, run_sweep
 
 # the one statistics helper, shared with the end-to-end benchmark
@@ -97,8 +98,9 @@ def test_disabled_observability_is_free(benchmark):
         spans = SpanTracer()
         probe = ProgressProbe(sink=convergence_sink(spans))
         metrics = MetricsRegistry()
-        table = run_sweep(configs, workers=1, span_tracer=spans,
-                          probe=probe, metrics=metrics)
+        table = run_sweep(configs, workers=1,
+                          obs=Obs(metrics=metrics, spans=spans,
+                                  probe=probe))
         return table, spans, probe, metrics
 
     def measure():

@@ -36,6 +36,7 @@ from pathlib import Path
 
 from repro.campaign import CampaignStore
 from repro.cosim.metrics import MetricsRegistry
+from repro.obs import Obs
 from repro.sweep import expand_grid, run_sweep
 
 # the one statistics helper, shared with the end-to-end benchmark
@@ -59,7 +60,7 @@ ROUNDS = 5
 def _timed_sweep(configs, workers, cache, metrics=None):
     start = time.perf_counter()
     table = run_sweep(configs, workers=workers, cache=cache,
-                      metrics=metrics)
+                      obs=Obs(metrics=metrics))
     return table, time.perf_counter() - start
 
 

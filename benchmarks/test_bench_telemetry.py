@@ -2,16 +2,18 @@
 
 The flight recorder (:mod:`repro.obs.live`) extends the zero-cost
 discipline to *live* telemetry: every producer is guarded by a single
-``if <emitter> is not None``, and the armed path is rate-limited to
-one monotonic-clock compare between emissions.  This benchmark runs
+``if <emitter> is not None`` (in a run's session, which holds the
+emitter), and the armed path is rate-limited to one monotonic-clock
+compare between emissions.  This benchmark runs
 the same 12-cell grid three ways and records the results in
 ``BENCH_telemetry.json``:
 
 * **reference** — a bare ``run_cell`` loop, no engine bookkeeping;
-* **disabled** — ``run_sweep`` with no recorder (the guards are
+* **disabled** — ``run_sweep`` with no session (the guards are
   evaluated and always skip);
-* **enabled** — ``run_sweep`` with a :class:`JsonlRecorder` armed
-  (run marks, rate-limited heartbeats, flushed per sample).
+* **enabled** — ``run_sweep`` with a session holding a
+  :class:`JsonlRecorder` (run marks, rate-limited heartbeats, flushed
+  per sample).
 
 Asserted on exact per-sweep counts, as in ``test_bench_obs.py``:
 **both** the disabled and the armed sweep make under 3% more calls
@@ -35,7 +37,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.obs import JsonlRecorder, read_samples
+from repro.obs import JsonlRecorder, Obs, read_samples
 from repro.obs.live import DEFAULT_HEARTBEAT_S
 from repro.sweep import expand_grid, run_cell, run_sweep
 
@@ -101,7 +103,7 @@ def test_flight_recorder_overhead_is_bounded(benchmark, tmp_path):
     def enabled():
         recorder = JsonlRecorder(next(flights))
         start = time.perf_counter()
-        table = run_sweep(configs, workers=1, recorder=recorder)
+        table = run_sweep(configs, workers=1, obs=Obs(recorder=recorder))
         elapsed = time.perf_counter() - start
         recorder.close()
         return table, recorder.path, elapsed

@@ -68,7 +68,7 @@ def status_frame(store, jsonl, title="campaign status"):
 def run_smoke() -> int:
     """Self-contained demo: a tiny store campaign with the recorder
     armed, then the live frame and a post-mortem of the result."""
-    from repro.obs import StoreRecorder
+    from repro.obs import Obs, StoreRecorder
     from repro.sweep import expand_grid, run_sweep
 
     with tempfile.TemporaryDirectory(prefix="campaign_top_") as tmp:
@@ -79,7 +79,7 @@ def run_smoke() -> int:
         )
         print(f"smoke campaign: {len(grid)} cells into {store.path}")
         table = run_sweep(grid, workers=2, cache=store,
-                          recorder=StoreRecorder(store))
+                          obs=Obs(recorder=StoreRecorder(store)))
         print(f"  {table.stats.summary()}")
         print()
         text, report = status_frame(store, [], title="smoke campaign")

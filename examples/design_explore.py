@@ -31,6 +31,7 @@ from repro.explore import (
     explore,
     random_search,
 )
+from repro.obs import Obs
 from repro.obs.spans import SpanTracer
 from repro.partition.seeding import ProgressProbe
 
@@ -107,8 +108,8 @@ def main(argv=None) -> int:
                   f"{args.store}")
 
     tracer = SpanTracer() if args.trace else None
-    probe = ProgressProbe()
-    metrics = MetricsRegistry()
+    obs = Obs(metrics=MetricsRegistry(), spans=tracer,
+              probe=ProgressProbe())
 
     if not args.quiet:
         backing = f"store {args.store}" if args.store else "off"
@@ -117,8 +118,7 @@ def main(argv=None) -> int:
               f"scenario={spec.scenario or 'none'} "
               f"workers={args.workers} results={backing}")
     t0 = time.perf_counter()
-    result = explore(spec, workers=args.workers, cache=cache,
-                     metrics=metrics, span_tracer=tracer, probe=probe)
+    result = explore(spec, workers=args.workers, cache=cache, obs=obs)
     elapsed = time.perf_counter() - t0
 
     if not args.quiet:

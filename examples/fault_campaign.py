@@ -32,6 +32,7 @@ import time
 
 from repro.cosim.metrics import MetricsRegistry
 from repro.fault import OUTCOMES, SCENARIOS, run_campaign, sample_faults
+from repro.obs import Obs
 
 
 def main(argv=None) -> int:
@@ -100,8 +101,9 @@ def main(argv=None) -> int:
     metrics = MetricsRegistry()
     t0 = time.perf_counter()
     result = run_campaign(args.scenario, faults, workers=args.workers,
-                          cache=cache, recorder=recorder,
-                          metrics=metrics, batch=args.batch)
+                          cache=cache,
+                          obs=Obs(metrics=metrics, recorder=recorder),
+                          batch=args.batch)
     elapsed = time.perf_counter() - t0
     print()
     print(result.dependability_table())

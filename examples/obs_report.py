@@ -32,6 +32,7 @@ from repro.cosim.metrics import MetricsRegistry
 from repro.graph.generators import COST_MODELS, GENERATORS
 from repro.obs import (
     JsonlRecorder,
+    Obs,
     ProgressProbe,
     SpanTracer,
     convergence_sink,
@@ -71,8 +72,9 @@ def run_sweep_report(args, outdir):
     if args.live:
         recorder = JsonlRecorder(os.path.join(outdir, "flight.jsonl"))
     print(f"observed sweep: {len(grid)} cells, workers={args.workers}")
-    table = run_sweep(grid, workers=args.workers, span_tracer=spans,
-                      probe=probe, metrics=metrics, recorder=recorder)
+    table = run_sweep(grid, workers=args.workers,
+                      obs=Obs(metrics=metrics, spans=spans, probe=probe,
+                              recorder=recorder))
     print(f"  {table.stats.summary()}")
     if recorder is not None:
         recorder.close()

@@ -29,6 +29,7 @@ import sys
 
 from repro.cosim.metrics import MetricsRegistry
 from repro.graph.generators import COST_MODELS, GENERATORS
+from repro.obs import Obs
 from repro.partition import HEURISTICS
 from repro.sweep import (
     COMM_MODELS,
@@ -170,7 +171,7 @@ def main(argv=None) -> int:
         print(f"sweep: {len(grid)} cells, workers={args.workers}, "
               f"results={backing}")
     table = run_sweep(grid, workers=args.workers, cache=cache,
-                      metrics=metrics, recorder=recorder)
+                      obs=Obs(metrics=metrics, recorder=recorder))
     if args.flight_recorder and not args.quiet:
         print(f"  flight recorder: {args.flight_recorder}")
     if not args.quiet:

@@ -10,7 +10,8 @@ on the caller's :class:`~repro.campaign.store.CampaignStore` or, when
 ``workers > 1`` and no store was given, on a temporary store deleted
 afterwards.  Either way a cell runs the runner registered under its
 name (:mod:`repro.campaign.runners`), so every path computes the same
-record.
+record; a cell the caller's :class:`~repro.obs.session.Obs` observes
+runs under a worker session whose payload travels beside the record.
 
 :func:`run_store_jobs` is a coordinator plus N shards:
 
@@ -48,12 +49,13 @@ from typing import (
     TYPE_CHECKING, Any, Callable, Dict, Iterable, Optional, Tuple,
 )
 
-from repro.campaign.runners import get_runner
+from repro.campaign.runners import Runner, get_runner
 from repro.obs.live import (
     DEFAULT_HEARTBEAT_S,
     StoreRecorder,
     TelemetryEmitter,
 )
+from repro.obs.session import DISABLED, Obs
 
 if TYPE_CHECKING:
     from repro.campaign.store import CampaignStore
@@ -128,9 +130,7 @@ def run_cells(
     workers: int,
     on_done: OnDone,
     store: Optional[CampaignStore] = None,
-    metrics=None,
-    span_tracer=None,
-    recorder=None,
+    obs: Optional[Obs] = None,
 ) -> None:
     """Run every ``(fingerprint, payload)`` job through the runner
     registered as ``runner_name``; report each through ``on_done``.
@@ -140,23 +140,23 @@ def run_cells(
     other run is :func:`run_store_jobs` — on ``store``, or on a
     temporary store deleted afterwards — and raises
     :class:`CampaignCellError` for cells that failed on every attempt.
-    ``recorder`` goes to the caller's store only: without one, the
-    driver records its own run.
+    ``obs`` goes along, its recorder to the caller's store only:
+    without one, the driver records its own run.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     runner = get_runner(runner_name)
     jobs = list(jobs)
+    obs = obs if obs is not None else DISABLED
     if store is None and (workers == 1 or not jobs):
+        observe = obs.observes(runner_name)
         for fingerprint, payload in jobs:
             t0 = time.perf_counter()
-            record, obs = runner(payload)
-            on_done(fingerprint, record, obs, time.perf_counter() - t0)
+            record, doc = _run_cell(runner, runner_name, payload, observe)
+            on_done(fingerprint, record, doc, time.perf_counter() - t0)
         return
     if store is not None:
-        run_store_jobs(store, runner_name, jobs, workers, on_done,
-                       metrics=metrics, span_tracer=span_tracer,
-                       recorder=recorder)
+        run_store_jobs(store, runner_name, jobs, workers, on_done, obs=obs)
         return
     import tempfile
 
@@ -166,24 +166,36 @@ def run_cells(
         temp = CampaignStore(os.path.join(tmp, "campaign.sqlite"))
         try:
             run_store_jobs(temp, runner_name, jobs, workers, on_done,
-                           metrics=metrics, span_tracer=span_tracer)
+                           obs=obs.without_recorder())
         finally:
             temp.close()
 
 
+def _run_cell(runner: Runner, kind: str, payload: Dict[str, Any],
+              observe: bool) -> Tuple[Dict[str, Any],
+                                      Optional[Dict[str, Any]]]:
+    """One cell: its record, and with ``observe`` the payload of the
+    worker session it ran under (None otherwise)."""
+    if not observe:
+        return runner(payload, None), None
+    worker = Obs.worker(kind)
+    return runner(payload, worker), worker.payload()
+
+
 def _shard_main(path, lease_s: float, max_attempts: int,
                 runner_name: str, shards: int,
-                heartbeat_s: Optional[float] = None) -> None:
+                heartbeat_s: Optional[float], observe: bool) -> None:
     """One shard process: open the store, then run the shard loop."""
     from repro.campaign.store import CampaignStore
 
     store = CampaignStore(path, lease_s=lease_s,
                           max_attempts=max_attempts)
-    _run_shard(store, runner_name, shards, heartbeat_s)
+    _run_shard(store, runner_name, shards, heartbeat_s, observe)
 
 
 def _run_shard(store: CampaignStore, runner_name: str, shards: int,
-               heartbeat_s: Optional[float]) -> None:
+               heartbeat_s: Optional[float],
+               observe: bool = False) -> None:
     """One shard: claim → compute → commit until a claim is empty.
 
     Each claim is sized by :func:`claim_limit` from the cell times
@@ -198,7 +210,7 @@ def _run_shard(store: CampaignStore, runner_name: str, shards: int,
     ``campaign_top``, and :meth:`CampaignStore.reclaim_stale` can all
     judge its liveness from the outside; its last beat says
     ``exiting``.  ``None`` constructs no telemetry object at all — the
-    zero-cost-when-disabled contract.
+    zero-cost-when-disabled contract.  ``observe`` runs cells observed.
     """
     runner = get_runner(runner_name)
     owner = f"pid:{os.getpid()}"
@@ -224,7 +236,8 @@ def _run_shard(store: CampaignStore, runner_name: str, shards: int,
         for fingerprint, payload in jobs:
             t0 = time.perf_counter()
             try:
-                record, obs = runner(payload)
+                record, doc = _run_cell(runner, runner_name, payload,
+                                        observe)
             except Exception as exc:  # noqa: BLE001 — cell isolation
                 busy_s += time.perf_counter() - t0
                 store.fail(owner, fingerprint,
@@ -233,7 +246,7 @@ def _run_shard(store: CampaignStore, runner_name: str, shards: int,
                 continue
             elapsed = time.perf_counter() - t0
             busy_s += elapsed
-            completed.append((fingerprint, record, obs, elapsed))
+            completed.append((fingerprint, record, doc, elapsed))
             if emitter is not None:
                 emitter.heartbeat(
                     done=done + len(completed), failed=failed,
@@ -248,10 +261,7 @@ def run_store_jobs(
     jobs: Iterable[Tuple[str, Dict[str, Any]]],
     workers: int,
     on_done: OnDone,
-    metrics=None,
-    span_tracer=None,
-    recorder=None,
-    heartbeat_s: Optional[float] = None,
+    obs: Optional[Obs] = None,
 ) -> None:
     """Run ``jobs`` through the store's queue on ``workers`` shards.
 
@@ -265,33 +275,29 @@ def run_store_jobs(
     :class:`CampaignInterrupted` when no shard is left alive while
     runnable jobs remain.
 
-    ``recorder``/``heartbeat_s`` arm the flight recorder: shards
-    heartbeat into the store's ``telemetry`` table every
-    ``heartbeat_s`` seconds and the coordinator records its own
-    heartbeats plus ``queue`` gauge samples to ``recorder`` (default:
-    the store itself).  Both ``None`` — the default — constructs no
-    telemetry object anywhere on the path.
+    ``obs`` counts jobs, gets ``queue.depth`` span events, and decides
+    whether cells run observed.  Its recorder arms the flight recorder:
+    shards heartbeat into the store's ``telemetry`` table and the
+    coordinator records heartbeats plus ``queue`` gauges to it.  With
+    none, no telemetry object is constructed anywhere on the path.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if heartbeat_s is None and recorder is not None:
+    obs = obs if obs is not None else DISABLED
+    observe = obs.observes(runner_name)
+    heartbeat_s = emitter = None
+    if obs.recorder is not None:
         heartbeat_s = DEFAULT_HEARTBEAT_S
-    emitter = None
-    if heartbeat_s is not None:
         # owner "coord:<pid>" keeps the coordinator's stream distinct
         # from an in-process shard's "pid:<pid>" lease owner
-        emitter = TelemetryEmitter(
-            recorder if recorder is not None else StoreRecorder(store),
-            owner=f"coord:{os.getpid()}",
-            role="coordinator", interval_s=heartbeat_s,
-        )
+        emitter = TelemetryEmitter(obs.recorder, role="coordinator",
+                                   owner=f"coord:{os.getpid()}")
     reclaimed = store.reclaim_stale()
-    if reclaimed and metrics is not None:
-        metrics.counter("campaign.leases.reclaimed").inc(reclaimed)
+    if reclaimed:
+        obs.count("campaign.leases.reclaimed", reclaimed)
     jobs = list(jobs)
     remaining = store.enqueue(jobs)
-    if metrics is not None:
-        metrics.counter("campaign.jobs.enqueued").inc(len(jobs))
+    obs.count("campaign.jobs.enqueued", len(jobs))
 
     #: only this run's jobs flow back through on_done — a resumed
     #: store also holds done-but-never-drained rows from an earlier,
@@ -300,22 +306,21 @@ def run_store_jobs(
     wanted = {fingerprint for fingerprint, _ in jobs}
     delivered = set()
 
-    def deliver(fingerprint, record, obs, elapsed) -> None:
+    def deliver(fingerprint, record, doc, elapsed) -> None:
         if fingerprint not in wanted or fingerprint in delivered:
             return
         delivered.add(fingerprint)
-        if metrics is not None:
-            metrics.counter("campaign.jobs.committed").inc()
-        on_done(fingerprint, record, obs, elapsed)
+        obs.count("campaign.jobs.committed")
+        on_done(fingerprint, record, doc, elapsed)
 
     def drain() -> None:
         for completion in store.drain_completed():
             deliver(*completion)
 
     def depth_event() -> None:
-        if span_tracer is not None:
-            counts = store.queue_counts()
-            span_tracer.event("queue.depth", **counts)
+        # reading the depth is a store call: only a timeline pays it
+        if obs.spans is not None:
+            obs.event("queue.depth", **store.queue_counts())
 
     def pulse(force: bool = False, exiting: bool = False) -> None:
         # coordinator-side flight-recorder sample: heartbeat + the
@@ -335,14 +340,14 @@ def run_store_jobs(
 
     def start_shard() -> None:
         if inline:
-            _run_shard(store, runner_name, 1, heartbeat_s)
+            _run_shard(store, runner_name, 1, heartbeat_s, observe)
             return
         import multiprocessing
 
         shard = multiprocessing.get_context().Process(
             target=_shard_main,
             args=(store.path, store.lease_s, store.max_attempts,
-                  runner_name, workers, heartbeat_s),
+                  runner_name, workers, heartbeat_s, observe),
             name=f"campaign-shard-{len(shards)}",
             daemon=True,
         )
@@ -375,9 +380,7 @@ def run_store_jobs(
             alive = [s for s in shards if s.is_alive()]
             stale = store.reclaim_stale()
             if stale:
-                if metrics is not None:
-                    metrics.counter(
-                        "campaign.leases.reclaimed").inc(stale)
+                obs.count("campaign.leases.reclaimed", stale)
                 start_shard()
             elif not alive:
                 runnable = store.remaining_runnable()
@@ -424,6 +427,5 @@ def run_store_jobs(
     failures = {fp: error for fp, error in store.failed_jobs()
                 if fp in wanted}
     if failures:
-        if metrics is not None:
-            metrics.counter("campaign.cells.failed").inc(len(failures))
+        obs.count("campaign.cells.failed", len(failures))
         raise CampaignCellError(failures)

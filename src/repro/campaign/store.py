@@ -117,7 +117,18 @@ def _positive(name: str, value: float) -> float:
 
 
 def _pid_alive(pid: int) -> bool:
-    """Is a process with this pid running on this box?"""
+    """Is a process with this pid running on this box?
+
+    A zombie (exited, not yet reaped) is not, though ``os.kill(pid,
+    0)`` still reaches it: where ``/proc`` exists, the state letter
+    after the command name in ``/proc/<pid>/stat`` decides.
+    """
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as fh:
+            stat = fh.read()
+        return stat[stat.rindex(b")") + 2:][:1] not in (b"Z", b"X")
+    except OSError:
+        pass
     try:
         os.kill(pid, 0)
     except ProcessLookupError:
@@ -455,16 +466,16 @@ class CampaignStore:
         """Return stale leases to the pool; how many were reclaimed.
 
         A lease is stale when its deadline passed, its owner was a
-        ``pid:<n>`` on this box that no longer runs (instant
-        resume-after-SIGKILL), *or* its owner has emitted heartbeats
-        into the ``telemetry`` table but has been silent longer than
-        :attr:`heartbeat_timeout_s` — the liveness test that catches
-        hung-but-alive shards today and remote shards (no testable
-        pid) once the store grows a cross-box transport.  Owners that
-        never heartbeat are judged only by deadline and pid, so
-        telemetry-off campaigns behave exactly as before.  A stale
-        lease with retry budget left goes back to ``pending``; one
-        whose attempts are spent settles as permanently ``failed``
+        ``pid:<n>`` on this box that no longer runs, an unreaped zombie
+        included (instant resume-after-SIGKILL), *or* its owner has
+        emitted heartbeats into the ``telemetry`` table but has been
+        silent longer than :attr:`heartbeat_timeout_s` — the liveness
+        test that catches hung-but-alive shards today and remote shards
+        (no testable pid) once the store grows a cross-box transport.
+        Owners that never heartbeat are judged only by deadline and
+        pid, so telemetry-off campaigns behave exactly as before.  A
+        stale lease with retry budget left goes back to ``pending``;
+        one whose attempts are spent settles as permanently ``failed``
         (same rule as :meth:`claim`'s stealing).
         """
         now = time.time()
@@ -475,6 +486,7 @@ class CampaignStore:
                 "attempts FROM jobs WHERE state = 'leased'"
             ).fetchall()
             stale = []
+            alive: Dict[int, bool] = {}  # one look per owner pid
             for fp, lease_owner, deadline, attempts in leased:
                 if deadline is not None and deadline < now:
                     stale.append((fp, attempts))
@@ -484,7 +496,9 @@ class CampaignStore:
                         pid = int(lease_owner[4:])
                     except ValueError:
                         continue
-                    if not _pid_alive(pid):
+                    if pid not in alive:
+                        alive[pid] = _pid_alive(pid)
+                    if not alive[pid]:
                         stale.append((fp, attempts))
                         continue
                 beat = heartbeats.get(lease_owner)

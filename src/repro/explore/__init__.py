@@ -30,7 +30,6 @@ from repro.explore.evaluate import (
     objectives_from_record,
     reference_cost,
     run_genome,
-    run_genome_observed,
 )
 from repro.explore.genome import (
     EXPLORE_VERSION,
@@ -84,7 +83,6 @@ __all__ = [
     "random_search",
     "reference_cost",
     "run_genome",
-    "run_genome_observed",
     "split_genome",
     "weighted_sum_rank",
 ]

@@ -28,12 +28,13 @@ completion order), every sum/sort is explicitly keyed — so the same
 spec yields a byte-identical front JSON at any worker count, under any
 PYTHONHASHSEED, cold or warm.
 
-Telemetry rides the PR 3 rails: a ``span_tracer`` gets one span per
-generation (plus worker-side spans merged onto pid lanes), a ``probe``
-gets one convergence record per generation (front size, hypervolume,
-best weighted-sum scalar), and ``metrics`` counts
-computed/cached/deduplicated genomes so tests assert "the warm run
-recomputed nothing" from counters, not timing.
+Telemetry goes to one :class:`~repro.obs.session.Obs` session: its
+span tracer gets one span per generation (plus worker-side spans
+merged onto pid lanes), its probe one convergence record per
+generation (front size, hypervolume, best weighted-sum scalar), its
+registry counts computed/cached/deduplicated genomes so tests assert
+"the warm run recomputed nothing" from counters, not timing, and its
+recorder gets one ``generation`` sample per selection round.
 """
 
 from __future__ import annotations
@@ -41,16 +42,14 @@ from __future__ import annotations
 import json
 import os
 import random
-import sys
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.service import run_cells
-from repro.cosim.metrics import MetricsRegistry
 from repro.explore.doe import doe_population
-# the ``explore`` runners call run_genome and run_genome_observed
-# through this module, the driver's evaluation surface
+# the ``explore`` runner calls run_genome through this module, the
+# driver's evaluation surface
 from repro.explore.evaluate import (
     DependabilityModel,
     ProblemSpec,
@@ -58,7 +57,6 @@ from repro.explore.evaluate import (
     objective_names,
     objectives_from_record,
     run_genome,
-    run_genome_observed,
 )
 from repro.explore.genome import Genome, SearchSpace, design_space
 from repro.explore.pareto import (
@@ -69,9 +67,7 @@ from repro.explore.pareto import (
     pareto_front,
     weighted_sum_rank,
 )
-from repro.obs.live import TelemetryEmitter
-from repro.obs.spans import SpanTracer
-from repro.partition.seeding import ProgressProbe
+from repro.obs.session import DISABLED, Obs
 
 #: Schema version of the explorer's result JSON.
 FRONT_VERSION = 1
@@ -209,7 +205,6 @@ class ExploreResult:
         self.rows = rows
         self.history = history
         self.stats = ExploreStats()
-        self.obs = None
 
     # ------------------------------------------------------------------
     def points(self) -> List[Tuple[float, ...]]:
@@ -336,10 +331,7 @@ def explore(
     spec: ExploreSpec,
     workers: int = 1,
     cache=None,
-    metrics: Optional[MetricsRegistry] = None,
-    span_tracer: Optional[SpanTracer] = None,
-    probe: Optional[ProgressProbe] = None,
-    recorder=None,
+    obs: Optional[Obs] = None,
 ) -> ExploreResult:
     """Run the closed-loop GA/DoE search; return the evaluated archive.
 
@@ -350,71 +342,28 @@ def explore(
     genome that raises propagates unwrapped) and more workers run on
     a temporary store.
 
-    ``recorder`` arms the flight recorder: run marks, evaluation
-    heartbeats, and one ``generation`` sample per selection round
-    (front size, hypervolume, best scalar) stream to it live; samples
+    ``obs`` is the run's :class:`~repro.obs.session.Obs` session; the
+    dependability campaign gets it without its recorder.  A recorder
+    gets run marks, evaluation heartbeats, and one ``generation``
+    sample per selection round (front size, hypervolume, best scalar)
+    live, as owner ``explore:<pid>`` with or without a store; samples
     never enter the archive, so the front JSON is byte-identical with
-    or without a recorder.
+    any session or none.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    metrics = metrics if metrics is not None else MetricsRegistry()
+    obs = obs if obs is not None else DISABLED
     t0 = time.perf_counter()
-    space = spec.space()
-    stats = ExploreStats(workers=workers)
 
-    emitter = None
-    if recorder is not None:
-        # distinct owner: on a store the campaign coordinator (and a
-        # workers=1 in-process shard) shares this pid
-        emitter = TelemetryEmitter(recorder,
-                                   owner=f"explore:{os.getpid()}",
-                                   role="explore")
-        emitter.emit("run", event="start",
-                     population=spec.population,
-                     generations=spec.generations, workers=workers)
-
-    if span_tracer is not None:
-        span_tracer.name_lane(span_tracer.pid, "explore driver")
-        explore_span = span_tracer.span(
-            "explore", population=spec.population,
-            generations=spec.generations, workers=workers,
-        )
-        explore_span.__enter__()
-    else:
-        explore_span = None
-
-    try:
-        model: Optional[DependabilityModel] = None
-        if spec.scenario is not None:
-            if span_tracer is not None:
-                with span_tracer.span("dependability_model",
-                                      scenario=spec.scenario,
-                                      faults=spec.scenario_faults):
-                    model = measure_dependability(
-                        spec.scenario, spec.scenario_faults,
-                        spec.scenario_seed, workers=workers,
-                        cache=cache, span_tracer=span_tracer,
-                        metrics=metrics, batch=True,
-                    )
-            else:
-                model = measure_dependability(
-                    spec.scenario, spec.scenario_faults,
-                    spec.scenario_seed, workers=workers, cache=cache,
-                    metrics=metrics, batch=True,
-                )
-
-        extra = {"problem": spec.problem.to_dict()}
-        archive_order: List[str] = []          # fingerprints, first-seen
-        records: Dict[str, Dict[str, Any]] = {}
-        full_genomes: Dict[str, Genome] = {}   # fp → full (hidden genes)
-
-        evaluator = _Evaluator(
-            space, spec, extra, workers, cache, metrics, span_tracer,
-            stats, archive_order, records, full_genomes,
-            recorder=recorder, emitter=emitter,
-        )
-
+    # distinct owner: on a store the campaign coordinator (and a
+    # workers=1 in-process shard) shares this pid
+    with obs.run("explore", lane="explore driver", role="explore",
+                 owner=f"explore:{os.getpid()}",
+                 population=spec.population,
+                 generations=spec.generations, workers=workers):
+        model, evaluator = _evaluation(spec, workers, cache, obs)
+        space, stats = evaluator.space, evaluator.stats
+        archive_order, records = evaluator.archive_order, evaluator.records
         rng = random.Random(spec.ga_seed)
         history: List[Dict[str, Any]] = []
         bounds: Optional[Tuple[Tuple[float, ...],
@@ -449,67 +398,33 @@ def explore(
                 "best_scalar": gen_best,
                 "best_fingerprint": archive_order[ranked[0][0]],
             })
-            metrics.counter("explore.generations").inc()
-            if emitter is not None:
-                emitter.emit("generation", **history[-1])
-            if probe is not None:
-                probe.record(
+            obs.count("explore.generations")
+            obs.mark("generation", **history[-1])
+            if obs.probe is not None:
+                obs.probe.record(
                     "explore", gen_best, best_cost=best_scalar,
                     accepted=improved, generation=generation,
                     front_size=len(fronts[0]), hypervolume=hv,
                     archive=len(archive_order),
                 )
-            if span_tracer is not None:
-                span_tracer.event(
-                    "generation.selected", generation=generation,
-                    front_size=len(fronts[0]), hypervolume=hv,
-                )
+            obs.event("generation.selected", generation=generation,
+                      front_size=len(fronts[0]), hypervolume=hv)
             if generation == spec.generations - 1:
                 break
             parents = _select_parents(
                 space, spec, fronts, points, archive_order,
-                full_genomes,
+                evaluator.full_genomes,
             )
             population = _breed(space, spec, parents, rng)
 
-        result = ExploreResult(
-            spec=spec,
-            objectives=objective_names(model),
-            bounds=bounds,
-            model=model,
-            rows=[
-                {
-                    "fingerprint": fp,
-                    "objectives": list(
-                        objectives_from_record(records[fp], model)
-                    ),
-                    "record": records[fp],
-                }
-                for fp in archive_order
-            ],
-            history=history,
-        )
-    finally:
-        if explore_span is not None:
-            explore_span.__exit__(*sys.exc_info())
-
-    stats.elapsed_s = time.perf_counter() - t0
-    if emitter is not None:
-        # the final beat carries ``exiting`` so post-mortems read a
-        # completed exploration as exited, not dead (rate limiting
-        # would otherwise swallow it on short runs)
-        emitter.heartbeat(force=True, exiting=True,
-                          done=stats.computed + stats.cache_hits,
-                          cache_hits=stats.cache_hits)
-        emitter.emit("run", event="finish",
-                     archive=len(result.rows),
-                     computed=stats.computed,
-                     cache_hits=stats.cache_hits,
-                     elapsed_s=stats.elapsed_s)
+        result = _result(spec, model, bounds, evaluator, history)
+        stats.elapsed_s = time.perf_counter() - t0
+        obs.finish({"done": stats.computed + stats.cache_hits,
+                    "cache_hits": stats.cache_hits},
+                   archive=len(result.rows), computed=stats.computed,
+                   cache_hits=stats.cache_hits,
+                   elapsed_s=stats.elapsed_s)
     result.stats = stats
-    if span_tracer is not None or probe is not None:
-        result.obs = {"span_tracer": span_tracer, "probe": probe,
-                      "metrics": metrics}
     return result
 
 
@@ -518,7 +433,7 @@ def random_search(
     evaluations: int,
     workers: int = 1,
     cache=None,
-    metrics: Optional[MetricsRegistry] = None,
+    obs: Optional[Obs] = None,
 ) -> ExploreResult:
     """The equal-budget baseline: uniform genomes, same evaluator.
 
@@ -526,38 +441,60 @@ def random_search(
     (seeded from ``spec.ga_seed``), evaluates them through the
     identical store/execution discipline, and packages the result exactly
     like :func:`explore` — so front hypervolumes are directly
-    comparable at equal budget.
+    comparable at equal budget.  ``obs`` gets the evaluation's
+    counters and spans; no run span or run marks.
     """
     if evaluations < 1:
         raise ValueError("evaluations must be >= 1")
-    metrics = metrics if metrics is not None else MetricsRegistry()
+    obs = obs if obs is not None else DISABLED
     t0 = time.perf_counter()
-    space = spec.space()
-    stats = ExploreStats(workers=workers)
-    model: Optional[DependabilityModel] = None
-    if spec.scenario is not None:
-        model = measure_dependability(
-            spec.scenario, spec.scenario_faults, spec.scenario_seed,
-            workers=workers, cache=cache, metrics=metrics, batch=True,
-        )
-    extra = {"problem": spec.problem.to_dict()}
-    archive_order: List[str] = []
-    records: Dict[str, Dict[str, Any]] = {}
-    full_genomes: Dict[str, Genome] = {}
-    evaluator = _Evaluator(
-        space, spec, extra, workers, cache, metrics, None,
-        stats, archive_order, records, full_genomes,
-    )
+    model, evaluator = _evaluation(spec, workers, cache, obs)
     rng = random.Random(spec.ga_seed)
-    population = [space.random_genome(rng) for _ in range(evaluations)]
-    evaluator.evaluate(population, 0)
+    evaluator.evaluate(
+        [evaluator.space.random_genome(rng) for _ in range(evaluations)], 0)
     points = [
-        objectives_from_record(records[fp], model)
-        for fp in archive_order
+        objectives_from_record(evaluator.records[fp], model)
+        for fp in evaluator.archive_order
     ]
     bounds = objective_bounds(points)
     hv = normalized_hypervolume(points, bounds[0], bounds[1])
-    result = ExploreResult(
+    result = _result(spec, model, bounds, evaluator, [{
+        "generation": 0,
+        "archive": len(evaluator.archive_order),
+        "front_size": len(pareto_front(points)),
+        "hypervolume": hv,
+        "best_scalar": weighted_sum_rank(
+            points, weights=spec.mcdm_weights, bounds=bounds,
+        )[0][1],
+        "best_fingerprint": None,
+    }])
+    evaluator.stats.elapsed_s = time.perf_counter() - t0
+    result.stats = evaluator.stats
+    return result
+
+
+# ----------------------------------------------------------------------
+# internals
+# ----------------------------------------------------------------------
+def _evaluation(spec: ExploreSpec, workers: int, cache, obs: Obs):
+    """What a search evaluates with: the dependability model (None
+    without a scenario), measured once, and an empty archive's
+    evaluator."""
+    model: Optional[DependabilityModel] = None
+    if spec.scenario is not None:
+        with obs.span("dependability_model", scenario=spec.scenario,
+                      faults=spec.scenario_faults):
+            model = measure_dependability(
+                spec.scenario, spec.scenario_faults, spec.scenario_seed,
+                workers=workers, cache=cache, obs=obs.without_recorder(),
+                batch=True,
+            )
+    return model, _Evaluator(spec, workers, cache, obs)
+
+
+def _result(spec, model, bounds, evaluator, history) -> ExploreResult:
+    """The evaluator's archive, in first-seen order, as a result."""
+    return ExploreResult(
         spec=spec,
         objectives=objective_names(model),
         bounds=bounds,
@@ -566,31 +503,16 @@ def random_search(
             {
                 "fingerprint": fp,
                 "objectives": list(
-                    objectives_from_record(records[fp], model)
+                    objectives_from_record(evaluator.records[fp], model)
                 ),
-                "record": records[fp],
+                "record": evaluator.records[fp],
             }
-            for fp in archive_order
+            for fp in evaluator.archive_order
         ],
-        history=[{
-            "generation": 0,
-            "archive": len(archive_order),
-            "front_size": len(pareto_front(points)),
-            "hypervolume": hv,
-            "best_scalar": weighted_sum_rank(
-                points, weights=spec.mcdm_weights, bounds=bounds,
-            )[0][1],
-            "best_fingerprint": None,
-        }],
+        history=history,
     )
-    stats.elapsed_s = time.perf_counter() - t0
-    result.stats = stats
-    return result
 
 
-# ----------------------------------------------------------------------
-# internals
-# ----------------------------------------------------------------------
 class _Evaluator:
     """Population evaluation with archive/store dedup and fan-out.
 
@@ -599,52 +521,40 @@ class _Evaluator:
     serialized table — independent of worker scheduling.
     """
 
-    def __init__(self, space, spec, extra, workers, cache, metrics,
-                 span_tracer, stats, archive_order, records,
-                 full_genomes, recorder=None, emitter=None) -> None:
-        self.space = space
-        self.recorder = recorder
-        self.emitter = emitter
+    def __init__(self, spec: ExploreSpec, workers: int, cache,
+                 obs: Obs) -> None:
+        self.space = spec.space()
         self.spec = spec
-        self.extra = extra
+        self.extra = {"problem": spec.problem.to_dict()}
         self.workers = workers
         self.cache = cache
-        self.metrics = metrics
-        self.span_tracer = span_tracer
-        self.stats = stats
-        self.archive_order = archive_order
-        self.records = records
-        self.full_genomes = full_genomes
-        self.observed = span_tracer is not None
+        self.obs = obs
+        self.stats = ExploreStats(workers=workers)
+        self.archive_order: List[str] = []          # fingerprints, first-seen
+        self.records: Dict[str, Dict[str, Any]] = {}
+        self.full_genomes: Dict[str, Genome] = {}   # fp → full genome
 
     def evaluate(self, population: Sequence[Genome],
                  generation: int) -> None:
         """Ensure every genome of the population is in the archive."""
-        metrics = self.metrics
-        if self.span_tracer is not None:
-            gen_span = self.span_tracer.span(
-                "generation", generation=generation,
-                population=len(population),
-            )
-            gen_span.__enter__()
-        else:
-            gen_span = None
-        try:
+        obs = self.obs
+        with obs.span("generation", generation=generation,
+                      population=len(population)):
             pending: List[Tuple[str, Dict[str, Any]]] = []
             seen_now = set()
             for genome in population:
                 self.stats.requested += 1
-                metrics.counter("explore.genomes.requested").inc()
+                obs.count("explore.genomes.requested")
                 fp = self.space.fingerprint(genome, extra=self.extra)
                 self.full_genomes.setdefault(fp, dict(genome))
                 if fp in seen_now:
                     self.stats.duplicates += 1
-                    metrics.counter("explore.genomes.duplicate").inc()
+                    obs.count("explore.genomes.duplicate")
                     continue
                 seen_now.add(fp)
                 if fp in self.records:
                     self.stats.archive_hits += 1
-                    metrics.counter("explore.archive.hits").inc()
+                    obs.count("explore.archive.hits")
                     continue
                 cached = (self.cache.get(fp)
                           if self.cache is not None else None)
@@ -652,9 +562,9 @@ class _Evaluator:
                     self.records[fp] = cached
                     self.archive_order.append(fp)
                     self.stats.cache_hits += 1
-                    metrics.counter("explore.cache.hits").inc()
+                    obs.count("explore.cache.hits")
                     continue
-                metrics.counter("explore.cache.misses").inc()
+                obs.count("explore.cache.misses")
                 pending.append((fp, {
                     "fingerprint": fp,
                     "genome": self.space.effective(genome),
@@ -662,36 +572,25 @@ class _Evaluator:
                 }))
             if pending:
                 self._run_pending(pending)
-        finally:
-            if gen_span is not None:
-                gen_span.__exit__(*sys.exc_info())
 
     def _run_pending(
         self, pending: List[Tuple[str, Dict[str, Any]]],
     ) -> None:
         results: Dict[str, Dict[str, Any]] = {}
-        metrics = self.metrics
+        obs = self.obs
 
         def finish(fp: str, record: Dict[str, Any],
-                   obs: Optional[Dict[str, Any]], elapsed_s: float) -> None:
+                   doc: Optional[Dict[str, Any]], elapsed_s: float) -> None:
             results[fp] = record
             self.stats.computed += 1
-            if self.emitter is not None:
-                self.emitter.heartbeat(
-                    done=self.stats.computed + self.stats.cache_hits,
-                    requested=self.stats.requested)
-            metrics.counter("explore.genomes.computed").inc()
-            metrics.histogram("explore.genome.elapsed_s").observe(
-                elapsed_s)
-            if obs is not None:
-                metrics.merge(obs["metrics"])
-                if self.span_tracer is not None:
-                    self.span_tracer.merge_snapshot(obs["spans"])
+            obs.beat(done=self.stats.computed + self.stats.cache_hits,
+                     requested=self.stats.requested)
+            obs.count("explore.genomes.computed")
+            obs.observe("explore.genome.elapsed_s", elapsed_s)
+            obs.merge(doc)
 
-        run_cells(pending,
-                  "explore_observed" if self.observed else "explore",
-                  self.workers, finish, store=self.cache, metrics=metrics,
-                  span_tracer=self.span_tracer, recorder=self.recorder)
+        run_cells(pending, "explore", self.workers, finish,
+                  store=self.cache, obs=obs)
 
         # archive in population order, not completion order
         for fp, _ in pending:

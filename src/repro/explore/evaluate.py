@@ -29,13 +29,11 @@ record, never inside workers:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.cosim.metrics import MetricsRegistry
 from repro.explore.genome import Genome, SearchSpace, split_genome
-from repro.obs.spans import SpanTracer
+from repro.obs.session import Obs
 from repro.partition import HEURISTICS, CostWeights
 from repro.partition.knobs import validate_knobs
 from repro.sweep.config import SweepConfig
@@ -52,13 +50,22 @@ class ProblemSpec:
     ``seed`` pins the workload instance per (generator, n_tasks) pair —
     the explorer searches *design* axes, not luck.  The spec rides
     inside every genome fingerprint, so changing it invalidates
-    nothing silently.
+    nothing silently.  The fields are :class:`SweepConfig`'s, and a bad
+    value fails its checks here, not at an exploration's first genome.
     """
 
     seed: int = 0
     deadline_factor: Optional[float] = 0.7
     area_budget_factor: Optional[float] = 0.5
     hw_parallelism: Optional[int] = 1
+
+    def __post_init__(self) -> None:
+        SweepConfig(
+            seed=self.seed,
+            deadline_factor=self.deadline_factor,
+            area_budget_factor=self.area_budget_factor,
+            hw_parallelism=self.hw_parallelism,
+        )
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -94,16 +101,26 @@ def genome_config(genome: Genome, problem: ProblemSpec) -> SweepConfig:
     )
 
 
-def run_genome(payload: Dict[str, Any]) -> Dict[str, Any]:
+def run_genome(payload: Dict[str, Any],
+               obs: Optional[Obs] = None) -> Dict[str, Any]:
     """Evaluate one genome payload (the ``explore`` runner calls it).
 
     ``payload`` is plain JSON: ``{"genome": <effective genome>,
     "problem": <ProblemSpec dict>}`` — the same dict the campaign
     store queues, so in-process and store runs execute identical code.
+    ``obs``, the worker session of an observed genome, gets a ``genome``
+    span and per-heuristic counters; the record is the same.
     """
     from repro.partition.cost import cost_terms, partition_cost
 
     genome: Genome = payload["genome"]
+    if obs is not None:
+        with obs.span("genome", heuristic=genome.get("heuristic"),
+                      generator=genome.get("generator")):
+            record = run_genome(payload)
+        obs.count("explore.worker.genomes")
+        obs.count(f"explore.heuristic.{record['algorithm']}.genomes")
+        return record
     problem_spec = ProblemSpec.from_dict(payload["problem"])
     core, knobs, weight_genes = split_genome(genome)
     validate_knobs(core["heuristic"], knobs)
@@ -136,33 +153,6 @@ def run_genome(payload: Dict[str, Any]) -> Dict[str, Any]:
         "feasible": result.feasible,
         "moves_evaluated": result.moves_evaluated,
     }
-
-
-def run_genome_observed(
-    payload: Dict[str, Any],
-) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    """:func:`run_genome` plus the worker-side observability payload.
-
-    Mirrors :func:`repro.sweep.engine.run_cell_observed`: the record
-    is byte-identical to the unobserved path; spans and metric deltas
-    ride alongside for the parent to merge onto its timeline.
-    """
-    spans = SpanTracer()
-    spans.name_lane(spans.pid, f"explore worker {os.getpid()}")
-    metrics = MetricsRegistry()
-    genome: Genome = payload["genome"]
-    with spans.span("genome", heuristic=genome.get("heuristic"),
-                    generator=genome.get("generator")):
-        record = run_genome(payload)
-    metrics.counter("explore.worker.genomes").inc()
-    metrics.counter(
-        f"explore.heuristic.{record['algorithm']}.genomes").inc()
-    obs = {
-        "pid": os.getpid(),
-        "spans": spans.snapshot(),
-        "metrics": metrics.snapshot(),
-    }
-    return record, obs
 
 
 def reference_cost(record: Dict[str, Any],
@@ -275,8 +265,7 @@ def measure_dependability(
     seed: int,
     workers: int = 1,
     cache=None,
-    span_tracer: Optional[SpanTracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
+    obs: Optional[Obs] = None,
     batch: bool = False,
 ) -> DependabilityModel:
     """Run (or replay from cache) the coverage-measuring campaign.
@@ -286,7 +275,8 @@ def measure_dependability(
     distinct SHA-256 keys — so a warm explorer re-run recomputes
     neither genomes nor faults.  ``batch`` forks the cells of a
     software-only scenario from one golden run (DESIGN §14); the model
-    is byte-identical either way.
+    is byte-identical either way.  ``obs`` is the campaign's
+    :class:`~repro.obs.session.Obs` session.
     """
     from repro.fault import sample_faults
     from repro.fault.campaign import run_campaign
@@ -296,8 +286,8 @@ def measure_dependability(
         SCENARIOS[scenario].targets, n_faults, seed=seed,
     )
     result = run_campaign(
-        scenario, faults, workers=workers, cache=cache,
-        span_tracer=span_tracer, metrics=metrics, batch=batch,
+        scenario, faults, workers=workers, cache=cache, obs=obs,
+        batch=batch,
     )
     return DependabilityModel.from_campaign(result)
 

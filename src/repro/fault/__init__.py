@@ -67,7 +67,6 @@ from repro.fault.campaign import (
     classify,
     run_campaign,
     run_fault_cell,
-    run_fault_cell_observed,
 )
 
 __all__ = [
@@ -97,5 +96,4 @@ __all__ = [
     "classify",
     "run_campaign",
     "run_fault_cell",
-    "run_fault_cell_observed",
 ]

@@ -31,8 +31,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import (
@@ -42,9 +40,7 @@ from typing import (
 from repro.campaign.service import run_cells
 from repro.fault.scenarios import SCENARIOS, run_scenario
 from repro.fault.spec import FAULT_VERSION, OUTCOMES, FaultSpec
-from repro.cosim.metrics import MetricsRegistry
-from repro.obs.live import TelemetryEmitter
-from repro.obs.spans import SpanTracer
+from repro.obs.session import DISABLED, Obs
 
 if TYPE_CHECKING:
     from repro.campaign.store import CampaignStore
@@ -75,41 +71,24 @@ def cell_fingerprint(scenario: str, fault: Optional[FaultSpec]) -> str:
     ).hexdigest()
 
 
-def run_fault_cell(job: Job) -> Dict[str, Any]:
-    """Run one campaign cell (the ``fault`` runner calls it by name)."""
-    scenario, fault_dict = job
-    fault = FaultSpec.from_dict(fault_dict) if fault_dict else None
-    return run_scenario(scenario, fault)
+def run_fault_cell(job: Job, obs: Optional[Obs] = None) -> Dict[str, Any]:
+    """Run one campaign cell (the ``fault`` runner calls it by name).
 
-
-def run_fault_cell_observed(
-    job: Job,
-) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    """:func:`run_fault_cell` plus a worker-side observability payload.
-
-    Mirrors :func:`repro.sweep.engine.run_cell_observed`: the record is
-    byte-identical to the unobserved path (so caches stay comparable);
-    the extra spans/metrics ride alongside for the parent to merge onto
-    its Perfetto timeline.
+    ``obs``, the worker session of an observed cell, gets a
+    ``fault_cell`` span and per-kind counters; the record is the same.
     """
     scenario, fault_dict = job
     fault = FaultSpec.from_dict(fault_dict) if fault_dict else None
-    spans = SpanTracer()
-    spans.name_lane(spans.pid, f"fault worker {os.getpid()}")
-    metrics = MetricsRegistry()
+    if obs is None:
+        return run_scenario(scenario, fault)
     label = fault.describe() if fault is not None else "golden"
-    with spans.span("fault_cell", scenario=scenario, fault=label,
-                    kind=(fault.kind if fault is not None else "none")):
+    with obs.span("fault_cell", scenario=scenario, fault=label,
+                  kind=(fault.kind if fault is not None else "none")):
         record = run_scenario(scenario, fault)
-    metrics.counter("fault.cells").inc()
+    obs.count("fault.cells")
     if fault is not None:
-        metrics.counter(f"fault.kind.{fault.kind}.cells").inc()
-    obs = {
-        "pid": os.getpid(),
-        "spans": spans.snapshot(),
-        "metrics": metrics.snapshot(),
-    }
-    return record, obs
+        obs.count(f"fault.kind.{fault.kind}.cells")
+    return record
 
 
 def classify(golden: Dict[str, Any], faulty: Dict[str, Any]) -> str:
@@ -242,9 +221,7 @@ def run_campaign(
     faults: Iterable[FaultSpec],
     workers: int = 1,
     cache: Optional[CampaignStore] = None,
-    span_tracer: Optional[SpanTracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    recorder=None,
+    obs: Optional[Obs] = None,
     batch: bool = False,
 ) -> CampaignResult:
     """Run the golden reference plus one cell per fault; classify all.
@@ -255,11 +232,10 @@ def run_campaign(
     otherwise), and an in-process cell that raises propagates
     unwrapped; duplicate faults are computed once; a
     :class:`~repro.campaign.store.CampaignStore` as ``cache`` makes
-    re-runs incremental and resumable; attaching a ``span_tracer``
-    puts per-fault spans (recorded inside the workers) onto the
-    parent's Perfetto timeline without perturbing the records.
-    ``recorder`` arms the flight recorder exactly as in ``run_sweep``
-    — live run marks and heartbeats, never a byte in the records.
+    re-runs incremental and resumable.  ``obs`` is used as in
+    ``run_sweep``: counters, the ``campaign`` span (closed however the
+    run ends), per-fault worker spans with a span tracer, run marks
+    and heartbeats with a recorder — never a byte of the records.
 
     ``batch=True`` runs the uncached cells of a software-only
     scenario (golden + every CPU fault) as forks of one golden run
@@ -276,22 +252,9 @@ def run_campaign(
             f"unknown scenario {scenario!r}; have {sorted(SCENARIOS)}"
         )
     faults = list(faults)
-    metrics = metrics if metrics is not None else MetricsRegistry()
-    observed = span_tracer is not None
+    obs = obs if obs is not None else DISABLED
     t0 = time.perf_counter()
     stats = CampaignStats(faults=len(faults), workers=workers)
-    metrics.counter("fault.campaign.faults").inc(len(faults))
-
-    if span_tracer is not None:
-        span_tracer.name_lane(span_tracer.pid, "fault campaign")
-        campaign_span = span_tracer.span(
-            "campaign", scenario=scenario, faults=len(faults),
-            workers=workers,
-        )
-        campaign_span.__enter__()
-    else:
-        campaign_span = None
-
     records: Dict[str, Dict[str, Any]] = {}
     pending: List[Tuple[str, Dict[str, Any]]] = []  # (fingerprint, payload)
 
@@ -305,126 +268,100 @@ def run_campaign(
         if cached is not None:
             records[fingerprint] = cached
             stats.cache_hits += 1
-            metrics.counter("fault.cache.hits").inc()
+            obs.count("fault.cache.hits")
         else:
             records[fingerprint] = {}  # reserve against duplicates
             pending.append((fingerprint, {
                 "scenario": scenario,
                 "fault": fault.to_dict() if fault is not None else None,
             }))
-            metrics.counter("fault.cache.misses").inc()
+            obs.count("fault.cache.misses")
         return fingerprint
 
-    golden_fp = want(None)
-    fault_fps = [want(fault) for fault in faults]
-
-    #: with no store the parent emits; a store's coordinator and
-    #: shards own their telemetry streams instead
-    emitter = None
-    if recorder is not None and cache is None:
-        emitter = TelemetryEmitter(recorder, role="fault")
-        emitter.emit("run", event="start", scenario=scenario,
-                     faults=len(faults), workers=workers)
-
     def finish(fingerprint: str, record: Dict[str, Any],
-               obs: Optional[Dict[str, Any]], elapsed_s: float) -> None:
+               doc: Optional[Dict[str, Any]], elapsed_s: float) -> None:
         records[fingerprint] = record
         stats.computed += 1
-        if emitter is not None:
-            emitter.heartbeat(done=stats.computed + stats.cache_hits,
-                              cache_hits=stats.cache_hits,
-                              total=len(faults) + 1)
-        metrics.counter("fault.cells.computed").inc()
-        metrics.histogram("fault.cell.elapsed_s").observe(elapsed_s)
-        if obs is not None:
-            metrics.merge(obs["metrics"])
-            span_tracer.merge_snapshot(obs["spans"])
+        obs.beat(done=stats.computed + stats.cache_hits,
+                 cache_hits=stats.cache_hits, total=len(faults) + 1)
+        obs.count("fault.cells.computed")
+        obs.observe("fault.cell.elapsed_s", elapsed_s)
+        obs.merge(doc)
 
-    scenario_obj = SCENARIOS[scenario]
-    if (batch and cache is None and pending
-            and scenario_obj.software is not None):
-        from repro.fault.scenarios import run_sw_batch
-        from repro.fault.spec import CPU_KINDS
+    # with no store the parent records the run; a store's coordinator
+    # and shards own their telemetry streams instead
+    with obs.run("campaign", lane="fault campaign", role="fault",
+                 record=cache is None, scenario=scenario,
+                 faults=len(faults), workers=workers):
+        obs.count("fault.campaign.faults", len(faults))
+        golden_fp = want(None)
+        fault_fps = [want(fault) for fault in faults]
 
-        lanes: List[Tuple[str, Optional[FaultSpec]]] = []
-        rest: List[Tuple[str, Dict[str, Any]]] = []
-        for fingerprint, payload in pending:
-            fault_dict = payload["fault"]
-            spec = FaultSpec.from_dict(fault_dict) if fault_dict else None
-            if spec is None or spec.kind in CPU_KINDS:
-                lanes.append((fingerprint, spec))
-            else:
-                rest.append((fingerprint, payload))
-        if lanes:
-            t_batch = time.perf_counter()
-            lane_records, batch_stats = run_sw_batch(
-                scenario_obj, [spec for _, spec in lanes]
-            )
-            per_cell = (time.perf_counter() - t_batch) / len(lanes)
-            metrics.counter("fault.batch.lanes").inc(batch_stats.lanes)
-            metrics.counter("fault.batch.dispatches").inc(
-                batch_stats.dispatches)
-            metrics.counter("fault.batch.drained").inc(
-                batch_stats.drained())
-            if emitter is not None:
-                emitter.emit(
-                    "batch", scenario=scenario,
-                    lanes=batch_stats.lanes,
-                    dispatches=batch_stats.dispatches,
-                    drained=batch_stats.drained(),
-                    reasons=dict(batch_stats.reasons),
+        scenario_obj = SCENARIOS[scenario]
+        if (batch and cache is None and pending
+                and scenario_obj.software is not None):
+            from repro.fault.scenarios import run_sw_batch
+            from repro.fault.spec import CPU_KINDS
+
+            lanes: List[Tuple[str, Optional[FaultSpec]]] = []
+            rest: List[Tuple[str, Dict[str, Any]]] = []
+            for fingerprint, payload in pending:
+                fault_dict = payload["fault"]
+                spec = (FaultSpec.from_dict(fault_dict)
+                        if fault_dict else None)
+                if spec is None or spec.kind in CPU_KINDS:
+                    lanes.append((fingerprint, spec))
+                else:
+                    rest.append((fingerprint, payload))
+            if lanes:
+                t_batch = time.perf_counter()
+                lane_records, batch_stats = run_sw_batch(
+                    scenario_obj, [spec for _, spec in lanes]
                 )
-            for (fingerprint, _spec), record in zip(lanes, lane_records):
-                finish(fingerprint, record, None, per_cell)
-        pending = rest
+                per_cell = (time.perf_counter() - t_batch) / len(lanes)
+                obs.count("fault.batch.lanes", batch_stats.lanes)
+                obs.count("fault.batch.dispatches",
+                          batch_stats.dispatches)
+                obs.count("fault.batch.drained", batch_stats.drained())
+                obs.mark("batch", scenario=scenario,
+                         lanes=batch_stats.lanes,
+                         dispatches=batch_stats.dispatches,
+                         drained=batch_stats.drained(),
+                         reasons=dict(batch_stats.reasons))
+                for (fingerprint, _spec), record in zip(lanes,
+                                                        lane_records):
+                    finish(fingerprint, record, None, per_cell)
+            pending = rest
 
-    try:
-        run_cells(pending, "fault_observed" if observed else "fault",
-                  workers, finish, store=cache, metrics=metrics,
-                  span_tracer=span_tracer, recorder=recorder)
-    except BaseException:
-        # never leave the campaign span open across a failed run
-        if campaign_span is not None:
-            campaign_span.__exit__(*sys.exc_info())
-            campaign_span = None
-        raise
+        run_cells(pending, "fault", workers, finish, store=cache, obs=obs)
 
-    golden = records[golden_fp]
-    if golden.get("error") or not golden.get("completed") \
-            or golden.get("detected"):
-        raise CampaignError(
-            f"golden run of {scenario!r} is not a valid reference: "
-            f"{golden!r}"
-        )
+        golden = records[golden_fp]
+        if golden.get("error") or not golden.get("completed") \
+                or golden.get("detected"):
+            raise CampaignError(
+                f"golden run of {scenario!r} is not a valid reference: "
+                f"{golden!r}"
+            )
 
-    result = CampaignResult(scenario=scenario, golden=golden)
-    for fault, fingerprint in zip(faults, fault_fps):
-        record = records[fingerprint]
-        result.rows.append({
-            "fault": fault.to_dict(),
-            "label": fault.describe(),
-            "fingerprint": fingerprint,
-            "outcome": classify(golden, record),
-            "record": record,
-        })
+        result = CampaignResult(scenario=scenario, golden=golden)
+        for fault, fingerprint in zip(faults, fault_fps):
+            record = records[fingerprint]
+            result.rows.append({
+                "fault": fault.to_dict(),
+                "label": fault.describe(),
+                "fingerprint": fingerprint,
+                "outcome": classify(golden, record),
+                "record": record,
+            })
 
-    if campaign_span is not None:
-        campaign_span.__exit__(None, None, None)
-    stats.elapsed_s = time.perf_counter() - t0
-    if emitter is not None:
-        # the final beat carries ``exiting`` so post-mortems read a
-        # completed campaign as exited, not dead (rate limiting would
-        # otherwise swallow it on short runs)
-        emitter.heartbeat(force=True, exiting=True,
-                          done=stats.computed + stats.cache_hits,
-                          cache_hits=stats.cache_hits,
-                          total=len(faults) + 1)
-        emitter.emit("run", event="finish", scenario=scenario,
-                     done=stats.computed + stats.cache_hits,
-                     computed=stats.computed,
-                     cache_hits=stats.cache_hits,
-                     elapsed_s=stats.elapsed_s)
+        stats.elapsed_s = time.perf_counter() - t0
+        done = stats.computed + stats.cache_hits
+        obs.finish({"done": done, "cache_hits": stats.cache_hits,
+                    "total": len(faults) + 1},
+                   scenario=scenario, done=done, computed=stats.computed,
+                   cache_hits=stats.cache_hits,
+                   elapsed_s=stats.elapsed_s)
     result.stats = stats
     for outcome, count in result.histogram().items():
-        metrics.counter(f"fault.outcome.{outcome}").inc(count)
+        obs.count(f"fault.outcome.{outcome}", count)
     return result

@@ -2,10 +2,15 @@
 
 PR 1 instrumented the co-simulation kernel (``repro.cosim.trace`` /
 ``repro.cosim.metrics``); this package layers *on top of* it so every
-other layer — the six partitioners, the sweep engine's worker
+other layer — the six partitioners, the campaign drivers' worker
 processes, the R32 profiler — reports where wall-clock and search
 effort go:
 
+* :mod:`repro.obs.session` — :class:`Obs`, the one observability
+  handle every campaign driver and the campaign service take as
+  ``obs=``: up to four collectors (metrics, spans, probe, recorder),
+  plus the run span, the flight-recorder sequence and the
+  worker-to-parent merge that every driver used to repeat;
 * :mod:`repro.obs.spans` — hierarchical wall-clock span tracing
   (:class:`SpanTracer`) with nested spans, attributes, instant events,
   and lossless worker→parent merging with per-worker pid/tid lanes;
@@ -24,34 +29,36 @@ effort go:
   per-iteration convergence telemetry from every heuristic;
   :func:`convergence_sink` turns its records into span events live.
 
-Only :mod:`~repro.obs.spans` and :mod:`~repro.obs.live` load with the
-package; the exporters, the post-mortem and the re-exported probe load
-on first access, so a run that only records spans and heartbeats never
-imports the partitioners.
+Only :mod:`~repro.obs.session`, :mod:`~repro.obs.spans` and
+:mod:`~repro.obs.live` load with the package; the exporters, the
+post-mortem and the re-exported probe load on first access, so a run
+that only records spans and heartbeats never imports the partitioners.
 
 The whole package follows PR 1's zero-cost-when-disabled convention:
-every producer guards with ``if <collector> is not None`` and an
-unobserved run allocates nothing.
+a run given no session uses :data:`~repro.obs.session.DISABLED`,
+whose collectors are all absent, so it constructs no collector and
+allocates nothing here.
 
 Quick tour::
 
-    from repro.obs import ProgressProbe, SpanTracer, convergence_sink
+    from repro.cosim.metrics import MetricsRegistry
+    from repro.obs import Obs, ProgressProbe, SpanTracer, convergence_sink
+    from repro.sweep import run_sweep
 
     spans = SpanTracer()
-    probe = ProgressProbe(sink=convergence_sink(spans))
-    with spans.span("partition", heuristic="annealing"):
-        simulated_annealing(problem, seed=1, probe=probe)
+    obs = Obs(metrics=MetricsRegistry(), spans=spans,
+              probe=ProgressProbe(sink=convergence_sink(spans)))
+    table = run_sweep(grid, workers=2, obs=obs)
     spans.write_perfetto("trace.json")     # load in ui.perfetto.dev
     print(spans.flamegraph())
-    print(probe.convergence_table("annealing"))
+    print(obs.probe.convergence_table("annealing"))
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro._lazy import lazy_exports
 from repro.obs.spans import Span, SpanEvent, SpanTracer
+from repro.obs.session import DISABLED, Obs, convergence_sink
 from repro.obs.live import (
     DEFAULT_HEARTBEAT_S,
     JsonlRecorder,
@@ -63,9 +70,6 @@ from repro.obs.live import (
     read_samples,
     render_status,
 )
-
-if TYPE_CHECKING:
-    from repro.partition.seeding import ProgressRecord
 
 # exporters, post-mortems and the partitioners' probe load on first use
 __getattr__, __dir__ = lazy_exports(__name__, {
@@ -82,23 +86,9 @@ __getattr__, __dir__ = lazy_exports(__name__, {
 })
 
 
-def convergence_sink(span_tracer: SpanTracer):
-    """A :class:`ProgressProbe` sink that mirrors every convergence
-    record as an instant span event (``converge:<algorithm>``), so
-    heuristic trajectories appear on the merged Perfetto timeline."""
-    def sink(record: ProgressRecord) -> None:
-        span_tracer.event(
-            f"converge:{record.algorithm}",
-            iteration=record.iteration,
-            cost=record.cost,
-            best_cost=record.best_cost,
-            accepted=record.accepted,
-            **record.detail,
-        )
-    return sink
-
-
 __all__ = [
+    "DISABLED",
+    "Obs",
     "Span",
     "SpanEvent",
     "SpanTracer",

@@ -48,7 +48,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "SweepCellError",
         "SweepStats",
         "run_cell",
-        "run_cell_observed",
         "run_sweep",
     ),
     "repro.sweep.differential": (
@@ -70,7 +69,6 @@ __all__ = [
     "SweepCellError",
     "SweepStats",
     "run_cell",
-    "run_cell_observed",
     "run_sweep",
     "DifferentialReport",
     "check_result",

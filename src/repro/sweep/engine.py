@@ -16,15 +16,12 @@ numbers trustworthy at scale:
 * **Caching** — a store passed as ``cache`` lets re-runs and
   incremental grid extensions skip completed cells entirely, and an
   interrupted sweep resume where it stopped.
-* **Observability** — progress and cache behaviour are counted in a
-  :class:`repro.cosim.metrics.MetricsRegistry` (PR 1's layer), so tests
-  can assert "this run recomputed nothing" instead of trusting timing;
-  and an attached :class:`repro.obs.spans.SpanTracer` /
-  :class:`repro.partition.seeding.ProgressProbe` turn the run into one
-  merged wall-clock timeline — per-cell spans are recorded *inside* the
-  shards, serialized back alongside each result, and folded into the
-  parent trace on per-worker pid lanes, while worker-side metric
-  deltas merge into the parent registry so counters are truthful at
+* **Observability** — a :class:`repro.obs.session.Obs` session's
+  registry counts progress and cache behaviour, so tests can assert
+  "this run recomputed nothing" instead of trusting timing; with a
+  span tracer or probe, each cell's spans, convergence records and
+  counters are recorded *inside* its worker and folded back on
+  per-worker pid lanes — one merged timeline, counters truthful at
   any worker count.
 
 Wall-clock timings live in :class:`SweepStats`, deliberately *outside*
@@ -35,33 +32,23 @@ observability payload travels next to the rows, never inside them.
 from __future__ import annotations
 
 import dataclasses
-import os
-import sys
 import time
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple,
-)
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
 
 from repro.campaign.service import (
     CampaignCellError, CampaignInterrupted, run_cells,
 )
-from repro.cosim.metrics import MetricsRegistry
-from repro.cosim.trace import Tracer
-from repro.obs.live import TelemetryEmitter
-from repro.obs.spans import SpanTracer
+from repro.obs.session import DISABLED, Obs
 
 if TYPE_CHECKING:
     from repro.campaign.store import CampaignStore
-    from repro.partition import CostWeights, ProgressProbe
+    from repro.partition import CostWeights
     from repro.sweep.config import SweepConfig
     from repro.sweep.table import SweepResult
 
 # The partitioners behind a sweep cell and the result table are
-# imported where they run (run_cell, run_cell_observed, run_sweep).
-
-#: Trace-record kind emitted per completed/cached cell.
-SWEEP_CELL = "sweep_cell"
+# imported where they run (run_cell, run_sweep).
 
 
 def _cell_record(
@@ -95,79 +82,54 @@ def _cell_record(
 
 
 def run_cell(
-    config: SweepConfig, weights: Optional[CostWeights] = None
+    config: SweepConfig,
+    weights: Optional[CostWeights] = None,
+    obs: Optional[Obs] = None,
 ) -> Dict[str, Any]:
     """Execute one sweep cell: generate, partition, evaluate, record.
 
     Returns a plain JSON-serializable dict (the table row).  Everything
     in it is a pure function of the config — no timestamps, no host
     identity — so rows are comparable and cacheable across machines.
+
+    ``obs``, the worker session of an observed cell, gets a ``cell``
+    span around the build/partition phase spans, the heuristic's
+    convergence records (tagged with the cell) and per-heuristic
+    counters; the row is the same either way.
     """
     from repro.partition import HEURISTICS, CostWeights
 
     weights = weights if weights is not None else CostWeights()
-    problem = config.build_problem()
     heuristic = HEURISTICS[config.heuristic]
-    result = heuristic(
-        problem, weights=weights, seed=config.heuristic_seed()
-    )
-    return _cell_record(config, problem, result)
-
-
-def run_cell_observed(
-    config: SweepConfig, weights: Optional[CostWeights] = None
-) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    """:func:`run_cell` with full observability collected *in this
-    process* — the form an observed sweep runs in each cell's worker.
-
-    Returns ``(record, obs)``: the identical table row, plus a
-    JSON-serializable observability payload — worker-side spans
-    (build/partition phases nested under the cell span), per-iteration
-    convergence records, and a worker :class:`MetricsRegistry` delta —
-    for the parent to merge.  The payload never enters the row or the
-    cache, so tables stay byte-identical with or without observation.
-    """
-    from repro.obs import convergence_sink
-    from repro.partition import HEURISTICS, CostWeights, ProgressProbe
-
-    weights = weights if weights is not None else CostWeights()
-    spans = SpanTracer()
-    spans.name_lane(spans.pid, f"sweep worker {os.getpid()}")
-    probe = ProgressProbe(sink=convergence_sink(spans))
-    metrics = MetricsRegistry()
-    heuristic = HEURISTICS[config.heuristic]
-    with spans.span(
+    if obs is None:
+        problem = config.build_problem()
+        result = heuristic(
+            problem, weights=weights, seed=config.heuristic_seed()
+        )
+        return _cell_record(config, problem, result)
+    probe = obs.probe
+    with obs.span(
         "cell", fingerprint=config.fingerprint,
         heuristic=config.heuristic, seed=config.seed,
     ):
-        with spans.span("build_problem", generator=config.generator,
-                        n_tasks=config.n_tasks):
+        with obs.span("build_problem", generator=config.generator,
+                      n_tasks=config.n_tasks):
             problem = config.build_problem()
-        with spans.span("partition", heuristic=config.heuristic):
+        with obs.span("partition", heuristic=config.heuristic):
             result = heuristic(
                 problem, weights=weights, seed=config.heuristic_seed(),
                 probe=probe,
             )
     name = config.heuristic
-    metrics.counter("sweep.worker.cells").inc()
-    metrics.counter(f"heuristic.{name}.cells").inc()
-    metrics.counter(f"heuristic.{name}.moves_evaluated").inc(
-        result.moves_evaluated
-    )
-    metrics.counter(f"heuristic.{name}.probe_records").inc(len(probe))
-    metrics.histogram(f"heuristic.{name}.hw_tasks").observe(
-        len(result.hw_tasks)
-    )
-    record = _cell_record(config, problem, result)
-    for rec in probe.records:  # make merged multi-cell streams separable
-        rec.detail.setdefault("cell", config.fingerprint[:12])
-    obs = {
-        "pid": os.getpid(),
-        "spans": spans.snapshot(),
-        "probe": probe.to_dicts(),
-        "metrics": metrics.snapshot(),
-    }
-    return record, obs
+    obs.count("sweep.worker.cells")
+    obs.count(f"heuristic.{name}.cells")
+    obs.count(f"heuristic.{name}.moves_evaluated", result.moves_evaluated)
+    if probe is not None:
+        obs.count(f"heuristic.{name}.probe_records", len(probe))
+        for rec in probe.records:  # make merged streams separable
+            rec.detail.setdefault("cell", config.fingerprint[:12])
+    obs.observe(f"heuristic.{name}.hw_tasks", len(result.hw_tasks))
+    return _cell_record(config, problem, result)
 
 
 class SweepCellError(RuntimeError):
@@ -222,11 +184,7 @@ def run_sweep(
     workers: int = 1,
     cache: Optional[CampaignStore] = None,
     weights: Optional[CostWeights] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    tracer: Optional[Tracer] = None,
-    span_tracer: Optional[SpanTracer] = None,
-    probe: Optional[ProgressProbe] = None,
-    recorder=None,
+    obs: Optional[Obs] = None,
 ) -> SweepResult:
     """Run every cell of the grid; return the ordered result table.
 
@@ -238,110 +196,73 @@ def run_sweep(
     configs in the grid are computed once and the row repeated.  The
     returned table carries a :class:`SweepStats` as ``.stats``.
 
-    Attaching a ``span_tracer`` and/or ``probe`` switches cells to
-    :func:`run_cell_observed`: per-cell spans recorded inside the
-    workers are merged into the parent tracer on per-worker pid lanes,
-    convergence records land in the probe, and worker-side metric
-    deltas fold into ``metrics`` — counters read identically at any
-    worker count.  The row/cache content is unchanged either way.
-
-    ``recorder`` arms the flight recorder (:mod:`repro.obs.live`):
-    run marks and progress heartbeats stream to it while the sweep is
-    in flight — from this process with no store, and from the
-    coordinator plus every shard on a store.  Samples never enter
-    rows, fingerprints, or the store; the table is byte-identical
-    with or without a recorder.
+    ``obs`` (:class:`~repro.obs.session.Obs`) gets the ``sweep`` span,
+    cell and cache counters, and with a span tracer or a probe the
+    cells' worker spans, convergence records and counters, merged on
+    per-worker lanes.  Its recorder gets run marks and heartbeats —
+    from this process with no store, else from the coordinator and
+    every shard.  The table is byte-identical with any session or
+    none.
     """
     from repro.sweep.table import SweepResult
 
     if workers < 1:
         raise ValueError("workers must be >= 1")
     configs = list(configs)
-    metrics = metrics if metrics is not None else (
-        tracer.metrics if tracer is not None else MetricsRegistry()
-    )
-    observed = span_tracer is not None or probe is not None
+    obs = obs if obs is not None else DISABLED
     t0 = time.perf_counter()
-
-    if span_tracer is not None:
-        span_tracer.name_lane(span_tracer.pid, "sweep parent")
-        sweep_span = span_tracer.span("sweep", cells=len(configs),
-                                      workers=workers)
-        sweep_span.__enter__()
-    else:
-        sweep_span = None
-
     rows: Dict[str, Dict[str, Any]] = {}
     pending: List[SweepConfig] = []
     stats = SweepStats(cells=len(configs), workers=workers)
-    metrics.counter("sweep.cells.total").inc(len(configs))
-    for config in configs:
-        fingerprint = config.fingerprint
-        if fingerprint in rows:
-            stats.duplicates += 1
-            continue
-        cached = cache.get(fingerprint) if cache is not None else None
-        if cached is not None:
-            rows[fingerprint] = cached
-            stats.cache_hits += 1
-            metrics.counter("sweep.cache.hits").inc()
-            if tracer is not None:
-                tracer.emit(SWEEP_CELL, fingerprint, time=0.0, cached=True,
-                            heuristic=config.heuristic)
-            if span_tracer is not None:
-                span_tracer.event("cache.hit", fingerprint=fingerprint,
-                                  heuristic=config.heuristic)
-        else:
-            # reserve the slot so a duplicate later in the grid is not
-            # submitted twice
-            rows[fingerprint] = {}
-            pending.append(config)
-            metrics.counter("sweep.cache.misses").inc()
-
-    #: with no store this process is the only writer, so it emits the
-    #: run marks and heartbeats itself; a store's coordinator and
-    #: shards each own their telemetry stream instead
-    emitter = None
-    if recorder is not None and cache is None:
-        emitter = TelemetryEmitter(recorder, role="sweep")
-        emitter.emit("run", event="start", cells=len(configs),
-                     workers=workers)
 
     def finish(fingerprint: str, record: Dict[str, Any],
-               obs: Optional[Dict[str, Any]], elapsed_s: float) -> None:
+               doc: Optional[Dict[str, Any]], elapsed_s: float) -> None:
         rows[fingerprint] = record
         stats.computed += 1
-        if emitter is not None:
-            emitter.heartbeat(done=stats.computed + stats.cache_hits,
-                              cache_hits=stats.cache_hits,
-                              total=len(configs))
-        metrics.counter("sweep.cells.computed").inc()
-        metrics.histogram("sweep.cell.elapsed_s").observe(elapsed_s)
-        if tracer is not None:
-            tracer.emit(SWEEP_CELL, fingerprint, time=0.0,
-                        cached=False,
-                        heuristic=by_fingerprint[fingerprint].heuristic,
-                        elapsed_s=elapsed_s)
-        if obs is not None:
-            metrics.merge(obs["metrics"])
-            if span_tracer is not None:
-                span_tracer.merge_snapshot(obs["spans"])
-            if probe is not None:
-                probe.extend_from_dicts(obs["probe"])
+        obs.beat(done=stats.computed + stats.cache_hits,
+                 cache_hits=stats.cache_hits, total=len(configs))
+        obs.count("sweep.cells.computed")
+        obs.observe("sweep.cell.elapsed_s", elapsed_s)
+        obs.merge(doc)
 
-    by_fingerprint = {c.fingerprint: c for c in pending}
-    weights_dict = (dataclasses.asdict(weights)
-                    if weights is not None else None)
-    payloads = [
-        (c.fingerprint, {"config": c.to_dict(), "weights": weights_dict})
-        for c in pending
-    ]
-    failed = None
-    try:
+    # with no store this process is the only writer, so it records the
+    # run itself; a store's coordinator and shards each own their
+    # telemetry stream instead
+    with obs.run("sweep", lane="sweep parent", role="sweep",
+                 record=cache is None, cells=len(configs),
+                 workers=workers):
+        obs.count("sweep.cells.total", len(configs))
+        for config in configs:
+            fingerprint = config.fingerprint
+            if fingerprint in rows:
+                stats.duplicates += 1
+                continue
+            cached = cache.get(fingerprint) if cache is not None else None
+            if cached is not None:
+                rows[fingerprint] = cached
+                stats.cache_hits += 1
+                obs.count("sweep.cache.hits")
+                obs.event("cache.hit", fingerprint=fingerprint,
+                          heuristic=config.heuristic)
+            else:
+                # reserve the slot so a duplicate later in the grid is
+                # not submitted twice
+                rows[fingerprint] = {}
+                pending.append(config)
+                obs.count("sweep.cache.misses")
+
+        by_fingerprint = {c.fingerprint: c for c in pending}
+        weights_dict = (dataclasses.asdict(weights)
+                        if weights is not None else None)
+        payloads = [
+            (c.fingerprint,
+             {"config": c.to_dict(), "weights": weights_dict})
+            for c in pending
+        ]
+        failed = None
         try:
-            run_cells(payloads, "sweep_observed" if observed else "sweep",
-                      workers, finish, store=cache, metrics=metrics,
-                      span_tracer=span_tracer, recorder=recorder)
+            run_cells(payloads, "sweep", workers, finish, store=cache,
+                      obs=obs)
         except CampaignCellError as exc:
             failed, cause = by_fingerprint[min(exc.failures)], exc
         except CampaignInterrupted:
@@ -355,33 +276,19 @@ def run_sweep(
                 raise
             cause = exc
         if failed is not None:
+            # the reserved {} placeholders never pass for results
             raise SweepCellError(
                 failed.fingerprint, failed.heuristic,
                 {fp: r for fp, r in rows.items() if r}, cause,
             ) from cause
-    finally:
-        # a failed run must never leave the sweep span open or the
-        # reserved {} placeholder rows masquerading as results
-        if sweep_span is not None:
-            sweep_span.__exit__(*sys.exc_info())
 
-    stats.elapsed_s = time.perf_counter() - t0
-    if emitter is not None:
-        # the final beat carries ``exiting`` so post-mortems read a
-        # completed run as exited, not dead (rate limiting would
-        # otherwise swallow it on short runs)
-        emitter.heartbeat(force=True, exiting=True,
-                          done=stats.computed + stats.cache_hits,
-                          cache_hits=stats.cache_hits,
-                          total=len(configs))
-        emitter.emit("run", event="finish",
-                     done=stats.computed + stats.cache_hits,
-                     computed=stats.computed,
-                     cache_hits=stats.cache_hits,
-                     elapsed_s=stats.elapsed_s)
+        stats.elapsed_s = time.perf_counter() - t0
+        done = stats.computed + stats.cache_hits
+        obs.finish({"done": done, "cache_hits": stats.cache_hits,
+                    "total": len(configs)},
+                   done=done, computed=stats.computed,
+                   cache_hits=stats.cache_hits,
+                   elapsed_s=stats.elapsed_s)
     table = SweepResult([rows[c.fingerprint] for c in configs])
     table.stats = stats
-    if observed:
-        table.obs = {"span_tracer": span_tracer, "probe": probe,
-                     "metrics": metrics}
     return table

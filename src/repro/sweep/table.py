@@ -27,11 +27,6 @@ class SweepResult:
         self.records = list(records)
         #: Set by the engine: volatile run statistics (not serialized).
         self.stats = None
-        #: Set by the engine on observed runs: the merged observability
-        #: handles (``span_tracer``, ``probe``, ``metrics``).  Volatile,
-        #: never serialized — :meth:`to_json` stays byte-identical with
-        #: or without observation.
-        self.obs = None
 
     # ------------------------------------------------------------------
     # serialization (canonical, byte-stable)

@@ -38,9 +38,9 @@ def clock(monkeypatch):
     fake = FakeClock()
     monkeypatch.setattr(service, "time", fake)
 
-    def timed(payload):
+    def timed(payload, obs=None):
         fake.now += payload["cost"]
-        return {"cell": payload["cell"]}, None
+        return {"cell": payload["cell"]}
 
     register_runner("test_timed", timed)
     yield fake

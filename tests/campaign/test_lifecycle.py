@@ -28,6 +28,7 @@ from repro.campaign import (
 from repro.campaign import service
 from repro.campaign.runners import RUNNERS, run_sweep_payload
 from repro.cosim.metrics import MetricsRegistry
+from repro.obs import Obs
 from repro.sweep import expand_grid, run_sweep
 
 GRID = dict(generators=("layered", "pipeline"), n_tasks=(6,),
@@ -81,7 +82,7 @@ class TestIdleExit:
 KILL = {"fingerprint": None, "marker": None}
 
 
-def _kill_once(payload):
+def _kill_once(payload, obs=None):
     from repro.sweep import SweepConfig
 
     fingerprint = SweepConfig.from_dict(payload["config"]).fingerprint
@@ -90,7 +91,7 @@ def _kill_once(payload):
         with open(KILL["marker"], "w", encoding="utf-8") as fh:
             fh.write(str(os.getpid()))
         os.kill(os.getpid(), signal.SIGKILL)
-    return run_sweep_payload(payload)
+    return run_sweep_payload(payload, obs)
 
 
 @pytest.fixture
@@ -111,7 +112,8 @@ class TestReplacementShard:
         grid = kill_once
         store = CampaignStore(tmp_path / "s.sqlite")
         metrics = MetricsRegistry()
-        table = run_sweep(grid, workers=2, cache=store, metrics=metrics)
+        table = run_sweep(grid, workers=2, cache=store,
+                          obs=Obs(metrics=metrics))
         # a shard really died mid-cell, and not the coordinator
         with open(KILL["marker"], encoding="utf-8") as fh:
             assert int(fh.read()) != os.getpid()
@@ -140,7 +142,7 @@ class TestReplacementShard:
 
 class TestRunCells:
     def test_in_process_errors_propagate_unwrapped(self, monkeypatch):
-        def boom(payload):
+        def boom(payload, obs=None):
             raise ZeroDivisionError("cell exploded")
 
         monkeypatch.setitem(RUNNERS, "test_boom", boom)

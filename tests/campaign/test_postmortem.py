@@ -173,14 +173,14 @@ class TestUnfinishedSpans:
 VICTIM = """\
 import sys
 from repro.campaign import CampaignStore
-from repro.obs import StoreRecorder
+from repro.obs import Obs, StoreRecorder
 from repro.sweep import expand_grid, run_sweep
 
 store = CampaignStore(sys.argv[1])
 grid = expand_grid(generators=("layered",), n_tasks=(14,),
                    heuristics=("annealing",), seeds=range(8))
 run_sweep(grid, workers=2, cache=store,
-          recorder=StoreRecorder(store))
+          obs=Obs(recorder=StoreRecorder(store)))
 """
 
 

@@ -22,6 +22,7 @@ import pytest
 
 from repro.campaign import CampaignStore
 from repro.cosim.metrics import MetricsRegistry
+from repro.obs import Obs
 from repro.sweep import expand_grid, run_sweep
 
 #: ~0.5-0.7s/cell (annealing) so the kill lands mid-campaign even on
@@ -89,7 +90,8 @@ def test_sigkill_resume_is_byte_identical(tmp_path):
 
     # resume: only the uncommitted cells are recomputed
     metrics = MetricsRegistry()
-    resumed = run_sweep(grid, workers=2, cache=store, metrics=metrics)
+    resumed = run_sweep(grid, workers=2, cache=store,
+                        obs=Obs(metrics=metrics))
     assert metrics.counter("sweep.cells.computed").value == \
         len(total - committed)
     assert metrics.counter("sweep.cache.hits").value == len(committed)
@@ -100,6 +102,6 @@ def test_sigkill_resume_is_byte_identical(tmp_path):
 
     # a second resume touches nothing at all
     again = MetricsRegistry()
-    rerun = run_sweep(grid, workers=2, cache=store, metrics=again)
+    rerun = run_sweep(grid, workers=2, cache=store, obs=Obs(metrics=again))
     assert again.counter("sweep.cells.computed").value == 0
     assert rerun.to_json() == reference.to_json()

@@ -10,6 +10,7 @@ from repro.campaign import (
 )
 from repro.campaign.runners import RUNNERS
 from repro.cosim.metrics import MetricsRegistry
+from repro.obs import Obs
 from repro.sweep import SweepCellError, expand_grid, run_cell, run_sweep
 
 
@@ -95,9 +96,9 @@ class TestRunStoreJobs:
         jobs = [("a" * 64, {"ok": True}), ("b" * 64, {"boom": True})]
         calls = []
 
-        def fixed(payload):
+        def fixed(payload, obs=None):
             calls.append(payload)
-            return dict(payload), None
+            return dict(payload)
 
         register_runner("test_boom", _boom_runner)
         try:
@@ -146,10 +147,10 @@ class TestRunStoreJobs:
                            on_done=lambda *a: None)
 
 
-def _boom_runner(payload):
+def _boom_runner(payload, obs=None):
     if payload.get("boom"):
         raise RuntimeError("cell exploded")
-    return dict(payload), None
+    return dict(payload)
 
 
 class TestRunSweepOnStore:
@@ -168,7 +169,8 @@ class TestRunSweepOnStore:
         store = CampaignStore(tmp_path / "s.sqlite")
         run_sweep(grid, workers=2, cache=store)
         metrics = MetricsRegistry()
-        warm = run_sweep(grid, workers=2, cache=store, metrics=metrics)
+        warm = run_sweep(grid, workers=2, cache=store,
+                         obs=Obs(metrics=metrics))
         assert metrics.counter("sweep.cells.computed").value == 0
         assert metrics.counter("sweep.cache.hits").value == len(grid)
         assert warm.to_json() == run_sweep(grid, workers=1).to_json()
@@ -188,11 +190,11 @@ class TestRunSweepOnStore:
     def test_campaign_metrics_counters(self, store):
         grid = small_grid(heuristics=("greedy",))
         metrics = MetricsRegistry()
-        run_sweep(grid, workers=1, cache=store, metrics=metrics)
+        run_sweep(grid, workers=1, cache=store, obs=Obs(metrics=metrics))
         snap = metrics.snapshot()["counters"]
         assert snap["campaign.jobs.enqueued"] == len(grid)
         assert snap["campaign.jobs.committed"] == len(grid)
 
 
-def _sweep_boom(payload):
+def _sweep_boom(payload, obs=None):
     raise RuntimeError("sweep cell exploded")

@@ -15,12 +15,14 @@ a boundary where off-by-one or lost-update bugs live:
 """
 
 import os
+import signal
 import time
 from unittest import mock
 
 import pytest
 
 from repro.campaign import CampaignStore
+from repro.campaign.store import _pid_alive
 
 JOB = ("a" * 64, {"cell": 1})
 RECORD = {"cost": 1.0}
@@ -134,6 +136,49 @@ class TestDeadPidReclaimVsLiveCommit:
         store.claim(f"pid:{os.getpid()}", 1)  # us; alive by definition
         assert store.reclaim_stale() == 0
         assert _state(store, JOB[0])[0] == "leased"
+
+
+def _proc_state(pid):
+    with open(f"/proc/{pid}/stat", "rb") as fh:
+        stat = fh.read()
+    return stat[stat.rindex(b")") + 2:][:1]
+
+
+@pytest.fixture
+def zombie():
+    """The pid of a child killed with SIGKILL and not yet reaped."""
+    pid = os.fork()
+    if pid == 0:
+        time.sleep(60)
+        os._exit(0)
+    try:
+        os.kill(pid, signal.SIGKILL)
+        deadline = time.monotonic() + 10.0
+        while _proc_state(pid) != b"Z":
+            assert time.monotonic() < deadline, "child never exited"
+            time.sleep(0.001)
+        yield pid
+    finally:
+        os.waitpid(pid, 0)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
+                    reason="zombie states are read from /proc")
+class TestZombieOwner:
+    """A shard that died but was not yet reaped still answers
+    ``os.kill(pid, 0)``; its leases must not wait for the reaping."""
+
+    def test_unreaped_child_is_not_alive(self, zombie):
+        os.kill(zombie, 0)  # the signal probe alone would say alive
+        assert _pid_alive(zombie) is False
+        assert _pid_alive(os.getpid()) is True
+
+    def test_zombie_owners_lease_is_reclaimed_at_once(self, store,
+                                                       zombie):
+        store.enqueue([JOB])
+        store.claim(f"pid:{zombie}", 1)
+        assert store.reclaim_stale() == 1
+        assert _state(store, JOB[0]) == ("pending", 1)
 
 
 class TestRetryBudgetExhaustion:

@@ -11,7 +11,9 @@ import os
 import time
 
 from repro.campaign.store import CampaignStore
-from repro.obs import StoreRecorder, TelemetryEmitter, TelemetrySample
+from repro.obs import (
+    Obs, StoreRecorder, TelemetryEmitter, TelemetrySample,
+)
 from repro.sweep import expand_grid, run_sweep
 
 
@@ -150,7 +152,7 @@ class TestServiceHeartbeats:
         grid = expand_grid(generators=("layered",), n_tasks=(6,),
                            heuristics=("greedy",), seeds=range(4))
         run_sweep(grid, workers=2, cache=store,
-                  recorder=StoreRecorder(store))
+                  obs=Obs(recorder=StoreRecorder(store)))
         rows = store.telemetry()
         kinds = {r["kind"] for r in rows}
         assert "heartbeat" in kinds and "queue" in kinds
@@ -172,7 +174,7 @@ class TestServiceHeartbeats:
         grid = expand_grid(generators=("layered",), n_tasks=(6,),
                            heuristics=("greedy",), seeds=range(2))
         run_sweep(grid, workers=1, cache=store,
-                  recorder=StoreRecorder(store))
+                  obs=Obs(recorder=StoreRecorder(store)))
         roles = {r["role"] for r in store.telemetry()}
         assert roles == {"coordinator", "shard"}
         # distinct owner prefixes keep the two same-pid streams apart

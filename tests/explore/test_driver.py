@@ -25,10 +25,12 @@ from repro.campaign import CampaignStore
 from repro.cosim.metrics import MetricsRegistry
 from repro.explore import (
     ExploreSpec,
+    ProblemSpec,
     dominates,
     explore,
     random_search,
 )
+from repro.obs import Obs
 from repro.obs.spans import SpanTracer
 from repro.partition.seeding import ProgressProbe
 
@@ -78,7 +80,7 @@ class TestCacheClosure:
 
         metrics = MetricsRegistry()
         warm = explore(SPEC_3D, workers=1, cache=cache,
-                       metrics=metrics)
+                       obs=Obs(metrics=metrics))
         assert warm.to_json() == baseline_json
         assert warm.stats.computed == 0
         counters = metrics.to_dict()["counters"]
@@ -150,8 +152,9 @@ class TestObservability:
         tracer = SpanTracer()
         probe = ProgressProbe()
         metrics = MetricsRegistry()
-        observed = explore(SPEC_3D, workers=2, span_tracer=tracer,
-                           probe=probe, metrics=metrics)
+        observed = explore(SPEC_3D, workers=2,
+                           obs=Obs(metrics=metrics, spans=tracer,
+                                   probe=probe))
         assert observed.to_json() == baseline_json
         assert len(probe.to_dicts()) == SPEC_3D.generations
         assert len(tracer.spans_named("generation")) == \
@@ -189,3 +192,29 @@ class TestSpecValidation:
     def test_rejects_bad_workers(self):
         with pytest.raises(ValueError):
             explore(SPEC_2D, workers=0)
+
+
+class TestProblemSpecValidation:
+    """A bad problem field fails when the spec is built, with
+    SweepConfig's message, not at the explorer's first genome."""
+
+    def test_rejects_non_int_seed(self):
+        with pytest.raises(ValueError, match="seed must be an int"):
+            ProblemSpec(seed=1.5)
+
+    def test_rejects_nan_deadline_factor(self):
+        with pytest.raises(ValueError, match="deadline_factor"):
+            ProblemSpec(deadline_factor=float("nan"))
+
+    def test_rejects_non_positive_area_budget_factor(self):
+        with pytest.raises(ValueError, match="area_budget_factor"):
+            ProblemSpec(area_budget_factor=0.0)
+
+    def test_rejects_zero_hw_parallelism(self):
+        with pytest.raises(ValueError, match="hw_parallelism"):
+            ProblemSpec(hw_parallelism=0)
+
+    def test_unconstrained_fields_still_accepted(self):
+        spec = ProblemSpec(deadline_factor=None, area_budget_factor=None,
+                           hw_parallelism=None)
+        assert ProblemSpec.from_dict(spec.to_dict()) == spec

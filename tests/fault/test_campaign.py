@@ -18,6 +18,7 @@ from repro.fault import (
     run_scenario,
     sample_faults,
 )
+from repro.obs import Obs
 from repro.obs.spans import SpanTracer
 from repro.campaign import CampaignStore
 
@@ -184,7 +185,7 @@ class TestCampaign:
     def test_span_tracer_gets_per_fault_spans(self):
         spans = SpanTracer()
         faults = sample_faults(SCENARIOS["msgpipe"].targets, 4, seed=0)
-        result = run_campaign("msgpipe", faults, span_tracer=spans)
+        result = run_campaign("msgpipe", faults, obs=Obs(spans=spans))
         cells = spans.spans_named("fault_cell")
         # golden + 4 faults (minus duplicates, of which there are none)
         assert len(cells) == 5
@@ -194,6 +195,31 @@ class TestCampaign:
         # the observed path must not perturb the records
         plain = run_campaign("msgpipe", faults)
         assert result.to_json() == plain.to_json()
+
+    def test_failed_golden_check_closes_the_campaign_span(
+            self, monkeypatch):
+        """The span closes when the run ends, not when the error's
+        traceback is collected: the error is held while the span is
+        checked."""
+        import repro.fault.campaign as campaign
+
+        run_scenario = campaign.run_scenario
+
+        def broken_golden(scenario, fault):
+            record = run_scenario(scenario, fault)
+            if fault is None:
+                record["completed"] = False
+            return record
+
+        monkeypatch.setattr(campaign, "run_scenario", broken_golden)
+        spans = SpanTracer()
+        faults = sample_faults(SCENARIOS["msgpipe"].targets, 2, seed=0)
+        with pytest.raises(CampaignError) as excinfo:
+            run_campaign("msgpipe", faults, obs=Obs(spans=spans))
+        assert "not a valid reference" in str(excinfo.value)
+        assert spans.current is None, "campaign span left open"
+        (span,) = spans.spans_named("campaign")
+        assert span.end >= span.start
 
     def test_coverage_figures_bounded(self):
         faults = sample_faults(SCENARIOS["msgpipe"].targets, 10, seed=7)

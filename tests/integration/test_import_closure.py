@@ -67,8 +67,7 @@ LAZY = [
     ("repro.sweep", "SweepResult", "repro.sweep.table"),
 ] + [
     ("repro.sweep", name, "repro.sweep.engine") for name in (
-        "SweepCellError", "SweepStats", "run_cell", "run_cell_observed",
-        "run_sweep")
+        "SweepCellError", "SweepStats", "run_cell", "run_sweep")
 ] + [
     ("repro.campaign", name, "repro.campaign.store") for name in (
         "CACHE_VERSION", "CacheVersionError", "CampaignStore",
@@ -163,6 +162,20 @@ def test_forked_swmac_campaign_runs_without_numpy():
     assert histogram == E24
     assert "repro.isa.batch" in heavy
     assert not [m for m in heavy if m.split(".")[0] == "numpy"]
+
+
+def test_observability_session_loads_no_store_or_partitioner():
+    """The session every driver takes is importable on its own: no
+    store, no process machinery, no partitioners."""
+    code = (
+        "import json, sys\n"
+        "from repro.obs import Obs\n"
+        "print(json.dumps(sorted(m for m in ('sqlite3', 'multiprocessing',\n"
+        "                                    'repro.partition',\n"
+        "                                    'repro.campaign.store')\n"
+        "                        if m in sys.modules)))\n"
+    )
+    assert run_python(code) == []
 
 
 def test_lazy_names_resolve_to_the_defining_modules_objects():

@@ -3,22 +3,28 @@ rate-limited emission, both sinks, status rendering — and the two
 contracts that make it safe to leave wired into production paths:
 
 * **zero cost when disabled** — a run without a recorder constructs no
-  telemetry object and allocates nothing in ``live.py``;
+  telemetry object and allocates nothing in ``live.py``, and a run
+  with no session constructs no collector at all and allocates nothing
+  in ``session.py``;
 * **never in the results** — every engine's output is byte-identical
   with the recorder on or off.
 """
 
+import dataclasses
 import json
 import os
 
 import pytest
 
 import repro.obs.live as live
+import repro.obs.session as session
 from repro.campaign.store import CampaignStore
-from repro.explore import ExploreSpec, explore
+from repro.cosim.metrics import MetricsRegistry
+from repro.explore import ExploreSpec, explore, random_search
 from repro.fault import SCENARIOS, run_campaign, sample_faults
 from repro.obs import (
     JsonlRecorder,
+    Obs,
     StoreRecorder,
     TelemetryEmitter,
     TelemetrySample,
@@ -27,6 +33,7 @@ from repro.obs import (
     read_samples,
     render_status,
 )
+from repro.obs.spans import SpanTracer
 from repro.sweep import expand_grid, run_sweep
 
 GRID_KW = dict(generators=("layered",), n_tasks=(6,),
@@ -248,10 +255,34 @@ class TestZeroCostWhenDisabled:
         run_campaign("coproc", faults)
         explore(EXPLORE_SPEC)
 
-    def test_no_recorder_means_no_allocations_in_live_py(self):
-        """tracemalloc must see zero bytes attributable to live.py
-        while an unrecorded sweep runs — the ``if recorder is not
-        None`` guards are the whole cost."""
+    def test_no_session_means_no_collectors(self, monkeypatch,
+                                           tmp_path):
+        """With no session, no driver path — in-process, on a store, on
+        a temporary store's shards, nested in the explorer — may
+        construct a registry, a span tracer or a telemetry object."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("collector created with no session")
+
+        for cls in (MetricsRegistry, SpanTracer, live.TelemetryEmitter):
+            monkeypatch.setattr(cls, "__init__", forbidden)
+        monkeypatch.setattr(live, "TelemetrySample", forbidden)
+
+        grid = expand_grid(**GRID_KW)
+        run_sweep(grid)                                   # in-process
+        run_sweep(grid, workers=2)                        # temp store
+        run_sweep(grid, cache=CampaignStore(tmp_path / "c.sqlite"))
+        faults = sample_faults(SCENARIOS["msgpipe"].targets, 3, seed=1)
+        run_campaign("msgpipe", faults)
+        run_campaign("msgpipe", faults, workers=2)
+        spec = dataclasses.replace(EXPLORE_SPEC, scenario="msgpipe",
+                                   scenario_faults=3)
+        explore(spec)
+        random_search(spec, evaluations=3)
+
+    @staticmethod
+    def allocated_during_sweep(module) -> int:
+        """Bytes tracemalloc attributes to ``module`` while an
+        unobserved sweep runs."""
         import tracemalloc
 
         grid = expand_grid(**GRID_KW)
@@ -263,11 +294,25 @@ class TestZeroCostWhenDisabled:
         finally:
             tracemalloc.stop()
         stats = snapshot.filter_traces(
-            [tracemalloc.Filter(True, live.__file__)]
+            [tracemalloc.Filter(True, module.__file__)]
         ).statistics("filename")
-        allocated = sum(s.size for s in stats)
+        return sum(s.size for s in stats)
+
+    def test_no_recorder_means_no_allocations_in_live_py(self):
+        """tracemalloc must see zero bytes attributable to live.py
+        while an unrecorded sweep runs — the ``if recorder is not
+        None`` guards are the whole cost."""
+        allocated = self.allocated_during_sweep(live)
         assert allocated == 0, (
             f"live.py allocated {allocated} bytes with no recorder"
+        )
+
+    def test_no_session_means_no_allocations_in_session_py(self):
+        """Nor may the disabled session allocate: with every collector
+        absent, its methods return before touching anything."""
+        allocated = self.allocated_during_sweep(session)
+        assert allocated == 0, (
+            f"session.py allocated {allocated} bytes with no session"
         )
 
 
@@ -279,7 +324,7 @@ class TestByteIdenticalWithRecorder:
         grid = expand_grid(**GRID_KW)
         plain = run_sweep(grid)
         recorder = JsonlRecorder(tmp_path / "flight.jsonl")
-        recorded = run_sweep(grid, recorder=recorder)
+        recorded = run_sweep(grid, obs=Obs(recorder=recorder))
         recorder.close()
         assert plain.to_json() == recorded.to_json()
         kinds = {s.kind for s in read_samples(recorder.path)}
@@ -291,7 +336,7 @@ class TestByteIdenticalWithRecorder:
         loud = CampaignStore(tmp_path / "loud.sqlite")
         plain = run_sweep(grid, cache=quiet)
         recorded = run_sweep(grid, cache=loud,
-                             recorder=StoreRecorder(loud))
+                             obs=Obs(recorder=StoreRecorder(loud)))
         assert plain.to_json() == recorded.to_json()
         assert quiet.telemetry() == []
         assert any(s["kind"] == "heartbeat" for s in loud.telemetry())
@@ -300,7 +345,8 @@ class TestByteIdenticalWithRecorder:
         faults = sample_faults(SCENARIOS["coproc"].targets, 6, seed=3)
         plain = run_campaign("coproc", faults)
         recorder = JsonlRecorder(tmp_path / "flight.jsonl")
-        recorded = run_campaign("coproc", faults, recorder=recorder)
+        recorded = run_campaign("coproc", faults,
+                                obs=Obs(recorder=recorder))
         recorder.close()
         assert plain.to_json() == recorded.to_json()
         samples = read_samples(recorder.path)
@@ -310,7 +356,7 @@ class TestByteIdenticalWithRecorder:
     def test_explore(self, tmp_path):
         plain = explore(EXPLORE_SPEC)
         recorder = JsonlRecorder(tmp_path / "flight.jsonl")
-        recorded = explore(EXPLORE_SPEC, recorder=recorder)
+        recorded = explore(EXPLORE_SPEC, obs=Obs(recorder=recorder))
         recorder.close()
         assert plain.to_json() == recorded.to_json()
         samples = read_samples(recorder.path)
@@ -322,7 +368,7 @@ class TestByteIdenticalWithRecorder:
         """Telemetry is gauges only — no fingerprints, no records."""
         grid = expand_grid(**GRID_KW)
         store = CampaignStore(tmp_path / "c.sqlite")
-        run_sweep(grid, cache=store, recorder=StoreRecorder(store))
+        run_sweep(grid, cache=store, obs=Obs(recorder=StoreRecorder(store)))
         fingerprints = set(store.fingerprints())
         for sample in store.telemetry():
             blob = json.dumps(sample["data"])

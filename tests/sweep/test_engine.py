@@ -12,7 +12,7 @@ import pytest
 
 from repro.campaign import CampaignStore
 from repro.cosim.metrics import MetricsRegistry
-from repro.cosim.trace import Tracer
+from repro.obs import Obs
 from repro.obs.spans import SpanTracer
 from repro.partition import HEURISTICS
 from repro.sweep import (
@@ -91,14 +91,14 @@ class TestCaching:
 
         cold_metrics = MetricsRegistry()
         cold = run_sweep(grid, workers=1, cache=cache,
-                         metrics=cold_metrics)
+                         obs=Obs(metrics=cold_metrics))
         assert cold_metrics.counter("sweep.cells.computed").value \
             == len(grid)
         assert cold_metrics.counter("sweep.cache.hits").value == 0
 
         warm_metrics = MetricsRegistry()
         warm = run_sweep(grid, workers=1, cache=cache,
-                         metrics=warm_metrics)
+                         obs=Obs(metrics=warm_metrics))
         # zero recomputation, asserted via the metrics layer
         assert warm_metrics.counter("sweep.cells.computed").value == 0
         assert warm_metrics.counter("sweep.cache.hits").value == len(grid)
@@ -112,7 +112,7 @@ class TestCaching:
         extended = small_grid(heuristics=("greedy", "cosyma"))
         metrics = MetricsRegistry()
         table = run_sweep(extended, workers=1, cache=cache,
-                          metrics=metrics)
+                          obs=Obs(metrics=metrics))
         new_cells = len(extended) - len(base)
         assert metrics.counter("sweep.cells.computed").value == new_cells
         assert metrics.counter("sweep.cache.hits").value == len(base)
@@ -124,14 +124,14 @@ class TestCaching:
         run_sweep(grid, workers=2, cache=cache)
         assert len(cache) == len(grid)
         metrics = MetricsRegistry()
-        run_sweep(grid, workers=1, cache=cache, metrics=metrics)
+        run_sweep(grid, workers=1, cache=cache, obs=Obs(metrics=metrics))
         assert metrics.counter("sweep.cells.computed").value == 0
 
     def test_duplicate_cells_computed_once(self):
         grid = expand_grid(generators=("layered",), n_tasks=(6,),
                            heuristics=("greedy",), seeds=[0, 0, 0])
         metrics = MetricsRegistry()
-        table = run_sweep(grid, workers=1, metrics=metrics)
+        table = run_sweep(grid, workers=1, obs=Obs(metrics=metrics))
         assert len(table) == 3
         assert metrics.counter("sweep.cells.computed").value == 1
         assert table.stats.duplicates == 2
@@ -139,20 +139,6 @@ class TestCaching:
 
 
 class TestObservability:
-    def test_tracer_records_cells(self, tmp_path):
-        grid = small_grid(heuristics=("greedy",))
-        tracer = Tracer()
-        cache = CampaignStore(tmp_path / "cache.sqlite")
-        run_sweep(grid, workers=1, cache=cache, tracer=tracer)
-        cells = tracer.records_of("sweep_cell")
-        assert len(cells) == len(grid)
-        assert all(r.data["cached"] is False for r in cells)
-
-        warm_tracer = Tracer()
-        run_sweep(grid, workers=1, cache=cache, tracer=warm_tracer)
-        cells = warm_tracer.records_of("sweep_cell")
-        assert all(r.data["cached"] is True for r in cells)
-
     def test_stats_summary_text(self):
         table = run_sweep(small_grid(heuristics=("greedy",)), workers=1)
         text = table.stats.summary()
@@ -223,7 +209,7 @@ class TestSweepCrashPath:
         monkeypatch.setitem(HEURISTICS, "vulcan", _boom_heuristic)
         tracer = SpanTracer()
         with pytest.raises(SweepCellError):
-            run_sweep(grid, workers=1, span_tracer=tracer)
+            run_sweep(grid, workers=1, obs=Obs(spans=tracer))
         assert tracer.current is None, "sweep span left open on failure"
         (sweep_span,) = tracer.spans_named("sweep")
         assert sweep_span.end > sweep_span.start

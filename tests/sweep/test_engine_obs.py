@@ -1,26 +1,32 @@
-"""Observed sweeps: merged worker timelines, truthful parent counters.
+"""Observed runs: merged worker timelines, truthful parent counters.
 
-The acceptance criteria for the tentpole's sweep integration:
+The observation contract, first for sweeps in detail, then for all
+three campaign drivers (sweep, fault campaign, explorer) alike:
 
-* a 2-worker sweep produces ONE merged Perfetto trace that validates
-  structurally, with per-cell spans attributed to worker lanes;
+* an observed run produces ONE merged Perfetto trace that validates
+  structurally, with per-cell spans attributed to ``<kind> worker``
+  lanes;
 * parent-registry counters equal the sum of worker deltas, identical
-  at workers=1 and workers=2;
-* observation must not change the result table (byte-identical).
+  at workers=1 and workers=2, with a store or without;
+* observation must not change the result document (byte-identical).
 """
 
 import json
 
+import pytest
+
 from repro.campaign import CampaignStore
 from repro.cosim.metrics import MetricsRegistry
+from repro.explore import ExploreSpec, explore
+from repro.fault import SCENARIOS, run_campaign, sample_faults
 from repro.obs import (
+    Obs,
     ProgressProbe,
     SpanTracer,
     convergence_sink,
     validate_trace_events,
 )
-from repro.sweep import expand_grid, run_cell, run_cell_observed, \
-    run_sweep
+from repro.sweep import expand_grid, run_cell, run_sweep
 
 
 def small_grid(heuristics=("greedy", "vulcan"), seeds=range(2)):
@@ -36,9 +42,15 @@ def observed_sweep(grid, workers):
     spans = SpanTracer()
     probe = ProgressProbe(sink=convergence_sink(spans))
     metrics = MetricsRegistry()
-    table = run_sweep(grid, workers=workers, span_tracer=spans,
-                      probe=probe, metrics=metrics)
+    table = run_sweep(grid, workers=workers,
+                      obs=Obs(metrics=metrics, spans=spans, probe=probe))
     return table, spans, probe, metrics
+
+
+def run_cell_observed(config):
+    """One cell under a sweep worker session: (record, its payload)."""
+    worker = Obs.worker("sweep")
+    return run_cell(config, obs=worker), worker.payload()
 
 
 class TestRunCellObserved:
@@ -51,7 +63,7 @@ class TestRunCellObserved:
     def test_payload_is_json_serializable_and_complete(self):
         config = small_grid()[0]
         _record, obs = run_cell_observed(config)
-        obs = json.loads(json.dumps(obs))  # survives the pool pipe
+        obs = json.loads(json.dumps(obs))  # survives the store column
         names = [s["name"] for s in obs["spans"]["spans"]]
         assert "cell" in names
         assert "build_problem" in names
@@ -152,7 +164,7 @@ class TestObservationDoesNotPerturb:
         cache = CampaignStore(tmp_path / "cache.sqlite")
         observed_sweep_table, _s, _p, _m = (
             run_sweep(grid, workers=1, cache=cache,
-                      span_tracer=SpanTracer()),
+                      obs=Obs(spans=SpanTracer())),
             None, None, None,
         )
         for record in observed_sweep_table:
@@ -169,7 +181,7 @@ class TestObservationDoesNotPerturb:
         spans = SpanTracer()
         metrics = MetricsRegistry()
         table = run_sweep(grid, workers=2, cache=cache,
-                          span_tracer=spans, metrics=metrics)
+                          obs=Obs(metrics=metrics, spans=spans))
         assert table.stats.computed == 0
         hits = [e for e in spans.events if e.name == "cache.hit"]
         assert len(hits) == len(grid)
@@ -177,10 +189,57 @@ class TestObservationDoesNotPerturb:
         assert metrics.snapshot()["counters"].get(
             "sweep.worker.cells", 0) == 0
 
-    def test_table_obs_handle_set_only_when_observed(self):
-        grid = small_grid(heuristics=("greedy",), seeds=range(1))
-        assert run_sweep(grid, workers=1).obs is None
-        table, spans, probe, metrics = observed_sweep(grid, workers=1)
-        assert table.obs["span_tracer"] is spans
-        assert table.obs["probe"] is probe
-        assert table.obs["metrics"] is metrics
+
+# ----------------------------------------------------------------------
+# one contract, three drivers
+# ----------------------------------------------------------------------
+FAULTS = sample_faults(SCENARIOS["msgpipe"].targets, 4, seed=0)
+EXPLORE_SPEC = ExploreSpec(population=4, generations=2, n_tasks=(8,),
+                           heuristics=("greedy", "kl"))
+
+#: kind → (run it, returning its document; the span each cell records)
+DRIVERS = {
+    "sweep": (lambda workers, cache, obs: run_sweep(
+        small_grid(), workers=workers, cache=cache, obs=obs).to_json(),
+        "cell"),
+    "fault": (lambda workers, cache, obs: run_campaign(
+        "msgpipe", FAULTS, workers=workers, cache=cache,
+        obs=obs).to_json(), "fault_cell"),
+    "explore": (lambda workers, cache, obs: explore(
+        EXPLORE_SPEC, workers=workers, cache=cache, obs=obs).to_json(),
+        "genome"),
+}
+
+
+@pytest.mark.parametrize("store", [False, True],
+                         ids=["no-store", "store"])
+@pytest.mark.parametrize("kind", sorted(DRIVERS))
+def test_one_observation_contract(kind, store, tmp_path):
+    """Observed at 1 and 2 workers, each driver's document is
+    byte-identical to its plain run, its cells' spans sit on
+    ``<kind> worker`` lanes of one valid merged trace, and its
+    counters do not depend on the worker count."""
+    run, cell_span = DRIVERS[kind]
+    plain = run(1, None, None)
+    counters = {}
+    for workers in (1, 2):
+        cache = (CampaignStore(tmp_path / f"w{workers}.sqlite")
+                 if store else None)
+        spans = SpanTracer()
+        metrics = MetricsRegistry()
+        assert run(workers, cache, Obs(metrics=metrics, spans=spans)) \
+            == plain
+        assert validate_trace_events(spans.to_perfetto()) == []
+        cells = spans.spans_named(cell_span)
+        assert cells, f"no {cell_span} spans merged at workers={workers}"
+        for span in cells:
+            assert spans.lane_names[span.pid].startswith(
+                f"{kind} worker ")
+        # the campaign.* counters describe the execution path (store
+        # queue or in-process loop), not the work
+        counters[workers] = {
+            name: value
+            for name, value in metrics.snapshot()["counters"].items()
+            if not name.startswith("campaign.")
+        }
+    assert counters[1] == counters[2]
