@@ -216,9 +216,9 @@ DRIVERS = {
 @pytest.mark.parametrize("kind", sorted(DRIVERS))
 def test_one_observation_contract(kind, store, tmp_path):
     """Observed at 1 and 2 workers, each driver's document is
-    byte-identical to its plain run, its cells' spans sit on
-    ``<kind> worker`` lanes of one valid merged trace, and its
-    counters do not depend on the worker count."""
+    byte-identical to its plain run (cold, and warm from a store), its
+    cells' spans sit on ``<kind> worker`` lanes of one valid merged
+    trace, and its counters do not depend on the worker count."""
     run, cell_span = DRIVERS[kind]
     plain = run(1, None, None)
     counters = {}
@@ -243,3 +243,8 @@ def test_one_observation_contract(kind, store, tmp_path):
             if not name.startswith("campaign.")
         }
     assert counters[1] == counters[2]
+    if store:
+        # warm: the store serves every cell, observed or not
+        spans = SpanTracer()
+        assert run(2, cache, Obs(spans=spans)) == plain
+        assert not spans.spans_named(cell_span)
