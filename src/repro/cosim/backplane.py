@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Optional
 
 from repro.cosim.bus import SystemBus
-from repro.cosim.kernel import Process, SimulationError, Simulator
+from repro.cosim.kernel import Process, SimulationError, Simulator, _Leap
 from repro.cosim.trace import ACCESS
 from repro.cosim.msglevel import Channel
 from repro.cosim.pinlevel import PinBusMaster
@@ -118,6 +118,11 @@ class MessageAdapter(InterfaceAdapter):
         return (yield from self.from_hw.receive())
 
 
+#: How many snapshots of a poll loop the driver keeps before it starts
+#: over: a loop whose state has not come round by then is not leapt.
+_POLL_HISTORY = 64
+
+
 @dataclass
 class _Mount:
     base: int
@@ -129,11 +134,23 @@ class Backplane:
     """Runs a :class:`repro.isa.cpu.Cpu` inside a :class:`Simulator`.
 
     ``clock_period`` converts CPU cycles to model time.
-    ``batch_instructions`` controls how many purely-internal instructions
-    execute per simulation event: 1 gives instruction-granular timing,
-    larger batches speed up long software stretches (interrupts are then
-    recognized at batch boundaries, as in real instruction-set
-    co-simulators).
+    ``batch_instructions`` (an int >= 1) controls how many
+    purely-internal instructions execute per simulation event: 1 gives
+    instruction-granular timing, larger batches speed up long software
+    stretches (interrupts are then recognized at batch boundaries, as in
+    real instruction-set co-simulators).
+
+    A CPU polling a quiescent system leaps (DESIGN §8).  After each
+    external read the driver takes a snapshot, if the read was of a
+    register its device declares free of side effects
+    (:attr:`RegisterDevice.PURE_READS`) and nothing but the CPU can act
+    before the horizon of the ``run()`` in progress.  When a snapshot's
+    key (pc, registers, ``irq_enabled``, ``epc``, batch budget left and
+    address read) repeats within one ``run()`` with no store in
+    between, the driver walks that loop's timeouts to the last whole
+    pass due by the horizon, credits the CPU's, memory's, devices' and
+    its own counters as if each pass had run, and lands there in one
+    wait.  Records, times and activation counts equal the eager run's.
     """
 
     def __init__(
@@ -148,8 +165,11 @@ class Backplane:
                 f"clock_period must be finite and positive, "
                 f"got {clock_period!r}"
             )
-        if batch_instructions < 1:
-            raise ValueError("batch_instructions must be >= 1")
+        if isinstance(batch_instructions, bool) or \
+                not isinstance(batch_instructions, int) or \
+                batch_instructions < 1:
+            raise ValueError(f"batch_instructions must be an int >= 1, "
+                             f"got {batch_instructions!r}")
         self.sim = sim
         self.cpu = cpu
         self.clock_period = clock_period
@@ -195,48 +215,150 @@ class Backplane:
         # so the batch budget, and therefore the exact sequence of
         # timeouts and adapter activations, is identical to the old
         # one-step()-per-instruction loop at any batch_instructions.
+        #
+        # A poll loop's history: `seen` maps each snapshot's key to the
+        # length of `waits` and the CPU's instruction, cycle and load
+        # counts when it was taken, and `waits` holds every wait of the
+        # driver since the first snapshot as (delay, device read or
+        # None, elapsed).  `seen` is None while there is no history.
+        # The key holds the store count and the kernel's count of run()
+        # and step() calls, so a repeat spans no store and no code run
+        # between calls.
         cpu = self.cpu
+        memory = cpu.memory
         period = self.clock_period
         timeout = self.sim.timeout
+        seen: Optional[Dict[tuple, tuple]] = None
+        waits: List[tuple] = []
         while not cpu.halted:
             budget = self.batch_instructions
             while budget:
                 steps, cycles, access = cpu.run_block(budget)
                 budget -= steps
-                if access is None:
-                    # budget exhausted or halt retired: flush the batch
-                    if cycles:
-                        yield timeout(cycles * period)
-                    break
                 if cycles:
+                    if seen is not None:
+                        waits.append((cycles * period, None, 0.0))
                     yield timeout(cycles * period)
-                yield from self._service(access)
+                if access is None:
+                    break  # budget exhausted or halt retired
+                read = yield from self._service(access)
                 if cpu.halted:
                     break
+                if read is None or not self._alone():
+                    seen = None
+                    continue
+                key = (cpu.pc, tuple(cpu.regs), cpu.irq_enabled, cpu.epc,
+                       budget, access.addr, memory.stores, self.sim._calls)
+                if seen is not None:
+                    waits.append(read)
+                    hit = seen.get(key)
+                    if hit is not None:  # the state came round: a loop
+                        leap = self._leap(waits[hit[0]:], *hit[1:])
+                        if leap is not None:
+                            yield leap
+                    elif len(seen) < _POLL_HISTORY:
+                        seen[key] = (len(waits), cpu.instr_count,
+                                     cpu.cycle_count, memory.loads)
+                        continue
+                # (re)start the history at this snapshot
+                seen = {key: (0, cpu.instr_count, cpu.cycle_count,
+                              memory.loads)}
+                waits = []
         return cpu.cycle_count
 
+    def _alone(self) -> bool:
+        """Whether nothing but the CPU's own instructions can act before
+        the horizon: a ``run()`` with a finite horizon is in progress, no
+        tracer is attached, no process but this driver is scheduled (a
+        process blocked on an event waits for something only a store or
+        a send could do), and no observer, trigger, pending IRQ or
+        synchronous device region can change what the CPU does next."""
+        sim, cpu = self.sim, self.cpu
+        horizon = sim._horizon
+        return (not sim._ready and not sim._queue
+                and horizon is not None and horizon < math.inf
+                and sim.tracer is None and not cpu.observers
+                and not cpu._triggers and not cpu.irq_pending
+                and all(region.external for region in cpu.memory._regions))
+
+    def _leap(self, loop: List[tuple], instrs: int, cycles: int,
+              loads: int) -> Optional[_Leap]:
+        """The wait that runs every whole pass of ``loop`` due by the
+        horizon, or None if not one is.
+
+        ``loop`` lists the driver's waits over one pass, which ended in
+        the state it began in; ``instrs``, ``cycles`` and ``loads`` are
+        the CPU's counts where it began.  The walk reaches each
+        activation time by the kernel's own repeated addition, and stops
+        before a pass with one past the horizon, one that does not
+        advance time (the watchdog would count a stall) or a read whose
+        elapsed time differs from the recorded one (its stall cycles
+        would).  The counters those passes change are credited here;
+        the kernel credits the activations.
+        """
+        horizon = self.sim._horizon
+        when, stall, passes = self.sim.now, self.stall_time, 0
+        while True:
+            at, total = when, stall
+            for delay, device, elapsed in loop:
+                started, at = at, at + delay
+                if not started < at <= horizon:
+                    break
+                if device is not None:
+                    if at - started != elapsed:
+                        break
+                    total += elapsed
+            else:  # the whole pass is due by the horizon
+                when, stall, passes = at, total, passes + 1
+                continue
+            break
+        if not passes:
+            return None
+        cpu, memory = self.cpu, self.cpu.memory
+        cpu.instr_count += passes * (cpu.instr_count - instrs)
+        cpu.cycle_count += passes * (cpu.cycle_count - cycles)
+        memory.loads += passes * (memory.loads - loads)
+        for _delay, device, _elapsed in loop:
+            if device is not None:
+                device.reads += passes
+                self.external_accesses += passes
+        self.stall_time = stall
+        return _Leap(when, passes * len(loop) - 1)
+
     def _service(self, access: ExternalAccess) -> Generator:
+        """Play ``access`` out on its mount's adapter and complete it.
+
+        Returns the driver's wait as ``(delay, device, elapsed)`` when
+        the access read a register its device declares free of side
+        effects (:attr:`RegisterDevice.PURE_READS`), else None.
+        """
         mount = self._find(access.addr)
+        adapter = mount.adapter
+        offset = access.addr - mount.base
         self.external_accesses += 1
         started = self.sim.now
-        value = yield from mount.adapter.access(
-            access.addr - mount.base, access.value, access.is_write
+        value = yield from adapter.access(
+            offset, access.value, access.is_write
         )
         elapsed = self.sim.now - started
         self.stall_time += elapsed
         if self.sim.tracer is not None:
-            adapter = type(mount.adapter).__name__
+            name = type(adapter).__name__
             self.sim.tracer.emit(
                 ACCESS, f"mount@{mount.base:#x}", addr=access.addr,
-                write=access.is_write, adapter=adapter, stall=elapsed,
+                write=access.is_write, adapter=name, stall=elapsed,
             )
             self.sim.tracer.metrics.counter(
-                f"backplane.{adapter}.accesses"
+                f"backplane.{name}.accesses"
             ).inc()
             self.sim.tracer.metrics.histogram(
-                f"backplane.{adapter}.stall_ns"
+                f"backplane.{name}.stall_ns"
             ).observe(elapsed)
         stall_cycles = int(round(elapsed / self.clock_period))
         self.cpu.complete_access(
             read_value=(value or 0), extra_cycles=stall_cycles
         )
+        if (type(adapter) is RegisterAdapter and not access.is_write
+                and offset in adapter.device.PURE_READS):
+            return adapter.device.access_time, adapter.device, elapsed
+        return None

@@ -63,6 +63,9 @@ class Watchdog:
     steps so the hot loop stays cheap.  A process stuck inside a single
     ``step()`` (never yielding at all) is not detectable from within
     the kernel; the watchdog covers everything the event loop can see.
+    ``max_stalled_activations`` and ``check_every`` are ints >= 1 and
+    ``wall_clock_s`` is None or finite and positive; anything else
+    raises ValueError naming the field.
 
     A stall made only of declared :class:`Spin` wakeups, with nothing
     else due at the stuck time and no tracer attached, is fast-forwarded:
@@ -81,12 +84,16 @@ class Watchdog:
         wall_clock_s: Optional[float] = None,
         check_every: int = 1024,
     ) -> None:
-        if max_stalled_activations < 1:
-            raise ValueError("max_stalled_activations must be >= 1")
-        if wall_clock_s is not None and wall_clock_s <= 0:
-            raise ValueError("wall_clock_s must be positive")
-        if check_every < 1:
-            raise ValueError("check_every must be >= 1")
+        for field, value in (("max_stalled_activations",
+                              max_stalled_activations),
+                             ("check_every", check_every)):
+            if isinstance(value, bool) or not isinstance(value, int) \
+                    or value < 1:
+                raise ValueError(f"{field} must be an int >= 1, "
+                                 f"got {value!r}")
+        if wall_clock_s is not None and not 0.0 < wall_clock_s < _INF:
+            raise ValueError(f"wall_clock_s must be None or finite and "
+                             f"positive, got {wall_clock_s!r}")
         self.max_stalled_activations = max_stalled_activations
         self.wall_clock_s = wall_clock_s
         self.check_every = check_every
@@ -215,15 +222,17 @@ class Spin(Timeout):
 
 
 class _Leap:
-    """A clock's jump: resume at absolute model time ``when``, crediting
-    ``skipped`` activations as if each had run.
+    """A jump over a process's own timeouts: resume at absolute model
+    time ``when``, crediting ``skipped`` activations as if each had run.
 
-    Only :class:`repro.cosim.signals.Clock` yields it, and only when it
-    is the last process scheduled in a :meth:`Simulator.run` and nothing
-    can observe its edges (DESIGN §8).  The kernel adds ``skipped`` to
-    ``activations``, ``_seq`` and the process's wait token and schedules
-    the wakeup at ``when`` itself: ``now + (when - now)`` can miss it by
-    an ulp.
+    Two processes yield it, each only when it is the last process
+    scheduled in a :meth:`Simulator.run` with a horizon and nothing can
+    observe the activations it skips (DESIGN §8): a
+    :class:`repro.cosim.signals.Clock` whose edges nobody watches, and a
+    :class:`repro.cosim.backplane.Backplane` whose CPU polls a quiescent
+    system.  The kernel adds ``skipped`` to ``activations``, ``_seq``
+    and the process's wait token and schedules the wakeup at ``when``
+    itself: ``now + (when - now)`` can miss it by an ulp.
     """
 
     __slots__ = ("when", "skipped")
@@ -453,6 +462,10 @@ class Simulator:
         #: the horizon of the run() in progress (``inf`` for none), or
         #: None while step() runs: how far a lone clock may leap
         self._horizon: Optional[float] = None
+        #: run() and step() calls so far: a backplane trusts what it saw
+        #: of a poll loop only within one call, as code between calls
+        #: may change any model state
+        self._calls = 0
 
     def attach_tracer(self, tracer: "Tracer") -> "Tracer":
         """Attach (and bind) a tracer after construction; returns it.
@@ -552,6 +565,7 @@ class Simulator:
         if now > horizon:
             return False  # an `until` in the past never rewinds
         self._horizon = None if once else horizon
+        self._calls += 1
         budget = None
         stalled = steps = 0
         deadline = None

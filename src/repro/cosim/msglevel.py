@@ -12,6 +12,7 @@ latency number (or ignored entirely with ``latency_per_word=0``).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Any, Deque, Generator, List, Optional, Tuple
 
@@ -27,10 +28,11 @@ class Channel:
     * ``capacity=0`` — rendezvous; ``send`` blocks until a receiver takes
       the message.
 
-    ``latency_per_message`` and ``latency_per_word`` give the channel an
-    abstract timing model: a message of ``words`` words arrives that much
-    later than it was sent.  Setting both to zero models the pure
-    untimed-communication co-simulation of [2]/[3].
+    ``latency_per_message`` and ``latency_per_word`` (each finite and
+    >= 0) give the channel an abstract timing model: a message of
+    ``words`` words arrives that much later than it was sent.  Setting
+    both to zero models the pure untimed-communication co-simulation of
+    [2]/[3].
     """
 
     def __init__(
@@ -43,6 +45,12 @@ class Channel:
     ) -> None:
         if capacity is not None and capacity < 0:
             raise ValueError("capacity must be None or >= 0")
+        for field, value in (("latency_per_message", latency_per_message),
+                             ("latency_per_word", latency_per_word)):
+            if not 0.0 <= value < math.inf:  # also rejects NaN
+                raise ValueError(
+                    f"{field} must be finite and >= 0, got {value!r}"
+                )
         self.sim = sim
         self.name = name
         self.capacity = capacity

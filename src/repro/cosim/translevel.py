@@ -10,7 +10,8 @@ to contention.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, List, Optional
+import math
+from typing import Callable, Dict, FrozenSet, Generator, List, Optional
 
 from repro.cosim.kernel import Event, SimulationError, Simulator
 from repro.cosim.trace import IRQ, REG
@@ -80,9 +81,19 @@ class RegisterDevice:
     """Base class for a device modeled as a register file.
 
     Subclasses override :meth:`on_read` / :meth:`on_write`.  Accesses
-    cost ``access_time`` each and are *not* arbitrated — the simplification
-    that makes this level cheap and optimistic under contention.
+    cost ``access_time`` each (finite and >= 0) and are *not* arbitrated
+    — the simplification that makes this level cheap and optimistic
+    under contention.
+
+    :attr:`PURE_READS` declares the registers whose :meth:`read` waits
+    ``access_time`` and changes nothing but :attr:`reads`: ``on_read``
+    returns a value that depends only on device state, and neither
+    modifies that state nor wakes anything.  A CPU that polls only such
+    registers while nothing else can run may leap to the horizon
+    (DESIGN §8).  It is empty here, so a subclass opts in.
     """
+
+    PURE_READS: FrozenSet[int] = frozenset()
 
     def __init__(
         self,
@@ -91,6 +102,10 @@ class RegisterDevice:
         n_registers: int,
         access_time: float = 2.0,
     ) -> None:
+        if not 0.0 <= access_time < math.inf:  # also rejects NaN
+            raise ValueError(
+                f"access_time must be finite and >= 0, got {access_time!r}"
+            )
         self.sim = sim
         self.name = name
         self.regs: List[int] = [0] * n_registers
@@ -151,6 +166,7 @@ class FifoDevice(RegisterDevice):
     """
 
     DATA, STATUS, LEVEL = 0, 1, 2
+    PURE_READS = frozenset({STATUS, LEVEL})  # a DATA read pops
 
     def __init__(
         self,

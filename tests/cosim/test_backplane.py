@@ -189,6 +189,17 @@ class TestBackplaneMechanics:
         with pytest.raises(ValueError):
             Backplane(sim, cpu, batch_instructions=0)
 
+    @pytest.mark.parametrize("batch", [
+        float("nan"), 2.5, float("inf"), True, "4", 4.0,
+    ])
+    def test_batch_size_must_be_an_int(self, batch):
+        """A NaN budget used to pass the ``< 1`` check and spin the
+        driver without ever yielding; a fractional one ran fractional
+        budgets.  Each is rejected, naming the field."""
+        with pytest.raises(ValueError, match="batch_instructions"):
+            Backplane(Simulator(), make_cpu("halt"),
+                      batch_instructions=batch)
+
     def test_batching_preserves_functionality(self):
         results = []
         for batch in (1, 16):

@@ -12,6 +12,7 @@ from repro.cosim.kernel import (
     Simulator,
     Timeout,
     Watchdog,
+    _Leap,
 )
 
 
@@ -682,6 +683,77 @@ class TestAccounting:
         assert sim.activations == 11
 
 
+class TestLeap:
+    """``_Leap`` as a kernel primitive, yielded from a bare generator:
+    one jump over a run of a process's own timeouts, with nothing else
+    due in between, leaves the kernel as those timeouts do."""
+
+    DELAYS = [1.5, 0.7, 2.25, 0.3, 0.1] * 4
+    START = 0.1  # off time zero, so the sums round
+
+    def landing(self):
+        when = self.START
+        for delay in self.DELAYS:
+            when += delay  # the kernel's repeated addition
+        return when
+
+    def play(self, leap, horizon, interrupt_at=None):
+        sim = Simulator()
+        log = []
+
+        def walker():
+            yield sim.timeout(self.START)
+            if leap:
+                yield _Leap(self.landing(), len(self.DELAYS) - 1)
+            else:
+                for delay in self.DELAYS:
+                    yield sim.timeout(delay)
+            log.append(("landed", repr(sim.now), sim.activations))
+            try:
+                while True:
+                    yield sim.timeout(1.0)
+                    log.append(("tick", repr(sim.now)))
+            except Interrupt as irq:
+                log.append(("interrupted", repr(sim.now), irq.cause))
+                yield sim.timeout(0.5)
+                log.append(("after", repr(sim.now)))
+
+        walker_proc = sim.process(walker(), name="walker")
+        if interrupt_at is not None:
+            def interrupter():
+                yield sim.timeout(interrupt_at)
+                walker_proc.interrupt("stop")
+
+            sim.process(interrupter(), name="interrupter")
+        sim.run(until=horizon)
+        pending = sorted((seq, repr(when), proc.name, value, token)
+                         for when, seq, proc, value, token in sim._queue)
+        return (log, repr(sim.now), sim.activations, sim._seq,
+                [proc._token for proc in sim.processes], pending)
+
+    @pytest.mark.parametrize("beyond", [0.5, 3.0, 40.0])
+    def test_credits_equal_the_eager_timeouts(self, beyond):
+        horizon = self.landing() + beyond
+        assert self.play(True, horizon) == self.play(False, horizon)
+
+    def test_a_landing_at_the_horizon_runs_in_that_run(self):
+        horizon = self.landing()
+        leapt = self.play(True, horizon)
+        assert leapt == self.play(False, horizon)
+        assert leapt[0] == [("landed", repr(horizon), 22)]
+        assert leapt[1] == repr(horizon)
+
+    @pytest.mark.parametrize("after", [0.4, 1.0, 2.6])
+    def test_an_interrupt_after_the_landing(self, after):
+        """The interrupt finds the wait token the eager timeouts leave,
+        so it preempts the pending tick, which then goes stale."""
+        interrupt_at = self.landing() + after
+        leapt = self.play(True, 100.0, interrupt_at)
+        assert leapt == self.play(False, 100.0, interrupt_at)
+        assert [entry[0] for entry in leapt[0][-2:]] == \
+            ["interrupted", "after"]
+
+
 class TestWatchdog:
     """The kernel-level guard against processes that never make
     model-time progress (satellite fix: ``Kernel.run`` previously
@@ -774,3 +846,23 @@ class TestWatchdog:
             Watchdog(wall_clock_s=0.0)
         with pytest.raises(ValueError):
             Watchdog(check_every=0)
+
+    @pytest.mark.parametrize("value", [float("nan"), 2.5, True, "4", 9.0])
+    def test_max_stalled_activations_must_be_an_int(self, value):
+        """A NaN budget never fired on a zero-delay livelock, and a
+        fractional one crashed the spin skip with a TypeError."""
+        with pytest.raises(ValueError, match="max_stalled_activations"):
+            Watchdog(max_stalled_activations=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), 2.5, True, "4"])
+    def test_check_every_must_be_an_int(self, value):
+        with pytest.raises(ValueError, match="check_every"):
+            Watchdog(check_every=value)
+
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), -1.0, 0.0,
+    ])
+    def test_wall_clock_s_must_be_finite_and_positive(self, value):
+        """A NaN budget never fired."""
+        with pytest.raises(ValueError, match="wall_clock_s"):
+            Watchdog(wall_clock_s=value)

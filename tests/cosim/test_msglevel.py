@@ -151,6 +151,19 @@ class TestLatencyModel:
                        latency_per_word=3.0)
         assert chan.transfer_delay(10) == pytest.approx(32.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), -5.0, float("inf")])
+    def test_latency_per_message_must_be_finite_and_non_negative(
+            self, value):
+        """NaN and negative latencies used to deliver with no latency
+        at all (``send`` skips a delay that is not > 0)."""
+        with pytest.raises(ValueError, match="latency_per_message"):
+            Channel(Simulator(), latency_per_message=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), -5.0, float("inf")])
+    def test_latency_per_word_must_be_finite_and_non_negative(self, value):
+        with pytest.raises(ValueError, match="latency_per_word"):
+            Channel(Simulator(), latency_per_word=value)
+
 
 class TestWait:
     def test_wait_does_not_consume(self):

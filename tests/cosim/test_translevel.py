@@ -90,6 +90,20 @@ class TestRegisterDevice:
         assert got == [(99, 6.0)]
         assert dev.accesses == 2
 
+    @pytest.mark.parametrize("value", [float("nan"), -1.0, float("inf")])
+    def test_access_time_must_be_finite_and_non_negative(self, value):
+        """Such a device used to fail only at its first access, from
+        the kernel's Timeout."""
+        with pytest.raises(ValueError, match="access_time"):
+            RegisterDevice(Simulator(), "dev", 4, access_time=value)
+
+    def test_only_declared_registers_are_pure(self):
+        """A device declares no side-effect-free register unless it
+        opts in; a FIFO declares STATUS and LEVEL, not DATA (a pop)."""
+        assert RegisterDevice.PURE_READS == frozenset()
+        assert FifoDevice.PURE_READS == {FifoDevice.STATUS,
+                                         FifoDevice.LEVEL}
+
     def test_out_of_range_register(self):
         sim = Simulator()
         dev = RegisterDevice(sim, "dev", n_registers=2)
