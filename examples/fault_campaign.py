@@ -12,16 +12,14 @@ The campaign is deterministic end to end: the same seed produces the
 same fault list, the same per-fault outcome, and therefore the same
 histogram at any worker count (``--smoke`` asserts exactly that).
 
-``--batch`` runs software-only scenarios (``swmac``) as forks of one
-golden run (DESIGN §14): every fault lane leaves golden as a copy
-taken just before its fault is due (:class:`repro.isa.BatchCpu`), and
-the lanes forked, the lanes answered at golden's end, and golden's run
-segments are reported after the table.  Records are byte-identical to
-the scalar path (``--smoke`` asserts that too).
+The software-only scenario (``--scenario swmac``) needs no kernel:
+every one of its cells starts as a copy of one checkpointed golden run
+(:class:`repro.isa.BatchCpu`, DESIGN §14), in-process and on every
+store shard alike.
 
 Run:  python examples/fault_campaign.py
       python examples/fault_campaign.py --faults 200 --workers 4
-      python examples/fault_campaign.py --scenario swmac --batch
+      python examples/fault_campaign.py --scenario swmac --workers 2
       python examples/fault_campaign.py --smoke --out deps.json
 """
 
@@ -30,7 +28,6 @@ import json
 import sys
 import time
 
-from repro.cosim.metrics import MetricsRegistry
 from repro.fault import OUTCOMES, SCENARIOS, run_campaign, sample_faults
 from repro.obs import Obs
 
@@ -57,9 +54,6 @@ def main(argv=None) -> int:
                         help="with --store: record shard heartbeats "
                              "and queue gauges into the store's "
                              "telemetry table")
-    parser.add_argument("--batch", action="store_true",
-                        help="fork software-only scenarios' fault "
-                             "cells from one golden run")
     parser.add_argument("--out", metavar="FILE",
                         help="write the dependability report as JSON")
     parser.add_argument("--smoke", action="store_true",
@@ -96,32 +90,16 @@ def main(argv=None) -> int:
         recorder = StoreRecorder(cache)
 
     print(f"campaign: scenario={args.scenario} faults={len(faults)} "
-          f"seed={args.seed} workers={args.workers}"
-          + (" batch" if args.batch else ""))
-    metrics = MetricsRegistry()
+          f"seed={args.seed} workers={args.workers}")
     t0 = time.perf_counter()
     result = run_campaign(args.scenario, faults, workers=args.workers,
-                          cache=cache,
-                          obs=Obs(metrics=metrics, recorder=recorder),
-                          batch=args.batch)
+                          cache=cache, obs=Obs(recorder=recorder))
     elapsed = time.perf_counter() - t0
     print()
     print(result.dependability_table())
     print()
     print(f"{result.stats.summary()}  "
           f"[{len(faults) / elapsed:.0f} faults/s]")
-    if args.batch:
-        counters = metrics.snapshot()["counters"]
-        lanes = counters.get("fault.batch.lanes", 0)
-        if lanes:
-            forked = counters.get("fault.batch.drained", 0)
-            segments = counters.get("fault.batch.dispatches", 0)
-            print(f"batch: {lanes} lanes, {forked} forked from golden, "
-                  f"{lanes - forked} answered at golden's end, "
-                  f"{segments} golden run segments")
-        else:
-            print(f"batch: scenario {args.scenario!r} has no "
-                  f"software-only cells; ran scalar")
 
     if args.smoke:
         # the acceptance contract: identical histogram at 1 and N
@@ -130,10 +108,6 @@ def main(argv=None) -> int:
         sharded = run_campaign(args.scenario, faults, workers=2)
         assert serial.to_json() == sharded.to_json(), \
             "campaign result differs across worker counts"
-        if args.batch:
-            assert result.to_json() == serial.to_json(), \
-                "batch result differs from scalar"
-            print("smoke: batch JSON byte-identical to scalar")
         hist = result.histogram()
         # crash needs a CPU to corrupt; msgpipe tops out at four classes
         expected = [o for o in OUTCOMES

@@ -8,7 +8,7 @@ declared with :func:`lazy_exports` and imported on first attribute
 access, so an entry point loads only the code it runs::
 
     __getattr__, __dir__ = lazy_exports(__name__, {
-        "repro.isa.batch": ("BatchCpu", "BatchStats", "LaneExit"),
+        "repro.isa.batch": ("BatchCpu",),
     })
 
 ``from package import Name``, ``package.Name`` and ``from package

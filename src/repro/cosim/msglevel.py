@@ -28,6 +28,9 @@ class Channel:
     * ``capacity=0`` — rendezvous; ``send`` blocks until a receiver takes
       the message.
 
+    Any other ``capacity`` (negative, fractional, NaN, a ``bool``)
+    raises ``ValueError``.
+
     ``latency_per_message`` and ``latency_per_word`` (each finite and
     >= 0) give the channel an abstract timing model: a message of
     ``words`` words arrives that much later than it was sent.  Setting
@@ -43,8 +46,12 @@ class Channel:
         latency_per_message: float = 0.0,
         latency_per_word: float = 0.0,
     ) -> None:
-        if capacity is not None and capacity < 0:
-            raise ValueError("capacity must be None or >= 0")
+        if capacity is not None and (
+                isinstance(capacity, bool) or not isinstance(capacity, int)
+                or capacity < 0):
+            raise ValueError(
+                f"capacity must be None or an int >= 0, got {capacity!r}"
+            )
         for field, value in (("latency_per_message", latency_per_message),
                              ("latency_per_word", latency_per_word)):
             if not 0.0 <= value < math.inf:  # also rejects NaN

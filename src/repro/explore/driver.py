@@ -487,7 +487,6 @@ def _evaluation(spec: ExploreSpec, workers: int, cache, obs: Obs):
             model = measure_dependability(
                 spec.scenario, spec.scenario_faults, spec.scenario_seed,
                 workers=workers, cache=cache, obs=obs.without_recorder(),
-                batch=True,
             )
     return model, _Evaluator(spec, workers, cache, obs)
 

@@ -266,16 +266,13 @@ def measure_dependability(
     workers: int = 1,
     cache=None,
     obs: Optional[Obs] = None,
-    batch: bool = False,
 ) -> DependabilityModel:
     """Run (or replay from cache) the coverage-measuring campaign.
 
     The campaign's cells land in the same cache/store the genome
     records use — fault fingerprints and genome fingerprints are
     distinct SHA-256 keys — so a warm explorer re-run recomputes
-    neither genomes nor faults.  ``batch`` forks the cells of a
-    software-only scenario from one golden run (DESIGN §14); the model
-    is byte-identical either way.  ``obs`` is the campaign's
+    neither genomes nor faults.  ``obs`` is the campaign's
     :class:`~repro.obs.session.Obs` session.
     """
     from repro.fault import sample_faults
@@ -287,7 +284,6 @@ def measure_dependability(
     )
     result = run_campaign(
         scenario, faults, workers=workers, cache=cache, obs=obs,
-        batch=batch,
     )
     return DependabilityModel.from_campaign(result)
 

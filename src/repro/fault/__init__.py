@@ -13,10 +13,9 @@ This package measures that, DAVOS/SBFI style:
   corruption, message-boundary faults, timing faults);
 * :mod:`repro.fault.scenarios` — the deterministic campaign workloads
   (``coproc``: full R32 + MAC + FIFO stack; ``msgpipe``: message rung
-  only; ``swmac``: CPU-only, batchable) and :func:`run_scenario`,
-  plus :func:`run_sw_batch` / :func:`run_sw_sweep`, which run many
-  cells of a software-only scenario as forks of one golden run
-  (DESIGN §14);
+  only; ``swmac``: CPU-only) and :func:`run_scenario`; every cell of
+  a software-only scenario (:func:`run_sw_scenario`) starts as a copy
+  of one checkpointed golden run (DESIGN §14);
 * :mod:`repro.fault.campaign` — :func:`run_campaign`: golden-vs-faulty
   cells run through the campaign service's one execution path
   (:func:`repro.campaign.service.run_cells`: in-process at one worker,
@@ -57,7 +56,6 @@ from repro.fault.scenarios import (
     run_scenario,
     run_sw_batch,
     run_sw_scenario,
-    run_sw_sweep,
 )
 from repro.fault.campaign import (
     CampaignError,
@@ -88,7 +86,6 @@ __all__ = [
     "run_scenario",
     "run_sw_batch",
     "run_sw_scenario",
-    "run_sw_sweep",
     "CampaignError",
     "CampaignResult",
     "CampaignStats",

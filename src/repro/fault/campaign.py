@@ -24,7 +24,10 @@ classifies every outcome record against the golden one:
 
 The precedence above is total, so every fault lands in exactly one
 class, and classification happens in the parent from JSON-stable
-records — the histogram is identical at any worker count.
+records — the histogram is identical at any worker count.  A
+software-only scenario's cells each start as a copy of its golden run
+(:func:`repro.fault.scenarios.run_sw_scenario`, DESIGN §14) wherever
+they run: in-process, on a store shard or on a temporary store.
 """
 
 from __future__ import annotations
@@ -236,16 +239,8 @@ def run_campaign(
     ``run_sweep``: counters, the ``campaign`` span (closed however the
     run ends), per-fault worker spans with a span tracer, run marks
     and heartbeats with a recorder — never a byte of the records.
-
-    ``batch=True`` runs the uncached cells of a software-only
-    scenario (golden + every CPU fault) as forks of one golden run
-    (:class:`~repro.isa.BatchCpu`), in the parent (DESIGN §14), at any
-    ``workers`` when no store is given; the remaining cells take the
-    usual path.  Records, classification, and the stored content are
-    byte-identical to the scalar path; only wall clock and the
-    volatile stats change.  The flag is a no-op for scenarios that
-    need the simulation kernel and with a store (whose shards own
-    execution).
+    ``batch`` is ignored: every software cell forks from its
+    scenario's golden run on every path (DESIGN §14).
     """
     if scenario not in SCENARIOS:
         raise KeyError(
@@ -296,42 +291,6 @@ def run_campaign(
         obs.count("fault.campaign.faults", len(faults))
         golden_fp = want(None)
         fault_fps = [want(fault) for fault in faults]
-
-        scenario_obj = SCENARIOS[scenario]
-        if (batch and cache is None and pending
-                and scenario_obj.software is not None):
-            from repro.fault.scenarios import run_sw_batch
-            from repro.fault.spec import CPU_KINDS
-
-            lanes: List[Tuple[str, Optional[FaultSpec]]] = []
-            rest: List[Tuple[str, Dict[str, Any]]] = []
-            for fingerprint, payload in pending:
-                fault_dict = payload["fault"]
-                spec = (FaultSpec.from_dict(fault_dict)
-                        if fault_dict else None)
-                if spec is None or spec.kind in CPU_KINDS:
-                    lanes.append((fingerprint, spec))
-                else:
-                    rest.append((fingerprint, payload))
-            if lanes:
-                t_batch = time.perf_counter()
-                lane_records, batch_stats = run_sw_batch(
-                    scenario_obj, [spec for _, spec in lanes]
-                )
-                per_cell = (time.perf_counter() - t_batch) / len(lanes)
-                obs.count("fault.batch.lanes", batch_stats.lanes)
-                obs.count("fault.batch.dispatches",
-                          batch_stats.dispatches)
-                obs.count("fault.batch.drained", batch_stats.drained())
-                obs.mark("batch", scenario=scenario,
-                         lanes=batch_stats.lanes,
-                         dispatches=batch_stats.dispatches,
-                         drained=batch_stats.drained(),
-                         reasons=dict(batch_stats.reasons))
-                for (fingerprint, _spec), record in zip(lanes,
-                                                        lane_records):
-                    finish(fingerprint, record, None, per_cell)
-            pending = rest
 
         run_cells(pending, "fault", workers, finish, store=cache, obs=obs)
 

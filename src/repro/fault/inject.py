@@ -92,9 +92,9 @@ def arm_cpu_fault(
 
     The fault fires after retirement ``max(1, spec.count)`` of the
     run, ``retired`` of which happened before ``cpu`` took over (a
-    batch lane's exit step; 0 for a fresh CPU).  It is therefore due at
-    ``cpu.instr_count + max(1, spec.count - retired)`` — the rule
-    :meth:`repro.isa.BatchCpu.arm` applies to its lanes.  Raises
+    cell forked from golden: the copy's ``instr_count``; 0 for a fresh
+    CPU).  It is therefore due at
+    ``cpu.instr_count + max(1, spec.count - retired)``.  Raises
     :class:`InjectionError` if ``cpu`` has no such register.
     """
     if spec.kind == "cpu_reg_flip" and not 0 <= spec.index < len(cpu.regs):

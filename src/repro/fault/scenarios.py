@@ -26,9 +26,9 @@ Three scenarios:
 * ``swmac`` — software only (no kernel, no devices): a pure-R32
   duplicated multiply-accumulate over an LCG input stream, with the
   redundant copy as the detection mechanism.  Because the whole run is
-  CPU-resident, its fault campaign can fork every cell from one golden
-  run with :class:`repro.isa.BatchCpu` (DESIGN §14) — this is the
-  workload the fork engine's speedup is measured on (EXPERIMENTS E24).
+  CPU-resident, every one of its cells starts as a copy of one
+  checkpointed golden run (:class:`repro.isa.BatchCpu`, DESIGN §14;
+  EXPERIMENTS E24).
 """
 
 from __future__ import annotations
@@ -100,6 +100,29 @@ def _stock_isa() -> Any:
     return _ISA
 
 
+#: Checkpointed golden runs, keyed by workload, each with the stock ISA
+#: it ran on (see :func:`_golden`).
+_GOLDEN: Dict[SoftwareWorkload, Tuple[Any, Any]] = {}
+
+
+def _golden(sw: SoftwareWorkload) -> Any:
+    """The checkpointed golden run of ``sw``, a
+    :class:`~repro.isa.BatchCpu` run once per process and stock ISA.
+
+    An entry is valid while :func:`_stock_isa` returns the ISA it ran
+    on, so a custom op or a cycle-table edit runs golden again.
+    """
+    isa = _stock_isa()
+    entry = _GOLDEN.get(sw)
+    if entry is None or entry[0] is not isa:
+        from repro.isa.batch import BatchCpu
+
+        golden = BatchCpu(isa, _sw_image(sw))
+        golden.run(sw.budget)
+        entry = _GOLDEN[sw] = (isa, golden)
+    return entry[1]
+
+
 @dataclass(frozen=True)
 class SoftwareWorkload:
     """A pure-software (CPU-only) workload: one R32 program whose whole
@@ -107,8 +130,11 @@ class SoftwareWorkload:
 
     Such scenarios need no simulation kernel — the instruction
     ``budget`` plays the watchdog's role — and, because every run is
-    CPU-resident, a fault campaign over one can fork its cells from one
-    golden run (:class:`repro.isa.BatchCpu`, see :func:`run_sw_batch`).
+    CPU-resident, each of its cells forks from one golden run
+    (:class:`repro.isa.BatchCpu`, see :func:`run_sw_scenario`).
+    ``budget`` and ``out_len`` must be ints >= 1 and ``verdict_index``
+    an index into the output window; anything else raises
+    ``ValueError`` naming the field.
     """
 
     #: assembly source of the program
@@ -125,6 +151,19 @@ class SoftwareWorkload:
     verdict_index: int
     #: data address the program reads its input seed from
     seed_addr: int
+
+    def __post_init__(self) -> None:
+        for field, value in (("budget", self.budget),
+                             ("out_len", self.out_len)):
+            if isinstance(value, bool) or not isinstance(value, int) \
+                    or value < 1:
+                raise ValueError(f"{field} must be an int >= 1, "
+                                 f"got {value!r}")
+        index = self.verdict_index
+        if isinstance(index, bool) or not isinstance(index, int) \
+                or not 0 <= index < self.out_len:
+            raise ValueError(f"verdict_index must be an int in "
+                             f"[0, out_len={self.out_len}), got {index!r}")
 
 
 @dataclass(frozen=True)
@@ -341,7 +380,7 @@ def _build_msgpipe(
 
 
 # ----------------------------------------------------------------------
-# swmac: pure-software duplicated MAC over an LCG stream (batchable)
+# swmac: pure-software duplicated MAC over an LCG stream
 # ----------------------------------------------------------------------
 SW_SEED_ADDR = 0x100    # program input: LCG seed word
 SW_OUT_BASE = 0x300     # 4-word output window
@@ -378,28 +417,30 @@ agree:  sw   r5, {SW_OUT_BASE + 2}(r0) ; agreement verdict
         halt
 """
 
-def _sw_image(scenario: Scenario) -> Dict[int, int]:
-    """The image of a software scenario: its program plus the golden
+def _sw_image(sw: SoftwareWorkload) -> Dict[int, int]:
+    """The image of a software workload: its program plus the golden
     input seed word (unless the program sets that word itself)."""
-    image = dict(_image(scenario.software.source))
-    image.setdefault(scenario.software.seed_addr, SW_SEED)
+    image = dict(_image(sw.source))
+    image.setdefault(sw.seed_addr, SW_SEED)
     return image
 
 
 def _build_sw_cpu(scenario: Scenario) -> Any:
+    """A fresh CPU at retirement 0 of ``scenario``'s program (the
+    from-zero run that forked cells are tested against)."""
     from repro.isa.cpu import Cpu
 
     cpu = Cpu(_stock_isa())
-    cpu.memory.load_image(_sw_image(scenario))
+    cpu.memory.load_image(_sw_image(scenario.software))
     return cpu
 
 
 def _drive_sw(cpu: Any, budget: int, steps: int = 0) -> None:
     """Run a software-scenario CPU to completion on the scalar tiers.
 
-    Used both for whole scalar runs (``steps=0``) and to finish lanes
-    forked from golden at ``steps`` — the one shared driver is what
-    makes the two paths structurally byte-identical.  Raises
+    ``steps`` is what the CPU has already spent of ``budget``: a forked
+    cell's retirements (golden's steps equal its retirements), or 0
+    for the from-zero reference run.  Raises
     :class:`~repro.cosim.kernel.HangDetected` when the instruction
     budget is exhausted (the software analogue of the watchdog) and
     :class:`~repro.isa.CpuError` on an external access, mirroring
@@ -455,34 +496,24 @@ def run_sw_scenario(
     scenario: Scenario,
     fault: Optional[FaultSpec] = None,
 ) -> Dict[str, Any]:
-    """Run one software scenario once on the scalar tiers."""
-    cpu = _build_sw_cpu(scenario)
-    if fault is not None:
-        _sw_arm_check(scenario, fault)
-        arm_cpu_fault(cpu, fault)
-    error: Optional[Dict[str, str]] = None
-    try:
-        _drive_sw(cpu, scenario.software.budget)
-    except Exception as exc:  # folded into the record, by design
-        error = {"type": type(exc).__name__, "message": str(exc)[:200]}
-    return _sw_record(scenario, cpu, error)
+    """Run one software scenario once, as a fork of its golden run.
 
-
-def _finish_lane(scenario: Scenario, exit: Any) -> Dict[str, Any]:
-    """Finish one batch lane to its outcome record.
-
-    Every lane — forked, or left with golden's final state — goes
-    through the same :func:`_drive_sw` continuation the scalar path
-    uses, so the per-lane record is byte-identical to a scalar run of
-    the same fault.  The lane's fault, never fired yet, is re-armed
-    counting the lane's exit step as retirements already done.
+    The cell starts as a copy of golden (:func:`_golden`) taken at the
+    latest checkpoint before its fault is due (a fault-free cell: at
+    golden's end), arms the fault counting the copy's retirements as
+    already done, and runs on the scalar tiers.  The record is
+    byte-identical to a run of the same fault from retirement 0.
     """
-    cpu = exit.cpu
-    if exit.spec is not None:
-        arm_cpu_fault(cpu, exit.spec, retired=exit.steps)
+    sw = scenario.software
+    if fault is None:
+        cpu = _golden(sw).fork_at(sw.budget)
+    else:
+        _sw_arm_check(scenario, fault)
+        cpu = _golden(sw).fork_at(max(1, fault.count) - 1)
+        arm_cpu_fault(cpu, fault, retired=cpu.instr_count)
     error: Optional[Dict[str, str]] = None
     try:
-        _drive_sw(cpu, scenario.software.budget, steps=exit.steps)
+        _drive_sw(cpu, sw.budget, steps=cpu.instr_count)
     except Exception as exc:  # folded into the record, by design
         error = {"type": type(exc).__name__, "message": str(exc)[:200]}
     return _sw_record(scenario, cpu, error)
@@ -491,50 +522,9 @@ def _finish_lane(scenario: Scenario, exit: Any) -> Dict[str, Any]:
 def run_sw_batch(
     scenario: Scenario,
     faults: List[Optional[FaultSpec]],
-) -> Tuple[List[Dict[str, Any]], Any]:
-    """Run one fault per lane, forked from one golden run
-    (:class:`~repro.isa.BatchCpu`).
-
-    ``faults[i]`` arms lane ``i`` (``None`` = fault-free lane, e.g. the
-    golden run).  Returns ``(records, stats)`` with ``records[i]``
-    byte-identical to ``run_sw_scenario(scenario, faults[i])`` — the
-    DESIGN §14 contract — and ``stats`` the batch's
-    :class:`~repro.isa.BatchStats`.
-    """
-    from repro.isa import BatchCpu
-
-    for fault in faults:
-        if fault is not None:
-            _sw_arm_check(scenario, fault)
-    batch = BatchCpu(_stock_isa(), _sw_image(scenario), n_lanes=len(faults))
-    for lane, fault in enumerate(faults):
-        if fault is not None:
-            batch.arm(lane, fault)
-    exits = batch.run(scenario.software.budget)
-    records = [_finish_lane(scenario, exit) for exit in exits]
-    return records, batch.stats
-
-
-def run_sw_sweep(
-    scenario: Scenario,
-    seeds: List[int],
-) -> Tuple[List[Dict[str, Any]], Any]:
-    """Run one input seed per lane of a single batch (no faults).
-
-    The input-sweep twin of :func:`run_sw_batch`: every lane forks from
-    golden's initial state with its own seed word written in.
-    ``records[i]`` is byte-identical to a scalar run with ``seeds[i]``
-    poked into the image.
-    """
-    from repro.isa import BatchCpu
-
-    sw = scenario.software
-    batch = BatchCpu(_stock_isa(), _sw_image(scenario), n_lanes=len(seeds))
-    for lane, seed in enumerate(seeds):
-        batch.seed_lane(lane, sw.seed_addr, seed & MASK32)
-    exits = batch.run(sw.budget)
-    records = [_finish_lane(scenario, exit) for exit in exits]
-    return records, batch.stats
+) -> List[Dict[str, Any]]:
+    """:func:`run_sw_scenario` over ``faults`` (``None`` = golden)."""
+    return [run_sw_scenario(scenario, fault) for fault in faults]
 
 
 SCENARIOS: Dict[str, Scenario] = {

@@ -23,10 +23,10 @@ processor end to end:
   every CPU in the process and proven equivalent to
   ``step()``/``run_block()`` (DESIGN §13); long CPU-resident runs use
   it by default;
-* :mod:`repro.isa.batch` — the fork engine: many near-identical runs
-  (fault lanes, input sweeps) leave one golden run as copies taken
-  just before their fault is due, and finish on the scalar tiers
-  (DESIGN §14).
+* :mod:`repro.isa.batch` — the fork engine: one golden run keeps a
+  copy of itself every 64 retirements, and each software fault cell
+  starts as a copy of the latest one before its fault is due and
+  finishes on the scalar tiers (DESIGN §14).
 """
 
 from repro._lazy import lazy_exports
@@ -42,7 +42,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "auto_translation",
         "install",
     ),
-    "repro.isa.batch": ("BatchCpu", "BatchStats", "LaneExit"),
+    "repro.isa.batch": ("BatchCpu",),
 })
 
 __all__ = [
@@ -56,8 +56,6 @@ __all__ = [
     "CpuError",
     "BlockTranslator",
     "BatchCpu",
-    "BatchStats",
-    "LaneExit",
     "install",
     "auto_translation",
 ]

@@ -87,6 +87,13 @@ class TestBoundedChannel:
         with pytest.raises(ValueError):
             Channel(Simulator(), capacity=-1)
 
+    @pytest.mark.parametrize("capacity", [float("nan"), 1.5, True, "2"])
+    def test_capacity_must_be_none_or_an_int(self, capacity):
+        """A NaN capacity used to behave as unbounded, 1.5 as 2 and
+        True as 1; a string failed in the first comparison."""
+        with pytest.raises(ValueError, match="capacity"):
+            Channel(Simulator(), capacity=capacity)
+
 
 class TestRendezvous:
     def test_sender_blocks_until_receiver(self):

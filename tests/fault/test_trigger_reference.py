@@ -23,6 +23,7 @@ stream.
 import contextlib
 import hashlib
 from typing import Any
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +36,7 @@ from repro.fault import inject as inject_mod
 from repro.fault.inject import FaultInjector, System, arm_cpu_fault
 from repro.fault.spec import CPU_FLAGS
 from repro.isa import BatchCpu
+from repro.isa import batch as batch_mod
 from repro.isa.assembler import assemble
 from repro.isa.cpu import Cpu, CpuError, ExternalAccess, Memory
 from repro.isa.instructions import Instruction, Isa, Opcode
@@ -421,7 +423,7 @@ def test_backplane_deferred_access_is_the_due_retirement(spec, profiled,
 
 
 # ----------------------------------------------------------------------
-# the batch continuation: the helper arms after instr_count was set
+# a forked cell's continuation: the helper arms after instr_count was set
 # ----------------------------------------------------------------------
 LANE_ASM = """
         addi r1, r0, 0
@@ -445,25 +447,20 @@ def test_finish_lane_arms_after_instr_count_was_set(chunk):
         cpu_fault("cpu_pc_flip", 6, bit=1),
         cpu_fault("cpu_flag_flip", 9, flag="halted"),
     ]
-    # the late lanes fork from golden past the beq, their faults due at
-    # the next retirement
-    lanes = [flip_r1] * 4 + late
-    batch = BatchCpu(Isa(), image, n_lanes=len(lanes))
-    for lane, spec in enumerate(lanes):
-        batch.arm(lane, spec)
-    exits = batch.run(BUDGET)
-    drained = [e for e in exits if e.spec in late]
-    assert len(drained) == len(late)
-    for exit in drained:
-        assert exit.reason == "fork"
-        assert exit.steps == max(1, exit.spec.count) - 1
-        cpu = exit.cpu
-        assert cpu.instr_count == exit.steps > 0
-        arm_cpu_fault(cpu, exit.spec, retired=exit.steps)
-        calls, error = drive(cpu.run_block, cpu, (chunk,),
-                             BUDGET - exit.steps)
+    # a checkpoint after every retirement: the late cells fork from
+    # golden past the beq, their faults due at the next retirement
+    golden = BatchCpu(Isa(), image)
+    with mock.patch.object(batch_mod, "CHECKPOINT_SPACING", 1):
+        golden.run(100)
+    assert golden.fork_at(max(1, flip_r1.count) - 1).instr_count == 0
+    for spec in late:
+        cpu = golden.fork_at(max(1, spec.count) - 1)
+        steps = cpu.instr_count
+        assert steps == max(1, spec.count) - 1 > 0
+        arm_cpu_fault(cpu, spec, retired=steps)
+        calls, error = drive(cpu.run_block, cpu, (chunk,), BUDGET - steps)
         ref, _calls, ref_error, _log, _prof = run_reference(
-            image, [exit.spec], (chunk,))
+            image, [spec], (chunk,))
         assert error == ref_error
         assert snapshot(cpu) == snapshot(ref)
         assert not cpu._triggers

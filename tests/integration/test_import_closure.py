@@ -46,8 +46,7 @@ LAZY = [
     ("repro.isa", name, "repro.isa.translate") for name in (
         "BlockTranslator", "auto_translation", "install")
 ] + [
-    ("repro.isa", name, "repro.isa.batch")
-    for name in ("BatchCpu", "BatchStats", "LaneExit")
+    ("repro.isa", "BatchCpu", "repro.isa.batch"),
 ] + [
     ("repro.obs", name, "repro.obs.perfetto") for name in (
         "REQUIRED_KEYS", "kernel_trace_events", "to_perfetto_json",
@@ -112,7 +111,7 @@ def test_entry_point_imports_nothing_heavy(entry):
     assert run_python(ENTRY_POINTS[entry] + REPORT_HEAVY) == []
 
 
-def campaign_without_numpy(scenario: str, batch: bool = False) -> str:
+def campaign_without_numpy(scenario: str) -> str:
     """Source that runs the seed-7 campaign of 200 faults with numpy
     unimportable, prints its histogram, then what it loaded of HEAVY."""
     return (
@@ -121,8 +120,7 @@ def campaign_without_numpy(scenario: str, batch: bool = False) -> str:
         "from repro.fault import SCENARIOS, run_campaign, sample_faults\n"
         f"faults = sample_faults(SCENARIOS[{scenario!r}].targets, 200,\n"
         "                       seed=7)\n"
-        f"doc = run_campaign({scenario!r}, faults,\n"
-        f"                   batch={batch!r}).to_json()\n"
+        f"doc = run_campaign({scenario!r}, faults).to_json()\n"
         "print(json.dumps(json.loads(doc)['histogram']))\n"
         "sys.modules.pop('numpy')\n"
     ) + REPORT_HEAVY
@@ -158,7 +156,7 @@ def test_forked_swmac_campaign_runs_without_numpy():
     pinned histogram with numpy unimportable; it loads the fork engine
     and the translator it runs, and no numpy."""
     histogram, heavy = run_python(
-        campaign_without_numpy("swmac", batch=True), lines=2)
+        campaign_without_numpy("swmac"), lines=2)
     assert histogram == E24
     assert "repro.isa.batch" in heavy
     assert not [m for m in heavy if m.split(".")[0] == "numpy"]
