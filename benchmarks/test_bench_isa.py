@@ -79,8 +79,22 @@ loop:
 """
 
 
+class _NoMemo(dict):
+    """A cache that keeps nothing: every lookup misses."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
 class _UncachedIsa(Isa):
-    """The pre-PR baseline: every decode pays the full field extraction."""
+    """The decode-every-step baseline: ``step()`` runs on the
+    interpreted tier, which would decode each word once into the ISA's
+    operand cache, so the cache here keeps nothing and every step pays
+    the full field extraction."""
+
+    def __init__(self):
+        super().__init__()
+        self._ops = _NoMemo()
 
     def decode(self, word):
         return self.decode_uncached(word)

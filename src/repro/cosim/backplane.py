@@ -4,8 +4,10 @@ Section 3.1: a co-simulation environment must "understand the semantics
 of both the hardware and the software components and how actions in one
 domain affect the state of the other".  The backplane is that coupling:
 
-* the CPU runs as a simulation process, advancing model time by its
-  cycle count (software semantics);
+* the CPU runs as a simulation process, advancing model time by the
+  cycles each ``run_block`` call returns and by each external access's
+  adapter time; that access's own and stall cycles enter only
+  ``cpu.cycle_count`` (software semantics, DESIGN §8);
 * loads/stores to *mounted* address windows are routed to an interface
   adapter that plays them out at a chosen abstraction level (hardware
   semantics): pin-level handshake, arbitrated bus transaction, register
@@ -133,7 +135,8 @@ class _Mount:
 class Backplane:
     """Runs a :class:`repro.isa.cpu.Cpu` inside a :class:`Simulator`.
 
-    ``clock_period`` converts CPU cycles to model time.
+    ``clock_period`` converts the cycles ``run_block`` returns to model
+    time (an external access takes its adapter's time instead).
     ``batch_instructions`` (an int >= 1) controls how many
     purely-internal instructions execute per simulation event: 1 gives
     instruction-granular timing, larger batches speed up long software
@@ -208,13 +211,12 @@ class Backplane:
         raise SimulationError(f"no adapter mounted at {addr:#x}")
 
     def _drive(self) -> Generator:
-        # Each run_block() call retires a run of internal instructions in
-        # one Python frame (fast path; falls back to step() semantics
-        # when observers are armed).  `steps` counts step()-equivalents
+        # Each run_block() call retires a run of internal instructions
+        # on the CPU's installed engine.  `steps` counts steps
         # — retired instructions, taken IRQs, and the deferred access —
         # so the batch budget, and therefore the exact sequence of
-        # timeouts and adapter activations, is identical to the old
-        # one-step()-per-instruction loop at any batch_instructions.
+        # timeouts and adapter activations, is identical to a loop of
+        # one step() per instruction at any batch_instructions.
         #
         # A poll loop's history: `seen` maps each snapshot's key to the
         # length of `waits` and the CPU's instruction, cycle and load
@@ -326,7 +328,9 @@ class Backplane:
         return _Leap(when, passes * len(loop) - 1)
 
     def _service(self, access: ExternalAccess) -> Generator:
-        """Play ``access`` out on its mount's adapter and complete it.
+        """Play ``access`` out on its mount's adapter and complete it;
+        the instruction's cycles and the elapsed time in whole clock
+        periods go to ``cpu.cycle_count`` only.
 
         Returns the driver's wait as ``(delay, device, elapsed)`` when
         the access read a register its device declares free of side

@@ -18,11 +18,11 @@ processor end to end:
   hardware, enabling true co-verification);
 * :mod:`repro.isa.profiler` — execution profiling for hot-spot-driven
   partitioning and custom-instruction mining;
-* :mod:`repro.isa.translate` — the block-translation execution tier:
-  hot basic blocks compiled to specialized Python closures, shared by
-  every CPU in the process and proven equivalent to
-  ``step()``/``run_block()`` (DESIGN §13); long CPU-resident runs use
-  it by default;
+* :mod:`repro.isa.translate` — the block-translation engine: hot
+  basic blocks compiled to specialized Python closures, shared by
+  every CPU in the process and diffed against the interpreted tier and
+  a frozen reference interpreter (DESIGN §13); long CPU-resident runs
+  use it by default;
 * :mod:`repro.isa.batch` — the fork engine: one golden run keeps a
   copy of itself every 64 retirements, and each software fault cell
   starts as a copy of the latest one before its fault is due and

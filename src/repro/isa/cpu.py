@@ -1,6 +1,7 @@
 """A cycle-counting functional model of the R32 processor.
 
-The model executes one instruction per :meth:`Cpu.step` and reports the
+The model executes instructions on two engines behind
+:meth:`Cpu.run_block`; :meth:`Cpu.step` executes one and reports the
 cycles it consumed.  Two features make it a *co-simulation* CPU rather
 than just an interpreter:
 
@@ -31,7 +32,6 @@ from repro.isa.instructions import (
     Isa,
     MASK32,
     N_REGS,
-    Opcode,
 )
 
 
@@ -184,8 +184,8 @@ class Cpu:
         cpu.run()
         print(cpu.cycle_count)
 
-    Co-simulation use alternates ``step()`` / ``complete_access()`` under
-    the backplane's control.
+    Co-simulation use alternates ``run_block()`` / ``complete_access()``
+    under the backplane's control.
     """
 
     def __init__(
@@ -209,8 +209,8 @@ class Cpu:
         self.irq_count = 0
         self._pending: Optional[Tuple[int, Instruction, ExternalAccess]] = None
         #: observers called as fn(pc, instr) after each retired
-        #: instruction; while any is attached, run_block uses the
-        #: step() loop
+        #: instruction; while any is attached, run_block runs on the
+        #: interpreted tier one step at a time
         self.observers: List[Callable[[int, Instruction], None]] = []
         #: pending one-shot retirement triggers as (due, fire), in
         #: firing order (see :meth:`add_trigger`)
@@ -293,8 +293,8 @@ class Cpu:
         order they were added.
 
         A pending trigger, unlike an observer, keeps :meth:`run_block`
-        on the fast tiers: they run up to the due retirement, the
-        trigger fires, and they carry on in the same call.
+        on the installed tier: it runs up to the due retirement, the
+        trigger fires, and it carries on in the same call.
         """
         if due <= self.instr_count:
             raise ValueError(
@@ -321,33 +321,17 @@ class Cpu:
     # execution
     # ------------------------------------------------------------------
     def step(self) -> Union[int, ExternalAccess]:
-        """Execute one instruction.
+        """Execute one instruction: :meth:`run_block` with a budget of 1.
 
-        Returns the cycles consumed, or an :class:`ExternalAccess` if the
+        Returns the cycles consumed (:data:`IRQ_ENTRY_CYCLES` for a taken
+        interrupt, 0 when halted), or an :class:`ExternalAccess` if the
         instruction touched an external region (the CPU is then frozen
         until :meth:`complete_access`).
         """
-        if self.halted:
-            return 0
-        if self._pending is not None:
+        if self._pending is not None and not self.halted:
             raise CpuError("step() while an external access is pending")
-        if self.irq_pending and self.irq_enabled:
-            return self._take_irq()
-        word = self.memory.ram.get(self.pc)
-        if word is None:
-            raise CpuError(f"fetch from unprogrammed address {self.pc:#x}")
-        try:
-            instr = self.isa.decode(word)
-        except ValueError as exc:
-            raise CpuError(f"pc={self.pc:#x}: {exc}") from None
-        pc_before = self.pc
-        try:
-            cycles = self._execute(instr)
-        except _Defer as defer:
-            self._pending = (pc_before, instr, defer.access)
-            return defer.access
-        self._retire(pc_before, instr, cycles)
-        return cycles
+        _steps, cycles, access = self.run_block(1)
+        return cycles if access is None else access
 
     def complete_access(
         self, read_value: int = 0, extra_cycles: int = 0
@@ -391,9 +375,8 @@ class Cpu:
         """Run until ``halt`` (pure-software mode; external accesses are a
         :class:`CpuError` here).  Returns cycles consumed.
 
-        Executes on the :meth:`run_block` fast path, which falls back to
-        :meth:`step` semantics automatically whenever observers are
-        attached — the result is observably identical either way.
+        Executes in :meth:`run_block` calls, so observers and triggers
+        see every retirement as they do under :meth:`step`.
         """
         start_cycles = self.cycle_count
         executed = 0
@@ -416,115 +399,111 @@ class Cpu:
         return self.cycle_count - start_cycles
 
     # ------------------------------------------------------------------
-    # fast-path execution
+    # the engines
     # ------------------------------------------------------------------
     def run_block(
         self, max_steps: int = 1 << 30
     ) -> Tuple[int, int, Optional[ExternalAccess]]:
-        """Execute up to ``max_steps`` step-equivalents in one call.
+        """Execute up to ``max_steps`` steps, stopping early after
+        ``halt`` retires or an external access defers.
 
-        Observably identical to calling :meth:`step` up to ``max_steps``
-        times, stopping early after ``halt`` retires or an external
-        access defers — but the common case (no observers attached)
-        retires whole runs of instructions in a single Python frame over a
-        pre-decoded operand cache, skipping the per-instruction
-        method-call and re-decode overhead (the equivalence contract is
-        spelled out in DESIGN.md §9 and enforced by
-        ``tests/isa/test_fastpath.py``).
+        Returns ``(steps, cycles, access)``: the steps consumed (retired
+        instructions, taken interrupts, and one for a deferred access);
+        their cycles, interrupt entries included — returned for the
+        caller's timekeeping, though only retired instructions are
+        charged into ``cycle_count``, a deferred one by
+        :meth:`complete_access`; and the pending
+        :class:`ExternalAccess`, if any.
 
-        Returns ``(steps, cycles, access)``:
-
-        * ``steps`` — step-equivalents consumed: retired instructions
-          plus taken interrupts, plus one for a deferred external
-          access (mirroring what a ``step()`` loop would count);
-        * ``cycles`` — the sum a ``step()`` loop would have returned:
-          retired-instruction cycles plus interrupt-entry cycles (the
-          latter are *returned* for the caller's timekeeping but — as
-          on the slow path — never charged into ``cycle_count``).  A
-          deferred instruction's cycles are charged by
-          :meth:`complete_access`, as on the slow path;
-        * ``access`` — the pending :class:`ExternalAccess` if one was
-          hit (the CPU is then frozen until :meth:`complete_access`).
-
-        Whenever observers are attached (profilers, trace hooks) the
-        fast path disables itself and the same loop runs over
-        :meth:`step`, preserving the repo's convention that hooks cost
-        nothing when absent and change nothing when present.  The
-        check covers *every* fast tier: with observers attached neither
-        the interpreted fast loop nor the translated tier
-        (:mod:`repro.isa.translate`) runs, and detaching the last
-        observer (``Profiler.detach()``) re-engages whichever fast tier
-        is installed on the very next call — there is no sticky
-        disabled state to reset.  An observer that detaches itself
-        mid-call hands the rest of that call's budget to the fast tier.
-
-        Pending retirement triggers (:meth:`add_trigger`, which is how
-        a CPU fault is armed) do not leave the fast tiers: the
-        installed tier runs up to the next due retirement, the trigger
-        fires, and the tier carries on within the same call.  With no
-        trigger pending this costs one truthiness test per call.
-
-        The first call whose ``max_steps`` can hold a whole block
-        (:data:`MAX_BLOCK_LEN`) builds the translated tier, unless
+        Two engines execute, observably identically at any budget
+        (DESIGN.md §9, §13): the interpreted tier
+        (:meth:`_run_block_fast`) and the block translator
+        (:mod:`repro.isa.translate`), built by the first call with no
+        observer attached whose budget holds a whole block
+        (:data:`MAX_BLOCK_LEN`), unless
         :func:`repro.isa.translate.auto_translation` turned it off.
+        Observers and pending triggers are served by
+        :meth:`_run_watched`; with neither, they cost a truthiness test
+        each per call.
         """
         if self.halted or max_steps <= 0:
             return 0, 0, None
         if self._pending is not None:
             raise CpuError("run_block() while an external access is pending")
         if self.observers:
-            return self._run_block_slow(max_steps)
+            return self._run_watched(max_steps)
         if (self.translator is None and max_steps >= MAX_BLOCK_LEN
                 and _AUTO_TRANSLATE):
             from repro.isa.translate import BlockTranslator
 
             self.translator = BlockTranslator(self)
         if self._triggers:
-            return self._run_block_tiers(max_steps)
+            return self._run_watched(max_steps)
         if self.translator is not None:
             return self.translator.execute(max_steps)
         return self._run_block_fast(max_steps)
 
-    def _run_block_tiers(
+    def _run_watched(
         self, max_steps: int
     ) -> Tuple[int, int, Optional[ExternalAccess]]:
-        """:meth:`run_block` on the installed fast tier, stopping at
-        each due trigger to fire it (no observer dispatch — callers
-        guarantee no observers are attached).
+        """:meth:`run_block` while observers or triggers watch.
 
-        A step retires at most one instruction, so running the tier for
-        ``due - instr_count`` steps never passes the due retirement.  A
-        taken IRQ uses up a step without retiring anything; if that
-        leaves the tier short of the due retirement, the loop runs it
-        again.  A deferred access returns before retiring, and
-        :meth:`complete_access` fires what is due when it retires.
+        Each pass runs up to the next watched retirement and shows it to
+        its watchers: with observers, every retirement, so a pass is one
+        :meth:`_observed_step`; with only triggers, the next due one, so
+        the installed tier runs ``due - instr_count`` steps (a step
+        retires at most one instruction; a taken IRQ none, and a short
+        pass just runs again).  The triggers due fire after the
+        observers, as in :meth:`_retire`.  With neither left, the rest
+        of the budget goes to the installed tier.  Passes call the
+        engines directly, never :meth:`run_block`.
         """
-        tier = (self._run_block_fast if self.translator is None
-                else self.translator.execute)
         triggers = self._triggers
         steps = 0
         cycles = 0
-        while triggers:
-            more, more_cycles, access = tier(
-                min(max_steps - steps, triggers[0][0] - self.instr_count)
-            )
+        while True:
+            if self.observers:
+                more, more_cycles, access = self._observed_step()
+            else:
+                tier = (self._run_block_fast if self.translator is None
+                        else self.translator.execute)
+                if not triggers:
+                    more, more_cycles, access = tier(max_steps - steps)
+                    return steps + more, cycles + more_cycles, access
+                more, more_cycles, access = tier(min(
+                    max_steps - steps, triggers[0][0] - self.instr_count))
             steps += more
             cycles += more_cycles
             if access is not None:
                 return steps, cycles, access
-            self._fire_due()
+            if triggers:
+                self._fire_due()
             if steps >= max_steps or self.halted:
                 return steps, cycles, None
-        more, more_cycles, access = tier(max_steps - steps)
-        return steps + more, cycles + more_cycles, access
+
+    def _observed_step(self) -> Tuple[int, int, Optional[ExternalAccess]]:
+        """One step on the interpreted tier, its retirement shown to the
+        observers as ``(pc, instr)`` for the word fetched before it ran
+        (so a store that rewrites its own word reports itself)."""
+        pc = self.pc
+        word = self.memory.ram.get(pc)
+        retired = self.instr_count
+        result = self._run_block_fast(1)
+        if self.instr_count != retired:
+            instr = self.isa.decode(word)
+            # a snapshot: an observer may detach itself without hiding
+            # this retirement from the observers after it
+            for observer in tuple(self.observers):
+                observer(pc, instr)
+        return result
 
     def _run_block_fast(
         self, max_steps: int
     ) -> Tuple[int, int, Optional[ExternalAccess]]:
-        """The interpreted fast tier: :meth:`run_block` semantics over
-        the pre-decoded operand cache (no observer, trigger or
-        translator dispatch — callers guarantee no observers are
-        attached and no trigger falls due within ``max_steps``)."""
+        """The interpreted tier: :meth:`run_block` semantics over the
+        pre-decoded operand cache (no observer, trigger or translator
+        dispatch — callers show retirements to observers themselves and
+        guarantee no trigger falls due within ``max_steps``)."""
         if self.halted or max_steps <= 0:
             return 0, 0, None
 
@@ -614,28 +593,6 @@ class Cpu:
             self.cycle_count = cycles0 + cycles
         return retired + max_steps - limit, cycles + irq_cycles, None
 
-    def _run_block_slow(self, max_steps: int) \
-            -> Tuple[int, int, Optional[ExternalAccess]]:
-        """:meth:`run_block` semantics over plain :meth:`step` calls —
-        the automatic fallback while observers are attached; triggers
-        due meanwhile fire from :meth:`_retire`.  If the last observer
-        leaves mid-call, the rest of the budget runs on the fast
-        tiers."""
-        steps = 0
-        cycles = 0
-        while steps < max_steps and not self.halted:
-            if not self.observers:
-                more, more_cycles, access = self._run_block_tiers(
-                    max_steps - steps
-                )
-                return steps + more, cycles + more_cycles, access
-            result = self.step()
-            steps += 1
-            if isinstance(result, ExternalAccess):
-                return steps, cycles, result
-            cycles += result
-        return steps, cycles, None
-
     def _predecode(self, word: int, pc: int) -> tuple:
         """Fill the ISA's fast-path operand-cache entry for ``word``."""
         isa = self.isa
@@ -650,51 +607,6 @@ class Cpu:
         )
         isa._ops[word] = entry
         return entry
-
-    # ------------------------------------------------------------------
-    def _execute(self, instr: Instruction) -> int:
-        op = instr.opcode
-        isa = self.isa
-        cycles = isa.cycles_of(op)
-        next_pc = self.pc + 1
-        # r0 semantics (reads as zero, writes discarded) are kept inline
-        # instead of paying a get_reg/set_reg method call per operand
-        regs = self.regs
-        rd = instr.rd
-        a = regs[instr.rs1] if instr.rs1 else 0
-        value = isa._values.get(op)
-        if value is not None:
-            v = value(a, regs[instr.rs2] if instr.rs2 else 0, instr.imm)
-            if rd:
-                regs[rd] = v
-        elif op in TAKEN:
-            if TAKEN[op](regs[rd] if rd else 0, a):
-                next_pc += instr.imm
-                cycles += 1  # taken-branch penalty
-        elif op == Opcode.LW:
-            v = self.memory.read(a + instr.imm) & MASK32
-            if rd:
-                regs[rd] = v
-        elif op == Opcode.SW:
-            self.memory.write(a + instr.imm, regs[rd] if rd else 0)
-        elif op == Opcode.J:
-            next_pc = instr.imm
-        elif op == Opcode.JAL:
-            regs[15] = (self.pc + 1) & MASK32
-            next_pc = instr.imm
-        elif op == Opcode.JR:
-            next_pc = a
-        elif op == Opcode.RETI:
-            next_pc = self.epc
-            self.irq_enabled = True
-        elif op == Opcode.HALT:
-            self.halted = True
-            next_pc = self.pc
-        else:  # pragma: no cover - decode guarantees known opcodes
-            raise CpuError(f"unimplemented opcode {op:#x}")
-
-        self.pc = next_pc
-        return cycles
 
     def __repr__(self) -> str:
         return (

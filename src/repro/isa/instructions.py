@@ -16,8 +16,8 @@ Binary layout (32 bits)::
     [31:24] opcode   [23:0]  imm24 (signed)
 
 What each base opcode computes is written once, in :data:`SEMANTICS`;
-the interpreter, the interpreted fast tier and the block translator
-all build their arithmetic from it.
+both execution engines, the interpreted tier and the block
+translator, build their arithmetic from it.
 
 Opcodes ``0x80``-``0xFF`` are the *custom instruction* space: an ASIP
 derivative of R32 binds these to application-specific functional units
@@ -126,7 +126,8 @@ class Semantics:
     ``{imm}`` (the decoded, sign-extended immediate).  ``taken``
     (branches) is the condition over ``{l}`` (rd's value) and ``{a}``.
     Loads, stores, jumps, ``reti`` and ``halt`` have neither: what they
-    do is control and memory glue that each execution tier spells out.
+    do is control and memory glue that each execution engine spells
+    out.
     """
 
     fmt: Format
@@ -143,8 +144,8 @@ class Semantics:
 _R, _I, _J = Format.R, Format.I, Format.J
 
 #: The R32 semantics table: one row per base opcode, the one place
-#: that says what each computes.  ``Cpu.step()`` and the interpreted
-#: fast tier call each expression compiled once (:data:`VALUES`,
+#: that says what each computes.  The interpreted tier (and with it
+#: ``Cpu.step()``) calls each expression compiled once (:data:`VALUES`,
 #: :data:`TAKEN`); the block translator pastes operand text into the
 #: same strings (registers as ``regs[i]``, r0 as ``0``, the immediate
 #: as a literal), so every expression is written the way translated

@@ -1,10 +1,11 @@
 """The block-translation execution tier: hot basic blocks as closures.
 
-This is the third R32 execution engine, above ``step()`` (the
-reference interpreter) and ``Cpu._run_block_fast`` (the pre-decoded
-operand-cache loop).  A :class:`BlockTranslator` compiles each hot
-basic block — a maximal straight-line run of instructions ending at
-the first control transfer — into one specialized Python function:
+This is the second R32 execution engine, beside the interpreted tier
+``Cpu._run_block_fast`` (a pre-decoded operand-cache loop, of which
+``Cpu.step()`` runs one step).  A :class:`BlockTranslator` compiles
+each hot basic block — a maximal straight-line run of instructions
+ending at the first control transfer — into one specialized Python
+function:
 each instruction's meaning is pasted from the R32 semantics table
 (:data:`repro.isa.instructions.SEMANTICS`) with its operands
 pre-resolved to direct ``regs[i]`` subscripts, ``r0`` to a literal
@@ -16,15 +17,15 @@ call instead of one interpreter iteration per instruction.
 
 The tier is governed by the DESIGN.md §9/§13 equivalence contract —
 **a fast path may move host time, never model results** — and keeps it
-the same way ``run_block`` does:
+the same way the interpreted tier does:
 
-* **Observers force the slow path.**  ``Cpu.run_block`` dispatches to
-  the translator only when ``cpu.observers`` is empty, so profilers
-  and trace hooks always see instruction-granular execution.
-  Detaching the last observer re-engages the translated tier on the
-  next call; there is no sticky disabled state.  A pending fault
-  trigger does not force it: ``run_block`` runs the translator up to
-  the due retirement, fires the trigger, and runs on.
+* **Observers run on the interpreted tier.**  ``Cpu.run_block``
+  dispatches to the translator only when ``cpu.observers`` is empty,
+  so profilers and trace hooks see every retirement one step at a
+  time.  Detaching the last observer re-engages the translated tier
+  on the next call; there is no sticky disabled state.  A pending
+  fault trigger does not leave it: ``run_block`` runs the translator
+  up to the due retirement, fires the trigger, and runs on.
 * **Interrupts hit the same boundaries.**  The dispatcher checks the
   IRQ lines between blocks, and translated code re-checks after every
   instruction whose side effects could raise one mid-block (memory

@@ -70,24 +70,30 @@ class Obs:
     def run(self, span: str, lane: str, role: str, record: bool = True,
             owner: Optional[str] = None, **attrs: Any) -> Iterator[None]:
         """One driver run, for the ``with`` body: names this process's
-        lane, holds the run span open (``attrs``) however the body
-        exits, and, with a recorder and ``record`` set, opens a
-        flight-recorder stream (``role``, ``owner``) with a ``run``
-        start mark that :meth:`beat` and :meth:`finish` continue."""
+        lane (until exit, for a nested run), holds the run span open
+        (``attrs``) however the body exits, and, with a recorder and
+        ``record`` set, opens a flight-recorder stream (``role``,
+        ``owner``) with a ``run`` start mark that :meth:`beat` and
+        :meth:`finish` continue."""
         outer = self._emitter
         if record and self.recorder is not None:
             self._emitter = TelemetryEmitter(self.recorder, owner=owner,
                                              role=role)
             self._emitter.emit("run", event="start", **attrs)
+        spans = self.spans
+        outer_lane = None
         try:
-            if self.spans is None:
+            if spans is None:
                 yield
             else:
-                self.spans.name_lane(self.spans.pid, lane)
-                with self.spans.span(span, **attrs):
+                outer_lane = spans.lane_names.get(spans.pid)
+                spans.name_lane(spans.pid, lane)
+                with spans.span(span, **attrs):
                     yield
         finally:
             self._emitter = outer
+            if outer_lane is not None:
+                spans.name_lane(spans.pid, outer_lane)
 
     def beat(self, **progress: Any) -> None:
         """A rate-limited heartbeat on the open run's stream."""

@@ -207,13 +207,17 @@ class SpanTracer:
 
         The foreign spans keep their own pid/tid, so each worker gets
         its own lane in the merged trace; ``lane`` labels that lane.
+        The snapshot's names never rename this tracer's own named lane,
+        where a payload recorded in this process lands.
         """
         for data in snap.get("spans", ()):
             self.finished.append(Span.from_dict(data))
         for data in snap.get("events", ()):
             self.events.append(SpanEvent.from_dict(data))
         for pid_str, label in snap.get("lane_names", {}).items():
-            self.lane_names[int(pid_str)] = label
+            pid = int(pid_str)
+            if pid != self.pid or pid not in self.lane_names:
+                self.lane_names[pid] = label
         if lane is not None:
             self.lane_names[snap["pid"]] = lane
 

@@ -155,27 +155,27 @@ class TestCpuFaults:
         arm_fault(System(Simulator(), cpu=cpu),
                   FaultSpec(kind="cpu_reg_flip", target="cpu", index=1,
                             bit=0, count=1))
-        assert cpu.run_block(1)[0] == 1  # the step loop, until it fires
+        assert cpu.run_block(1)[0] == 1
         assert cpu.observers == []
 
-        def forbidden(max_steps):
-            raise AssertionError("step loop used after the fault fired")
+        def forbidden(*args):
+            raise AssertionError("observed step taken after the fault fired")
 
-        cpu._run_block_slow = forbidden
+        cpu._observed_step = forbidden
         cpu.run()
         assert cpu.halted and cpu.regs[1] == 5
 
     def test_fired_saboteur_hands_back_within_the_call(self):
         """One run_block call runs the whole faulted program on the
-        fast tier: up to the fault, the fault, then the rest — the
-        step() loop is never entered."""
+        installed tier: up to the fault, the fault, then the rest — no
+        observed step is taken."""
         cpu = _fresh_cpu()
         arm_fault(System(Simulator(), cpu=cpu),
                   FaultSpec(kind="cpu_reg_flip", target="cpu", index=1,
                             bit=0, count=2))
         stepped = []
-        step = cpu.step
-        cpu.step = lambda: stepped.append(cpu.pc) or step()
+        step = cpu._observed_step
+        cpu._observed_step = lambda: stepped.append(cpu.pc) or step()
         assert cpu.run_block(100) == (6, 6, None)
         assert stepped == []
         assert cpu.halted and cpu.regs[1] == 3

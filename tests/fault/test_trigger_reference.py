@@ -10,8 +10,10 @@ as it stood when a CPU fault was a retirement *observer*: it sat on
 ``max(1, count)`` and detached itself.  It shares no code with the
 trigger mechanism.
 
-The reference CPU runs on the literal ``step()`` loop with that
-observer attached.  The CPU under test arms the same faults through
+The reference CPU is ``ReferenceCpu`` (``tests/isa/r32_harness.py``),
+a frozen interpreter that shares no execution code with
+``repro.isa.cpu``, run one ``step()`` at a time with that observer
+attached.  The CPU under test arms the same faults through
 ``arm_cpu_fault`` and is driven by ``run_block`` in random chunks of
 1–9 steps, interpreted or translated.  Every comparison is exact: the
 full architectural snapshot, every per-call ``(steps, cycles,
@@ -38,7 +40,7 @@ from repro.fault.spec import CPU_FLAGS
 from repro.isa import BatchCpu
 from repro.isa import batch as batch_mod
 from repro.isa.assembler import assemble
-from repro.isa.cpu import Cpu, CpuError, ExternalAccess, Memory
+from repro.isa.cpu import Cpu, CpuError, Memory
 from repro.isa.instructions import Instruction, Isa, Opcode
 from repro.isa.profiler import Profiler
 from repro.isa.translate import install
@@ -49,9 +51,11 @@ from tests.isa.r32_harness import (
     BUDGET,
     COMMON,
     ENC,
+    ReferenceCpu,
     chunks_st,
     instr_st,
     make_cpu,
+    make_ref,
     program_words,
     snapshot,
 )
@@ -104,20 +108,6 @@ class StreamProfiler(Profiler):
         super()._observe(pc, instr)
 
 
-def step_block(cpu, max_steps):
-    """The reference ``run_block``: up to ``max_steps`` ``step()``
-    calls, stopping after ``halt`` or a deferred access."""
-    steps = 0
-    cycles = 0
-    while steps < max_steps and not cpu.halted:
-        result = cpu.step()
-        steps += 1
-        if isinstance(result, ExternalAccess):
-            return steps, cycles, result
-        cycles += result
-    return steps, cycles, None
-
-
 def drive(block, cpu, chunks, budget=BUDGET):
     """Call ``block`` in the chunk sizes given (cycled) until halt,
     budget or error; returns ``(per-call tuples, error message)``."""
@@ -138,14 +128,14 @@ def drive(block, cpu, chunks, budget=BUDGET):
 
 def forbid_step_loop(cpu):
     def boom(*args):
-        raise AssertionError("step loop entered with no observer")
+        raise AssertionError("step taken with no observer")
 
     cpu.step = boom
-    cpu._run_block_slow = boom
+    cpu._observed_step = boom
 
 
 def run_reference(image, faults, chunks, profiler=None):
-    cpu = make_cpu(image)
+    cpu = make_ref(image)
     log = []
     prof = StreamProfiler(cpu) if profiler == "before" else None
     for spec in faults:
@@ -154,7 +144,7 @@ def run_reference(image, faults, chunks, profiler=None):
         cpu.observers.append(saboteur)
     if profiler == "after":
         prof = StreamProfiler(cpu)
-    calls, error = drive(lambda n: step_block(cpu, n), cpu, chunks)
+    calls, error = drive(cpu.run_block, cpu, chunks)
     return cpu, calls, error, log, prof
 
 
@@ -319,12 +309,12 @@ class TestFixedCases:
         spec = cpu_fault("cpu_reg_flip", 5, index=1, bit=4)
         image = counter_image()
 
-        ref = make_cpu(image)
+        ref = make_ref(image)
         saboteur = ObserverSaboteur(ref, spec)
         ref.observers.append(saboteur)
-        first = [step_block(ref, 3)]
+        first = [ref.run_block(3)]
         ref.observers.remove(saboteur)
-        ref_calls, _ = drive(lambda n: step_block(ref, n), ref, (chunk,))
+        ref_calls, _ = drive(ref.run_block, ref, (chunk,))
 
         cpu = make_cpu(image)
         if translated:
@@ -360,13 +350,14 @@ EXT_ASM = """
 """
 
 
-def backplane_run(arm, batch):
-    """Run EXT_ASM under a backplane; ``arm(cpu)`` sets the fault up."""
+def backplane_run(arm, batch, cls=Cpu):
+    """Run EXT_ASM under a backplane on a ``cls`` CPU; ``arm(cpu)`` sets
+    the fault up."""
     sim = Simulator()
     isa = Isa()
     memory = Memory()
     memory.load_image(assemble(EXT_ASM, isa).image)
-    cpu = Cpu(isa, memory)
+    cpu = cls(isa, memory)
     device = RegisterDevice(sim, "dev", 4)
     backplane = Backplane(sim, cpu, batch_instructions=batch)
     backplane.mount(0x200, 4, RegisterAdapter(device))
@@ -402,7 +393,6 @@ def backplane_run(arm, batch):
 def test_backplane_deferred_access_is_the_due_retirement(spec, profiled,
                                                          batch):
     def reference(cpu):
-        # the profiler keeps the reference on the step loop throughout
         prof = StreamProfiler(cpu)
         cpu.observers.append(ObserverSaboteur(cpu, spec))
         return prof
@@ -414,7 +404,7 @@ def test_backplane_deferred_access_is_the_due_retirement(spec, profiled,
         forbid_step_loop(cpu)
         return None
 
-    want, ref_prof = backplane_run(reference, batch)
+    want, ref_prof = backplane_run(reference, batch, ReferenceCpu)
     got, prof = backplane_run(trigger, batch)
     assert got == want
     assert want[0]["instr_count"] >= spec.count
@@ -467,7 +457,7 @@ def test_finish_lane_arms_after_instr_count_was_set(chunk):
 
 
 # ----------------------------------------------------------------------
-# whole campaigns: a faulted run never enters the step loop
+# whole campaigns: a faulted run never takes an observed step
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", ["swmac", "coproc"])
 def test_faulted_campaign_never_steps(monkeypatch, name):
@@ -480,7 +470,7 @@ def test_faulted_campaign_never_steps(monkeypatch, name):
         return boom
 
     monkeypatch.setattr(Cpu, "step", poisoned("step"))
-    monkeypatch.setattr(Cpu, "_run_block_slow", poisoned("_run_block_slow"))
+    monkeypatch.setattr(Cpu, "_observed_step", poisoned("_observed_step"))
     faults = sample_faults(SCENARIOS[name].targets, 200, seed=7)
     doc = run_campaign(name, faults).to_json()
     assert calls == []

@@ -1,19 +1,343 @@
-"""R32 differential-test harness: Hypothesis strategies and engines.
+"""R32 differential-test harness: the reference CPU, Hypothesis
+strategies and engines.
 
 The differential suites (``test_fastpath``, ``test_translate``,
 ``test_batch``, ``test_semantics_reference`` and
 ``tests/fault/test_trigger_reference``) share these random-program
-strategies, CPU builders, snapshots and reference/fast drivers.  This
-module defines no tests, so importing it never applies ``@given`` —
-which Hypothesis refuses to do inside a running ``@given`` test.
+strategies, CPU builders, snapshots and reference/fast drivers.  The
+reference every one of them diffs against is :class:`ReferenceCpu`, a
+standalone frozen interpreter that shares no execution code with
+``repro.isa.cpu``.  This module defines no tests, so importing it never
+applies ``@given`` — which Hypothesis refuses to do inside a running
+``@given`` test.
 """
+
+from typing import Callable, List, Optional, Tuple, Union
 
 from hypothesis import HealthCheck, strategies as st
 
 from repro.isa.assembler import assemble
-from repro.isa.cpu import Cpu, CpuError, ExternalAccess, Memory
-from repro.isa.instructions import Instruction, Isa, Opcode
+from repro.isa.cpu import Cpu, CpuError, ExternalAccess, Memory, _Defer
+from repro.isa.instructions import MASK32, N_REGS, Instruction, Isa, Opcode
 
+
+# ----------------------------------------------------------------------
+# the reference: a standalone frozen interpreter
+# ----------------------------------------------------------------------
+IRQ_ENTRY_CYCLES = 4  # frozen here, not imported: the system must match
+
+
+def _signed(x: int) -> int:
+    x &= MASK32
+    return x - 0x100000000 if x & 0x80000000 else x
+
+
+class ReferenceCpu:
+    """The R32 processor as a plain interpreter, frozen.
+
+    ``step()`` and what it uses to fetch, dispatch, take an IRQ, defer,
+    retire, fire a trigger and complete an access are verbatim copies
+    of ``repro.isa.cpu.Cpu`` at commit 23d40a6, when ``step()`` was an
+    interpreter of its own.  ``_execute``, ``_div``, ``_mod`` and
+    ``_signed`` are the hand-written interpreter of c74450d, from
+    before the semantics table existed.  ``run_block`` is the reference
+    block: a ``step()`` loop.
+
+    It is no ``Cpu`` and calls no ``Cpu`` method: no operand cache, no
+    block translator, no semantics table.  It shares only the memory
+    model (``Memory``, which defers external accesses by raising
+    ``_Defer``), the ISA's decoder and timing (``Isa.decode``,
+    ``cycles_of``, ``custom``) and the error and access types with the
+    system.
+    """
+
+    def __init__(
+        self,
+        isa: Isa,
+        memory: Optional[Memory] = None,
+        pc: int = 0,
+        ivec: int = 0x40,
+    ) -> None:
+        self.isa = isa
+        self.memory = memory if memory is not None else Memory()
+        self.regs: List[int] = [0] * N_REGS
+        self.pc = pc
+        self.ivec = ivec
+        self.epc = 0
+        self.halted = False
+        self.irq_pending = False
+        self.irq_enabled = True
+        self.cycle_count = 0
+        self.instr_count = 0
+        self.irq_count = 0
+        self._pending: Optional[Tuple[int, Instruction, ExternalAccess]] = None
+        self.observers: List[Callable[[int, Instruction], None]] = []
+        self._triggers: List[Tuple[int, Callable[[], None]]] = []
+
+    def get_reg(self, index: int) -> int:
+        """Read a register (r0 reads as zero)."""
+        return 0 if index == 0 else self.regs[index]
+
+    def set_reg(self, index: int, value: int) -> None:
+        """Write a register (writes to r0 are discarded)."""
+        if index != 0:
+            self.regs[index] = value & MASK32
+
+    def raise_irq(self) -> None:
+        """Assert the (single) interrupt request line."""
+        self.irq_pending = True
+
+    def _take_irq(self) -> int:
+        self.irq_pending = False
+        self.irq_enabled = False
+        self.epc = self.pc
+        self.pc = self.ivec
+        self.irq_count += 1
+        return IRQ_ENTRY_CYCLES
+
+    def add_trigger(self, due: int, fire: Callable[[], None]) -> None:
+        """Call ``fire()`` once, right after retirement number ``due``."""
+        if due <= self.instr_count:
+            raise ValueError(
+                f"trigger due at retirement {due}, but "
+                f"{self.instr_count} have already retired"
+            )
+        triggers = self._triggers
+        at = len(triggers)
+        while at and triggers[at - 1][0] > due:
+            at -= 1
+        triggers.insert(at, (due, fire))
+
+    def remove_trigger(self, fire: Callable[[], None]) -> None:
+        """Drop ``fire`` if it has not fired yet; otherwise a no-op."""
+        self._triggers[:] = [t for t in self._triggers if t[1] is not fire]
+
+    def _fire_due(self) -> None:
+        """Fire every trigger due at the just-retired instruction."""
+        triggers = self._triggers
+        while triggers and triggers[0][0] <= self.instr_count:
+            triggers.pop(0)[1]()
+
+    def step(self) -> Union[int, ExternalAccess]:
+        """Execute one instruction.
+
+        Returns the cycles consumed, or an :class:`ExternalAccess` if the
+        instruction touched an external region (the CPU is then frozen
+        until :meth:`complete_access`).
+        """
+        if self.halted:
+            return 0
+        if self._pending is not None:
+            raise CpuError("step() while an external access is pending")
+        if self.irq_pending and self.irq_enabled:
+            return self._take_irq()
+        word = self.memory.ram.get(self.pc)
+        if word is None:
+            raise CpuError(f"fetch from unprogrammed address {self.pc:#x}")
+        try:
+            instr = self.isa.decode(word)
+        except ValueError as exc:
+            raise CpuError(f"pc={self.pc:#x}: {exc}") from None
+        pc_before = self.pc
+        try:
+            cycles = self._execute(instr)
+        except _Defer as defer:
+            self._pending = (pc_before, instr, defer.access)
+            return defer.access
+        self._retire(pc_before, instr, cycles)
+        return cycles
+
+    def complete_access(
+        self, read_value: int = 0, extra_cycles: int = 0
+    ) -> int:
+        """Finish a deferred external access.
+
+        ``read_value`` is the word returned by the device for loads.
+        ``extra_cycles`` lets the backplane charge bus stall cycles into
+        the CPU's cycle counter.  Returns total cycles for the
+        instruction.
+        """
+        if self._pending is None:
+            raise CpuError("no external access pending")
+        pc_before, instr, access = self._pending
+        self._pending = None
+        if not access.is_write:
+            self.set_reg(instr.rd, read_value)
+        self.pc = pc_before + 1  # loads/stores never branch
+        cycles = self.isa.cycles_of(instr.opcode) + extra_cycles
+        self._retire(pc_before, instr, cycles)
+        return cycles
+
+    @property
+    def pending_access(self) -> Optional[ExternalAccess]:
+        """The in-flight external access, if any."""
+        return self._pending[2] if self._pending else None
+
+    def _retire(self, pc: int, instr: Instruction, cycles: int) -> None:
+        self.instr_count += 1
+        self.cycle_count += cycles
+        # a snapshot: an observer may detach itself without hiding this
+        # retirement from the observers after it
+        for observer in tuple(self.observers):
+            observer(pc, instr)
+        if self._triggers:
+            self._fire_due()
+
+    def run_block(self, max_steps):
+        """The reference ``run_block``: up to ``max_steps`` ``step()``
+        calls, stopping after ``halt`` or a deferred access."""
+        steps = 0
+        cycles = 0
+        while steps < max_steps and not self.halted:
+            result = self.step()
+            steps += 1
+            if isinstance(result, ExternalAccess):
+                return steps, cycles, result
+            cycles += result
+        return steps, cycles, None
+
+    def _execute(self, instr: Instruction) -> int:
+        op = instr.opcode
+        cycles = self.isa.cycles_of(op)
+        next_pc = self.pc + 1
+        # read the register file once; r0 semantics (reads as zero,
+        # writes discarded) are kept inline instead of paying a
+        # get_reg/set_reg method call per operand
+        regs = self.regs
+        rd = instr.rd
+        rs1 = instr.rs1
+        rs2 = instr.rs2
+        a = regs[rs1] if rs1 else 0
+        b = regs[rs2] if rs2 else 0
+
+        custom = self.isa.custom(op)
+        if custom is not None:
+            v = custom.semantics(a, b) & MASK32
+            if rd:
+                regs[rd] = v
+        elif op == Opcode.ADD:
+            if rd:
+                regs[rd] = (a + b) & MASK32
+        elif op == Opcode.SUB:
+            if rd:
+                regs[rd] = (a - b) & MASK32
+        elif op == Opcode.MUL:
+            if rd:
+                regs[rd] = (a * b) & MASK32
+        elif op == Opcode.DIV:
+            v = self._div(a, b) & MASK32
+            if rd:
+                regs[rd] = v
+        elif op == Opcode.MOD:
+            v = self._mod(a, b) & MASK32
+            if rd:
+                regs[rd] = v
+        elif op == Opcode.AND:
+            if rd:
+                regs[rd] = a & b
+        elif op == Opcode.OR:
+            if rd:
+                regs[rd] = a | b
+        elif op == Opcode.XOR:
+            if rd:
+                regs[rd] = a ^ b
+        elif op == Opcode.SLL:
+            if rd:
+                regs[rd] = (a << (b & 31)) & MASK32
+        elif op == Opcode.SRL:
+            if rd:
+                regs[rd] = (a & MASK32) >> (b & 31)
+        elif op == Opcode.SRA:
+            if rd:
+                regs[rd] = (_signed(a) >> (b & 31)) & MASK32
+        elif op == Opcode.SLT:
+            if rd:
+                regs[rd] = int(_signed(a) < _signed(b))
+        elif op == Opcode.SLTU:
+            if rd:
+                regs[rd] = int((a & MASK32) < (b & MASK32))
+        elif op == Opcode.ADDI:
+            if rd:
+                regs[rd] = (a + instr.imm) & MASK32
+        elif op == Opcode.ANDI:
+            if rd:
+                regs[rd] = a & (instr.imm & 0xFFFF)
+        elif op == Opcode.ORI:
+            if rd:
+                regs[rd] = (a | (instr.imm & 0xFFFF)) & MASK32
+        elif op == Opcode.XORI:
+            if rd:
+                regs[rd] = (a ^ (instr.imm & 0xFFFF)) & MASK32
+        elif op == Opcode.SLLI:
+            if rd:
+                regs[rd] = (a << (instr.imm & 31)) & MASK32
+        elif op == Opcode.SRLI:
+            if rd:
+                regs[rd] = (a & MASK32) >> (instr.imm & 31)
+        elif op == Opcode.SLTI:
+            if rd:
+                regs[rd] = int(_signed(a) < instr.imm)
+        elif op == Opcode.LUI:
+            if rd:
+                regs[rd] = ((instr.imm & 0xFFFF) << 16) & MASK32
+        elif op == Opcode.LW:
+            v = self.memory.read(a + instr.imm) & MASK32
+            if rd:
+                regs[rd] = v
+        elif op == Opcode.SW:
+            self.memory.write(a + instr.imm, regs[rd] if rd else 0)
+        elif op in (Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE):
+            lhs = regs[rd] if rd else 0
+            if op == Opcode.BEQ:
+                taken = lhs == a
+            elif op == Opcode.BNE:
+                taken = lhs != a
+            elif op == Opcode.BLT:
+                taken = _signed(lhs) < _signed(a)
+            else:
+                taken = _signed(lhs) >= _signed(a)
+            if taken:
+                next_pc = self.pc + 1 + instr.imm
+                cycles += 1  # taken-branch penalty
+        elif op == Opcode.J:
+            next_pc = instr.imm
+        elif op == Opcode.JAL:
+            regs[15] = (self.pc + 1) & MASK32
+            next_pc = instr.imm
+        elif op == Opcode.JR:
+            next_pc = a
+        elif op == Opcode.RETI:
+            next_pc = self.epc
+            self.irq_enabled = True
+        elif op == Opcode.HALT:
+            self.halted = True
+            next_pc = self.pc
+        else:  # pragma: no cover - decode guarantees known opcodes
+            raise CpuError(f"unimplemented opcode {op:#x}")
+
+        self.pc = next_pc
+        return cycles
+
+    @staticmethod
+    def _div(a: int, b: int) -> int:
+        sa, sb = _signed(a), _signed(b)
+        if sb == 0:
+            raise CpuError("division by zero")
+        q = abs(sa) // abs(sb)
+        return q if (sa >= 0) == (sb >= 0) else -q
+
+    @staticmethod
+    def _mod(a: int, b: int) -> int:
+        sa, sb = _signed(a), _signed(b)
+        if sb == 0:
+            raise CpuError("modulo by zero")
+        r = abs(sa) % abs(sb)
+        return r if sa >= 0 else -r
+
+
+# ----------------------------------------------------------------------
+# strategies, builders and drivers
+# ----------------------------------------------------------------------
 COMMON = dict(
     deadline=None,
     derandomize=True,
@@ -68,10 +392,15 @@ def program_words(instrs, illegal_at=None):
     return {i: w for i, w in enumerate(words)}
 
 
-def make_cpu(image, isa=None):
+def make_cpu(image, isa=None, cls=Cpu):
     mem = Memory()
     mem.load_image(dict(image))
-    return Cpu(isa or Isa(), mem)
+    return cls(isa or Isa(), mem)
+
+
+def make_ref(image, isa=None):
+    """:func:`make_cpu`'s twin on the reference."""
+    return make_cpu(image, isa, ReferenceCpu)
 
 
 def snapshot(cpu):
@@ -87,7 +416,22 @@ def snapshot(cpu):
 
 
 def run_ref(cpu, budget=BUDGET):
-    """The reference engine: one ``step()`` per instruction."""
+    """The reference engine: one ``ReferenceCpu.step()`` per step."""
+    assert type(cpu) is ReferenceCpu, "the reference runs on ReferenceCpu"
+    try:
+        steps = 0
+        while steps < budget and not cpu.halted:
+            result = cpu.step()
+            assert not isinstance(result, ExternalAccess)
+            steps += 1
+        return None
+    except CpuError as exc:
+        return str(exc)
+
+
+def run_stepped(cpu, budget=BUDGET):
+    """The system's ``Cpu.step()``, once per step."""
+    assert type(cpu) is Cpu
     try:
         steps = 0
         while steps < budget and not cpu.halted:
@@ -137,12 +481,12 @@ loop:
 """
 
 
-def make_irq_cpu(limit, modulus):
+def make_irq_cpu(limit, modulus, cls=Cpu):
     isa = Isa()
     prog = assemble(IRQ_PROG.format(limit=limit), isa)
     mem = Memory()
     mem.load_image(prog.image)
-    cpu = Cpu(isa, mem)
+    cpu = cls(isa, mem)
     log = []
 
     def write_fn(offset, value):
@@ -166,10 +510,10 @@ EXT_PROG = """
 """
 
 
-def make_ext_cpu():
+def make_ext_cpu(cls=Cpu):
     isa = Isa()
     prog = assemble(EXT_PROG, isa)
     mem = Memory()
     mem.load_image(prog.image)
     mem.add_region("ext", 0x200, 4, external=True)
-    return Cpu(isa, mem)
+    return cls(isa, mem)

@@ -8,8 +8,9 @@ only reorganize work, never change it).  Hypothesis drives random
 programs × random faults — register/pc/flag flips, mid-run IRQs,
 self-modifying stores, division faults, illegal words, faults due past
 golden's halt — through copies of one golden run, at several checkpoint
-spacings, and through a step-loop reference, and compares complete
-snapshots *and* error strings fault by fault.
+spacings, and through the reference interpreter ``ReferenceCpu``
+(``tests/isa/r32_harness.py``) with the fault as a retirement observer,
+and compares complete snapshots *and* error strings fault by fault.
 """
 
 from unittest import mock
@@ -29,7 +30,7 @@ from tests.isa.r32_harness import (
     BUDGET,
     COMMON,
     instr_st,
-    make_cpu,
+    make_ref,
     program_words,
     snapshot,
 )
@@ -61,9 +62,9 @@ FINE = 100
 
 
 def drive_scalar(cpu, budget, steps=0):
-    """The scalar reference/continuation driver: ``run_block`` until
-    halt, budget, or error.  Shared by both sides of every comparison,
-    so a forked cell's continuation is structurally the scalar run."""
+    """The driver of both sides of every comparison: ``run_block``
+    until halt, budget, or error — the system's engines on a forked
+    cell, the reference's ``step()`` loop on the from-zero run."""
     try:
         while steps < budget and not cpu.halted:
             done, _cycles, access = cpu.run_block(budget - steps)
@@ -76,8 +77,9 @@ def drive_scalar(cpu, budget, steps=0):
 
 def run_reference(image, spec, budget=BUDGET):
     """The from-zero reference: the fault as a retirement observer (the
-    independent reference of tests/fault/test_trigger_reference.py)."""
-    cpu = make_cpu(image)
+    independent reference of tests/fault/test_trigger_reference.py) on
+    the reference interpreter."""
+    cpu = make_ref(image)
     if spec is not None:
         cpu.observers.append(ObserverSaboteur(cpu, spec))
     return drive_scalar(cpu, budget), snapshot(cpu)

@@ -1,13 +1,16 @@
-"""Differential property tests for the CPU fast path.
+"""Differential property tests for the interpreted CPU tier.
 
-``Cpu.run_block()`` claims to be *observably identical* to a
-``step()`` loop (DESIGN.md §9: same architectural state, same counts,
-same errors at the same point, any block size).  Hypothesis drives
-random programs — including wild jumps, self-modifying stores,
-division faults, illegal words, injected IRQs and fault bit-flips —
-through both engines and compares complete snapshots, so any
-divergence between the pre-decoded trace-cache executor and the
-reference interpreter is a test failure, not a silent accuracy bug.
+``Cpu.run_block()`` and ``Cpu.step()`` claim to be *observably
+identical* to the reference interpreter's ``step()`` loop (DESIGN.md
+§9: same architectural state, same counts, same errors at the same
+point, any block size).  The reference is ``ReferenceCpu``
+(``tests/isa/r32_harness.py``), a frozen interpreter that shares no
+execution code with ``repro.isa.cpu``.  Hypothesis drives random
+programs — including wild jumps, self-modifying stores, division
+faults, illegal words, injected IRQs and fault bit-flips — through
+both and compares complete snapshots, so any divergence between the
+pre-decoded operand-cache executor and the reference is a test
+failure, not a silent accuracy bug.
 """
 
 import pytest
@@ -24,13 +27,16 @@ from tests.isa.r32_harness import (
     BUDGET,
     COMMON,
     ENC,
+    ReferenceCpu,
     instr_st,
     make_cpu,
     make_ext_cpu,
     make_irq_cpu,
+    make_ref,
     program_words,
     run_fast,
     run_ref,
+    run_stepped,
     snapshot,
 )
 
@@ -79,18 +85,19 @@ class TestDifferential:
     )
     def test_run_block_matches_step_loop(self, instrs, chunks, illegal_at):
         image = program_words(instrs, illegal_at)
-        ref, fast = make_cpu(image), make_cpu(image)
+        ref, fast, stepped = make_ref(image), make_cpu(image), \
+            make_cpu(image)
         err_ref = run_ref(ref)
-        err_fast = run_fast(fast, tuple(chunks))
-        assert err_ref == err_fast
-        assert snapshot(ref) == snapshot(fast)
+        assert err_ref == run_fast(fast, tuple(chunks))
+        assert err_ref == run_stepped(stepped)
+        assert snapshot(ref) == snapshot(fast) == snapshot(stepped)
 
     @settings(max_examples=40, **COMMON)
     @given(instrs=st.lists(instr_st, min_size=1, max_size=24))
     def test_run_matches_step_loop(self, instrs):
-        """``Cpu.run()`` (now built on run_block) vs the step loop."""
+        """``Cpu.run()`` (built on run_block) vs the step loop."""
         image = program_words(instrs)
-        ref, fast = make_cpu(image), make_cpu(image)
+        ref, fast = make_ref(image), make_cpu(image)
         err_ref = run_ref(ref)
         try:
             fast.run(max_instructions=BUDGET)
@@ -110,10 +117,10 @@ class TestDifferential:
         chunks=st.lists(st.integers(1, 9), min_size=1, max_size=4),
     )
     def test_observers_force_identical_slow_path(self, instrs, chunks):
-        """With observers armed both engines retire identically *and*
-        the observer sees the same (pc, opcode) sequence."""
+        """With observers armed the system retires as the reference
+        does *and* the observer sees the same (pc, opcode) sequence."""
         image = program_words(instrs)
-        ref, fast = make_cpu(image), make_cpu(image)
+        ref, fast = make_ref(image), make_cpu(image)
         seen_ref, seen_fast = [], []
         ref.observers.append(lambda pc, i: seen_ref.append((pc, i.opcode)))
         fast.observers.append(lambda pc, i: seen_fast.append((pc, i.opcode)))
@@ -131,13 +138,13 @@ class TestDifferential:
     )
     def test_fault_bitflips_identical(self, instrs, chunks, reg, bit, count):
         """A one-shot register bit-flip — the reference observer on the
-        step loop, the armed trigger on run_block's fast tier — must
-        corrupt both identically, including flips of r0, which the
+        reference, the armed trigger on run_block's interpreted tier —
+        must corrupt both identically, including flips of r0, which the
         architectural read path must still honor."""
         spec = FaultSpec(kind="cpu_reg_flip", target="cpu",
                          index=reg, bit=bit, count=count)
         image = program_words(instrs)
-        ref, fast = make_cpu(image), make_cpu(image)
+        ref, fast = make_ref(image), make_cpu(image)
         ref.observers.append(ObserverSaboteur(ref, spec))
         arm_cpu_fault(fast, spec)
         assert run_ref(ref) == run_fast(fast, tuple(chunks))
@@ -155,7 +162,7 @@ class TestInterruptDifferential:
         chunks=st.lists(st.integers(1, 9), min_size=1, max_size=4),
     )
     def test_device_irqs_identical(self, limit, modulus, chunks):
-        ref, log_ref = make_irq_cpu(limit, modulus)
+        ref, log_ref = make_irq_cpu(limit, modulus, ReferenceCpu)
         fast, log_fast = make_irq_cpu(limit, modulus)
         budget = 20 * limit + 50
         assert run_ref(ref, budget) == run_fast(fast, tuple(chunks), budget)
@@ -166,7 +173,7 @@ class TestInterruptDifferential:
 
 
 # ----------------------------------------------------------------------
-# external accesses: run_block must defer exactly like step
+# external accesses: run_block and step defer exactly like the reference
 # ----------------------------------------------------------------------
 class TestExternalAccess:
     def drive(self, cpu, use_block):
@@ -192,9 +199,12 @@ class TestExternalAccess:
         return accesses
 
     def test_deferred_accesses_identical(self):
-        ref, fast = make_ext_cpu(), make_ext_cpu()
-        assert self.drive(ref, False) == self.drive(fast, True)
-        assert snapshot(ref) == snapshot(fast)
+        ref, fast, stepped = make_ext_cpu(ReferenceCpu), make_ext_cpu(), \
+            make_ext_cpu()
+        accesses = self.drive(ref, False)
+        assert self.drive(fast, True) == accesses
+        assert self.drive(stepped, False) == accesses
+        assert snapshot(ref) == snapshot(fast) == snapshot(stepped)
         assert ref.get_reg(3) == 10
 
     def test_run_block_while_pending_rejected(self):
@@ -229,7 +239,7 @@ class TestInvalidation:
         isa_a, isa_b = Isa(), Isa()
         isa_a.cycles[int(Opcode.ADD)] = 9
         isa_b.cycles[int(Opcode.ADD)] = 9
-        ref, fast = make_cpu(image, isa_a), make_cpu(image, isa_b)
+        ref, fast = make_ref(image, isa_a), make_cpu(image, isa_b)
         run_ref(ref, 2), run_fast(fast, (1,), 2)
         # retime mid-run: both engines must pick the new cost up
         isa_a.cycles[int(Opcode.ADD)] = 2
@@ -268,7 +278,7 @@ class TestInvalidation:
     def test_every_cycle_edit_reaches_every_tier(self, method):
         """Each mutating dict method on ``Isa.cycles`` bumps the ISA's
         version, so the cycle table, the operand cache and translated
-        blocks warmed before the edit all see it, as ``step()`` does."""
+        blocks warmed before the edit all see it, as the reference does."""
         setup, edit = CYCLE_EDITS[method]
         isa = Isa()
         setup(isa.cycles)
@@ -304,7 +314,7 @@ class TestInvalidation:
         version = isa.version
         edit()
         assert isa.version > version
-        ref = make_cpu(image, isa)
+        ref = make_ref(image, isa)
         run_ref(ref)
         assert ref.cycle_count != before.cycle_count  # the edit shows
         with auto_translation(False):

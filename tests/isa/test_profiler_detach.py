@@ -1,9 +1,9 @@
 """Profiler attach/detach lifecycle.
 
-An attached profiler is a CPU observer, which takes ``run_block`` off
-its straight-line fast path; these tests pin the contract that
-``detach()`` (or the context-manager form) re-engages the fast path
-while leaving the collected profile readable."""
+An attached profiler is a CPU observer, which runs ``run_block`` one
+observed step at a time on the interpreted tier; these tests pin the
+contract that ``detach()`` (or the context-manager form) re-engages
+the installed tier while leaving the collected profile readable."""
 
 import pytest
 
@@ -35,21 +35,43 @@ def make_cpu():
 
 
 def forbid_slow_path(cpu):
-    def boom(max_steps):
-        raise AssertionError("slow path used with no observers")
+    def boom(*args):
+        raise AssertionError("observed step taken with no observers")
 
-    cpu._run_block_slow = boom
+    cpu._observed_step = boom
 
 
 def forbid_all_but_translated(cpu):
     """Only the translated tier may execute from here on — even the
-    interpreted fast loop trips this, so run with full budgets."""
+    interpreted loop trips this, so run with full budgets."""
 
-    def boom(max_steps):
+    def boom(*args):
         raise AssertionError("untranslated tier used")
 
-    cpu._run_block_slow = boom
+    cpu._observed_step = boom
     cpu._run_block_fast = boom
+
+
+class TestGuards:
+    """Each guard below fails the test that takes the path it forbids."""
+
+    def test_forbid_slow_path_fires_on_an_observed_step(self):
+        cpu = make_cpu()
+        forbid_slow_path(cpu)
+        Profiler(cpu)
+        with pytest.raises(AssertionError, match="observed step"):
+            cpu.run_block(8)
+
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_forbid_all_but_translated_fires_off_the_translator(
+            self, observed):
+        cpu = make_cpu()
+        install(cpu, hot_threshold=1)
+        forbid_all_but_translated(cpu)
+        if observed:
+            Profiler(cpu)
+        with pytest.raises(AssertionError, match="untranslated"):
+            cpu.run_block(1)  # below any block: the interpreted tier
 
 
 class TestDetach:
@@ -77,21 +99,21 @@ class TestDetach:
         assert cpu.observers == [other]
 
     def test_run_block_fast_path_reengages_after_detach(self):
-        """The acceptance test: while attached, run_block routes
-        through the slow path; after detach it must never touch it."""
+        """The acceptance test: while attached, run_block takes one
+        observed step per retirement; after detach it never does."""
         cpu = make_cpu()
         profiler = Profiler(cpu)
 
-        slow_calls = []
-        orig = cpu._run_block_slow
+        observed = []
+        orig = cpu._observed_step
 
-        def counting(max_steps):
-            slow_calls.append(max_steps)
-            return orig(max_steps)
+        def counting():
+            observed.append(cpu.pc)
+            return orig()
 
-        cpu._run_block_slow = counting
+        cpu._observed_step = counting
         cpu.run_block(8)
-        assert slow_calls, "observers armed but fast path taken"
+        assert len(observed) == 8, "observers armed but fast path taken"
         assert profiler.total_instructions == 8
 
         profiler.detach()
@@ -122,7 +144,7 @@ class TestTranslatedTierReengage:
         cpu = make_cpu()
         translator = install(cpu, hot_threshold=1)
         profiler = Profiler(cpu)
-        cpu.run_block(8)  # observed: literal step loop
+        cpu.run_block(8)  # observed: one interpreted step at a time
         assert translator.translations == 0
         assert profiler.total_instructions == 8
 

@@ -1,17 +1,21 @@
 """The R32 semantics table against an oracle it did not generate.
 
-Every execution tier builds each opcode's meaning from one table
-(``repro.isa.instructions.SEMANTICS``), so the step-vs-block
-differentials check the glue around it but no longer what an opcode
-computes.  The oracle here is ``ReferenceCpu``: its ``_execute``,
-``_div``, ``_mod`` and ``_signed`` are verbatim copies of the
-hand-written interpreter in ``repro/isa/cpu.py`` at commit c74450d,
-before the table existed, and share no code with it.
+Both execution engines build each opcode's meaning from one table
+(``repro.isa.instructions.SEMANTICS``), so the engine-vs-engine
+differentials check the glue around it but not what an opcode
+computes.  The oracle here is ``ReferenceCpu``
+(``tests/isa/r32_harness.py``): its ``_execute``, ``_div``, ``_mod`` and
+``_signed`` are verbatim copies of the hand-written interpreter in
+``repro/isa/cpu.py`` at commit c74450d, before the table existed, and it
+shares no execution code with ``repro.isa.cpu``.
 
 Every base opcode runs on an edge grid of register values and
 immediates, with r0 as destination and as source (its raw slot holding
-ones), and must leave the reference's state and error on all three
-tiers: ``step()``, the interpreted ``run_block`` and the translated one.
+ones), and must leave the reference's state and error on ``step()``,
+the interpreted ``run_block`` and the translated one.  Canaries show
+the comparison failing when either engine's ADD subtracts, and the
+reference running with every engine entry point of the system
+poisoned.
 """
 
 import dis
@@ -19,7 +23,9 @@ import itertools
 
 import pytest
 
-from repro.isa.cpu import Cpu, CpuError, Memory
+from repro.fault import FaultSpec
+from repro.isa import translate
+from repro.isa.cpu import Cpu, CpuError, ExternalAccess, Memory
 from repro.isa.instructions import (
     MASK32,
     SEMANTICS,
@@ -27,156 +33,17 @@ from repro.isa.instructions import (
     Isa,
     Opcode,
 )
-from repro.isa.translate import auto_translation, install
+from repro.isa.profiler import Profiler
+from repro.isa.translate import BlockTranslator, auto_translation, install
 
-from tests.isa.r32_harness import snapshot
-
-
-def _signed(x: int) -> int:
-    x &= MASK32
-    return x - 0x100000000 if x & 0x80000000 else x
-
-
-class ReferenceCpu(Cpu):
-    """``step()`` over the hand-written interpreter of c74450d."""
-
-    def _execute(self, instr: Instruction) -> int:
-        op = instr.opcode
-        cycles = self.isa.cycles_of(op)
-        next_pc = self.pc + 1
-        # read the register file once; r0 semantics (reads as zero,
-        # writes discarded) are kept inline instead of paying a
-        # get_reg/set_reg method call per operand
-        regs = self.regs
-        rd = instr.rd
-        rs1 = instr.rs1
-        rs2 = instr.rs2
-        a = regs[rs1] if rs1 else 0
-        b = regs[rs2] if rs2 else 0
-
-        custom = self.isa.custom(op)
-        if custom is not None:
-            v = custom.semantics(a, b) & MASK32
-            if rd:
-                regs[rd] = v
-        elif op == Opcode.ADD:
-            if rd:
-                regs[rd] = (a + b) & MASK32
-        elif op == Opcode.SUB:
-            if rd:
-                regs[rd] = (a - b) & MASK32
-        elif op == Opcode.MUL:
-            if rd:
-                regs[rd] = (a * b) & MASK32
-        elif op == Opcode.DIV:
-            v = self._div(a, b) & MASK32
-            if rd:
-                regs[rd] = v
-        elif op == Opcode.MOD:
-            v = self._mod(a, b) & MASK32
-            if rd:
-                regs[rd] = v
-        elif op == Opcode.AND:
-            if rd:
-                regs[rd] = a & b
-        elif op == Opcode.OR:
-            if rd:
-                regs[rd] = a | b
-        elif op == Opcode.XOR:
-            if rd:
-                regs[rd] = a ^ b
-        elif op == Opcode.SLL:
-            if rd:
-                regs[rd] = (a << (b & 31)) & MASK32
-        elif op == Opcode.SRL:
-            if rd:
-                regs[rd] = (a & MASK32) >> (b & 31)
-        elif op == Opcode.SRA:
-            if rd:
-                regs[rd] = (_signed(a) >> (b & 31)) & MASK32
-        elif op == Opcode.SLT:
-            if rd:
-                regs[rd] = int(_signed(a) < _signed(b))
-        elif op == Opcode.SLTU:
-            if rd:
-                regs[rd] = int((a & MASK32) < (b & MASK32))
-        elif op == Opcode.ADDI:
-            if rd:
-                regs[rd] = (a + instr.imm) & MASK32
-        elif op == Opcode.ANDI:
-            if rd:
-                regs[rd] = a & (instr.imm & 0xFFFF)
-        elif op == Opcode.ORI:
-            if rd:
-                regs[rd] = (a | (instr.imm & 0xFFFF)) & MASK32
-        elif op == Opcode.XORI:
-            if rd:
-                regs[rd] = (a ^ (instr.imm & 0xFFFF)) & MASK32
-        elif op == Opcode.SLLI:
-            if rd:
-                regs[rd] = (a << (instr.imm & 31)) & MASK32
-        elif op == Opcode.SRLI:
-            if rd:
-                regs[rd] = (a & MASK32) >> (instr.imm & 31)
-        elif op == Opcode.SLTI:
-            if rd:
-                regs[rd] = int(_signed(a) < instr.imm)
-        elif op == Opcode.LUI:
-            if rd:
-                regs[rd] = ((instr.imm & 0xFFFF) << 16) & MASK32
-        elif op == Opcode.LW:
-            v = self.memory.read(a + instr.imm) & MASK32
-            if rd:
-                regs[rd] = v
-        elif op == Opcode.SW:
-            self.memory.write(a + instr.imm, regs[rd] if rd else 0)
-        elif op in (Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE):
-            lhs = regs[rd] if rd else 0
-            if op == Opcode.BEQ:
-                taken = lhs == a
-            elif op == Opcode.BNE:
-                taken = lhs != a
-            elif op == Opcode.BLT:
-                taken = _signed(lhs) < _signed(a)
-            else:
-                taken = _signed(lhs) >= _signed(a)
-            if taken:
-                next_pc = self.pc + 1 + instr.imm
-                cycles += 1  # taken-branch penalty
-        elif op == Opcode.J:
-            next_pc = instr.imm
-        elif op == Opcode.JAL:
-            regs[15] = (self.pc + 1) & MASK32
-            next_pc = instr.imm
-        elif op == Opcode.JR:
-            next_pc = a
-        elif op == Opcode.RETI:
-            next_pc = self.epc
-            self.irq_enabled = True
-        elif op == Opcode.HALT:
-            self.halted = True
-            next_pc = self.pc
-        else:  # pragma: no cover - decode guarantees known opcodes
-            raise CpuError(f"unimplemented opcode {op:#x}")
-
-        self.pc = next_pc
-        return cycles
-
-    @staticmethod
-    def _div(a: int, b: int) -> int:
-        sa, sb = _signed(a), _signed(b)
-        if sb == 0:
-            raise CpuError("division by zero")
-        q = abs(sa) // abs(sb)
-        return q if (sa >= 0) == (sb >= 0) else -q
-
-    @staticmethod
-    def _mod(a: int, b: int) -> int:
-        sa, sb = _signed(a), _signed(b)
-        if sb == 0:
-            raise CpuError("modulo by zero")
-        r = abs(sa) % abs(sb)
-        return r if sa >= 0 else -r
+from tests.fault.observer_reference import ObserverSaboteur
+from tests.isa.r32_harness import (
+    ReferenceCpu,
+    make_ext_cpu,
+    make_irq_cpu,
+    run_ref,
+    snapshot,
+)
 
 
 # ----------------------------------------------------------------------
@@ -317,6 +184,81 @@ def test_every_tier_matches_the_reference(name):
         want = run_on(ReferenceCpu, run_steps, case, isa)
         for runner in (run_steps, run_interpreted, run_translated):
             assert run_on(Cpu, runner, case, isa) == want, (runner, case)
+
+
+# ----------------------------------------------------------------------
+# canaries: the comparison fails on a wrong engine, and the reference
+# runs with every engine of the system poisoned
+# ----------------------------------------------------------------------
+def mismatches(name, runner, isa):
+    """The grid cases of ``name`` on which ``runner`` over the system
+    leaves another state or error than the reference."""
+    return [case for case in cases(name)
+            if run_on(Cpu, runner, case, isa)
+            != run_on(ReferenceCpu, run_steps, case, isa)]
+
+
+def test_an_interpreted_add_that_subtracts_fails(monkeypatch):
+    """The interpreted loop, and ``step()`` on it, compute from the
+    ISA's compiled value; the translator pastes the table's text."""
+    monkeypatch.setattr(translate, "_SHARED", {})
+    isa = Isa()
+    isa._values[int(Opcode.ADD)] = isa._values[int(Opcode.SUB)]
+    assert mismatches("ADD", run_interpreted, isa)
+    assert mismatches("ADD", run_steps, isa)
+    assert not mismatches("ADD", run_translated, isa)
+
+
+def test_a_translated_add_that_subtracts_fails(monkeypatch):
+    monkeypatch.setattr(translate, "_SHARED", {})
+    monkeypatch.setitem(SEMANTICS, Opcode.ADD, SEMANTICS[Opcode.SUB])
+    isa = Isa()
+    assert mismatches("ADD", run_translated, isa)
+    assert not mismatches("ADD", run_interpreted, isa)
+
+
+def test_the_reference_calls_no_engine_of_the_system(monkeypatch):
+    calls = []
+
+    def poisoned(label):
+        def boom(*args, **kwargs):
+            calls.append(label)
+            raise AssertionError(f"{label} called")
+        return boom
+
+    for owner, name in ((Cpu, "step"), (Cpu, "run_block"),
+                        (Cpu, "_run_block_fast"), (Cpu, "_predecode"),
+                        (BlockTranslator, "execute")):
+        monkeypatch.setattr(owner, name,
+                            poisoned(f"{owner.__name__}.{name}"))
+    isa = Isa()
+    for name in sorted(Opcode.__members__):
+        for case in cases(name):
+            run_on(ReferenceCpu, run_steps, case, isa)
+
+    # device IRQs, with a profiler and a fault trigger attached
+    from repro.fault.inject import arm_cpu_fault
+
+    cpu, log = make_irq_cpu(12, 3, ReferenceCpu)
+    profiler = Profiler(cpu)
+    arm_cpu_fault(cpu, FaultSpec(kind="cpu_reg_flip", target="cpu",
+                                 index=2, bit=4, count=9))
+    cpu.observers.append(ObserverSaboteur(
+        cpu, FaultSpec(kind="cpu_reg_flip", target="cpu", index=13,
+                       bit=3, count=20)))
+    assert run_ref(cpu, 500) is None
+    assert cpu.halted and cpu.irq_count and log and not cpu._triggers
+    assert profiler.total_instructions == cpu.instr_count
+
+    # deferred external accesses
+    ext = make_ext_cpu(ReferenceCpu)
+    while not ext.halted:
+        access = ext.step()
+        if isinstance(access, ExternalAccess):
+            ext.complete_access(read_value=access.value or 5,
+                                extra_cycles=3)
+    assert ext.get_reg(3) == 10
+    assert calls == []
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Differential property tests for the block-translation tier.
 
 The translated tier (``repro.isa.translate``) claims observable
-identity with *both* lower tiers — the ``step()`` reference
-interpreter and the ``run_block`` operand-cache loop — under the
-DESIGN §13 three-tier equivalence contract.  Hypothesis drives ≥200
-random programs per property through all three engines and compares
-complete architectural snapshots: wild jumps, illegal words, division
+identity with the interpreted ``run_block`` operand-cache loop and
+with the reference interpreter ``ReferenceCpu``
+(``tests/isa/r32_harness.py``, which shares no execution code with
+``repro.isa.cpu``) under the DESIGN §13 equivalence contract.
+Hypothesis drives ≥200 random programs per property through the
+reference and both engines and compares complete architectural
+snapshots: wild jumps, illegal words, division
 faults, device IRQs raised mid-block, fault bit-flips, stores into
 already-translated code, mid-run ISA mutation, and observer
 attach/detach cycles that must re-engage the translated tier.  The
@@ -32,11 +34,13 @@ from tests.isa.r32_harness import (
     BUDGET,
     COMMON,
     ENC,
+    ReferenceCpu,
     chunks_st,
     instr_st,
     make_cpu,
     make_ext_cpu,
     make_irq_cpu,
+    make_ref,
     program_words,
     run_fast,
     run_ref,
@@ -68,26 +72,42 @@ def forbid_untranslated(cpu):
     tier trips it, so use only with budgets that cover whole blocks.
     """
 
-    def boom(max_steps):
+    def boom(*args):
         raise AssertionError("untranslated tier used")
 
-    cpu._run_block_slow = boom
+    cpu._observed_step = boom
     cpu._run_block_fast = boom
 
 
 def forbid_slow(cpu):
-    """After this, the observer step loop may never run.  The
-    translated tier may still delegate budget remainders to the
-    interpreted fast tier — that is part of its contract."""
+    """After this, the observed step may never run.  The translated
+    tier may still delegate budget remainders to the interpreted
+    tier — that is part of its contract."""
 
-    def boom(max_steps):
-        raise AssertionError("slow path used with no observers")
+    def boom(*args):
+        raise AssertionError("observed step taken with no observers")
 
-    cpu._run_block_slow = boom
+    cpu._observed_step = boom
+
+
+def test_the_guards_fire_on_the_paths_they_forbid():
+    image = program_words([Instruction(0x20, rd=1, rs1=1, imm=1)] * 6)
+    cpu = make_trans_cpu(image)
+    forbid_slow(cpu)
+    cpu.observers.append(lambda pc, instr: None)
+    with pytest.raises(AssertionError, match="observed step"):
+        cpu.run_block(50)
+    cpu = make_trans_cpu(image)
+    forbid_untranslated(cpu)
+    with pytest.raises(AssertionError, match="untranslated"):
+        cpu.run_block(3)  # shorter than the block: interpreted
+    cpu.observers.append(lambda pc, instr: None)
+    with pytest.raises(AssertionError, match="untranslated"):
+        cpu.run_block(50)
 
 
 # ----------------------------------------------------------------------
-# the core three-engine differential
+# the core differential: the reference and both engines
 # ----------------------------------------------------------------------
 class TestTranslateDifferential:
     @settings(max_examples=200, **COMMON)
@@ -101,7 +121,7 @@ class TestTranslateDifferential:
         self, instrs, chunks, illegal_at, hot
     ):
         image = program_words(instrs, illegal_at)
-        ref = make_cpu(image)
+        ref = make_ref(image)
         fast = make_cpu(image)
         trans = make_trans_cpu(image, hot=hot)
         err_ref = run_ref(ref)
@@ -157,7 +177,7 @@ class TestTranslateInterrupts:
         hot=hot_st,
     )
     def test_device_irqs_identical(self, limit, modulus, chunks, hot):
-        ref, log_ref = make_irq_cpu(limit, modulus)
+        ref, log_ref = make_irq_cpu(limit, modulus, ReferenceCpu)
         trans, log_trans = make_irq_cpu(limit, modulus)
         install(trans, hot_threshold=hot)
         budget = 20 * limit + 50
@@ -189,14 +209,14 @@ class TestTranslateFaults:
         self, instrs, chunks, reg, bit, count, hot
     ):
         """A register bit-flip must corrupt the reference (an observer
-        on the literal step loop) and the translated engine (an armed
-        trigger, which keeps the translated tier) identically."""
+        on the reference interpreter) and the translated engine (an
+        armed trigger, which keeps the translated tier) identically."""
         spec = FaultSpec(
             kind="cpu_reg_flip", target="cpu", index=reg, bit=bit,
             count=count,
         )
         image = program_words(instrs)
-        ref = make_cpu(image)
+        ref = make_ref(image)
         trans = make_trans_cpu(image, hot=hot)
         ref.observers.append(ObserverSaboteur(ref, spec))
         arm_cpu_fault(trans, spec)
@@ -215,15 +235,15 @@ class TestTranslateFaults:
     def test_injector_disarm_reengages_translated_tier(
         self, instrs, phase1, reg, bit, count, hot
     ):
-        """arm → run (slow path) → disarm → run: both engines stay
-        identical across the whole lifecycle, and after ``disarm()``
-        the translated CPU must never touch a non-translated tier."""
+        """arm → run → disarm → run: the translated engine stays
+        identical to the reference across the whole lifecycle, and
+        after ``disarm()`` it never takes the observed step."""
         spec = FaultSpec(
             kind="cpu_reg_flip", target="cpu", index=reg, bit=bit,
             count=count,
         )
         image = program_words(instrs)
-        ref = make_cpu(image)
+        ref = make_ref(image)
         trans = make_trans_cpu(image, hot=1)
 
         def lifecycle(cpu, runner, *run_args):
@@ -292,7 +312,7 @@ class TestSelfModifyingCode:
         self, target, word, rounds, chunks, hot
     ):
         image = smc_image(target, word, rounds)
-        ref = make_cpu(image)
+        ref = make_ref(image)
         fast = make_cpu(image)
         trans = make_trans_cpu(image, hot=hot)
         budget = 40 * rounds + 60
@@ -318,7 +338,7 @@ class TestSelfModifyingCode:
         calls — e.g. by a DMA device or another tier — must invalidate
         translated blocks exactly like an in-block store."""
         image = program_words(instrs)
-        ref = make_cpu(image)
+        ref = make_ref(image)
         trans = make_trans_cpu(image, hot=hot)
 
         def run_two_phase(cpu, runner):
@@ -365,9 +385,10 @@ class TestIsaMutation:
 
         def build(translated):
             isa = Isa()
+            if not translated:
+                return make_ref(image, isa), isa
             cpu = make_cpu(image, isa)
-            if translated:
-                install(cpu, hot_threshold=hot)
+            install(cpu, hot_threshold=hot)
             return cpu, isa
 
         def mutate(isa):
@@ -413,7 +434,7 @@ class TestObserverLifecycle:
         observer sees matches the reference, and after detach the
         translated CPU runs without touching the other tiers."""
         image = program_words(instrs)
-        ref = make_cpu(image)
+        ref = make_ref(image)
         trans = make_trans_cpu(image, hot=1)
         seen_ref, seen_trans = [], []
 
@@ -474,7 +495,7 @@ class TestTranslateExternalAccess:
 
     @pytest.mark.parametrize("hot", [1, 2])
     def test_deferred_accesses_identical(self, hot):
-        ref, trans = make_ext_cpu(), make_ext_cpu()
+        ref, trans = make_ext_cpu(ReferenceCpu), make_ext_cpu()
         install(trans, hot_threshold=hot)
         assert self.drive(ref, False) == self.drive(trans, True)
         assert snapshot(ref) == snapshot(trans)
@@ -538,7 +559,7 @@ class TestSharedCache:
         slow = Isa()
         slow.cycles[int(Opcode.ADDI)] = 3
         second = make_trans_cpu(image, slow)
-        ref = make_cpu(image, slow)
+        ref = make_ref(image, slow)
         second.run_block(50)
         run_ref(ref)
         assert second.translator.reused == 0
@@ -577,7 +598,7 @@ class TestSharedCache:
 
         reused = make_trans_cpu(image)
         run_twice(reused, lambda c: c.run_block(50))
-        ref = make_cpu(image)
+        ref = make_ref(image)
         run_twice(ref, run_ref)
         assert reused.translator.reused == 1
         assert reused.get_reg(1) == 4 + 103
@@ -597,7 +618,7 @@ class TestSharedCache:
         image = smc_image(target, word, rounds)
         budget = 40 * rounds + 60
         run_fast(make_trans_cpu(image), tuple(chunks), budget)
-        ref = make_cpu(image)
+        ref = make_ref(image)
         reused = make_trans_cpu(image)
         assert run_ref(ref, budget) == run_fast(reused, tuple(chunks),
                                                 budget)

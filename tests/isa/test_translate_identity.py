@@ -38,23 +38,20 @@ SMOKE_SPEC = ExploreSpec(population=4, generations=2,
                          scenario="coproc", scenario_faults=6)
 
 
-def campaign_json(enabled, name="coproc", batch=False):
+def campaign_json(enabled, name="coproc"):
     faults = sample_faults(
         SCENARIOS[name].targets, CAMPAIGN_FAULTS, seed=CAMPAIGN_SEED
     )
     with auto_translation(enabled):
-        return run_campaign(name, faults, workers=1,
-                            batch=batch).to_json()
+        return run_campaign(name, faults, workers=1).to_json()
 
 
 class TestCampaignIdentity:
     def test_e18_table_byte_identical_translation_on_off(self):
         assert campaign_json(True) == campaign_json(False)
 
-    @pytest.mark.parametrize("batch", [False, True])
-    def test_e24_table_byte_identical_translation_on_off(self, batch):
-        assert campaign_json(True, "swmac", batch) \
-            == campaign_json(False, "swmac", False)
+    def test_e24_table_byte_identical_translation_on_off(self):
+        assert campaign_json(True, "swmac") == campaign_json(False, "swmac")
 
     def test_e18_table_byte_identical_warm_vs_cold(self):
         """Back-to-back campaigns under one enablement: the second run

@@ -5,7 +5,8 @@ three campaign drivers (sweep, fault campaign, explorer) alike:
 
 * an observed run produces ONE merged Perfetto trace that validates
   structurally, with per-cell spans attributed to ``<kind> worker``
-  lanes;
+  lanes, or at one worker to the driver's own lane, which keeps the
+  driver's name;
 * parent-registry counters equal the sum of worker deltas, identical
   at workers=1 and workers=2, with a store or without;
 * observation must not change the result document (byte-identical).
@@ -210,6 +211,10 @@ DRIVERS = {
         "genome"),
 }
 
+#: kind → the name of the driver's own lane
+DRIVER_LANES = {"sweep": "sweep parent", "fault": "fault campaign",
+                "explore": "explore driver"}
+
 
 @pytest.mark.parametrize("store", [False, True],
                          ids=["no-store", "store"])
@@ -218,7 +223,8 @@ def test_one_observation_contract(kind, store, tmp_path):
     """Observed at 1 and 2 workers, each driver's document is
     byte-identical to its plain run (cold, and warm from a store), its
     cells' spans sit on ``<kind> worker`` lanes of one valid merged
-    trace, and its counters do not depend on the worker count."""
+    trace (at one worker, on the driver's own lane, under its name),
+    and its counters do not depend on the worker count."""
     run, cell_span = DRIVERS[kind]
     plain = run(1, None, None)
     counters = {}
@@ -233,8 +239,9 @@ def test_one_observation_contract(kind, store, tmp_path):
         cells = spans.spans_named(cell_span)
         assert cells, f"no {cell_span} spans merged at workers={workers}"
         for span in cells:
-            assert spans.lane_names[span.pid].startswith(
-                f"{kind} worker ")
+            assert spans.lane_names[span.pid] == (
+                DRIVER_LANES[kind] if span.pid == spans.pid
+                else f"{kind} worker {span.pid}")
         # the campaign.* counters describe the execution path (store
         # queue or in-process loop), not the work
         counters[workers] = {
@@ -248,3 +255,32 @@ def test_one_observation_contract(kind, store, tmp_path):
         spans = SpanTracer()
         assert run(2, cache, Obs(spans=spans)) == plain
         assert not spans.spans_named(cell_span)
+
+
+#: explore with a dependability scenario: its campaign is a nested run
+SCENARIO_SPEC = ExploreSpec(population=4, generations=1, n_tasks=(8,),
+                            heuristics=("greedy",), scenario="msgpipe",
+                            scenario_faults=4)
+
+
+@pytest.mark.parametrize("kind,workers", [
+    ("sweep", 1), ("fault", 1), ("explore", 1),
+    ("explore+scenario", 1), ("explore+scenario", 2)])
+def test_the_driver_lane_keeps_its_name(kind, workers):
+    """The driver's lane ends with the driver's name: an in-process
+    cell's payload names no lane over it, and explore's nested
+    dependability campaign hands it back.  Every other lane is a
+    worker's."""
+    spans = SpanTracer()
+    if kind == "explore+scenario":
+        explore(SCENARIO_SPEC, workers=workers, obs=Obs(spans=spans))
+        assert spans.spans_named("campaign")
+        want = "explore driver"
+    else:
+        DRIVERS[kind][0](workers, None, Obs(spans=spans))
+        want = DRIVER_LANES[kind]
+    lanes = dict(spans.lane_names)
+    assert lanes.pop(spans.pid) == want
+    assert all(lane in (f"explore worker {pid}", f"fault worker {pid}")
+               for pid, lane in lanes.items()), lanes
+    assert bool(lanes) == (workers > 1)
