@@ -27,6 +27,7 @@ the communication estimators derive transfer and synchronization costs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -35,7 +36,9 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 class Task:
     """A schedulable unit of system functionality.
 
-    ``sw_time`` must be positive.  ``hw_time`` defaults to ``sw_time / 4``
+    ``sw_time`` and ``hw_time`` must be finite and positive, ``hw_area``
+    and ``sw_size`` finite and non-negative, ``parallelism`` finite and at
+    least 1.  ``hw_time`` defaults to ``sw_time / 4``
     (dedicated hardware is typically several times faster than software for
     the DSP-style workloads of the era) when not given explicitly.
     """
@@ -52,20 +55,28 @@ class Task:
     wcet: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.sw_time <= 0:
-            raise ValueError(f"task {self.name!r}: sw_time must be > 0")
+        # each test is written so that NaN, which fails every
+        # comparison, fails it too
+        if not 0.0 < self.sw_time < math.inf:
+            self._reject("sw_time", "finite and > 0")
         if self.hw_time is None:
             self.hw_time = self.sw_time / 4.0
-        if self.hw_time <= 0:
-            raise ValueError(f"task {self.name!r}: hw_time must be > 0")
-        if self.hw_area < 0:
-            raise ValueError(f"task {self.name!r}: hw_area must be >= 0")
+        if not 0.0 < self.hw_time < math.inf:
+            self._reject("hw_time", "finite and > 0")
+        if not 0.0 <= self.hw_area < math.inf:
+            self._reject("hw_area", "finite and >= 0")
+        if not 0.0 <= self.sw_size < math.inf:
+            self._reject("sw_size", "finite and >= 0")
         if not 0.0 <= self.modifiability <= 1.0:
-            raise ValueError(
-                f"task {self.name!r}: modifiability must be in [0, 1]"
-            )
-        if self.parallelism < 1.0:
-            raise ValueError(f"task {self.name!r}: parallelism must be >= 1")
+            self._reject("modifiability", "in [0, 1]")
+        if not 1.0 <= self.parallelism < math.inf:
+            self._reject("parallelism", "finite and >= 1")
+
+    def _reject(self, field_name: str, domain: str) -> None:
+        raise ValueError(
+            f"task {self.name!r}: {field_name} must be {domain}, "
+            f"got {getattr(self, field_name)!r}"
+        )
 
     def time_on(self, processor_type: str) -> float:
         """Execution time on a named processor type.
@@ -89,8 +100,11 @@ class Edge:
     volume: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.volume < 0:
-            raise ValueError(f"edge {self.src}->{self.dst}: volume must be >= 0")
+        if not 0.0 <= self.volume < math.inf:
+            raise ValueError(
+                f"edge {self.src}->{self.dst}: volume must be finite and "
+                f">= 0, got {self.volume!r}"
+            )
 
 
 class CycleError(ValueError):

@@ -67,10 +67,14 @@ class Evaluation:
 class CompiledProblem:
     """A :class:`PartitionProblem` compiled for many partition evaluations.
 
-    Holds what no move can change: the ready-heap key of each task
-    (``(-b_level, insertion index, name)``), predecessor counts and
-    sources, each task's times and structural cost contributions, its
-    area input, and each out-edge's boundary transfer time.
+    Holds what no move can change: the list scheduler's pop order, each
+    task's times and structural cost contributions, its area input, and
+    each out-edge's boundary transfer time.  The order is exact for
+    every partition: a task's ready-heap key ``(-b_level, insertion
+    index, name)`` and its predecessor count are fixed by the graph, so
+    the heap pops the same topological order whatever ``hw`` is, and
+    only begin and end times depend on it.  :meth:`evaluate` is one
+    pass over that order.
 
     Build one per heuristic call and let it go: task graphs and tasks
     are mutable, so a view kept beyond the call could go stale.  The
@@ -89,7 +93,8 @@ class CompiledProblem:
     whatever the caller's set order: schedule totals in pop order,
     ``sw_size`` and ``nature`` in task insertion order, modifiability
     and the no-sharing area over the sorted hardware set, and the
-    sharing estimate keyed by the sorted area inputs.
+    sharing estimate keyed by the sorted area inputs.  Each order is
+    presorted here and filtered by membership per call.
     """
 
     def __init__(self, problem: PartitionProblem) -> None:
@@ -105,23 +110,35 @@ class CompiledProblem:
         #: oldest first; see :meth:`cost`
         self._memo: Dict[tuple, tuple] = {}
         self._memo_cap = 4 * len(names)
+        # the ready heap, run once (b_levels raises CycleError on a
+        # cycle, so the order reaches every task)
         level = b_levels(graph, weight=lambda t: min(t.sw_time, t.hw_time))
         key = {name: (-level[name], i, name) for i, name in enumerate(names)}
-        self._pending = {name: len(graph.predecessors(name)) for name in names}
-        self._sources = [key[n] for n in names if self._pending[n] == 0]
-        heapq.heapify(self._sources)
-        self._data_ready = dict.fromkeys(names, 0.0)
+        pending = {name: len(graph.predecessors(name)) for name in names}
+        ready = [key[name] for name in names if pending[name] == 0]
+        heapq.heapify(ready)
+        order = []
+        while ready:
+            order.append(heapq.heappop(ready)[2])
+            for dst in graph.successors(order[-1]):
+                pending[dst] -= 1
+                if pending[dst] == 0:
+                    heapq.heappush(ready, key[dst])
+        self._order = order
+        position = {name: i for i, name in enumerate(order)}
         transfer = problem.comm.transfer_ns
         tasks = [graph.task(name) for name in names]
-        self._schedule = {
-            task.name: (task.sw_time, task.hw_time, tuple(
-                (e.dst, key[e.dst], transfer(e.volume), e.volume)
+        self._schedule = [
+            (task.name, task.sw_time, task.hw_time, tuple(
+                (position[e.dst], transfer(e.volume), e.volume, e.dst)
                 for e in graph.out_edges(task.name)
             ))
-            for task in tasks
-        }
-        self._sw_size = [(task.name, task.sw_size) for task in tasks]
-        self._modifiability = {task.name: task.modifiability for task in tasks}
+            for task in map(graph.task, order)
+        ]
+        self._sw_size = [(task.sw_size, position[task.name]) for task in tasks]
+        self._modifiability = sorted(
+            (task.name, task.modifiability) for task in tasks
+        )
         # nature of computation, per side: serial computations gain
         # little in hardware, parallel ones are squandered in software
         # (a parallel task in hardware adds 0.0, which moves no bit)
@@ -134,26 +151,32 @@ class CompiledProblem:
         ]
         if self._sharing:
             library = default_library()
-            self._area = {
-                task.name: entry_key(
+            area = [
+                (entry_key(
                     requirements_from_task(task, library),
                     registers=max(2, int(task.sw_size / 8)),
                     states=max(4, int(task.hw_time)),
-                )
+                ), task.name)
                 for task in tasks
-            }
+            ]
         else:
-            self._area = {task.name: task.hw_area for task in tasks}
+            area = [(task.hw_area, task.name) for task in tasks]
+        # in the order the estimate reads its inputs: sorted by entry
+        # key under sharing, by task name without
+        rank = 0 if self._sharing else 1
+        self._area = sorted(area, key=lambda pair: pair[rank])
 
     def hardware_area(self, hw_tasks: Iterable[str]) -> float:
         """Area of the hardware partition, with or without sharing."""
-        hw = sorted(set(hw_tasks))
+        hw = frozenset(hw_tasks)
+        if not hw <= self._names:
+            raise KeyError(
+                f"unknown tasks in partition: {sorted(hw - self._names)}"
+            )
         if not hw:
             return 0.0
-        area = self._area
-        if not self._sharing:
-            return sum(area[name] for name in hw)
-        return shared_area(tuple(sorted(area[name] for name in hw)))
+        inputs = [value for value, name in self._area if name in hw]
+        return shared_area(tuple(inputs)) if self._sharing else sum(inputs)
 
     def evaluate(
         self, hw_tasks: Iterable[str], tracer: Optional[Tracer] = None
@@ -161,39 +184,33 @@ class CompiledProblem:
         """List-schedule the partitioned graph and measure it (see
         :func:`evaluate_partition`)."""
         hw = frozenset(hw_tasks)
-        if not hw <= self._names:
-            raise KeyError(
-                f"unknown tasks in partition: {sorted(hw - self._names)}"
-            )
+        area = self.hardware_area(hw)  # raises on unknown tasks
         n_hw_units = (
             self._parallelism
             if self._parallelism is not None
             else max(1, len(hw))
         )
+        multi = n_hw_units > 1
         cpu_free = 0.0
         hw_free = [0.0] * n_hw_units
-        finish: Dict[str, float] = {}
         start: Dict[str, float] = {}
+        latency = 0.0
         comm_total = 0.0
         cpu_busy = 0.0
         hw_busy = 0.0
-        pending = self._pending.copy()
-        data_ready = self._data_ready.copy()
-        ready = self._sources.copy()
-        schedule = self._schedule
-        heappop = heapq.heappop
-        heappush = heapq.heappush
+        member = [name in hw for name in self._order]
+        data_ready = [0.0] * len(member)
 
-        while ready:
-            name = heappop(ready)[2]
-            sw_time, hw_time, out_edges = schedule[name]
-            in_hw = name in hw
+        for pos, (name, sw_time, hw_time, out_edges) in enumerate(
+            self._schedule
+        ):
+            in_hw = member[pos]
             # begin = max(data ready, resource free), spelled out; the
             # lowest-index unit among equally free ones takes the task
-            begin = data_ready[name]
+            begin = data_ready[pos]
             if in_hw:
                 duration = hw_time
-                unit = hw_free.index(min(hw_free))
+                unit = hw_free.index(min(hw_free)) if multi else 0
                 if hw_free[unit] > begin:
                     begin = hw_free[unit]
                 hw_free[unit] = end = begin + duration
@@ -205,7 +222,10 @@ class CompiledProblem:
                 cpu_free = end = begin + duration
                 cpu_busy += duration
             start[name] = begin
-            finish[name] = end
+            # max()'s own test; every end is > 0.0, so the first one
+            # replaces the 0.0 that only an empty graph keeps
+            if end > latency:
+                latency = end
             if tracer is not None:
                 side = "hw" if in_hw else "sw"
                 tracer.emit(
@@ -216,12 +236,12 @@ class CompiledProblem:
                 tracer.metrics.histogram(
                     f"partition.{side}.exec_ns"
                 ).observe(duration)
-            for dst, dst_key, delay, volume in out_edges:
-                if (dst in hw) != in_hw:
+            for dst, delay, volume, dst_name in out_edges:
+                if member[dst] != in_hw:
                     comm_total += delay
                     if tracer is not None:
                         tracer.emit(
-                            COMM, f"{name}->{dst}", time=end,
+                            COMM, f"{name}->{dst_name}", time=end,
                             volume=volume, delay=delay,
                         )
                         tracer.metrics.histogram(
@@ -232,19 +252,12 @@ class CompiledProblem:
                     arrival = end
                 if arrival > data_ready[dst]:
                     data_ready[dst] = arrival
-                pending[dst] -= 1
-                if pending[dst] == 0:
-                    heappush(ready, dst_key)
 
-        if len(finish) != len(schedule):
-            raise RuntimeError("scheduling did not reach every task")
-
-        latency = max(finish.values(), default=0.0)
         return Evaluation(
             latency_ns=latency,
-            hw_area=self.hardware_area(hw),
-            sw_size=sum(size for name, size in self._sw_size
-                        if name not in hw),
+            hw_area=area,
+            sw_size=sum([size for size, pos in self._sw_size
+                         if not member[pos]]),
             comm_ns=comm_total,
             cpu_busy_ns=cpu_busy,
             hw_busy_ns=hw_busy,
@@ -280,7 +293,8 @@ class CompiledProblem:
         # PYTHONHASHSEED — a hash-order sum would differ by an ULP between
         # interpreters, breaking the byte-identical-resume guarantee of
         # the campaign store)
-        modifiability = sum(self._modifiability[n] for n in sorted(hw))
+        modifiability = sum([m for name, m in self._modifiability
+                             if name in hw])
 
         # 4. nature of computation: medium mismatch
         nature = 0.0

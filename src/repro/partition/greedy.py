@@ -13,6 +13,7 @@ from typing import FrozenSet, Iterable, Optional
 
 from repro.partition.cost import CostWeights
 from repro.partition.evaluate import CompiledProblem
+from repro.partition.knobs import check_count
 from repro.partition.problem import PartitionProblem, PartitionResult
 from repro.partition.seeding import ProgressProbe, resolve_rng
 
@@ -33,6 +34,7 @@ def greedy_partition(
     ``probe`` receives one convergence record per accepted migration.
     """
     resolve_rng(seed, rng)  # validate the uniform interface contract
+    check_count("greedy", "max_iterations", max_iterations)
     compiled = CompiledProblem(problem)
     hw = frozenset(seed_hw)
     cost, breakdown, evaluation = compiled.cost(hw, weights)

@@ -14,6 +14,7 @@ from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.partition.cost import CostWeights
 from repro.partition.evaluate import CompiledProblem
+from repro.partition.knobs import check_count
 from repro.partition.problem import PartitionProblem, PartitionResult
 from repro.partition.seeding import ProgressProbe, resolve_rng
 
@@ -36,6 +37,7 @@ def kernighan_lin(
     prefix was eventually kept.
     """
     resolve_rng(seed, rng)  # validate the uniform interface contract
+    check_count("kl", "max_passes", max_passes)
     compiled = CompiledProblem(problem)
     hw = frozenset(seed_hw)
     cost, breakdown, evaluation = compiled.cost(hw, weights)

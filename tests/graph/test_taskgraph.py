@@ -1,5 +1,8 @@
 """Unit tests for repro.graph.taskgraph."""
 
+import math
+import re
+
 import pytest
 
 from repro.graph.taskgraph import CycleError, Task, TaskGraph
@@ -38,6 +41,31 @@ class TestTask:
         with pytest.raises(ValueError):
             Task("x", sw_time=1.0, parallelism=0.5)
 
+    @pytest.mark.parametrize("field,value", [
+        ("sw_time", math.nan), ("sw_time", math.inf), ("sw_time", -1.0),
+        ("hw_time", math.nan), ("hw_time", math.inf), ("hw_time", 0.0),
+        ("hw_area", math.nan), ("hw_area", math.inf),
+        ("sw_size", math.nan), ("sw_size", -5.0), ("sw_size", math.inf),
+        ("parallelism", math.nan), ("parallelism", math.inf),
+        ("modifiability", math.nan),
+    ])
+    def test_rejects_non_finite_or_out_of_domain_field(self, field, value):
+        """A NaN time used to pass and fail only later, deep inside the
+        partition evaluator; a NaN or infinite area, size or
+        parallelism never failed at all."""
+        kwargs = {"sw_time": 4.0, field: value}
+        with pytest.raises(ValueError, match=rf"task 'x': {field} .*got "
+                           + re.escape(repr(value))):
+            Task("x", **kwargs)
+
+    @pytest.mark.parametrize("field,value", [
+        ("sw_time", 1e-9), ("hw_time", 1e-9), ("hw_area", 0.0),
+        ("sw_size", 0.0), ("parallelism", 1.0), ("modifiability", 1.0),
+    ])
+    def test_accepts_domain_edges(self, field, value):
+        task = Task("x", **{"sw_time": 4.0, field: value})
+        assert getattr(task, field) == value
+
     def test_time_on_falls_back_to_sw_time(self):
         t = Task("x", sw_time=7.0, wcet={"dsp": 3.0})
         assert t.time_on("dsp") == 3.0
@@ -75,6 +103,17 @@ class TestConstruction:
         g.add_task(Task("e"))
         with pytest.raises(ValueError):
             g.add_edge("d", "e", volume=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_volume_rejected(self, value):
+        g = diamond()
+        g.add_task(Task("e"))
+        pattern = r"edge d->e: volume .*got " + re.escape(repr(value))
+        with pytest.raises(ValueError, match=pattern):
+            g.add_edge("d", "e", volume=value)
+        with pytest.raises(ValueError, match=r"edge a->b: volume"):
+            g.set_edge_volume("a", "b", value)
+        assert g.edge("a", "b").volume == 3.0
 
     def test_remove_task_drops_incident_edges(self):
         g = diamond()

@@ -1,5 +1,6 @@
 """Tests for the five partitioning algorithms."""
 
+import math
 import random
 
 import pytest
@@ -8,9 +9,11 @@ from repro.estimate.communication import TIGHT, CommModel
 from repro.graph.generators import random_layered_graph
 from repro.graph.kernels import jpeg_encoder_taskgraph, modem_taskgraph
 from repro.partition import (
+    HEURISTIC_KNOBS,
     HEURISTICS,
     CostWeights,
     PartitionProblem,
+    ProgressProbe,
     cosyma_partition,
     evaluate_partition,
     greedy_partition,
@@ -178,6 +181,56 @@ class TestSeedPlumbing:
             for s in range(6)
         }
         assert len(outcomes) > 1
+
+
+#: (heuristic, knob, value) outside the knob's domain; before the
+#: checks, a cooling of 1.0 never returned, a ratio of 0.0 ran for
+#: minutes, NaN/0/negative cooling stopped after one level, a bad
+#: initial temperature or a count below 1 returned the seed partition
+#: after no move, and a float count failed with a bare TypeError
+BAD_KNOBS = [
+    *(("annealing", "cooling", v)
+      for v in (1.0, math.nan, 0.0, -0.5, 1.5, math.inf)),
+    *(("annealing", "final_temperature_ratio", v)
+      for v in (0.0, 1.0, math.nan, -1e-3, math.inf)),
+    *(("annealing", "initial_temperature", v)
+      for v in (math.nan, -1.0, 0.0, math.inf)),
+    *(("annealing", "steps_per_temperature", v)
+      for v in (-3, 0, 2.5, 20.0, True, "20")),
+    *(("greedy", "max_iterations", v) for v in (-1, 0, 2.5, 5.0, True)),
+    *(("kl", "max_passes", v) for v in (-1, 0, 2.5, 4.0, False)),
+]
+
+
+class TestKnobValidation:
+    @staticmethod
+    def problem():
+        graph = random_layered_graph(random.Random(5), n_tasks=6)
+        return PartitionProblem.from_task_graph(graph, comm=TIGHT)
+
+    @pytest.mark.parametrize("heuristic,knob,value", BAD_KNOBS)
+    def test_out_of_domain_knob_rejected_before_the_first_move(
+        self, heuristic, knob, value
+    ):
+        probe = ProgressProbe()
+        with pytest.raises(ValueError, match=rf"{heuristic}\.{knob} "):
+            HEURISTICS[heuristic](self.problem(), probe=probe,
+                                  **{knob: value})
+        assert probe.records == []
+
+    @pytest.mark.parametrize("heuristic", ["greedy", "kl", "annealing"])
+    def test_every_grid_value_is_accepted(self, heuristic):
+        problem = self.problem()
+        for knob in HEURISTIC_KNOBS[heuristic]:
+            for value in knob.values:
+                result = HEURISTICS[heuristic](problem, **{knob.name: value})
+                assert result.moves_evaluated > 0
+
+    @pytest.mark.parametrize("value", [None, 1e-6, 5.0])
+    def test_initial_temperature_domain_edges_accepted(self, value):
+        result = simulated_annealing(self.problem(),
+                                     initial_temperature=value)
+        assert result.moves_evaluated > 0
 
 
 class TestOnRandomGraphs:

@@ -272,14 +272,30 @@ FIELDS = ("latency_ns", "hw_area", "sw_size", "comm_ns", "cpu_busy_ns",
           "hw_busy_ns", "deadline_met", "start_times")
 
 
-def hand_built(rng: random.Random, n_tasks: int) -> TaskGraph:
-    """A random DAG where about a third of the edges carry no data."""
+#: task times of the tie-heavy graphs
+TIES = (1.0, 2.0, 3.0)
+
+
+def hand_built(
+    rng: random.Random, n_tasks: int, times: Optional[tuple] = None
+) -> TaskGraph:
+    """A random DAG where about a third of the edges carry no data.
+
+    With ``times``, both task times come from that small set, so many
+    ready tasks share a b-level and the insertion index in the heap key
+    decides which the list scheduler pops first.  Uniform float times
+    almost never tie, so without these graphs the suite cannot tell
+    that tie-break from another.
+    """
     graph = TaskGraph("hand")
     for i in range(n_tasks):
-        sw_time = rng.uniform(1.0, 40.0)
+        if times is None:
+            sw_time = rng.uniform(1.0, 40.0)
+            hw_time = sw_time / rng.uniform(0.5, 12.0)
+        else:
+            sw_time, hw_time = rng.choice(times), rng.choice(times)
         graph.add_task(Task(
-            f"t{i}", sw_time=sw_time,
-            hw_time=sw_time / rng.uniform(0.5, 12.0),
+            f"t{i}", sw_time=sw_time, hw_time=hw_time,
             hw_area=rng.choice((0.0, rng.uniform(5.0, 900.0))),
             sw_size=rng.uniform(0.0, 120.0),
             parallelism=rng.choice((1.0, 2.0, rng.uniform(1.0, 9.0))),
@@ -304,11 +320,13 @@ def bound(rng: random.Random, low: float, high: float):
 
 @st.composite
 def problems(draw):
-    kind = draw(st.sampled_from(sorted(GENERATORS) + ["hand"]))
+    kind = draw(st.sampled_from(sorted(GENERATORS) + ["hand", "ties"]))
     n_tasks = draw(st.integers(1, 20))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    graph = (hand_built(rng, n_tasks) if kind == "hand"
-             else generate(kind, rng, n_tasks))
+    if kind in ("hand", "ties"):
+        graph = hand_built(rng, n_tasks, TIES if kind == "ties" else None)
+    else:
+        graph = generate(kind, rng, n_tasks)
     tasks = graph.tasks
     serial = sum(t.sw_time for t in tasks)
     fastest = sum(min(t.sw_time, t.hw_time) for t in tasks) / len(tasks)
@@ -431,3 +449,42 @@ def test_unknown_tasks_raise_the_reference_error():
     with pytest.raises(KeyError) as got:
         CompiledProblem(problem).evaluate(hw)
     assert got.value.args == want.value.args
+    # the area path filters presorted inputs by membership, so it must
+    # check the names itself rather than skip the unknown ones
+    with pytest.raises(KeyError) as got:
+        CompiledProblem(problem).hardware_area(hw)
+    assert got.value.args == want.value.args
+
+
+def pop_order(graph: TaskGraph, tie_sign: int) -> list:
+    """The ready heap's pop order, ties on b-level broken by insertion
+    index (``tie_sign`` 1) or by its reverse (``-1``)."""
+    level = b_levels(graph, weight=lambda t: min(t.sw_time, t.hw_time))
+    key = {name: (-level[name], tie_sign * i, name)
+           for i, name in enumerate(graph.task_names)}
+    pending = {name: len(graph.predecessors(name)) for name in key}
+    ready = [key[name] for name in key if pending[name] == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        order.append(heapq.heappop(ready)[2])
+        for dst in graph.successors(order[-1]):
+            pending[dst] -= 1
+            if pending[dst] == 0:
+                heapq.heappush(ready, key[dst])
+    return order
+
+
+def test_tie_heavy_graphs_exercise_the_tie_break():
+    """On tie-heavy graphs, reversing the insertion-index tie-break
+    changes the pop order, which ``start_times`` records.  On graphs
+    with float times it practically never does (none of 1,600 built
+    by every generator and by :func:`hand_built`, 2-20 tasks), so only
+    the tie-heavy kind checks the tie-break."""
+    changed = 0
+    for seed in range(50):
+        graph = hand_built(random.Random(seed), 12, TIES)
+        changed += pop_order(graph, 1) != pop_order(graph, -1)
+        want = evaluate_partition(PartitionProblem(graph), ())
+        assert list(want.start_times) == pop_order(graph, 1)
+    assert changed >= 45
