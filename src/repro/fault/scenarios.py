@@ -54,6 +54,7 @@ from repro.fault.inject import (
     arm_cpu_fault,
 )
 from repro.fault.spec import CPU_KINDS, FaultSpec
+from repro.isa.instructions import N_REGS
 
 #: Default stall budget: generous against every legitimate burst of
 #: same-time activity in these scenarios, tiny against a real spin.
@@ -492,24 +493,48 @@ def _sw_arm_check(scenario: Scenario, fault: FaultSpec) -> None:
         )
 
 
+def _golden_never_reads(golden: Any, fault: FaultSpec) -> bool:
+    """Whether ``fault`` changes only state that golden's remaining run
+    never reads, so that the cell's record is golden's (DESIGN §14).
+
+    That is a flip of a register golden does not read after the due
+    retirement before writing it (:meth:`~repro.isa.BatchCpu.live_after`),
+    or of ``irq_enabled``, which the engines read only while an
+    interrupt is pending, and nothing raises one on a CPU without
+    devices.  A register index past the file is never dead, so arming
+    it raises as before.
+    """
+    if fault.kind == "cpu_flag_flip":
+        return fault.flag == "irq_enabled"
+    if fault.kind != "cpu_reg_flip" or fault.index >= N_REGS:
+        return False
+    return not golden.live_after(max(1, fault.count)) >> fault.index & 1
+
+
 def run_sw_scenario(
     scenario: Scenario,
     fault: Optional[FaultSpec] = None,
 ) -> Dict[str, Any]:
     """Run one software scenario once, as a fork of its golden run.
 
-    The cell starts as a copy of golden (:func:`_golden`) taken at the
-    latest checkpoint before its fault is due (a fault-free cell: at
-    golden's end), arms the fault counting the copy's retirements as
-    already done, and runs on the scalar tiers.  The record is
-    byte-identical to a run of the same fault from retirement 0.
+    A fault that changes only state golden never reads again
+    (:func:`_golden_never_reads`) gets golden's own record, with no
+    copy and no run.  Any other cell starts as a copy of golden
+    (:func:`_golden`) taken at the latest checkpoint before its fault
+    is due (a fault-free cell: at golden's end), arms the fault
+    counting the copy's retirements as already done, and runs on the
+    scalar tiers.  The record is byte-identical to a run of the same
+    fault from retirement 0.
     """
     sw = scenario.software
+    golden = _golden(sw)
     if fault is None:
-        cpu = _golden(sw).fork_at(sw.budget)
+        cpu = golden.fork_at(sw.budget)
     else:
         _sw_arm_check(scenario, fault)
-        cpu = _golden(sw).fork_at(max(1, fault.count) - 1)
+        if _golden_never_reads(golden, fault):
+            return run_sw_scenario(scenario, None)
+        cpu = golden.fork_at(max(1, fault.count) - 1)
         arm_cpu_fault(cpu, fault, retired=cpu.instr_count)
     error: Optional[Dict[str, str]] = None
     try:

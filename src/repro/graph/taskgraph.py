@@ -38,7 +38,9 @@ class Task:
 
     ``sw_time`` and ``hw_time`` must be finite and positive, ``hw_area``
     and ``sw_size`` finite and non-negative, ``parallelism`` finite and at
-    least 1.  ``hw_time`` defaults to ``sw_time / 4``
+    least 1, ``period`` and ``deadline`` None or finite and positive, and
+    every ``wcet`` value finite and positive.  ``hw_time`` defaults to
+    ``sw_time / 4``
     (dedicated hardware is typically several times faster than software for
     the DSP-style workloads of the era) when not given explicitly.
     """
@@ -71,11 +73,24 @@ class Task:
             self._reject("modifiability", "in [0, 1]")
         if not 1.0 <= self.parallelism < math.inf:
             self._reject("parallelism", "finite and >= 1")
+        for field_name in ("period", "deadline"):
+            value = getattr(self, field_name)
+            if value is not None and not 0.0 < value < math.inf:
+                self._reject(field_name, "None or finite and > 0")
+        for processor, value in self.wcet.items():
+            if not 0.0 < value < math.inf:
+                self._reject(f"wcet[{processor!r}]", "finite and > 0",
+                             value)
 
-    def _reject(self, field_name: str, domain: str) -> None:
+    def _reject(self, field_name: str, domain: str,
+                value: object = None) -> None:
+        """Raise the error naming this task, ``field_name`` and its
+        value: the attribute's, unless ``value`` is given."""
+        if value is None:
+            value = getattr(self, field_name)
         raise ValueError(
             f"task {self.name!r}: {field_name} must be {domain}, "
-            f"got {getattr(self, field_name)!r}"
+            f"got {value!r}"
         )
 
     def time_on(self, processor_type: str) -> float:

@@ -30,11 +30,14 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple, Union
 
 MASK32 = 0xFFFFFFFF
 N_REGS = 16
 LINK_REG = 15
+#: every register but r0, as a bit mask: r0 reads as zero whatever its
+#: slot holds, so no engine ever reads it
+ALL_REGS = (1 << N_REGS) - 2
 CUSTOM_BASE = 0x80
 
 
@@ -128,6 +131,14 @@ class Semantics:
     Loads, stores, jumps, ``reti`` and ``halt`` have neither: what they
     do is control and memory glue that each execution engine spells
     out.
+
+    ``reads`` and ``writes`` name the registers the row reads and
+    writes, glue included, as operand fields (``"rd"``, ``"rs1"``,
+    ``"rs2"``) or fixed register numbers (JAL's :data:`LINK_REG`).  A
+    read is a register whose value can change the result; an
+    instruction that retires replaces the whole of each register it
+    writes (one that traps writes none).  :meth:`Isa.register_masks`
+    turns them into bit masks for one decoded instruction.
     """
 
     fmt: Format
@@ -139,9 +150,19 @@ class Semantics:
     raises: bool = False
     #: ends a basic block of the translated tier
     ends_block: bool = False
+    #: the registers read: operand field names or register numbers
+    reads: Tuple[Union[str, int], ...] = ()
+    #: the registers written, in the same form
+    writes: Tuple[Union[str, int], ...] = ()
 
 
 _R, _I, _J = Format.R, Format.I, Format.J
+#: register access of the rows whose expressions read ``{a}`` and
+#: ``{b}`` (R-type ALU), ``{a}`` alone (I-type ALU, LW) or ``{l}`` and
+#: ``{a}`` (branches)
+_AB = dict(reads=("rs1", "rs2"), writes=("rd",))
+_A = dict(reads=("rs1",), writes=("rd",))
+_LA = dict(reads=("rd", "rs1"))
 
 #: The R32 semantics table: one row per base opcode, the one place
 #: that says what each computes.  The interpreted tier (and with it
@@ -160,49 +181,66 @@ _R, _I, _J = Format.R, Format.I, Format.J
 #:   as their two's-complement values) instead of sign-extending;
 #: * no builtin calls: ``1 if x < y else 0``, not ``int(x < y)``.
 SEMANTICS: Dict[int, Semantics] = {
-    Opcode.ADD: Semantics(_R, value="(({a}) + ({b})) & 0xFFFFFFFF"),
-    Opcode.SUB: Semantics(_R, value="(({a}) - ({b})) & 0xFFFFFFFF"),
-    Opcode.MUL: Semantics(_R, 4, "(({a}) * ({b})) & 0xFFFFFFFF"),
+    Opcode.ADD: Semantics(_R, value="(({a}) + ({b})) & 0xFFFFFFFF", **_AB),
+    Opcode.SUB: Semantics(_R, value="(({a}) - ({b})) & 0xFFFFFFFF", **_AB),
+    Opcode.MUL: Semantics(_R, 4, "(({a}) * ({b})) & 0xFFFFFFFF", **_AB),
     Opcode.DIV: Semantics(_R, 12, "_div(({a}), ({b})) & 0xFFFFFFFF",
-                          raises=True),
+                          raises=True, **_AB),
     Opcode.MOD: Semantics(_R, 12, "_mod(({a}), ({b})) & 0xFFFFFFFF",
-                          raises=True),
-    Opcode.AND: Semantics(_R, value="({a}) & ({b})"),
-    Opcode.OR: Semantics(_R, value="({a}) | ({b})"),
-    Opcode.XOR: Semantics(_R, value="({a}) ^ ({b})"),
-    Opcode.SLL: Semantics(_R, value="(({a}) << (({b}) & 31)) & 0xFFFFFFFF"),
-    Opcode.SRL: Semantics(_R, value="({a}) >> (({b}) & 31)"),
+                          raises=True, **_AB),
+    Opcode.AND: Semantics(_R, value="({a}) & ({b})", **_AB),
+    Opcode.OR: Semantics(_R, value="({a}) | ({b})", **_AB),
+    Opcode.XOR: Semantics(_R, value="({a}) ^ ({b})", **_AB),
+    Opcode.SLL: Semantics(_R, value="(({a}) << (({b}) & 31)) & 0xFFFFFFFF",
+                          **_AB),
+    Opcode.SRL: Semantics(_R, value="({a}) >> (({b}) & 31)", **_AB),
     Opcode.SRA: Semantics(_R, value="(((({a}) ^ 0x80000000) - 0x80000000)"
-                                    " >> (({b}) & 31)) & 0xFFFFFFFF"),
+                                    " >> (({b}) & 31)) & 0xFFFFFFFF", **_AB),
     Opcode.SLT: Semantics(_R, value="1 if (({a}) ^ 0x80000000)"
-                                    " < (({b}) ^ 0x80000000) else 0"),
-    Opcode.SLTU: Semantics(_R, value="1 if ({a}) < ({b}) else 0"),
-    Opcode.ADDI: Semantics(_I, value="(({a}) + ({imm})) & 0xFFFFFFFF"),
-    Opcode.ANDI: Semantics(_I, value="({a}) & (({imm}) & 0xFFFF)"),
-    Opcode.ORI: Semantics(_I, value="({a}) | (({imm}) & 0xFFFF)"),
-    Opcode.XORI: Semantics(_I, value="({a}) ^ (({imm}) & 0xFFFF)"),
+                                    " < (({b}) ^ 0x80000000) else 0", **_AB),
+    Opcode.SLTU: Semantics(_R, value="1 if ({a}) < ({b}) else 0", **_AB),
+    Opcode.ADDI: Semantics(_I, value="(({a}) + ({imm})) & 0xFFFFFFFF", **_A),
+    Opcode.ANDI: Semantics(_I, value="({a}) & (({imm}) & 0xFFFF)", **_A),
+    Opcode.ORI: Semantics(_I, value="({a}) | (({imm}) & 0xFFFF)", **_A),
+    Opcode.XORI: Semantics(_I, value="({a}) ^ (({imm}) & 0xFFFF)", **_A),
     Opcode.SLLI: Semantics(_I, value="(({a}) << (({imm}) & 31))"
-                                     " & 0xFFFFFFFF"),
-    Opcode.SRLI: Semantics(_I, value="({a}) >> (({imm}) & 31)"),
+                                     " & 0xFFFFFFFF", **_A),
+    Opcode.SRLI: Semantics(_I, value="({a}) >> (({imm}) & 31)", **_A),
     Opcode.SLTI: Semantics(_I, value="1 if (({a}) ^ 0x80000000)"
-                                     " < ({imm}) + 0x80000000 else 0"),
-    Opcode.LUI: Semantics(_I, value="(({imm}) & 0xFFFF) << 16"),
-    Opcode.LW: Semantics(_I, 2),
-    Opcode.SW: Semantics(_I, 2),
-    Opcode.BEQ: Semantics(_I, taken="({l}) == ({a})", ends_block=True),
-    Opcode.BNE: Semantics(_I, taken="({l}) != ({a})", ends_block=True),
+                                     " < ({imm}) + 0x80000000 else 0", **_A),
+    # the one ALU row that reads no register
+    Opcode.LUI: Semantics(_I, value="(({imm}) & 0xFFFF) << 16",
+                          writes=("rd",)),
+    Opcode.LW: Semantics(_I, 2, **_A),  # address base rs1
+    Opcode.SW: Semantics(_I, 2, reads=("rs1", "rd")),  # rd: the data
+    Opcode.BEQ: Semantics(_I, taken="({l}) == ({a})", ends_block=True,
+                          **_LA),
+    Opcode.BNE: Semantics(_I, taken="({l}) != ({a})", ends_block=True,
+                          **_LA),
     Opcode.BLT: Semantics(_I, taken="(({l}) ^ 0x80000000)"
                                     " < (({a}) ^ 0x80000000)",
-                          ends_block=True),
+                          ends_block=True, **_LA),
     Opcode.BGE: Semantics(_I, taken="(({l}) ^ 0x80000000)"
                                     " >= (({a}) ^ 0x80000000)",
-                          ends_block=True),
+                          ends_block=True, **_LA),
     Opcode.J: Semantics(_J, ends_block=True),
-    Opcode.JAL: Semantics(_J, 2, ends_block=True),
-    Opcode.JR: Semantics(_I, ends_block=True),  # jumps to rs1
+    Opcode.JAL: Semantics(_J, 2, ends_block=True, writes=(LINK_REG,)),
+    Opcode.JR: Semantics(_I, ends_block=True, reads=("rs1",)),  # to rs1
     Opcode.RETI: Semantics(_J, 2, ends_block=True),
     Opcode.HALT: Semantics(_J, ends_block=True),
 }
+
+
+def _mask(instr: Instruction, fields: Tuple[Union[str, int], ...]) -> int:
+    """The registers ``fields`` (:attr:`Semantics.reads` or
+    :attr:`~Semantics.writes`) name in ``instr``, as a bit mask without
+    r0."""
+    bits = 0
+    for field in fields:
+        bits |= 1 << (field if isinstance(field, int)
+                      else getattr(instr, field))
+    return bits & ALL_REGS
+
 
 #: The names the table's expressions call, for every tier's namespace.
 HELPERS = {"_div": _div, "_mod": _mod}
@@ -411,6 +449,24 @@ class Isa:
     def customs(self) -> Tuple[CustomOp, ...]:
         """All installed custom ops, by opcode order."""
         return tuple(self._customs[k] for k in sorted(self._customs))
+
+    def register_masks(self, instr: Instruction) -> Tuple[int, int]:
+        """The registers ``instr`` reads and writes, as bit masks (bit
+        r for register r, never r0).
+
+        A base opcode has its :data:`SEMANTICS` row's sets, a custom op
+        reads rs1 and rs2 and writes rd, and any other opcode reads
+        every register and writes none.
+        """
+        op = instr.opcode
+        row = SEMANTICS.get(op)
+        if row is not None:
+            reads, writes = row.reads, row.writes
+        elif op in self._customs:  # rd = semantics(rs1, rs2)
+            reads, writes = ("rs1", "rs2"), ("rd",)
+        else:
+            return ALL_REGS, 0
+        return _mask(instr, reads), _mask(instr, writes)
 
     def custom_area(self) -> float:
         """Total functional-unit area of the installed custom ops."""

@@ -24,6 +24,7 @@ attractive at the time.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Dict, FrozenSet, List, Optional
 
@@ -59,8 +60,20 @@ def gclp_partition(
     ``probe`` receives one convergence record per node decision — the
     global criticality, the node's extremity-shifted threshold, and the
     chosen side — plus one per repair-phase move.
+
+    ``base_threshold`` must lie in [0, 1] and ``extremity_gain`` be
+    finite and >= 0; anything else raises ``ValueError`` before the
+    first move.
     """
     resolve_rng(seed, rng)  # validate the uniform interface contract
+    # these used to run silently: a threshold of NaN, inf or 5, or a
+    # NaN gain, sent every node to software
+    if not 0.0 <= base_threshold <= 1.0:
+        raise ValueError(f"gclp.base_threshold must be in [0, 1], "
+                         f"got {base_threshold!r}")
+    if not 0.0 <= extremity_gain < math.inf:
+        raise ValueError(f"gclp.extremity_gain must be finite and >= 0, "
+                         f"got {extremity_gain!r}")
     graph = problem.graph
     names = graph.task_names
     compiled = CompiledProblem(problem)

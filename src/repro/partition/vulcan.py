@@ -14,6 +14,7 @@ impact are small leave hardware first.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import FrozenSet, Optional
 
@@ -43,8 +44,16 @@ def vulcan_partition(
     ``probe`` receives one convergence record per accepted extraction
     (the six-factor cost of the shrinking partition, its latency, and
     the remaining hardware population).
+
+    ``slack_factor`` must be finite and > 0; anything else raises
+    ``ValueError`` before the first move.
     """
     resolve_rng(seed, rng)  # validate the uniform interface contract
+    # NaN, 0 or a negative factor kept the all-hardware start, and inf
+    # moved everything to software
+    if not 0.0 < slack_factor < math.inf:
+        raise ValueError(f"vulcan.slack_factor must be finite and > 0, "
+                         f"got {slack_factor!r}")
     graph = problem.graph
     compiled = CompiledProblem(problem)
     hw = frozenset(graph.task_names)

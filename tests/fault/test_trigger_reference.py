@@ -35,6 +35,7 @@ from repro.cosim.kernel import Simulator
 from repro.cosim.translevel import RegisterDevice
 from repro.fault import SCENARIOS, FaultSpec, run_campaign, sample_faults
 from repro.fault import inject as inject_mod
+from repro.fault import scenarios
 from repro.fault.inject import FaultInjector, System, arm_cpu_fault
 from repro.fault.spec import CPU_FLAGS
 from repro.isa import BatchCpu
@@ -469,9 +470,14 @@ def test_faulted_campaign_never_steps(monkeypatch, name):
             raise AssertionError(f"Cpu.{label} called")
         return boom
 
+    scenario = SCENARIOS[name]
+    if scenario.software is not None:
+        # golden's one liveness replay is observed by design; the cells
+        # must not be
+        scenarios._golden(scenario.software)
     monkeypatch.setattr(Cpu, "step", poisoned("step"))
     monkeypatch.setattr(Cpu, "_observed_step", poisoned("_observed_step"))
-    faults = sample_faults(SCENARIOS[name].targets, 200, seed=7)
+    faults = sample_faults(scenario.targets, 200, seed=7)
     doc = run_campaign(name, faults).to_json()
     assert calls == []
     assert hashlib.sha256(doc.encode()).hexdigest() == DOCUMENT_SHA256[name]

@@ -66,6 +66,33 @@ class TestTask:
         task = Task("x", **{"sw_time": 4.0, field: value})
         assert getattr(task, field) == value
 
+    @pytest.mark.parametrize("field,value", [
+        ("period", math.nan), ("period", 0.0), ("period", -5.0),
+        ("period", math.inf), ("deadline", math.inf),
+        ("deadline", math.nan), ("deadline", 0.0), ("deadline", -1.0),
+    ])
+    def test_rejects_bad_period_or_deadline(self, field, value):
+        """The periodic synthesizer divides the hyperperiod by
+        ``period`` and schedules against ``deadline``; a NaN, zero,
+        negative or infinite one used to be accepted."""
+        with pytest.raises(ValueError, match=rf"task 'x': {field} .*got "
+                           + re.escape(repr(value))):
+            Task("x", sw_time=4.0, **{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -3.0])
+    def test_rejects_bad_wcet_value(self, value):
+        with pytest.raises(ValueError, match=r"task 'x': wcet\['dsp'\] "
+                           r".*got " + re.escape(repr(value))):
+            Task("x", sw_time=4.0, wcet={"arm": 2.0, "dsp": value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("period", None), ("period", 1e-9), ("deadline", None),
+        ("deadline", 1e-9), ("wcet", {}), ("wcet", {"dsp": 1e-9}),
+    ])
+    def test_accepts_timing_domain_edges(self, field, value):
+        task = Task("x", **{"sw_time": 4.0, field: value})
+        assert getattr(task, field) == value
+
     def test_time_on_falls_back_to_sw_time(self):
         t = Task("x", sw_time=7.0, wcet={"dsp": 3.0})
         assert t.time_on("dsp") == 3.0

@@ -16,6 +16,7 @@ from repro.partition import (
     ProgressProbe,
     cosyma_partition,
     evaluate_partition,
+    gclp_partition,
     greedy_partition,
     kernighan_lin,
     simulated_annealing,
@@ -199,6 +200,11 @@ BAD_KNOBS = [
       for v in (-3, 0, 2.5, 20.0, True, "20")),
     *(("greedy", "max_iterations", v) for v in (-1, 0, 2.5, 5.0, True)),
     *(("kl", "max_passes", v) for v in (-1, 0, 2.5, 4.0, False)),
+    *(("vulcan", "slack_factor", v)
+      for v in (math.nan, -1.0, 0.0, math.inf)),
+    *(("gclp", "base_threshold", v)
+      for v in (math.nan, math.inf, 5.0, -0.1, 1.01)),
+    *(("gclp", "extremity_gain", v) for v in (math.nan, math.inf, -0.25)),
 ]
 
 
@@ -218,13 +224,22 @@ class TestKnobValidation:
                                   **{knob: value})
         assert probe.records == []
 
-    @pytest.mark.parametrize("heuristic", ["greedy", "kl", "annealing"])
+    @pytest.mark.parametrize("heuristic",
+                             ["greedy", "kl", "annealing", "vulcan", "gclp"])
     def test_every_grid_value_is_accepted(self, heuristic):
         problem = self.problem()
         for knob in HEURISTIC_KNOBS[heuristic]:
             for value in knob.values:
                 result = HEURISTICS[heuristic](problem, **{knob.name: value})
                 assert result.moves_evaluated > 0
+
+    @pytest.mark.parametrize("knob,value", [
+        ("base_threshold", 0.0), ("base_threshold", 1.0),
+        ("extremity_gain", 0.0), ("extremity_gain", 3.0),
+    ])
+    def test_gclp_domain_edges_accepted(self, knob, value):
+        result = gclp_partition(self.problem(), **{knob: value})
+        assert result.moves_evaluated > 0
 
     @pytest.mark.parametrize("value", [None, 1e-6, 5.0])
     def test_initial_temperature_domain_edges_accepted(self, value):
