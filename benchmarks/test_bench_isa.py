@@ -90,13 +90,16 @@ class _UncachedIsa(Isa):
     """The decode-every-step baseline: ``step()`` runs on the
     interpreted tier, which would decode each word once into the ISA's
     operand cache, so the cache here keeps nothing and every step pays
-    the full field extraction."""
+    the full field extraction and looks the word's compiled function
+    up again; ``decodes`` counts the decodes."""
 
     def __init__(self):
         super().__init__()
         self._ops = _NoMemo()
+        self.decodes = 0
 
     def decode(self, word):
+        self.decodes += 1
         return self.decode_uncached(word)
 
 
@@ -125,6 +128,16 @@ def _block_run(cpu):
     return cpu.instr_count
 
 
+def _baseline(limit):
+    """The step loop on :class:`_UncachedIsa`: it must decode once per
+    step."""
+    cpu = _build(limit, _UncachedIsa())
+    cpu.isa.decodes = 0
+    steps = _step_loop(cpu)
+    assert cpu.isa.decodes == steps, (cpu.isa.decodes, steps)
+    return steps
+
+
 def measure(limit=LIMIT, rounds=ROUNDS):
     """Interleaved rounds over the two decode paths and three executors."""
     words = list(_build(limit).memory.ram.values())
@@ -144,7 +157,7 @@ def measure(limit=LIMIT, rounds=ROUNDS):
         "decode_uncached": decode_uncached,
         "decode_cached": decode_cached,
         # the three executors retire the identical instruction stream
-        "baseline": lambda: _step_loop(_build(limit, _UncachedIsa())),
+        "baseline": lambda: _baseline(limit),
         "step": lambda: _step_loop(_build(limit)),
         "block": lambda: _block_run(_build(limit)),
     }

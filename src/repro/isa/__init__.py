@@ -5,21 +5,25 @@ executing on an instruction-set processor.  This package provides that
 processor end to end:
 
 * :mod:`repro.isa.instructions` — the R32 ISA definition, the one
-  semantics table every execution tier builds each opcode from, and
-  the binary encoding, including a reserved *custom-instruction*
-  opcode space used by the ASIP tools (Section 4.3/4.4 of the paper);
+  semantics table every opcode's code is built from, and the binary
+  encoding, including a reserved *custom-instruction* opcode space
+  used by the ASIP tools (Section 4.3/4.4 of the paper);
 * :mod:`repro.isa.assembler` — a two-pass assembler with labels, data
   directives, and pseudo-instructions;
 * :mod:`repro.isa.cpu` — a cycle-counting functional CPU model with
   memory-mapped I/O and interrupts, and :meth:`~repro.isa.cpu.Cpu.fork`
   to copy a running one;
+* :mod:`repro.isa.emit` — the one code generator of both execution
+  engines: Python source for a run of instructions, semantics and
+  glue, compiled once per word for the interpreted tier and once per
+  hot block for the translator;
 * :mod:`repro.isa.codegen` — a code generator lowering CDFG behaviors to
   R32 assembly (the same behaviors high-level synthesis lowers to
   hardware, enabling true co-verification);
 * :mod:`repro.isa.profiler` — execution profiling for hot-spot-driven
   partitioning and custom-instruction mining;
 * :mod:`repro.isa.translate` — the block-translation engine: hot
-  basic blocks compiled to specialized Python closures, shared by
+  basic blocks compiled to specialized Python functions, shared by
   every CPU in the process and diffed against the interpreted tier and
   a frozen reference interpreter (DESIGN §13); long CPU-resident runs
   use it by default;

@@ -1,7 +1,8 @@
 """A cycle-counting functional model of the R32 processor.
 
 The model executes instructions on two engines behind
-:meth:`Cpu.run_block`; :meth:`Cpu.step` executes one and reports the
+:meth:`Cpu.run_block`, both running code of one generator
+(:mod:`repro.isa.emit`); :meth:`Cpu.step` executes one and reports the
 cycles it consumed.  Two features make it a *co-simulation* CPU rather
 than just an interpreter:
 
@@ -25,14 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from repro.isa.instructions import (
-    TAKEN,
-    CpuError,
-    Instruction,
-    Isa,
-    MASK32,
-    N_REGS,
-)
+from repro.isa.emit import DEFER, HALT, word_function
+from repro.isa.instructions import CpuError, Instruction, Isa, MASK32, N_REGS
 
 
 @dataclass
@@ -92,8 +87,11 @@ class Memory:
         external: bool = False,
     ) -> None:
         """Map a device region at [base, base+size) word addresses."""
-        if size <= 0:
-            raise ValueError("region size must be positive")
+        for what, value, least in (("base", base, 0), ("size", size, 1)):
+            if isinstance(value, bool) or not isinstance(value, int) \
+                    or value < least:
+                raise ValueError(f"region {name!r}: {what} must be an "
+                                 f"int >= {least}, got {value!r}")
         for region in self._regions:
             if region.base < base + size and base < region.base + region.size:
                 raise ValueError(
@@ -377,7 +375,12 @@ class Cpu:
 
         Executes in :meth:`run_block` calls, so observers and triggers
         see every retirement as they do under :meth:`step`.
+        ``max_instructions`` must be an int (not a bool).
         """
+        if isinstance(max_instructions, bool) or \
+                not isinstance(max_instructions, int):
+            raise ValueError(f"max_instructions must be an int, got "
+                             f"{max_instructions!r}")
         start_cycles = self.cycle_count
         executed = 0
         while not self.halted:
@@ -415,7 +418,8 @@ class Cpu:
         :meth:`complete_access`; and the pending
         :class:`ExternalAccess`, if any.
 
-        Two engines execute, observably identically at any budget
+        Two engines execute code of one generator
+        (:mod:`repro.isa.emit`), observably identically at any budget
         (DESIGN.md §9, §13): the interpreted tier
         (:meth:`_run_block_fast`) and the block translator
         (:mod:`repro.isa.translate`), built by the first call with no
@@ -500,13 +504,16 @@ class Cpu:
     def _run_block_fast(
         self, max_steps: int
     ) -> Tuple[int, int, Optional[ExternalAccess]]:
-        """The interpreted tier: :meth:`run_block` semantics over the
-        pre-decoded operand cache (no observer, trigger or translator
-        dispatch — callers show retirements to observers themselves and
-        guarantee no trigger falls due within ``max_steps``)."""
+        """The interpreted tier: :meth:`run_block` semantics, one call
+        per step of the decoded word's compiled function (the ISA's
+        operand cache, filled by :meth:`_predecode`), with no observer,
+        trigger or translator dispatch — callers show retirements to
+        observers themselves and guarantee no trigger falls due within
+        ``max_steps``.  The loop knows no opcode: each function retires
+        its instruction and commits ``pc`` and the counters itself
+        (:mod:`repro.isa.emit`)."""
         if self.halted or max_steps <= 0:
             return 0, 0, None
-
         memory = self.memory
         ram = memory.ram
         regs = self.regs
@@ -515,98 +522,44 @@ class Cpu:
             isa._ops.clear()
             isa._ops_version = isa.version
         ops = isa._ops
-        instr0 = self.instr_count
         cycles0 = self.cycle_count
-        pc = self.pc
-        retired = 0
-        limit = max_steps  # less one step per interrupt taken
-        cycles = 0
         irq_cycles = 0  # returned to the caller, never in cycle_count
-        try:
-            while retired < limit:
-                if self.irq_pending and self.irq_enabled:
-                    self.pc = pc
-                    irq_cycles += self._take_irq()
-                    pc = self.pc
-                    limit -= 1
-                    continue
-                try:
-                    entry = ops[ram[pc]]
-                except KeyError:  # an operand-cache miss, or no word
-                    word = ram.get(pc)
-                    if word is None:
-                        raise CpuError(
-                            f"fetch from unprogrammed address {pc:#x}"
-                        ) from None
-                    entry = self._predecode(word, pc)
-                op, rd, rs1, rs2, imm, cyc, instr, value, taken = entry
-                a = regs[rs1] if rs1 else 0
-                if value:  # the table's ALU rows, custom ops
-                    v = value(a, regs[rs2] if rs2 else 0, imm)
-                    if rd:
-                        regs[rd] = v
-                    pc += 1
-                elif taken:  # the table's branch rows
-                    if taken(regs[rd] if rd else 0, a):
-                        pc += imm
-                        cyc += 1  # taken-branch penalty
-                    pc += 1
-                elif op == 0x30 or op == 0x31:  # LW / SW
-                    # call-out: expose architectural state to handlers
-                    self.pc = pc
-                    self.instr_count = instr0 + retired
-                    self.cycle_count = cycles0 + cycles
-                    try:
-                        if op == 0x30:
-                            v = memory.read(a + imm) & MASK32
-                            if rd:
-                                regs[rd] = v
-                        else:
-                            memory.write(a + imm, regs[rd] if rd else 0)
-                    except _Defer as defer:
-                        self._pending = (pc, instr, defer.access)
-                        steps = retired + max_steps - limit + 1
-                        return steps, cycles + irq_cycles, defer.access
-                    pc += 1
-                elif op == 0x50:  # J
-                    pc = imm
-                elif op == 0x51:  # JAL
-                    regs[15] = (pc + 1) & MASK32
-                    pc = imm
-                elif op == 0x52:  # JR
-                    pc = a
-                elif op == 0x60:  # RETI
-                    pc = self.epc
-                    self.irq_enabled = True
-                elif op == 0x7F:  # HALT: pc stays put
-                    self.halted = True
-                    cycles += cyc
-                    retired += 1
+        steps = 0
+        while steps < max_steps:
+            steps += 1
+            if self.irq_pending and self.irq_enabled:
+                irq_cycles += self._take_irq()
+                continue
+            pc = self.pc
+            try:
+                fn = ops[ram[pc]]
+            except KeyError:  # an operand-cache miss, or no word
+                word = ram.get(pc)
+                if word is None:
+                    raise CpuError(
+                        f"fetch from unprogrammed address {pc:#x}"
+                    ) from None
+                fn = self._predecode(word, pc)
+            flag = fn(self, regs, memory, pc, self.instr_count,
+                      self.cycle_count) & 7
+            if flag:  # not END
+                if flag == HALT:
                     break
-                else:  # pragma: no cover - decode guarantees known opcodes
-                    raise CpuError(f"unimplemented opcode {op:#x}")
-                cycles += cyc
-                retired += 1
-        finally:
-            self.pc = pc
-            self.instr_count = instr0 + retired
-            self.cycle_count = cycles0 + cycles
-        return retired + max_steps - limit, cycles + irq_cycles, None
+                if flag == DEFER:
+                    return (steps, self.cycle_count - cycles0 + irq_cycles,
+                            self._pending[2])
+        return steps, self.cycle_count - cycles0 + irq_cycles, None
 
-    def _predecode(self, word: int, pc: int) -> tuple:
-        """Fill the ISA's fast-path operand-cache entry for ``word``."""
+    def _predecode(self, word: int, pc: int) -> Callable:
+        """Fill the ISA's operand-cache entry for ``word``: its
+        one-instruction function (:func:`repro.isa.emit.word_function`)."""
         isa = self.isa
         try:
             instr = isa.decode(word)
         except ValueError as exc:
             raise CpuError(f"pc={pc:#x}: {exc}") from None
-        op = instr.opcode
-        entry = (
-            op, instr.rd, instr.rs1, instr.rs2, instr.imm,
-            isa.cycle_table()[op], instr, isa._values.get(op), TAKEN.get(op),
-        )
-        isa._ops[word] = entry
-        return entry
+        fn = isa._ops[word] = word_function(isa, word, instr)
+        return fn
 
     def __repr__(self) -> str:
         return (

@@ -16,8 +16,8 @@ Binary layout (32 bits)::
     [31:24] opcode   [23:0]  imm24 (signed)
 
 What each base opcode computes is written once, in :data:`SEMANTICS`;
-both execution engines, the interpreted tier and the block
-translator, build their arithmetic from it.
+the one code generator both execution engines run
+(:mod:`repro.isa.emit`) builds every instruction from it.
 
 Opcodes ``0x80``-``0xFF`` are the *custom instruction* space: an ASIP
 derivative of R32 binds these to application-specific functional units
@@ -129,8 +129,8 @@ class Semantics:
     ``{imm}`` (the decoded, sign-extended immediate).  ``taken``
     (branches) is the condition over ``{l}`` (rd's value) and ``{a}``.
     Loads, stores, jumps, ``reti`` and ``halt`` have neither: what they
-    do is control and memory glue that each execution engine spells
-    out.
+    do is control and memory glue, written once, in the code generator
+    both engines run (:mod:`repro.isa.emit`).
 
     ``reads`` and ``writes`` name the registers the row reads and
     writes, glue included, as operand fields (``"rd"``, ``"rs1"``,
@@ -165,11 +165,10 @@ _A = dict(reads=("rs1",), writes=("rd",))
 _LA = dict(reads=("rd", "rs1"))
 
 #: The R32 semantics table: one row per base opcode, the one place
-#: that says what each computes.  The interpreted tier (and with it
-#: ``Cpu.step()``) calls each expression compiled once (:data:`VALUES`,
-#: :data:`TAKEN`); the block translator pastes operand text into the
-#: same strings (registers as ``regs[i]``, r0 as ``0``, the immediate
-#: as a literal), so every expression is written the way translated
+#: that says what each computes.  The code generator
+#: (:mod:`repro.isa.emit`) pastes operand text into its strings
+#: (registers as ``regs[i]``, r0 as ``0``, the immediate as a literal)
+#: for both engines, so every expression is written the way generated
 #: code should run it:
 #:
 #: * every placeholder is parenthesised, so negative immediates and
@@ -242,24 +241,10 @@ def _mask(instr: Instruction, fields: Tuple[Union[str, int], ...]) -> int:
     return bits & ALL_REGS
 
 
-#: The names the table's expressions call, for every tier's namespace.
+#: The names the table's expressions call, for the generated code's
+#: namespace.
 HELPERS = {"_div": _div, "_mod": _mod}
 
-
-def _compile(params: str, text: str, **operands: str) -> Callable:
-    return eval(f"lambda {params}: {text.format(**operands)}", dict(HELPERS))
-
-
-#: opcode -> ``value(a, b, imm)`` of every ALU row
-VALUES: Dict[int, Callable[[int, int, int], int]] = {
-    int(op): _compile("a, b, imm", row.value, a="a", b="b", imm="imm")
-    for op, row in SEMANTICS.items() if row.value is not None
-}
-#: opcode -> ``taken(l, a)`` of every branch row
-TAKEN: Dict[int, Callable[[int, int], bool]] = {
-    int(op): _compile("l, a", row.taken, l="l", a="a")
-    for op, row in SEMANTICS.items() if row.taken is not None
-}
 FORMATS: Dict[int, Format] = {op: row.fmt for op, row in SEMANTICS.items()}
 #: Default cycle costs; an :class:`Isa` may override.
 DEFAULT_CYCLES: Dict[int, int] = {
@@ -358,8 +343,8 @@ class Isa:
     :meth:`cycle_table`.  :attr:`version` counts every mutation that
     could invalidate either — :meth:`add_custom`, each mutating method
     of :attr:`cycles` and assigning :attr:`cycles` — so caches key on
-    it.  The CPU fast path's per-word operand cache lives here too, so
-    every CPU on one ISA shares it.
+    it.  The interpreted tier's per-word operand cache lives here too,
+    so every CPU on one ISA shares it.
     """
 
     def __init__(self, name: str = "r32") -> None:
@@ -372,14 +357,11 @@ class Isa:
         self._decode_cache: Dict[int, Instruction] = {}
         self._cycle_table: Optional[Dict[int, int]] = None
         self._cycle_table_version = -1
-        #: opcode -> value(a, b, imm): the table's ALU rows
-        #: (:data:`VALUES`) plus the installed custom ops
-        self._values: Dict[int, Callable[[int, int, int], int]] = \
-            dict(VALUES)
-        #: word -> (opcode, rd, rs1, rs2, imm, cycles, Instruction,
-        #: value-or-None, taken-or-None), filled by the CPU fast path
-        #: (``Cpu._predecode``) and valid for ``_ops_version`` only
-        self._ops: Dict[int, tuple] = {}
+        #: word -> its compiled one-instruction function
+        #: (:func:`repro.isa.emit.word_function`), filled by the
+        #: interpreted tier (``Cpu._predecode``) and valid for
+        #: ``_ops_version`` only
+        self._ops: Dict[int, Callable] = {}
         self._ops_version = -1
 
     @property
@@ -423,8 +405,6 @@ class Isa:
             raise ValueError(f"mnemonic {name!r} already in use")
         self._customs[op.opcode] = op
         self._custom_by_name[name] = op
-        self._values[op.opcode] = \
-            lambda a, b, imm: op.semantics(a, b) & MASK32
         # a formerly-illegal word may now decode; drop the memo table
         self._decode_cache.clear()
         self.version += 1

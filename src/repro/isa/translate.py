@@ -1,23 +1,16 @@
-"""The block-translation execution tier: hot basic blocks as closures.
+"""The block-translation execution tier: hot basic blocks as functions.
 
 This is the second R32 execution engine, beside the interpreted tier
-``Cpu._run_block_fast`` (a pre-decoded operand-cache loop, of which
-``Cpu.step()`` runs one step).  A :class:`BlockTranslator` compiles
-each hot basic block — a maximal straight-line run of instructions
-ending at the first control transfer — into one specialized Python
-function:
-each instruction's meaning is pasted from the R32 semantics table
-(:data:`repro.isa.instructions.SEMANTICS`) with its operands
-pre-resolved to direct ``regs[i]`` subscripts, ``r0`` to a literal
-zero and the immediate to a literal (so CPython's constant folder
-turns ``lui``/``addi r, r0`` into constants), cycle accounting is
-fused into compile-time prefix sums, and the dispatch chain of the
-interpreter disappears entirely.  Executing a block is one function
-call instead of one interpreter iteration per instruction.
-
-The tier is governed by the DESIGN.md §9/§13 equivalence contract —
-**a fast path may move host time, never model results** — and keeps it
-the same way the interpreted tier does:
+``Cpu._run_block_fast``.  Both run code of one generator
+(:mod:`repro.isa.emit`): the interpreted tier one function per decoded
+word, the translator one per hot basic block — a maximal straight-line
+run of instructions ending at the first control transfer — with every
+``pc`` a literal.  Executing a block is one function call instead of
+one per instruction.  Its state commits before faultable operations,
+deferred accesses and IRQ re-checks are the interpreted tier's, line
+for line, so the DESIGN.md §9/§13 equivalence contract — **a fast path
+may move host time, never model results** — rests on what the
+translator adds:
 
 * **Observers run on the interpreted tier.**  ``Cpu.run_block``
   dispatches to the translator only when ``cpu.observers`` is empty,
@@ -27,46 +20,32 @@ the same way the interpreted tier does:
   fault trigger does not leave it: ``run_block`` runs the translator
   up to the due retirement, fires the trigger, and runs on.
 * **Interrupts hit the same boundaries.**  The dispatcher checks the
-  IRQ lines between blocks, and translated code re-checks after every
-  instruction whose side effects could raise one mid-block (memory
-  accesses through device regions, custom-op semantics) — exactly the
-  points where the interpreted loop's per-instruction check could
-  observe a new ``irq_pending``.
-* **External accesses defer identically.**  A load/store that hits an
-  external region sets ``cpu._pending`` with the same ``(pc, instr,
-  access)`` triple, the same un-advanced ``pc``, and the same counter
-  state as the interpreter, then surfaces the
-  :class:`~repro.isa.cpu.ExternalAccess` out of ``run_block``.
-* **Errors carry the same message at the same state.**  Translated
-  code commits architectural state *before* every faultable operation
-  (div/mod, memory, custom semantics), so a ``CpuError`` propagates
-  with the identical boundary snapshot the interpreter's ``finally``
-  would leave.
+  IRQ lines between blocks; inside one, the generated re-check after
+  each instruction that may raise one (memory accesses, custom ops)
+  exits the block where the interpreted loop would next check.
+* **Budget exactness.**  The backplane's ``batch_instructions``
+  budget is a step-equivalent count, so a block longer than the
+  remaining budget is never run translated — the dispatcher hands the
+  exact remainder to the interpreted tier instead, preserving the
+  precise sequence of timeouts and adapter activations at any batch
+  size.  A CPU builds its translator only on a ``run_block`` call
+  whose budget can hold a whole block
+  (:data:`~repro.isa.cpu.MAX_BLOCK_LEN`), so a CPU the backplane steps
+  a few instructions at a time never builds one.
 
 Compiled blocks live in one process-wide cache keyed by the entry
 ``pc``, the block's code words, the ISA's cycle table and the semantics
 objects of any custom ops in the block — everything code generation
-bakes in.  A compiled block holds no per-CPU state (the CPU, its
-registers and memory are arguments), so every translator in the process
-reuses it without compiling.  Each translator keeps its own ``pc`` ->
-block map on top, guarded per CPU: :attr:`Isa.version` drops the map on
-``add_custom`` or cycle-table edits, and a write-watch guards the code
-words — :class:`~repro.isa.cpu.Memory` bumps its ``code_version``
-whenever a store or ``load_image`` touches an address covered by a
-block this translator runs, compiled or reused, from *any* tier (so
-self-modifying stores executed under observers still invalidate), and
-translated stores additionally early-exit their own block when they
-rewrite it.  RAM mutations that bypass ``Memory.write``/``load_image``
-(direct pokes at the ``ram`` dict) are outside the contract.
-
-Budget exactness: the backplane's ``batch_instructions`` budget is a
-step-equivalent count, so a block longer than the remaining budget is
-never run translated — the dispatcher hands the exact remainder to the
-interpreted fast tier instead, preserving the precise sequence of
-timeouts and adapter activations at any batch size.  A CPU builds its
-translator only on a ``run_block`` call whose budget can hold a whole
-block (:data:`~repro.isa.cpu.MAX_BLOCK_LEN`), so a CPU the backplane
-steps a few instructions at a time never builds one.
+bakes in — so every translator in the process reuses them.  Each
+translator keeps its own ``pc`` -> block map on top, guarded per CPU:
+:attr:`Isa.version` drops the map on ``add_custom`` or cycle-table
+edits, and a write-watch guards the code words —
+:class:`~repro.isa.cpu.Memory` bumps its ``code_version`` whenever a
+store or ``load_image`` touches an address covered by a block this
+translator runs, from *any* tier, and a translated store that rewrites
+its own block exits it at once.  RAM mutations that bypass
+``Memory.write``/``load_image`` (direct pokes at the ``ram`` dict) are
+outside the contract.
 """
 
 from __future__ import annotations
@@ -75,8 +54,9 @@ import contextlib
 from typing import Dict, List, Optional, Tuple
 
 from repro.isa import cpu as _cpu_mod
-from repro.isa.cpu import MAX_BLOCK_LEN, Cpu, CpuError, ExternalAccess, _Defer
-from repro.isa.instructions import HELPERS, MASK32, SEMANTICS, Instruction
+from repro.isa.cpu import MAX_BLOCK_LEN, Cpu, CpuError, ExternalAccess
+from repro.isa.emit import DEFER, END, HALT, TERMINATORS, compile_code
+from repro.isa.instructions import MASK32, Instruction
 
 __all__ = [
     "BlockTranslator",
@@ -91,30 +71,9 @@ MAX_SHARED_BLOCKS = 4 * MAX_BLOCKS
 #: Entries into a block before it is compiled (1 = translate eagerly).
 DEFAULT_HOT_THRESHOLD = 2
 
-# exit flags in the low 3 bits of a translated function's return value
-# (the high bits carry the step count, so most returns are baked-in
-# integer literals)
-_END = 0     # block ran to its terminator or fell off its end
-_IRQ = 1     # an enabled interrupt became pending mid-block
-_SMC = 2     # a store rewrote this block's own code
-_DEFER = 3   # an external access deferred (cpu._pending is set)
-_HALT = 4    # halt retired
-
-#: Opcodes that end a basic block.
-_TERMINATORS = frozenset(
-    op for op, row in SEMANTICS.items() if row.ends_block
-)
-
-_M = MASK32  # literal spelled into generated source
-
 #: compiled blocks shared by every translator in the process:
 #: (pc, code words, cycle table, custom semantics) -> (fn, addrs)
 _SHARED: Dict[tuple, Tuple] = {}
-
-
-def _reg(index: int) -> str:
-    """Operand source text with r0 pre-resolved to a literal zero."""
-    return f"regs[{index}]" if index else "0"
 
 
 class BlockTranslator:
@@ -230,38 +189,40 @@ class BlockTranslator:
                         break
                     continue
                 res = entry[0](
-                    cpu, regs, memory, cpu.instr_count, cpu.cycle_count
+                    cpu, regs, memory, pc, cpu.instr_count, cpu.cycle_count
                 )
                 steps += res >> 3
                 flag = res & 7
-                if flag == _END:
+                if flag == END:
                     continue
-                if flag == _HALT:
+                if flag == HALT:
                     break
-                if flag == _DEFER:
+                if flag == DEFER:
                     return (steps, cpu.cycle_count - cycles0 + extra,
                             cpu._pending[2])
-                self.early_exits += 1  # _IRQ or _SMC: re-dispatch
+                self.early_exits += 1  # IRQ or SMC: re-dispatch
                 continue
             # cold block, or stale after a code-watch bump
             instrs, addrs, words = self._scan(pc)
-            if not instrs:
-                self._raise_fetch_error(pc)
-            key = self._key(pc, instrs, words)
-            shared = _SHARED.get(key)
-            if shared is not None:
-                self.reused += 1
-            else:
-                hits = counts.get(pc, 0) + 1
-                counts[pc] = hits
-                if entry is not None or hits >= self.hot_threshold:
-                    shared = self._compile(pc, instrs, addrs, key)
+            shared = None
+            if instrs:
+                key = self._key(pc, instrs, words)
+                shared = _SHARED.get(key)
+                if shared is not None:
+                    self.reused += 1
+                else:
+                    hits = counts.get(pc, 0) + 1
+                    counts[pc] = hits
+                    if entry is not None or hits >= self.hot_threshold:
+                        shared = self._compile(pc, instrs, addrs, key)
             if shared is not None:
                 blocks[pc] = self._install(pc, *shared)
                 continue
+            # interpreted; with no word at pc, or an illegal one, the
+            # interpreted tier raises its fetch or decode error
             before = cpu.cycle_count
             s, c, access = cpu._run_block_fast(
-                min(len(instrs), max_steps - steps)
+                min(len(instrs) or 1, max_steps - steps)
             )
             steps += s
             extra += c - (cpu.cycle_count - before)
@@ -299,7 +260,7 @@ class BlockTranslator:
             instrs.append(instr)
             addrs.append(pc)
             words.append(word)
-            if instr.opcode in _TERMINATORS:
+            if instr.opcode in TERMINATORS:
                 break
             pc += 1
         return instrs, addrs, tuple(words)
@@ -337,186 +298,19 @@ class BlockTranslator:
         self.translations += 1
         return (fn, len(addrs), memory.code_version)
 
-    def _raise_fetch_error(self, pc: int) -> None:
-        """Reproduce the interpreter's fetch/decode error exactly."""
-        word = self.cpu.memory.ram.get(pc)
-        if word is None:
-            raise CpuError(f"fetch from unprogrammed address {pc:#x}")
-        try:
-            self.cpu.isa.decode(word)
-        except ValueError as exc:
-            raise CpuError(f"pc={pc:#x}: {exc}") from None
-        raise AssertionError(  # pragma: no cover - scan() mirrors decode
-            f"block scan rejected decodable word at {pc:#x}"
-        )
-
-    # ------------------------------------------------------------------
-    # code generation
-    # ------------------------------------------------------------------
     def _compile(
         self, pc0: int, instrs: List[Instruction], addrs: List[int],
         key: tuple,
     ) -> Tuple:
-        """Compile one scanned block into its specialized function and
-        share it; returns the shared ``(fn, addrs)`` entry."""
-        table = self.cpu.isa.cycle_table()
-        # compile-time cycle prefix sums: cyc[k] = cycles retired
-        # before instruction k
-        cyc = [0]
-        for instr in instrs:
-            cyc.append(cyc[-1] + table[instr.opcode])
-        namespace = {
-            **HELPERS,
-            "_Defer": _Defer,
-            "INSTRS": tuple(instrs),
-            "ADDRS": frozenset(addrs),
-        }
-        lines = [
-            f"def _block_{pc0 & _M:x}(cpu, regs, memory, i0, c0):",
-        ]
-        for k, (instr, pc) in enumerate(zip(instrs, addrs)):
-            self._emit(lines, namespace, k, pc, instr, cyc)
-        last = instrs[-1]
-        if last.opcode not in _TERMINATORS:
-            # fell off the scanned end (length cap or untranslatable
-            # next word): commit and let the dispatcher continue
-            k = len(instrs)
-            lines.append(f"    cpu.pc = {addrs[-1] + 1}")
-            lines.append(f"    cpu.instr_count = i0 + {k}")
-            lines.append(f"    cpu.cycle_count = c0 + {cyc[k]}")
-            lines.append(f"    return {k * 8 + _END}")
-        source = "\n".join(lines)
-        code = compile(source, f"<r32-block@{pc0:#x}>", "exec")
-        exec(code, namespace)
+        """Compile one scanned block (:func:`repro.isa.emit.compile_code`,
+        every ``pc`` a literal) and share it; returns the shared
+        ``(fn, addrs)`` entry."""
+        fn = compile_code(self.cpu.isa, f"_block_{pc0 & MASK32:x}", instrs,
+                          [str(pc) for pc in addrs], frozenset(addrs))
         if len(_SHARED) >= MAX_SHARED_BLOCKS:
             del _SHARED[next(iter(_SHARED))]
-        shared = _SHARED[key] = (namespace[f"_block_{pc0 & _M:x}"],
-                                 tuple(addrs))
+        shared = _SHARED[key] = (fn, tuple(addrs))
         return shared
-
-    def _emit(
-        self,
-        out: List[str],
-        namespace: dict,
-        k: int,
-        pc: int,
-        instr: Instruction,
-        cyc: List[int],
-    ) -> None:
-        """Append the source lines for instruction ``k`` at ``pc``."""
-        isa = self.cpu.isa
-        op = instr.opcode
-        rd, rs1, rs2, imm = instr.rd, instr.rs1, instr.rs2, instr.imm
-        a, b = _reg(rs1), _reg(rs2)
-        k1 = k + 1
-        out.append(f"    # {pc:#x}: {isa.disassemble(instr)}")
-
-        def commit_here() -> None:
-            """State the interpreter exposes before a faultable op."""
-            out.append(
-                f"    cpu.pc = {pc}; cpu.instr_count = i0 + {k}; "
-                f"cpu.cycle_count = c0 + {cyc[k]}"
-            )
-
-        def exit_next(flag: int, indent: str = "    ") -> None:
-            """Early exit with instruction ``k`` retired."""
-            out.append(
-                f"{indent}cpu.pc = {pc + 1}; "
-                f"cpu.instr_count = i0 + {k1}; "
-                f"cpu.cycle_count = c0 + {cyc[k1]}"
-            )
-            out.append(f"{indent}return {k1 * 8 + flag}")
-
-        def irq_recheck() -> None:
-            """Mirror the interpreter's per-instruction IRQ check
-            after an op whose side effects may raise one."""
-            out.append("    if cpu.irq_pending and cpu.irq_enabled:")
-            exit_next(_IRQ, "        ")
-
-        row = SEMANTICS.get(op)  # None for a custom op
-        if row is None:
-            namespace[f"C{k}"] = isa.custom(op).semantics
-            value, raises = f"C{k}(({a}), ({b})) & {_M}", True
-        else:
-            value, raises = row.value, row.raises
-            if value is not None:
-                value = value.format(a=a, b=b, imm=imm)
-        if value is not None:
-            if raises:
-                commit_here()
-                out.append(f"    {f'regs[{rd}] = ' if rd else ''}{value}")
-            elif rd:
-                out.append(f"    regs[{rd}] = {value}")
-            if row is None:
-                irq_recheck()
-        elif op == 0x30:  # LW
-            commit_here()
-            addr = f"({a}) + ({imm})"
-            out.append("    try:")
-            if rd:
-                out.append(f"        _v = memory.read({addr}) & {_M}")
-            else:
-                out.append(f"        memory.read({addr})")
-            out.append("    except _Defer as _d:")
-            out.append(
-                f"        cpu._pending = ({pc}, INSTRS[{k}], _d.access)"
-            )
-            out.append(f"        return {k1 * 8 + _DEFER}")
-            if rd:
-                out.append(f"    regs[{rd}] = _v")
-            irq_recheck()
-        elif op == 0x31:  # SW
-            commit_here()
-            out.append(f"    _wa = (({a}) + ({imm})) & {_M}")
-            out.append("    try:")
-            out.append(f"        memory.write(_wa, {_reg(rd)})")
-            out.append("    except _Defer as _d:")
-            out.append(
-                f"        cpu._pending = ({pc}, INSTRS[{k}], _d.access)"
-            )
-            out.append(f"        return {k1 * 8 + _DEFER}")
-            out.append("    if _wa in ADDRS:")
-            exit_next(_SMC, "        ")
-            irq_recheck()
-        elif row.taken is not None:  # BEQ/BNE/BLT/BGE
-            out.append(f"    if {row.taken.format(l=_reg(rd), a=a)}:")
-            out.append(f"        cpu.pc = {pc + 1 + imm}")
-            out.append(f"        cpu.cycle_count = c0 + {cyc[k1] + 1}")
-            out.append("    else:")
-            out.append(f"        cpu.pc = {pc + 1}")
-            out.append(f"        cpu.cycle_count = c0 + {cyc[k1]}")
-            out.append(f"    cpu.instr_count = i0 + {k1}")
-            out.append(f"    return {k1 * 8 + _END}")
-        elif op == 0x50:  # J
-            out.append(f"    cpu.pc = {imm}")
-            out.append(f"    cpu.instr_count = i0 + {k1}")
-            out.append(f"    cpu.cycle_count = c0 + {cyc[k1]}")
-            out.append(f"    return {k1 * 8 + _END}")
-        elif op == 0x51:  # JAL
-            out.append(f"    regs[15] = {(pc + 1) & _M}")
-            out.append(f"    cpu.pc = {imm}")
-            out.append(f"    cpu.instr_count = i0 + {k1}")
-            out.append(f"    cpu.cycle_count = c0 + {cyc[k1]}")
-            out.append(f"    return {k1 * 8 + _END}")
-        elif op == 0x52:  # JR
-            out.append(f"    cpu.pc = {a}")
-            out.append(f"    cpu.instr_count = i0 + {k1}")
-            out.append(f"    cpu.cycle_count = c0 + {cyc[k1]}")
-            out.append(f"    return {k1 * 8 + _END}")
-        elif op == 0x60:  # RETI
-            out.append("    cpu.irq_enabled = True")
-            out.append("    cpu.pc = cpu.epc")
-            out.append(f"    cpu.instr_count = i0 + {k1}")
-            out.append(f"    cpu.cycle_count = c0 + {cyc[k1]}")
-            out.append(f"    return {k1 * 8 + _END}")
-        elif op == 0x7F:  # HALT
-            out.append("    cpu.halted = True")
-            out.append(f"    cpu.pc = {pc}")
-            out.append(f"    cpu.instr_count = i0 + {k1}")
-            out.append(f"    cpu.cycle_count = c0 + {cyc[k1]}")
-            out.append(f"    return {k1 * 8 + _HALT}")
-        else:  # pragma: no cover - decode guarantees known opcodes
-            raise CpuError(f"unimplemented opcode {op:#x}")
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,8 @@ strategies and engines.
 The differential suites (``test_fastpath``, ``test_translate``,
 ``test_batch``, ``test_semantics_reference`` and
 ``tests/fault/test_trigger_reference``) share these random-program
-strategies, CPU builders, snapshots and reference/fast drivers.  The
+strategies (:func:`halting_programs` for the runs that must halt),
+CPU builders, snapshots and reference/fast drivers.  The
 reference every one of them diffs against is :class:`ReferenceCpu`, a
 standalone frozen interpreter that shares no execution code with
 ``repro.isa.cpu``.  This module defines no tests, so importing it never
@@ -380,6 +381,62 @@ instr_st = st.one_of(
     r_type, i_type, mem_type, branch,
     div_type, jump, jr,
 )
+
+
+# ----------------------------------------------------------------------
+# programs that halt
+# ----------------------------------------------------------------------
+#: the data words of :func:`halting_programs`, above any program's code
+HALT_DATA = 0x200
+BRANCH_OPS = (0x40, 0x41, 0x42, 0x43)
+
+#: one item of a halting program: ``(instructions, distance)``, where a
+#: control transfer carries how many items it skips and gets its
+#: target when the program is laid out
+_plain = st.one_of(r_type, i_type).map(lambda instr: ((instr,), None))
+_divide = st.builds(  # ``ori rs2, rs2, 1`` first: the divisor is odd
+    lambda op, rd, rs1, rs2: ((Instruction(0x22, rd=rs2, rs1=rs2, imm=1),
+                               Instruction(op, rd=rd, rs1=rs1, rs2=rs2)),
+                              None),
+    st.sampled_from([0x04, 0x05]), regs_st, regs_st, st.integers(1, 15))
+_access = st.builds(  # plain-RAM data words, never code
+    lambda op, rd, off: ((Instruction(op, rd=rd, imm=HALT_DATA + off),),
+                         None),
+    st.sampled_from([0x30, 0x31]), regs_st, st.integers(0, 15))
+_forward = st.builds(
+    lambda op, rd, rs1, skip: ((Instruction(op, rd=rd, rs1=rs1),), skip),
+    st.sampled_from(BRANCH_OPS), regs_st, regs_st, st.integers(0, 6))
+_jump = st.builds(
+    lambda op, skip: ((Instruction(op),), skip),
+    st.sampled_from([0x50, 0x51]), st.integers(0, 6))
+
+
+@st.composite
+def halting_programs(draw, min_size=8, max_size=40):
+    """Random programs that halt, for :func:`program_words`: ALU code,
+    divisions by a divisor made odd just before, loads and stores of
+    data words at :data:`HALT_DATA` (no store rewrites code), and
+    branches and jumps that only go forward, to the start of a later
+    item or to the trailing ``halt``.  Every run retires at most one
+    instruction per word and halts, unless a fault intervenes."""
+    items = draw(st.lists(st.one_of(_plain, _plain, _divide, _access,
+                                    _forward, _jump),
+                          min_size=min_size, max_size=max_size))
+    starts = [0]
+    for instrs, _skip in items:
+        starts.append(starts[-1] + len(instrs))
+    program = []
+    for index, (instrs, skip) in enumerate(items):
+        if skip is None:
+            program.extend(instrs)
+            continue
+        (instr,) = instrs
+        target = starts[min(index + 1 + skip, len(items))]
+        at = starts[index]
+        program.append(Instruction(
+            instr.opcode, rd=instr.rd, rs1=instr.rs1,
+            imm=target - at - 1 if instr.opcode in BRANCH_OPS else target))
+    return program
 
 
 def program_words(instrs, illegal_at=None):

@@ -11,6 +11,9 @@ golden's halt — through copies of one golden run, at several checkpoint
 spacings, and through the reference interpreter ``ReferenceCpu``
 (``tests/isa/r32_harness.py``) with the fault as a retirement observer,
 and compares complete snapshots *and* error strings fault by fault.
+Faults due at and past golden's halt run on the harness's programs
+that halt (``halting_programs``), since few of the mixed random
+programs halt, and those after a couple of retirements.
 """
 
 from unittest import mock
@@ -29,6 +32,7 @@ from tests.fault.observer_reference import ObserverSaboteur
 from tests.isa.r32_harness import (
     BUDGET,
     COMMON,
+    halting_programs,
     instr_st,
     make_ref,
     program_words,
@@ -429,6 +433,40 @@ class TestForks:
         golden = run_forked(batch, None, FINE)
         assert all(run_forked(batch, spec, FINE) == golden
                    for spec in specs)
+
+    @settings(max_examples=40, **COMMON)
+    @given(instrs=halting_programs(), past=st.integers(1, 30),
+           index=st.integers(1, 15), bit=st.integers(0, 31),
+           spacing=spacing_st)
+    def test_faults_at_and_past_the_halt_of_random_programs(
+            self, instrs, past, index, bit, spacing):
+        """Programs that halt: faults due at golden's halt retirement
+        fork just before it (a halted flip runs the halt once more),
+        and faults due past it leave at golden's end."""
+        image = program_words(instrs)
+        batch = golden_run(image, spacing=spacing)
+        end = batch.checkpoints[-1]
+        assert end.halted
+        halt_at = end.instr_count
+        at_halt = [
+            FaultSpec(kind="cpu_flag_flip", target="cpu", flag="halted",
+                      count=halt_at),
+            reg_flip_at(halt_at, index=index, bit=bit),
+            FaultSpec(kind="cpu_pc_flip", target="cpu", bit=bit % 12,
+                      count=halt_at),
+        ]
+        past_halt = [
+            reg_flip_at(halt_at + past, index=index, bit=bit),
+            FaultSpec(kind="cpu_flag_flip", target="cpu", flag="halted",
+                      count=halt_at + past),
+        ]
+        assert_forks_match_reference(image, at_halt + past_halt,
+                                     spacing=spacing)
+        for spec in at_halt:
+            assert fork_for(batch, spec).instr_count < halt_at
+        for spec in past_halt:
+            cpu = fork_for(batch, spec)
+            assert cpu.halted and cpu.instr_count == halt_at
 
     def test_a_budget_smaller_than_a_pause(self):
         specs = [reg_flip_at(2), reg_flip_at(5), None]

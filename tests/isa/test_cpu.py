@@ -101,6 +101,16 @@ class TestTiming:
         with pytest.raises(CpuError):
             cpu.run(max_instructions=100)
 
+    @pytest.mark.parametrize("budget", [float("nan"), 2.5, 100.0, True,
+                                        "100", None])
+    def test_instruction_budget_must_be_an_int(self, budget):
+        """A NaN budget was never exhausted, so a spinning program ran
+        forever; 2.5 ran three instructions and True one."""
+        cpu, _m = make_cpu("loop: j loop\nhalt")
+        with pytest.raises(ValueError, match="max_instructions"):
+            cpu.run(max_instructions=budget)
+        assert cpu.instr_count == 0
+
 
 class TestMemoryRegions:
     def test_synchronous_device_region(self):
@@ -139,6 +149,29 @@ class TestMemoryRegions:
         mem.add_region("a", 0x100, 16, read_fn=lambda o: 0)
         with pytest.raises(ValueError):
             mem.add_region("b", 0x108, 16, read_fn=lambda o: 0)
+
+    @pytest.mark.parametrize("field, base, size", [
+        ("size", 0x100, float("nan")),  # mapped, yet no address in it
+        ("size", 0x100, 2.5),           # mapped three words
+        ("size", 0x100, True),
+        ("size", 0x100, 0),
+        ("size", 0x100, -4),
+        ("base", -1, 4),
+        ("base", 256.0, 4),
+        ("base", float("nan"), 4),
+        ("base", True, 4),
+    ])
+    def test_region_bounds_must_be_ints(self, field, base, size):
+        mem = Memory()
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            mem.add_region("dev", base, size, read_fn=lambda o: 0)
+        assert mem.region_at(0x100) is None and mem.region_at(1) is None
+
+    def test_region_bounds_accept_the_domain_edges(self):
+        mem = Memory()
+        mem.add_region("first", 0, 1, read_fn=lambda o: 7)
+        assert mem.region_at(0).name == "first"
+        assert mem.region_at(1) is None
 
     def test_fetch_from_unprogrammed_address_faults(self):
         cpu = Cpu(Isa(), Memory())

@@ -9,8 +9,8 @@ execution code with ``repro.isa.cpu``.  Hypothesis drives random
 programs — including wild jumps, self-modifying stores, division
 faults, illegal words, injected IRQs and fault bit-flips — through
 both and compares complete snapshots, so any divergence between the
-pre-decoded operand-cache executor and the reference is a test
-failure, not a silent accuracy bug.
+interpreted tier (one compiled function per decoded word) and the
+reference is a test failure, not a silent accuracy bug.
 """
 
 import pytest
@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.fault import FaultSpec
 from repro.fault.inject import arm_cpu_fault
+from repro.isa import emit
 from repro.isa.assembler import assemble
 from repro.isa.cpu import Cpu, CpuError, ExternalAccess
 from repro.isa.instructions import CustomOp, Instruction, Isa, Opcode
@@ -254,9 +255,10 @@ class TestInvalidation:
         mul = Instruction(int(Opcode.MUL), rd=1, rs1=1, rs2=1)
         image = program_words([mul] * 4)
         isa = Isa()
-        run_fast(make_cpu(image, isa), (8,))
+        first = make_cpu(image, isa)
+        run_fast(first, (8,))
+        assert first.cycle_count == 4 * 4 + 1
         word = ENC.encode(mul)
-        assert isa._ops[word][5] == 4
         predecoded = []
         predecode = Cpu._predecode
 
@@ -271,8 +273,45 @@ class TestInvalidation:
         cpu = make_cpu(image, isa)
         run_fast(cpu, (8,))
         assert predecoded == [word, image[4]]
-        assert isa._ops[word][5] == 7
         assert cpu.cycle_count == 4 * 7 + 1
+
+    def test_word_functions_are_compiled_once_per_process(
+            self, monkeypatch):
+        """The interpreted tier's one-instruction functions are shared
+        by every ISA in the process, keyed by word and cycles; past
+        ``MAX_WORDS`` the oldest goes first, and no result moves."""
+        from repro.isa.translate import auto_translation
+
+        compiled = []
+        compile_code = emit.compile_code
+
+        def counting(isa, name, *args):
+            compiled.append(name)
+            return compile_code(isa, name, *args)
+
+        monkeypatch.setattr(emit, "compile_code", counting)
+        monkeypatch.setattr(emit, "_WORDS", {})
+        monkeypatch.setattr(emit, "MAX_WORDS", 4)
+        image = program_words([Instruction(0x20, rd=1, rs1=1, imm=k)
+                               for k in (1, 2)])
+        retimed = Isa()
+        retimed.cycles[int(Opcode.ADDI)] = 5
+        counts = []
+        for isa in (Isa(), Isa(), retimed):
+            ref = make_ref(image, isa)
+            run_ref(ref)
+            with auto_translation(False):
+                fast = make_cpu(image, isa)
+                run_fast(fast)
+            assert snapshot(fast) == snapshot(ref)
+            counts.append(len(compiled))
+        # the second ISA compiled nothing; the retimed one its two addi
+        # words, evicting the first word compiled
+        assert counts == [3, 3, 5]
+        assert list(emit._WORDS) == [(image[1], 1, None),
+                                     (image[2], 1, None),
+                                     (image[0], 5, None),
+                                     (image[1], 5, None)]
 
     @pytest.mark.parametrize("method", sorted(CYCLE_EDITS))
     def test_every_cycle_edit_reaches_every_tier(self, method):

@@ -2,8 +2,7 @@
 
 Both execution engines build each opcode's meaning from one table
 (``repro.isa.instructions.SEMANTICS``), so the engine-vs-engine
-differentials check the glue around it but not what an opcode
-computes.  The oracle here is ``ReferenceCpu``
+differentials check how code runs but not what an opcode computes.  The oracle here is ``ReferenceCpu``
 (``tests/isa/r32_harness.py``): its ``_execute``, ``_div``, ``_mod`` and
 ``_signed`` are verbatim copies of the hand-written interpreter in
 ``repro/isa/cpu.py`` at commit c74450d, before the table existed, and it
@@ -12,22 +11,26 @@ shares no execution code with ``repro.isa.cpu``.
 Every base opcode runs on an edge grid of register values and
 immediates, with r0 as destination and as source (its raw slot holding
 ones), and must leave the reference's state and error on ``step()``,
-the interpreted ``run_block`` and the translated one.  Canaries show
-the comparison failing when either engine's ADD subtracts, and the
-reference running with every engine entry point of the system
-poisoned.
+the interpreted ``run_block`` and the translated one.  Both engines
+run code of one generator (``repro.isa.emit``), so canaries show the
+comparison failing on every engine, on the grid and on random programs
+that halt, when the table's ADD subtracts or the generator's JAL links
+the wrong address, and the reference running with every engine entry
+point of the system poisoned.
 """
 
 import dis
 import itertools
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from repro.fault import FaultSpec
-from repro.isa import translate
+from repro.isa import emit, translate
 from repro.isa.cpu import Cpu, CpuError, ExternalAccess, Memory
 from repro.isa.instructions import (
     MASK32,
+    N_REGS,
     SEMANTICS,
     Instruction,
     Isa,
@@ -38,9 +41,14 @@ from repro.isa.translate import BlockTranslator, auto_translation, install
 
 from tests.fault.observer_reference import ObserverSaboteur
 from tests.isa.r32_harness import (
+    COMMON,
     ReferenceCpu,
+    halting_programs,
+    make_cpu,
     make_ext_cpu,
     make_irq_cpu,
+    make_ref,
+    program_words,
     run_ref,
     snapshot,
 )
@@ -198,23 +206,78 @@ def mismatches(name, runner, isa):
             != run_on(ReferenceCpu, run_steps, case, isa)]
 
 
-def test_an_interpreted_add_that_subtracts_fails(monkeypatch):
-    """The interpreted loop, and ``step()`` on it, compute from the
-    ISA's compiled value; the translator pastes the table's text."""
-    monkeypatch.setattr(translate, "_SHARED", {})
-    isa = Isa()
-    isa._values[int(Opcode.ADD)] = isa._values[int(Opcode.SUB)]
-    assert mismatches("ADD", run_interpreted, isa)
-    assert mismatches("ADD", run_steps, isa)
-    assert not mismatches("ADD", run_translated, isa)
+def caught_on_halting_programs(runner, isa):
+    """A program of the harness's halting ones, and the registers it
+    starts from, on which ``runner`` over the system leaves another
+    state or error than the reference; None if 60 drawn find none."""
+    def differs(case):
+        instrs, regs = case
+        image = program_words(instrs)
+        system, ref = make_cpu(image, isa), make_ref(image, isa)
+        system.regs[:] = ref.regs[:] = regs
+        return (runner(system), snapshot(system)) \
+            != (run_ref(ref), snapshot(ref))
+
+    found = []
+
+    # no shrinking: the first case found is the evidence
+    @settings(max_examples=60, phases=[Phase.generate], database=None,
+              **COMMON)
+    @given(st.tuples(halting_programs(), st.lists(
+        st.integers(0, MASK32), min_size=N_REGS, max_size=N_REGS)))
+    def search(case):
+        if not found and differs(case):
+            found.append(case)
+
+    search()
+    return found[0] if found else None
 
 
-def test_a_translated_add_that_subtracts_fails(monkeypatch):
+RUNNERS = (run_steps, run_interpreted, run_translated)
+
+
+def empty_compile_caches(monkeypatch):
+    """Start both engines' process-wide compile caches empty."""
     monkeypatch.setattr(translate, "_SHARED", {})
+    monkeypatch.setattr(emit, "_WORDS", {})
+
+
+def test_halting_programs_agree_on_every_engine():
+    """The canaries' control: unmutated, the search finds nothing."""
+    for runner in RUNNERS:
+        assert caught_on_halting_programs(runner, Isa()) is None, runner
+
+
+def test_an_add_that_subtracts_fails_every_engine(monkeypatch):
+    """Both engines, and ``step()``, run code of the one generator, so a
+    wrong table row shows on all of them, on the grid and on random
+    programs that halt."""
+    empty_compile_caches(monkeypatch)
     monkeypatch.setitem(SEMANTICS, Opcode.ADD, SEMANTICS[Opcode.SUB])
     isa = Isa()
-    assert mismatches("ADD", run_translated, isa)
-    assert not mismatches("ADD", run_interpreted, isa)
+    for runner in RUNNERS:
+        assert mismatches("ADD", runner, isa), runner
+        assert caught_on_halting_programs(runner, isa) is not None, runner
+
+
+def test_a_wrong_glue_line_fails_every_engine(monkeypatch):
+    """A JAL that links ``pc + 2`` in the generator's glue: every
+    engine links the wrong address."""
+    emit_one = emit._emit
+
+    def linking_pc_plus_2(out, namespace, isa, k, pc, *rest):
+        first = len(out)
+        emit_one(out, namespace, isa, k, pc, *rest)
+        out[first:] = [line.replace(f"= ({pc} + 1) &", f"= ({pc} + 2) &")
+                       for line in out[first:]]
+
+    empty_compile_caches(monkeypatch)
+    monkeypatch.setattr(emit, "_emit", linking_pc_plus_2)
+    isa = Isa()
+    for runner in RUNNERS:
+        assert mismatches("JAL", runner, isa), runner
+        assert not mismatches("J", runner, isa), runner
+        assert caught_on_halting_programs(runner, isa) is not None, runner
 
 
 def test_the_reference_calls_no_engine_of_the_system(monkeypatch):
@@ -228,7 +291,8 @@ def test_the_reference_calls_no_engine_of_the_system(monkeypatch):
 
     for owner, name in ((Cpu, "step"), (Cpu, "run_block"),
                         (Cpu, "_run_block_fast"), (Cpu, "_predecode"),
-                        (BlockTranslator, "execute")):
+                        (BlockTranslator, "execute"),
+                        (emit, "compile_code"), (emit, "_emit")):
         monkeypatch.setattr(owner, name,
                             poisoned(f"{owner.__name__}.{name}"))
     isa = Isa()
