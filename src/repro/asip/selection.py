@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence, Tuple
 
+from repro import _domain
 from repro.asip.custom import CustomCandidate
 
 
@@ -27,10 +28,8 @@ def select_instructions(
     trade optimality for speed on very large budgets.  Candidates with
     zero value are never selected.
     """
-    if area_budget < 0:
-        raise ValueError("area_budget must be >= 0")
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
+    _domain.real("area_budget", area_budget, least=0)
+    _domain.real("resolution", resolution, above=0)
     useful = [c for c in candidates if c.value > 0]
     capacity = int(area_budget / resolution)
     if capacity == 0 or not useful:

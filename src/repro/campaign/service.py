@@ -49,6 +49,7 @@ from typing import (
     TYPE_CHECKING, Any, Callable, Dict, Iterable, Optional, Tuple,
 )
 
+from repro import _domain
 from repro.campaign.runners import Runner, get_runner
 from repro.obs.live import (
     DEFAULT_HEARTBEAT_S,
@@ -143,8 +144,7 @@ def run_cells(
     ``obs`` goes along, its recorder to the caller's store only:
     without one, the driver records its own run.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    _domain.count("workers", workers, 1)
     runner = get_runner(runner_name)
     jobs = list(jobs)
     obs = obs if obs is not None else DISABLED
@@ -281,8 +281,7 @@ def run_store_jobs(
     coordinator records heartbeats plus ``queue`` gauges to it.  With
     none, no telemetry object is constructed anywhere on the path.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    _domain.count("workers", workers, 1)
     obs = obs if obs is not None else DISABLED
     observe = obs.observes(runner_name)
     heartbeat_s = emitter = None

@@ -39,12 +39,13 @@ so this is the right trade), and batched commits on the write paths.
 from __future__ import annotations
 
 import json
-import math
 import os
 import sqlite3
 import time
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple
+
+from repro import _domain
 
 #: Bump to invalidate every stored result (record schema change).
 CACHE_VERSION = 1
@@ -105,17 +106,6 @@ class CacheVersionError(RuntimeError):
     """
 
 
-def _positive(name: str, value: float) -> float:
-    """``value`` as a finite float > 0, or ValueError naming ``name``."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = math.nan
-    if not (math.isfinite(number) and number > 0):
-        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-    return number
-
-
 def _pid_alive(pid: int) -> bool:
     """Is a process with this pid running on this box?
 
@@ -154,18 +144,15 @@ class CampaignStore:
     def __init__(self, path, lease_s: float = 20.0,
                  max_attempts: int = 3,
                  heartbeat_timeout_s: Optional[float] = None) -> None:
-        if isinstance(max_attempts, bool) or \
-                not isinstance(max_attempts, int) or max_attempts < 1:
-            raise ValueError(
-                f"max_attempts must be an int >= 1, got {max_attempts!r}")
-        self.lease_s = _positive("lease_s", lease_s)
-        self.max_attempts = max_attempts
+        self.lease_s = _domain.real("lease_s", lease_s, above=0)
+        self.max_attempts = _domain.count("max_attempts", max_attempts, 1)
         #: a lease owner that *has* emitted heartbeats but has been
         #: silent this long is presumed dead/hung even if its lease
         #: deadline has not passed — the liveness test that survives
         #: the move to cross-box shards, where ``_pid_alive`` cannot
         self.heartbeat_timeout_s = (
-            _positive("heartbeat_timeout_s", heartbeat_timeout_s)
+            _domain.real("heartbeat_timeout_s", heartbeat_timeout_s,
+                         above=0)
             if heartbeat_timeout_s is not None else 2.0 * self.lease_s
         )
         self.path = Path(path)

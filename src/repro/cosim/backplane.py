@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional
 
+from repro import _domain
 from repro.cosim.bus import SystemBus
 from repro.cosim.kernel import Process, SimulationError, Simulator, _Leap
 from repro.cosim.trace import ACCESS
@@ -135,8 +136,9 @@ class _Mount:
 class Backplane:
     """Runs a :class:`repro.isa.cpu.Cpu` inside a :class:`Simulator`.
 
-    ``clock_period`` converts the cycles ``run_block`` returns to model
-    time (an external access takes its adapter's time instead).
+    ``clock_period`` (finite and > 0) converts the cycles ``run_block``
+    returns to model time (an external access takes its adapter's time
+    instead).
     ``batch_instructions`` (an int >= 1) controls how many
     purely-internal instructions execute per simulation event: 1 gives
     instruction-granular timing, larger batches speed up long software
@@ -163,20 +165,12 @@ class Backplane:
         clock_period: float = 10.0,
         batch_instructions: int = 1,
     ) -> None:
-        if not 0.0 < clock_period < math.inf:  # also rejects NaN
-            raise ValueError(
-                f"clock_period must be finite and positive, "
-                f"got {clock_period!r}"
-            )
-        if isinstance(batch_instructions, bool) or \
-                not isinstance(batch_instructions, int) or \
-                batch_instructions < 1:
-            raise ValueError(f"batch_instructions must be an int >= 1, "
-                             f"got {batch_instructions!r}")
         self.sim = sim
         self.cpu = cpu
-        self.clock_period = clock_period
-        self.batch_instructions = batch_instructions
+        self.clock_period = _domain.real("clock_period", clock_period,
+                                         above=0)
+        self.batch_instructions = _domain.count(
+            "batch_instructions", batch_instructions, 1)
         self._mounts: List[_Mount] = []
         self.external_accesses = 0
         self.stall_time = 0.0

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Generator, List, Optional, Tuple
 
+from repro import _domain
 from repro.cosim.kernel import Resource, SimulationError, Simulator
 from repro.cosim.trace import BUS
 
@@ -61,6 +62,9 @@ class SystemBus:
     * ``word_time`` — per-word data phase;
     * per-slave ``extra_cycles`` multiply ``word_time`` as wait states.
 
+    The three times are finite and >= 0; a slave's ``base`` and
+    ``extra_cycles`` are ints >= 0 and its ``size`` an int >= 1.
+
     This is exactly the level at which the paper's "communication"
     partitioning factor is evaluated: the synchronization and transfer
     overhead of crossing the hardware/software boundary.
@@ -76,9 +80,11 @@ class SystemBus:
     ) -> None:
         self.sim = sim
         self.name = name
-        self.arbitration_time = arbitration_time
-        self.setup_time = setup_time
-        self.word_time = word_time
+        real = _domain.real
+        self.arbitration_time = real("arbitration_time", arbitration_time,
+                                     least=0)
+        self.setup_time = real("setup_time", setup_time, least=0)
+        self.word_time = real("word_time", word_time, least=0)
         self._grant = Resource(sim, f"{name}.grant")
         self._slaves: List[BusSlave] = []
         self.stats = BusStats()
@@ -93,8 +99,9 @@ class SystemBus:
         extra_cycles: int = 0,
     ) -> BusSlave:
         """Map a slave device at [base, base+size)."""
-        if size <= 0:
-            raise ValueError("slave size must be positive")
+        _domain.count("base", base)
+        _domain.count("size", size, 1)
+        _domain.count("extra_cycles", extra_cycles)
         for s in self._slaves:
             if s.base < base + size and base < s.base + s.size:
                 raise ValueError(

@@ -34,6 +34,8 @@ from typing import (
     TYPE_CHECKING,
 )
 
+from repro import _domain
+
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
     from repro.cosim.trace import Tracer
 
@@ -84,19 +86,11 @@ class Watchdog:
         wall_clock_s: Optional[float] = None,
         check_every: int = 1024,
     ) -> None:
-        for field, value in (("max_stalled_activations",
-                              max_stalled_activations),
-                             ("check_every", check_every)):
-            if isinstance(value, bool) or not isinstance(value, int) \
-                    or value < 1:
-                raise ValueError(f"{field} must be an int >= 1, "
-                                 f"got {value!r}")
-        if wall_clock_s is not None and not 0.0 < wall_clock_s < _INF:
-            raise ValueError(f"wall_clock_s must be None or finite and "
-                             f"positive, got {wall_clock_s!r}")
-        self.max_stalled_activations = max_stalled_activations
-        self.wall_clock_s = wall_clock_s
-        self.check_every = check_every
+        self.max_stalled_activations = _domain.count(
+            "max_stalled_activations", max_stalled_activations, 1)
+        self.wall_clock_s = _domain.real(
+            "wall_clock_s", wall_clock_s, above=0, optional=True)
+        self.check_every = _domain.count("check_every", check_every, 1)
 
     def __repr__(self) -> str:
         return (
@@ -190,6 +184,8 @@ class Timeout:
     __slots__ = ("delay", "value")
 
     def __init__(self, delay: float, value: Any = None) -> None:
+        # checked inline, not by repro._domain: this runs once per
+        # yield on the kernel's hot path
         if not 0.0 <= delay < _INF:  # also rejects NaN
             raise SimulationError(
                 f"timeout delay must be finite and >= 0, got {delay!r}"
@@ -529,17 +525,18 @@ class Simulator:
         """Run until the queue drains or model time reaches ``until``.
 
         Returns the final model time.  ``until`` earlier than ``now`` is
-        a no-op: time never moves backwards; a NaN ``until`` raises
+        a no-op: time never moves backwards.  ``until`` is None, +inf
+        (no horizon either) or finite; anything else raises
         ``ValueError``.  An attached ``watchdog`` raises
         :class:`HangDetected` when the run stalls (model time stuck
         while processes keep spinning) or overruns its wall-clock
         budget; ``None`` (the default) leaves its accounting out of the
         loop behind one local test.
         """
-        if until is None:
+        if until is None or until == _INF:
             until = _INF
-        elif until != until:
-            raise ValueError(f"run() horizon must be a number, got {until!r}")
+        else:
+            _domain.real("until", until)
         self._loop(until, watchdog, False)
         return self.now
 

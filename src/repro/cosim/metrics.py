@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro import _domain
+
 
 class Counter:
     """A monotonically increasing named count."""
@@ -82,9 +84,9 @@ class Histogram:
         return self.total / self.count if self.count else 0.0
 
     def quantile(self, q: float) -> float:
-        """Approximate ``q``-quantile (bucket upper bound containing it)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile {q} outside [0, 1]")
+        """Approximate ``q``-quantile (bucket upper bound containing it);
+        ``q`` must be in [0, 1]."""
+        _domain.real("q", q, least=0, most=1)
         if self.count == 0:
             return 0.0
         rank = q * self.count

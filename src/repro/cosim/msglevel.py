@@ -12,10 +12,10 @@ latency number (or ignored entirely with ``latency_per_word=0``).
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from typing import Any, Deque, Generator, List, Optional, Tuple
 
+from repro import _domain
 from repro.cosim.kernel import Event, SimulationError, Simulator
 from repro.cosim.trace import MSG
 
@@ -46,23 +46,13 @@ class Channel:
         latency_per_message: float = 0.0,
         latency_per_word: float = 0.0,
     ) -> None:
-        if capacity is not None and (
-                isinstance(capacity, bool) or not isinstance(capacity, int)
-                or capacity < 0):
-            raise ValueError(
-                f"capacity must be None or an int >= 0, got {capacity!r}"
-            )
-        for field, value in (("latency_per_message", latency_per_message),
-                             ("latency_per_word", latency_per_word)):
-            if not 0.0 <= value < math.inf:  # also rejects NaN
-                raise ValueError(
-                    f"{field} must be finite and >= 0, got {value!r}"
-                )
         self.sim = sim
         self.name = name
-        self.capacity = capacity
-        self.latency_per_message = latency_per_message
-        self.latency_per_word = latency_per_word
+        self.capacity = _domain.count("capacity", capacity, optional=True)
+        self.latency_per_message = _domain.real(
+            "latency_per_message", latency_per_message, least=0)
+        self.latency_per_word = _domain.real(
+            "latency_per_word", latency_per_word, least=0)
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
         self._watchers: List[Event] = []

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Callable, Generator, List, Optional
 
+from repro import _domain
 from repro.cosim.bus import SlaveHandler
 from repro.cosim.kernel import Process, Resource, SimulationError, Simulator
 from repro.cosim.signals import Clock, Signal, Trace
@@ -135,8 +136,9 @@ class PinBusSlave:
         handler: SlaveHandler,
         wait_states: int = 0,
     ) -> None:
-        if size <= 0:
-            raise ValueError("slave size must be positive")
+        _domain.count("base", base)
+        _domain.count("size", size, 1)
+        _domain.count("wait_states", wait_states)
         self.bus = bus
         self.name = name
         self.base = base

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
+from repro import _domain
 from repro.cosim.kernel import Event, Simulator, Timeout, _Leap
 
 
@@ -93,12 +94,13 @@ class Signal:
 class Clock(Signal):
     """A free-running two-phase clock signal.
 
-    ``period`` is the full cycle time; the clock is high for the first
-    half and low for the second.  The driving process is registered on
-    construction.  It rises at every rising position before ``until``
-    and finishes at the first rising position at or after it: period
-    10 with ``until=35`` rises at 0, 10, 20 and 30 and finishes at 40.
-    With ``until=None`` it runs forever — callers should then stop the
+    ``period`` (finite and > 0) is the full cycle time; the clock is
+    high for the first half and low for the second.  The driving
+    process is registered on construction.  It rises at every rising
+    position before ``until`` and finishes at the first rising position
+    at or after it: period 10 with ``until=35`` rises at 0, 10, 20 and
+    30 and finishes at 40.  ``until`` is None or finite.  With
+    ``until=None`` it runs forever — callers should then stop the
     simulation with ``run(until=...)``.  Positions are reached by
     repeated addition of half periods, as the kernel adds delays.
 
@@ -118,10 +120,8 @@ class Clock(Signal):
         until: Optional[float] = None,
         trace: Optional["Trace"] = None,
     ) -> None:
-        if not 0.0 < period < math.inf:  # also rejects NaN
-            raise ValueError(
-                f"clock period must be finite and positive, got {period!r}"
-            )
+        _domain.real("period", period, above=0)
+        _domain.real("until", until, optional=True)
         super().__init__(sim, name, init=0, trace=trace)
         self.period = period
         self.cycles = 0

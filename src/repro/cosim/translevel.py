@@ -10,9 +10,9 @@ to contention.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, FrozenSet, Generator, List, Optional
 
+from repro import _domain
 from repro.cosim.kernel import Event, SimulationError, Simulator
 from repro.cosim.trace import IRQ, REG
 
@@ -80,7 +80,8 @@ class InterruptLine:
 class RegisterDevice:
     """Base class for a device modeled as a register file.
 
-    Subclasses override :meth:`on_read` / :meth:`on_write`.  Accesses
+    Subclasses override :meth:`on_read` / :meth:`on_write`.  The file
+    holds ``n_registers`` (an int >= 1) registers.  Accesses
     cost ``access_time`` each (finite and >= 0) and are *not* arbitrated
     — the simplification that makes this level cheap and optimistic
     under contention.
@@ -102,14 +103,11 @@ class RegisterDevice:
         n_registers: int,
         access_time: float = 2.0,
     ) -> None:
-        if not 0.0 <= access_time < math.inf:  # also rejects NaN
-            raise ValueError(
-                f"access_time must be finite and >= 0, got {access_time!r}"
-            )
+        _domain.count("n_registers", n_registers, 1)
+        self.access_time = _domain.real("access_time", access_time, least=0)
         self.sim = sim
         self.name = name
         self.regs: List[int] = [0] * n_registers
-        self.access_time = access_time
         self.reads = 0
         self.writes = 0
 
@@ -161,8 +159,9 @@ class FifoDevice(RegisterDevice):
     """A device exposing a producer/consumer FIFO through registers.
 
     Register map: 0 = DATA (write pushes, read pops), 1 = STATUS
-    (bit 0 = not-empty, bit 1 = full), 2 = LEVEL (occupancy).
-    Asserts ``irq`` when data becomes available.
+    (bit 0 = not-empty, bit 1 = full), 2 = LEVEL (occupancy).  It
+    holds ``depth`` (an int >= 1) words.  Asserts ``irq`` when data
+    becomes available.
     """
 
     DATA, STATUS, LEVEL = 0, 1, 2
@@ -177,7 +176,7 @@ class FifoDevice(RegisterDevice):
         irq: Optional[InterruptLine] = None,
     ) -> None:
         super().__init__(sim, name, 3, access_time)
-        self.depth = depth
+        self.depth = _domain.count("depth", depth, 1)
         self.fifo: List[int] = []
         self.irq = irq
         self.overruns = 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro import _domain
 from repro.estimate.software import Processor, default_processor_library
 from repro.graph.taskgraph import Task
 
@@ -46,12 +47,11 @@ class Allocation:
     @classmethod
     def of(cls, counts: Dict[str, int],
            library: Optional[Dict[str, Processor]] = None) -> "Allocation":
-        """Build from {processor-type: count}."""
+        """Build from {processor-type: count}, each count an int >= 0."""
         library = library or default_processor_library()
         instances = []
         for type_name in sorted(counts):
-            if counts[type_name] < 0:
-                raise ValueError(f"negative count for {type_name!r}")
+            _domain.count(f"counts[{type_name!r}]", counts[type_name])
             proc = library[type_name]
             for j in range(counts[type_name]):
                 instances.append(PeInstance(f"{type_name}#{j}", proc))

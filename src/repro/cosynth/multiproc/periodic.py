@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
+from repro import _domain
 from repro.estimate.communication import CommModel, DEFAULT
 from repro.estimate.software import Processor, default_processor_library
 from repro.graph.taskgraph import Task, TaskGraph
@@ -43,10 +44,8 @@ def hyperperiod(graph: TaskGraph) -> float:
     """LCM of all task periods (computed exactly over rationals)."""
     periods = []
     for task in graph:
-        if task.period is None or task.period <= 0:
-            raise PeriodicSpecError(
-                f"task {task.name!r} has no positive period"
-            )
+        _domain.real(f"task {task.name!r}: period", task.period, above=0,
+                     error=PeriodicSpecError)
         periods.append(Fraction(task.period).limit_denominator(10**6))
     result = periods[0]
     for p in periods[1:]:
@@ -62,8 +61,8 @@ def _lcm_fraction(a: Fraction, b: Fraction) -> Fraction:
 
 def utilization(task: Task, processor: Processor) -> float:
     """Fraction of one PE this task consumes at its rate."""
-    if task.period is None or task.period <= 0:
-        raise PeriodicSpecError(f"task {task.name!r} has no period")
+    _domain.real(f"task {task.name!r}: period", task.period, above=0,
+                 error=PeriodicSpecError)
     return execution_time(task, processor) / task.period
 
 
@@ -162,10 +161,11 @@ def periodic_synthesis(
     matters for periodic work), cheapest feasible type per new bin;
     validated by list-scheduling the hyperperiod unrolling on the chosen
     allocation.  Returns None when no allocation passes validation.
+    ``u_bound`` must be in (0, 1].
     """
     library = library or default_processor_library()
-    if not 0 < u_bound <= 1.0:
-        raise PeriodicSpecError("u_bound must be in (0, 1]")
+    _domain.real("u_bound", u_bound, above=0, most=1,
+                 error=PeriodicSpecError)
     order = sorted(
         graph.task_names,
         key=lambda n: (-graph.task(n).sw_time / graph.task(n).period

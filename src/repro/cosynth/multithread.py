@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro import _domain
 from repro.estimate.communication import CommModel, TIGHT
 from repro.graph.algorithms import communication_clusters, inter_cluster_volume
 from repro.graph.taskgraph import TaskGraph
@@ -102,8 +103,7 @@ def synthesize_multithreaded(
     controller_overhead: float = CONTROLLER_OVERHEAD,
 ) -> MultithreadDesign:
     """Run the Figure 9 flow: sweep thread counts, keep the best."""
-    if max_threads < 1:
-        raise ValueError("max_threads must be >= 1")
+    _domain.count("max_threads", max_threads, 1)
     best: Optional[MultithreadDesign] = None
     sweep: List[Tuple[int, float]] = []
     for k in range(1, max_threads + 1):

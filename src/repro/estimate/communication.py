@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
+from repro import _domain
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cosim.bus import SystemBus
     from repro.graph.taskgraph import TaskGraph
@@ -35,8 +37,8 @@ class CommModel:
     word_time_ns: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.sync_overhead_ns < 0 or self.word_time_ns < 0:
-            raise ValueError("communication costs must be non-negative")
+        _domain.real("sync_overhead_ns", self.sync_overhead_ns, least=0)
+        _domain.real("word_time_ns", self.word_time_ns, least=0)
 
     def transfer_ns(self, words: float) -> float:
         """Time to move ``words`` words across the boundary."""

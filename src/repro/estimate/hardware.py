@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro import _domain
 from repro.graph.cdfg import CDFG, OpKind
 from repro.hls.library import (
     ComponentLibrary,
@@ -37,8 +38,8 @@ class HardwareEstimate:
     detail: str = "quick"
 
     def __post_init__(self) -> None:
-        if self.area < 0 or self.latency_ns < 0:
-            raise ValueError("estimates must be non-negative")
+        _domain.real("area", self.area, least=0)
+        _domain.real("latency_ns", self.latency_ns, least=0)
 
 
 def fu_requirements(

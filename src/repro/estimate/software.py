@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from repro import _domain
 from repro.graph.cdfg import CDFG, OpKind
 
 
@@ -34,12 +35,10 @@ class Processor:
     mem_words: float = 4096.0
 
     def __post_init__(self) -> None:
-        if self.clock_ns <= 0 or self.speed_factor <= 0:
-            raise ValueError("clock_ns and speed_factor must be positive")
-        if self.cost < 0:
-            raise ValueError("cost must be non-negative")
-        if self.mem_words <= 0:
-            raise ValueError("mem_words must be positive")
+        _domain.real("clock_ns", self.clock_ns, above=0)
+        _domain.real("speed_factor", self.speed_factor, above=0)
+        _domain.real("cost", self.cost, least=0)
+        _domain.real("mem_words", self.mem_words, above=0)
 
     def time_for_cycles(self, cycles: float) -> float:
         """Nanoseconds to retire ``cycles`` reference cycles."""

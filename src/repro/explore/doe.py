@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from typing import List
 
+from repro import _domain
 from repro.explore.genome import Gene, Genome, SearchSpace
 
 
@@ -101,8 +102,7 @@ def doe_population(
     for any remaining slots — each stage skipping effective duplicates
     so the GA's first generation wastes no evaluations.
     """
-    if size < 1:
-        raise ValueError("population size must be >= 1")
+    _domain.count("size", size, 1)
     design: List[Genome] = []
     seen = set()
     # corners/levels that differ only in hidden genes collapse to one

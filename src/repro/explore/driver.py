@@ -46,6 +46,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro import _domain
 from repro.campaign.service import run_cells
 from repro.explore.doe import doe_population
 # the ``explore`` runner calls run_genome through this module, the
@@ -80,6 +81,9 @@ class ExploreSpec:
     Everything that influences the search is in here — axes, GA
     parameters, the fixed problem context, the dependability scenario
     — so ``same spec ⇒ same front`` is a meaningful promise.
+    ``population`` is an int >= 2, ``generations`` an int >= 1,
+    ``scenario_faults`` an int >= 0, the seeds ints and the three
+    rates in [0, 1].
     """
 
     generators: Tuple[str, ...] = ("layered", "forkjoin")
@@ -109,16 +113,14 @@ class ExploreSpec:
     mcdm_weights: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.population < 2:
-            raise ValueError("population must be >= 2")
-        if self.generations < 1:
-            raise ValueError("generations must be >= 1")
-        if not (0.0 <= self.mutation_rate <= 1.0):
-            raise ValueError("mutation_rate must be in [0, 1]")
-        if not (0.0 <= self.crossover_rate <= 1.0):
-            raise ValueError("crossover_rate must be in [0, 1]")
-        if not (0.0 <= self.immigrant_fraction <= 1.0):
-            raise ValueError("immigrant_fraction must be in [0, 1]")
+        _domain.count("population", self.population, 2)
+        _domain.count("generations", self.generations, 1)
+        _domain.count("ga_seed", self.ga_seed, None)
+        for name in ("mutation_rate", "crossover_rate",
+                     "immigrant_fraction"):
+            _domain.real(name, getattr(self, name), least=0, most=1)
+        _domain.count("scenario_faults", self.scenario_faults)
+        _domain.count("scenario_seed", self.scenario_seed, None)
 
     def space(self) -> SearchSpace:
         """The search space these axes span."""
@@ -350,8 +352,7 @@ def explore(
     never enter the archive, so the front JSON is byte-identical with
     any session or none.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    _domain.count("workers", workers, 1)
     obs = obs if obs is not None else DISABLED
     t0 = time.perf_counter()
 
@@ -444,8 +445,7 @@ def random_search(
     comparable at equal budget.  ``obs`` gets the evaluation's
     counters and spans; no run span or run marks.
     """
-    if evaluations < 1:
-        raise ValueError("evaluations must be >= 1")
+    _domain.count("evaluations", evaluations, 1)
     obs = obs if obs is not None else DISABLED
     t0 = time.perf_counter()
     model, evaluator = _evaluation(spec, workers, cache, obs)

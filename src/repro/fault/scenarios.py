@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
+from repro import _domain
 from repro.cosim.backplane import (
     Backplane,
     MessageAdapter,
@@ -154,17 +155,9 @@ class SoftwareWorkload:
     seed_addr: int
 
     def __post_init__(self) -> None:
-        for field, value in (("budget", self.budget),
-                             ("out_len", self.out_len)):
-            if isinstance(value, bool) or not isinstance(value, int) \
-                    or value < 1:
-                raise ValueError(f"{field} must be an int >= 1, "
-                                 f"got {value!r}")
-        index = self.verdict_index
-        if isinstance(index, bool) or not isinstance(index, int) \
-                or not 0 <= index < self.out_len:
-            raise ValueError(f"verdict_index must be an int in "
-                             f"[0, out_len={self.out_len}), got {index!r}")
+        _domain.count("budget", self.budget, 1)
+        _domain.count("out_len", self.out_len, 1)
+        _domain.count("verdict_index", self.verdict_index, 0, self.out_len)
 
 
 @dataclass(frozen=True)

@@ -40,10 +40,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import random
 from dataclasses import MISSING, dataclass, fields
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+
+from repro import _domain
 
 #: Bump when a field's meaning (or the outcome-record schema) changes:
 #: old cache entries then read as misses instead of lying.
@@ -96,34 +97,29 @@ class FaultSpec:
     flag: str = ""       # cpu_flag_flip: which flag
 
     def __post_init__(self) -> None:
-        for name, types in _FIELD_TYPES:
+        for name in ("kind", "target", "flag"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, types):
+            if not isinstance(value, str):
                 raise FaultSpecError(
-                    f"{name} must be {' or '.join(t.__name__ for t in types)}"
-                    f", not {type(value).__name__} ({value!r})"
+                    f"{name} must be str, not {type(value).__name__} "
+                    f"({value!r})"
                 )
-        for name in ("time", "delay"):
-            if not math.isfinite(getattr(self, name)):
-                raise FaultSpecError(f"{self.kind}: {name} must be finite")
         if self.kind not in KINDS:
             raise FaultSpecError(
                 f"unknown fault kind {self.kind!r}; known: {list(KINDS)}"
             )
         if not self.target:
             raise FaultSpecError(f"{self.kind}: target must be non-empty")
-        if self.index < 0:
-            raise FaultSpecError(f"{self.kind}: index must be >= 0")
-        if not 0 <= self.bit < 32:
-            raise FaultSpecError(f"{self.kind}: bit must be in [0, 32)")
-        if self.time < 0:
-            raise FaultSpecError(f"{self.kind}: time must be >= 0")
-        if self.count < 0:
-            raise FaultSpecError(f"{self.kind}: count must be >= 0")
-        if self.kind == "msg_delay" and self.delay <= 0:
-            raise FaultSpecError("msg_delay: delay must be positive")
-        if self.kind != "msg_delay" and self.delay != 0.0:
-            raise FaultSpecError(f"{self.kind}: delay must stay 0")
+        _domain.count("index", self.index, error=FaultSpecError)
+        _domain.count("bit", self.bit, 0, 32, error=FaultSpecError)
+        _domain.real("time", self.time, least=0, error=FaultSpecError)
+        _domain.count("count", self.count, error=FaultSpecError)
+        if self.kind == "msg_delay":
+            _domain.real("msg_delay: delay", self.delay, above=0,
+                         error=FaultSpecError)
+        else:  # unused: it must stay at its default
+            _domain.real(f"{self.kind}: delay", self.delay, least=0,
+                         most=0, error=FaultSpecError)
         if self.kind == "cpu_flag_flip":
             if self.flag not in CPU_FLAGS:
                 raise FaultSpecError(
@@ -146,7 +142,7 @@ class FaultSpec:
             raise FaultSpecError(
                 f"a fault spec is a mapping, not {type(data).__name__}"
             )
-        unknown = set(data) - {name for name, _ in _FIELD_TYPES}
+        unknown = set(data) - set(_FIELDS)
         if unknown:
             raise FaultSpecError(
                 f"unknown fault fields: {sorted(map(str, unknown))}"
@@ -193,14 +189,8 @@ class FaultSpec:
         return f"{self.kind} {self.target} @t={self.time:g}"
 
 
-#: (field, admitted types) in field order: a ``float`` field also takes
-#: an ``int``, and ``bool`` is never a number.  Values are stored as
-#: given, so every spec valid before these checks keeps its canonical
-#: JSON and fingerprint.
-_FIELD_TYPES = tuple(
-    (f.name, {"str": (str,), "int": (int,), "float": (int, float)}[f.type])
-    for f in fields(FaultSpec)
-)
+#: the field names, in field order
+_FIELDS = tuple(f.name for f in fields(FaultSpec))
 #: the fields without a default
 _REQUIRED = tuple(f.name for f in fields(FaultSpec) if f.default is MISSING)
 
@@ -233,16 +223,38 @@ def sample_faults(
     parameters drawn from ``random.Random(seed)`` — the same seed
     always yields the same fault list, on any host.  Kinds whose
     surface the scenario lacks (no CPU, no devices, ...) are skipped.
+
+    ``n`` is an int >= 0 and ``seed`` an int; the time window is two
+    finite times with ``0 <= lo <= hi``, ``data_bits`` and ``pc_bits``
+    are ints in [1, 32], every register and message count an int >= 1,
+    ``cpu.regs`` an int in [2, 16] and ``cpu.max_count`` an int >= 2.
+    Anything else raises :class:`FaultSpecError` naming the field.
     """
-    if n < 0:
-        raise FaultSpecError("n must be >= 0")
-    rng = random.Random(seed)
+    # the whole frame is checked before the first draw, so no valid
+    # frame's fault list moves
+    check = _domain.count
+    check("n", n, error=FaultSpecError)
+    check("seed", seed, None, error=FaultSpecError)
     lo, hi = targets.get("time", (0.0, 1000.0))
-    data_bits = int(targets.get("data_bits", 16))
+    _domain.real("time[0]", lo, least=0, error=FaultSpecError)
+    _domain.real("time[1]", hi, least=lo, error=FaultSpecError)
+    data_bits = check("data_bits", targets.get("data_bits", 16), 1, 33,
+                      error=FaultSpecError)
+    for name, regs in targets.get("devices", {}).items():
+        check(f"devices[{name!r}]", regs, 1, error=FaultSpecError)
+    for name, messages in targets.get("channels", {}).items():
+        check(f"channels[{name!r}]", messages, 1, error=FaultSpecError)
+    cpu = targets.get("cpu")
+    if cpu:
+        # r1..r15: R32's sixteen registers, r0 never drawn
+        check("cpu.regs", cpu["regs"], 2, 17, error=FaultSpecError)
+        check("cpu.max_count", cpu["max_count"], 2, error=FaultSpecError)
+        check("cpu.pc_bits", cpu.get("pc_bits", 12), 1, 33,
+              error=FaultSpecError)
+    rng = random.Random(seed)
     signals = list(targets.get("signals", ()))
     devices = dict(targets.get("devices", {}))
     channels = dict(targets.get("channels", {}))
-    cpu = targets.get("cpu")
     available: List[str] = []
     if kinds is None:
         kinds = targets.get("kinds", KINDS)
@@ -301,7 +313,7 @@ def sample_faults(
             ))
         elif kind in MESSAGE_KINDS:
             channel = rng.choice(sorted(channels))
-            top = max(1, channels[channel])
+            top = channels[channel]
             index = rng.randrange(
                 top - 1 if kind == "msg_reorder" and top > 1 else top
             )

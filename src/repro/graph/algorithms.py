@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from repro import _domain
 from repro.graph.taskgraph import Task, TaskGraph
 
 WeightFn = Callable[[Task], float]
@@ -135,8 +136,7 @@ def communication_clusters(
     localize communication" heuristic of Section 3.3, used as a seed for
     multi-threaded co-processor synthesis.
     """
-    if n_clusters < 1:
-        raise ValueError("n_clusters must be >= 1")
+    _domain.count("n_clusters", n_clusters, 1)
     cluster_of: Dict[str, int] = {n: i for i, n in enumerate(graph.task_names)}
     members: Dict[int, List[str]] = {
         i: [n] for i, n in enumerate(graph.task_names)

@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro import _domain
 from repro.graph.taskgraph import Task, TaskGraph
 
 
@@ -74,10 +75,12 @@ def random_layered_graph(
     (except layer 0) gets one mandatory parent from the previous layer and
     additional edges from earlier layers with probability
     ``extra_edge_prob``.  This is the standard random-graph family used to
-    evaluate co-synthesis heuristics.
+    evaluate co-synthesis heuristics.  ``n_tasks`` and ``width`` are
+    ints >= 1 and ``extra_edge_prob`` is in [0, 1].
     """
-    if n_tasks < 1:
-        raise ValueError("n_tasks must be >= 1")
+    _domain.count("n_tasks", n_tasks, 1)
+    _domain.count("width", width, 1)
+    _domain.real("extra_edge_prob", extra_edge_prob, least=0, most=1)
     graph = TaskGraph(name)
     layers: List[List[str]] = []
     created = 0
@@ -274,8 +277,11 @@ def periodic_taskset(
     The multiprocessor co-synthesizers (Section 4.2) minimize processor
     cost subject to completing the whole graph within ``period``.
     Software times are rescaled so the serial utilization matches
-    ``utilization`` × period on the reference processor.
+    ``utilization`` × period on the reference processor; both are
+    finite and > 0.
     """
+    _domain.real("period", period, above=0)
+    _domain.real("utilization", utilization, above=0)
     graph = random_layered_graph(rng, n_tasks=n_tasks, costs=costs, name=name)
     total = graph.total_time("sw")
     scale = (utilization * period) / total
@@ -394,6 +400,5 @@ def generate(
         raise KeyError(
             f"unknown generator {kind!r}; known: {sorted(GENERATORS)}"
         ) from None
-    if n_tasks < 1:
-        raise ValueError("n_tasks must be >= 1")
+    _domain.count("n_tasks", n_tasks, 1)
     return builder(rng, n_tasks, costs, name or kind)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import List
 
+from repro import _domain
 from repro.graph.cdfg import CDFG
 from repro.graph.taskgraph import Task, TaskGraph
 
@@ -27,8 +28,7 @@ def fir(n_taps: int = 8, coefficients: "List[int]" = None) -> CDFG:
     constant-multiply patterns).  Multiplier-rich and perfectly parallel
     — the archetypal "nature of computation favours hardware" kernel.
     """
-    if n_taps < 1:
-        raise ValueError("n_taps must be >= 1")
+    _domain.count("n_taps", n_taps, 1)
     if coefficients is not None and len(coefficients) != n_taps:
         raise ValueError("need one coefficient per tap")
     g = CDFG(f"fir{n_taps}" + ("k" if coefficients is not None else ""))
@@ -268,8 +268,7 @@ def lms_update(n_taps: int = 4) -> CDFG:
     *write-back* structure (outputs per tap), typical of the adaptive
     codecs the era's co-design papers targeted.
     """
-    if n_taps < 1:
-        raise ValueError("n_taps must be >= 1")
+    _domain.count("n_taps", n_taps, 1)
     g = CDFG(f"lms{n_taps}")
     mu_e = g.inp("mu_e")
     for i in range(n_taps):

@@ -27,9 +27,10 @@ the communication estimators derive transfer and synchronization costs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+
+from repro import _domain
 
 
 @dataclass
@@ -57,41 +58,20 @@ class Task:
     wcet: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # each test is written so that NaN, which fails every
-        # comparison, fails it too
-        if not 0.0 < self.sw_time < math.inf:
-            self._reject("sw_time", "finite and > 0")
+        task = f"task {self.name!r}: "
+        real = _domain.real
+        real(task + "sw_time", self.sw_time, above=0)
         if self.hw_time is None:
             self.hw_time = self.sw_time / 4.0
-        if not 0.0 < self.hw_time < math.inf:
-            self._reject("hw_time", "finite and > 0")
-        if not 0.0 <= self.hw_area < math.inf:
-            self._reject("hw_area", "finite and >= 0")
-        if not 0.0 <= self.sw_size < math.inf:
-            self._reject("sw_size", "finite and >= 0")
-        if not 0.0 <= self.modifiability <= 1.0:
-            self._reject("modifiability", "in [0, 1]")
-        if not 1.0 <= self.parallelism < math.inf:
-            self._reject("parallelism", "finite and >= 1")
-        for field_name in ("period", "deadline"):
-            value = getattr(self, field_name)
-            if value is not None and not 0.0 < value < math.inf:
-                self._reject(field_name, "None or finite and > 0")
+        real(task + "hw_time", self.hw_time, above=0)
+        real(task + "hw_area", self.hw_area, least=0)
+        real(task + "sw_size", self.sw_size, least=0)
+        real(task + "modifiability", self.modifiability, least=0, most=1)
+        real(task + "parallelism", self.parallelism, least=1)
+        real(task + "period", self.period, above=0, optional=True)
+        real(task + "deadline", self.deadline, above=0, optional=True)
         for processor, value in self.wcet.items():
-            if not 0.0 < value < math.inf:
-                self._reject(f"wcet[{processor!r}]", "finite and > 0",
-                             value)
-
-    def _reject(self, field_name: str, domain: str,
-                value: object = None) -> None:
-        """Raise the error naming this task, ``field_name`` and its
-        value: the attribute's, unless ``value`` is given."""
-        if value is None:
-            value = getattr(self, field_name)
-        raise ValueError(
-            f"task {self.name!r}: {field_name} must be {domain}, "
-            f"got {value!r}"
-        )
+            real(f"{task}wcet[{processor!r}]", value, above=0)
 
     def time_on(self, processor_type: str) -> float:
         """Execution time on a named processor type.
@@ -115,11 +95,8 @@ class Edge:
     volume: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.volume < math.inf:
-            raise ValueError(
-                f"edge {self.src}->{self.dst}: volume must be finite and "
-                f">= 0, got {self.volume!r}"
-            )
+        _domain.real(f"edge {self.src}->{self.dst}: volume", self.volume,
+                     least=0)
 
 
 class CycleError(ValueError):

@@ -14,6 +14,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro import _domain
+
 
 class Access(enum.Enum):
     """Register access modes."""
@@ -61,8 +63,7 @@ class DeviceSpec:
         names = [r.name for r in self.registers]
         if len(set(names)) != len(names):
             raise ValueError(f"device {self.name!r} has duplicate registers")
-        if self.wait_states < 0:
-            raise ValueError("wait_states must be >= 0")
+        _domain.count("wait_states", self.wait_states)
 
     @property
     def size(self) -> int:

@@ -203,6 +203,8 @@ def _pass1(
                 items.append(_Item(reserve(1), lineno, "word", value=value))
         elif mnemonic == ".space":
             count = _parse_int(rest.strip(), lineno)
+            # checked inline, not by repro._domain: the error carries
+            # the source line
             if count < 0:
                 raise AssemblerError(lineno, ".space count must be >= 0")
             first = reserve(count)

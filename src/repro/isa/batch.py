@@ -38,6 +38,7 @@ from bisect import bisect_right
 from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
+from repro import _domain
 from repro.isa.cpu import Cpu, CpuError, Memory
 from repro.isa.instructions import N_REGS, Instruction, Isa
 
@@ -70,11 +71,9 @@ class BatchCpu:
         self.live: Optional[array] = None
 
     def run(self, budget: int) -> None:
-        """Run golden for up to ``budget`` steps, keeping checkpoints,
-        and, if it halts, its register liveness."""
-        if isinstance(budget, bool) or not isinstance(budget, int) \
-                or budget < 1:
-            raise ValueError(f"budget must be an int >= 1, got {budget!r}")
+        """Run golden for up to ``budget`` (an int >= 1) steps, keeping
+        checkpoints, and, if it halts, its register liveness."""
+        _domain.count("budget", budget, 1)
         if self.checkpoints:
             raise RuntimeError("BatchCpu.run() is single-shot")
         golden = self._golden
@@ -94,8 +93,7 @@ class BatchCpu:
         """A copy of the latest checkpoint with ``instr_count <= retired``."""
         if not self.checkpoints:
             raise RuntimeError("fork_at() before run()")
-        if retired < 0:
-            raise ValueError(f"retired must be >= 0, got {retired!r}")
+        _domain.count("retired", retired)
         index = bisect_right(self.checkpoints, retired,
                              key=attrgetter("instr_count"))
         return self.checkpoints[index - 1].fork()
@@ -107,8 +105,7 @@ class BatchCpu:
         golden did not halt, so that nothing counts as dead then."""
         if not self.checkpoints:
             raise RuntimeError("live_after() before run()")
-        if retired < 0:
-            raise ValueError(f"retired must be >= 0, got {retired!r}")
+        _domain.count("retired", retired)
         live = self.live
         if live is None:
             return (1 << N_REGS) - 1

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
+from repro import _domain
 from repro.isa.emit import DEFER, HALT, word_function
 from repro.isa.instructions import CpuError, Instruction, Isa, MASK32, N_REGS
 
@@ -86,12 +87,10 @@ class Memory:
         write_fn: Optional[Callable[[int, int], None]] = None,
         external: bool = False,
     ) -> None:
-        """Map a device region at [base, base+size) word addresses."""
-        for what, value, least in (("base", base, 0), ("size", size, 1)):
-            if isinstance(value, bool) or not isinstance(value, int) \
-                    or value < least:
-                raise ValueError(f"region {name!r}: {what} must be an "
-                                 f"int >= {least}, got {value!r}")
+        """Map a device region at [base, base+size) word addresses;
+        ``base`` is an int >= 0 and ``size`` an int >= 1."""
+        _domain.count(f"region {name!r}: base", base)
+        _domain.count(f"region {name!r}: size", size, 1)
         for region in self._regions:
             if region.base < base + size and base < region.base + region.size:
                 raise ValueError(
@@ -375,12 +374,9 @@ class Cpu:
 
         Executes in :meth:`run_block` calls, so observers and triggers
         see every retirement as they do under :meth:`step`.
-        ``max_instructions`` must be an int (not a bool).
+        ``max_instructions`` must be an int >= 0 (not a bool).
         """
-        if isinstance(max_instructions, bool) or \
-                not isinstance(max_instructions, int):
-            raise ValueError(f"max_instructions must be an int, got "
-                             f"{max_instructions!r}")
+        _domain.count("max_instructions", max_instructions)
         start_cycles = self.cycle_count
         executed = 0
         while not self.halted:
@@ -428,8 +424,13 @@ class Cpu:
         :func:`repro.isa.translate.auto_translation` turned it off.
         Observers and pending triggers are served by
         :meth:`_run_watched`; with neither, they cost a truthiness test
-        each per call.
+        each per call.  ``max_steps`` is an int (not a bool); one <= 0
+        runs nothing.
         """
+        if type(max_steps) is not int:
+            # one inline test per call on this hot path; the helper
+            # only words the error
+            _domain.count("max_steps", max_steps, None)
         if self.halted or max_steps <= 0:
             return 0, 0, None
         if self._pending is not None:

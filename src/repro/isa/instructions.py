@@ -32,6 +32,8 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple, Union
 
+from repro import _domain
+
 MASK32 = 0xFFFFFFFF
 N_REGS = 16
 LINK_REG = 15
@@ -288,12 +290,9 @@ class CustomOp:
     area: float = 50.0
 
     def __post_init__(self) -> None:
-        if not CUSTOM_BASE <= self.opcode <= 0xFF:
-            raise ValueError(
-                f"custom opcode {self.opcode:#x} outside custom space"
-            )
-        if self.cycles < 1:
-            raise ValueError("custom op cycles must be >= 1")
+        _domain.count("custom opcode", self.opcode, CUSTOM_BASE, 0x100)
+        _domain.count("cycles", self.cycles, 1)
+        _domain.real("area", self.area, least=0)
 
 
 class _CycleMap(dict):

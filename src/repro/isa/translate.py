@@ -53,6 +53,7 @@ from __future__ import annotations
 import contextlib
 from typing import Dict, List, Optional, Tuple
 
+from repro import _domain
 from repro.isa import cpu as _cpu_mod
 from repro.isa.cpu import MAX_BLOCK_LEN, Cpu, CpuError, ExternalAccess
 from repro.isa.emit import DEFER, END, HALT, TERMINATORS, compile_code
@@ -94,8 +95,8 @@ class BlockTranslator:
         hot_threshold: int = DEFAULT_HOT_THRESHOLD,
         max_blocks: int = MAX_BLOCKS,
     ) -> None:
-        if hot_threshold < 1:
-            raise ValueError("hot_threshold must be >= 1")
+        _domain.count("hot_threshold", hot_threshold, 1)
+        _domain.count("max_blocks", max_blocks, 1)
         self.cpu = cpu
         self.hot_threshold = hot_threshold
         self.max_blocks = max_blocks

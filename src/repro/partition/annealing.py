@@ -11,9 +11,9 @@ import math
 import random
 from typing import FrozenSet, Iterable, Optional
 
+from repro import _domain
 from repro.partition.cost import CostWeights
 from repro.partition.evaluate import CompiledProblem
-from repro.partition.knobs import check_count
 from repro.partition.problem import PartitionProblem, PartitionResult
 from repro.partition.seeding import ProgressProbe, resolve_rng
 
@@ -54,17 +54,13 @@ def simulated_annealing(
     # a cooling of 1 or more never cools to the floor, a ratio of 0
     # cools for thousands of levels, and NaN or values <= 0 end the run
     # after one level or before the first move
-    if not 0.0 < cooling < 1.0:
-        raise ValueError(f"annealing.cooling must be in (0, 1), "
-                         f"got {cooling!r}")
-    if not 0.0 < final_temperature_ratio < 1.0:
-        raise ValueError(f"annealing.final_temperature_ratio must be in "
-                         f"(0, 1), got {final_temperature_ratio!r}")
-    if initial_temperature is not None and \
-            not 0.0 < initial_temperature < math.inf:
-        raise ValueError(f"annealing.initial_temperature must be None or "
-                         f"finite and > 0, got {initial_temperature!r}")
-    check_count("annealing", "steps_per_temperature", steps_per_temperature)
+    _domain.real("annealing.cooling", cooling, above=0, below=1)
+    _domain.real("annealing.final_temperature_ratio",
+                 final_temperature_ratio, above=0, below=1)
+    _domain.real("annealing.initial_temperature", initial_temperature,
+                 above=0, optional=True)
+    _domain.count("annealing.steps_per_temperature",
+                  steps_per_temperature, 1)
     names = problem.graph.task_names
     compiled = CompiledProblem(problem)
     hw = frozenset(seed_hw)

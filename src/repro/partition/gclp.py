@@ -24,10 +24,10 @@ attractive at the time.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Dict, FrozenSet, List, Optional
 
+from repro import _domain
 from repro.partition.cost import CostWeights
 from repro.partition.evaluate import CompiledProblem
 from repro.partition.problem import PartitionProblem, PartitionResult
@@ -68,12 +68,8 @@ def gclp_partition(
     resolve_rng(seed, rng)  # validate the uniform interface contract
     # these used to run silently: a threshold of NaN, inf or 5, or a
     # NaN gain, sent every node to software
-    if not 0.0 <= base_threshold <= 1.0:
-        raise ValueError(f"gclp.base_threshold must be in [0, 1], "
-                         f"got {base_threshold!r}")
-    if not 0.0 <= extremity_gain < math.inf:
-        raise ValueError(f"gclp.extremity_gain must be finite and >= 0, "
-                         f"got {extremity_gain!r}")
+    _domain.real("gclp.base_threshold", base_threshold, least=0, most=1)
+    _domain.real("gclp.extremity_gain", extremity_gain, least=0)
     graph = problem.graph
     names = graph.task_names
     compiled = CompiledProblem(problem)

@@ -11,9 +11,9 @@ from __future__ import annotations
 import random
 from typing import FrozenSet, Iterable, Optional
 
+from repro import _domain
 from repro.partition.cost import CostWeights
 from repro.partition.evaluate import CompiledProblem
-from repro.partition.knobs import check_count
 from repro.partition.problem import PartitionProblem, PartitionResult
 from repro.partition.seeding import ProgressProbe, resolve_rng
 
@@ -32,9 +32,10 @@ def greedy_partition(
     Deterministic: ``seed``/``rng`` are accepted for interface
     uniformity with the stochastic heuristics and ignored.  An attached
     ``probe`` receives one convergence record per accepted migration.
+    ``max_iterations`` must be an int >= 1.
     """
     resolve_rng(seed, rng)  # validate the uniform interface contract
-    check_count("greedy", "max_iterations", max_iterations)
+    _domain.count("greedy.max_iterations", max_iterations, 1)
     compiled = CompiledProblem(problem)
     hw = frozenset(seed_hw)
     cost, breakdown, evaluation = compiled.cost(hw, weights)

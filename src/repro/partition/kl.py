@@ -12,9 +12,9 @@ from __future__ import annotations
 import random
 from typing import FrozenSet, Iterable, List, Optional, Tuple
 
+from repro import _domain
 from repro.partition.cost import CostWeights
 from repro.partition.evaluate import CompiledProblem
-from repro.partition.knobs import check_count
 from repro.partition.problem import PartitionProblem, PartitionResult
 from repro.partition.seeding import ProgressProbe, resolve_rng
 
@@ -34,10 +34,10 @@ def kernighan_lin(
     uniformity with the stochastic heuristics and ignored.  An attached
     ``probe`` receives one convergence record per tentative (locked)
     move, tagged with the pass number and whether the pass's best
-    prefix was eventually kept.
+    prefix was eventually kept.  ``max_passes`` must be an int >= 1.
     """
     resolve_rng(seed, rng)  # validate the uniform interface contract
-    check_count("kl", "max_passes", max_passes)
+    _domain.count("kl.max_passes", max_passes, 1)
     compiled = CompiledProblem(problem)
     hw = frozenset(seed_hw)
     cost, breakdown, evaluation = compiled.cost(hw, weights)

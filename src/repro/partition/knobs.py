@@ -102,16 +102,3 @@ def validate_knobs(heuristic: str, knobs: Dict[str, Any]) -> None:
                 f"{heuristic}.{name}: value {value!r} not on the "
                 f"declared grid {declared[name].values!r}"
             )
-
-
-def check_count(heuristic: str, name: str, value: Any) -> None:
-    """Reject a count knob that is not an int >= 1.
-
-    A float would fail deep inside ``range()`` with a bare
-    ``TypeError``, a bool would pass as 0 or 1 and a count below 1
-    would return the seed partition after no move at all.
-    """
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(
-            f"{heuristic}.{name} must be an int >= 1, got {value!r}"
-        )

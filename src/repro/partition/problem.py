@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Optional, Set, TYPE_CHECKING
 
+from repro import _domain
 from repro.estimate.communication import CommModel, DEFAULT
 from repro.graph.taskgraph import TaskGraph
 
@@ -19,12 +21,15 @@ class PartitionProblem:
 
     * ``graph`` — the task graph (times in ns, areas in gates);
     * ``comm`` — boundary-crossing cost model;
-    * ``hw_area_budget`` — maximum co-processor area (None = unbounded);
-    * ``deadline_ns`` — end-to-end latency requirement (None = soft);
+    * ``hw_area_budget`` — maximum co-processor area, >= 0 (None or
+      +inf = unbounded);
+    * ``deadline_ns`` — end-to-end latency requirement, >= 0 (None or
+      +inf = soft);
     * ``hw_parallelism`` — concurrent controller/datapath pairs in the
       co-processor: 1 models the single-threaded co-processor of
       Figure 8, larger values the multi-threaded co-processor of
-      Figure 9, None models fully-parallel dedicated hardware;
+      Figure 9, None models fully-parallel dedicated hardware (an int
+      >= 1 or None);
     * ``use_sharing`` — estimate hardware area with functional-unit
       sharing (the [18] estimator) instead of naive addition.
     """
@@ -38,23 +43,12 @@ class PartitionProblem:
 
     def __post_init__(self) -> None:
         self.graph.validate()
-        parallelism = self.hw_parallelism
-        if parallelism is not None and (
-            isinstance(parallelism, bool)
-            or not isinstance(parallelism, int)
-            or parallelism < 1
-        ):
-            raise ValueError(
-                f"hw_parallelism must be an int >= 1 or None, "
-                f"got {parallelism!r}"
-            )
+        _domain.count("hw_parallelism", self.hw_parallelism, 1,
+                      optional=True)
         for name in ("hw_area_budget", "deadline_ns"):
             bound = getattr(self, name)
-            # NaN fails every comparison, so it is caught by "not >="
-            if bound is not None and not bound >= 0:
-                raise ValueError(
-                    f"{name} must be >= 0 or None, got {bound!r}"
-                )
+            if bound != math.inf:  # +inf is no bound, as None is
+                _domain.real(name, bound, least=0, optional=True)
 
     @classmethod
     def from_task_graph(

@@ -14,10 +14,10 @@ impact are small leave hardware first.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import FrozenSet, Optional
 
+from repro import _domain
 from repro.partition.cost import CostWeights
 from repro.partition.evaluate import CompiledProblem
 from repro.partition.problem import PartitionProblem, PartitionResult
@@ -51,9 +51,7 @@ def vulcan_partition(
     resolve_rng(seed, rng)  # validate the uniform interface contract
     # NaN, 0 or a negative factor kept the all-hardware start, and inf
     # moved everything to software
-    if not 0.0 < slack_factor < math.inf:
-        raise ValueError(f"vulcan.slack_factor must be finite and > 0, "
-                         f"got {slack_factor!r}")
+    _domain.real("vulcan.slack_factor", slack_factor, above=0)
     graph = problem.graph
     compiled = CompiledProblem(problem)
     hw = frozenset(graph.task_names)

@@ -10,14 +10,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
+from repro import _domain
+
 
 @dataclass(frozen=True)
 class Compute:
     """Consume processor/datapath time.
 
-    ``duration_ns`` is the reference (software) execution time;
-    ``hw_speedup`` how much faster dedicated hardware runs it;
-    ``parallelism`` the nature-of-computation annotation.
+    ``duration_ns`` (finite and >= 0) is the reference (software)
+    execution time; ``hw_speedup`` (finite and > 0) how much faster
+    dedicated hardware runs it; ``parallelism`` (finite and >= 1) the
+    nature-of-computation annotation.
     """
 
     duration_ns: float
@@ -26,22 +29,21 @@ class Compute:
     parallelism: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.duration_ns < 0:
-            raise ValueError("duration_ns must be >= 0")
-        if self.hw_speedup <= 0:
-            raise ValueError("hw_speedup must be positive")
+        _domain.real("duration_ns", self.duration_ns, least=0)
+        _domain.real("hw_speedup", self.hw_speedup, above=0)
+        _domain.real("parallelism", self.parallelism, least=1)
 
 
 @dataclass(frozen=True)
 class Send:
-    """Send one message of ``words`` words on a named channel."""
+    """Send one message of ``words`` (finite and > 0) words on a named
+    channel."""
 
     channel: str
     words: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.words <= 0:
-            raise ValueError("words must be positive")
+        _domain.real("words", self.words, above=0)
 
 
 @dataclass(frozen=True)
@@ -60,15 +62,13 @@ class Wait:
 
 @dataclass(frozen=True)
 class Loop:
-    """Repeat a body a fixed number of times."""
+    """Repeat a body ``count`` (an int >= 0) times."""
 
     count: int
     body: Tuple["Statement", ...]
 
     def __init__(self, count: int, body):
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "count", _domain.count("count", count))
         object.__setattr__(self, "body", tuple(body))
 
 

@@ -24,12 +24,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import math
 import random
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro import _domain
 from repro.estimate.communication import DEFAULT, LOOSE, TIGHT, CommModel
 from repro.graph.generators import COST_MODELS, GENERATORS, generate
 from repro.partition import HEURISTICS, PartitionProblem
@@ -54,7 +54,9 @@ class SweepConfig:
     deadline (None = unconstrained); ``area_budget_factor`` scales the
     sum of standalone task areas into a budget (None = unbounded).
     Factors rather than absolute numbers keep one grid meaningful
-    across generators and sizes.
+    across generators and sizes.  Both are None or finite and > 0,
+    ``n_tasks`` is an int >= 1, ``seed`` an int and ``hw_parallelism``
+    None or an int >= 1.
     """
 
     generator: str = "layered"
@@ -90,27 +92,13 @@ class SweepConfig:
             )
         # CLI flags, genomes and store payloads all reach these fields:
         # a bad value fails here, by name, before it is fingerprinted
-        if not _is_int(self.n_tasks) or self.n_tasks < 1:
-            raise ValueError(
-                f"n_tasks must be an int >= 1, got {self.n_tasks!r}")
-        if not _is_int(self.seed):
-            raise ValueError(f"seed must be an int, got {self.seed!r}")
-        parallelism = self.hw_parallelism
-        if parallelism is not None and (
-                not _is_int(parallelism) or parallelism < 1):
-            raise ValueError(
-                f"hw_parallelism must be an int >= 1 or None, "
-                f"got {parallelism!r}")
+        _domain.count("n_tasks", self.n_tasks, 1)
+        _domain.count("seed", self.seed, None)
+        _domain.count("hw_parallelism", self.hw_parallelism, 1,
+                      optional=True)
         for factor_name in ("deadline_factor", "area_budget_factor"):
-            value = getattr(self, factor_name)
-            # NaN fails "0 < value", so it is caught with the rest
-            if value is not None and (
-                    isinstance(value, bool)
-                    or not isinstance(value, (int, float))
-                    or not 0 < value < math.inf):
-                raise ValueError(
-                    f"{factor_name} must be a finite number > 0 or "
-                    f"None, got {value!r}")
+            _domain.real(factor_name, getattr(self, factor_name), above=0,
+                         optional=True)
 
     # ------------------------------------------------------------------
     # identity
@@ -204,10 +192,6 @@ class SweepConfig:
             deadline_ns=deadline,
             hw_parallelism=self.hw_parallelism,
         )
-
-
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _digest(text: str) -> str:

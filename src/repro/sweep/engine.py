@@ -36,6 +36,7 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
 
+from repro import _domain
 from repro.campaign.service import (
     CampaignCellError, CampaignInterrupted, run_cells,
 )
@@ -206,8 +207,7 @@ def run_sweep(
     """
     from repro.sweep.table import SweepResult
 
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    _domain.count("workers", workers, 1)
     configs = list(configs)
     obs = obs if obs is not None else DISABLED
     t0 = time.perf_counter()

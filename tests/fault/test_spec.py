@@ -209,9 +209,10 @@ class TestMalformedValues:
             FaultSpec.from_dict(doc)
 
     def test_error_names_the_field(self):
-        with pytest.raises(FaultSpecError, match="index must be int"):
+        with pytest.raises(FaultSpecError, match="index must be an int"):
             FaultSpec(kind="reg_flip", target="mac", index=3.0)
-        with pytest.raises(FaultSpecError, match="time must be finite"):
+        with pytest.raises(FaultSpecError,
+                           match="time must be a finite number"):
             FaultSpec(kind="proc_spin", target="s", time=float("nan"))
         with pytest.raises(FaultSpecError, match=r"missing .*'kind'"):
             FaultSpec.from_dict({"target": "mac"})

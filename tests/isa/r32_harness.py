@@ -449,15 +449,28 @@ def program_words(instrs, illegal_at=None):
     return {i: w for i, w in enumerate(words)}
 
 
-def make_cpu(image, isa=None, cls=Cpu):
+#: initial values of r1..r15 for random programs (r0 stays 0): from
+#: all-zero registers an ADD and a SUB of two registers agree, so a
+#: wrong one would not show.  Small values keep some ``jr`` targets and
+#: addresses inside the program, so not every run faults at once.
+init_regs = st.lists(st.integers(0, 31) | st.integers(0, MASK32),
+                     min_size=N_REGS - 1,
+                     max_size=N_REGS - 1).map(lambda rest: [0] + rest)
+
+
+def make_cpu(image, isa=None, cls=Cpu, regs=None):
+    """A CPU over ``image``, starting from ``regs`` if given."""
     mem = Memory()
     mem.load_image(dict(image))
-    return cls(isa or Isa(), mem)
+    cpu = cls(isa or Isa(), mem)
+    if regs is not None:
+        cpu.regs[:] = regs
+    return cpu
 
 
-def make_ref(image, isa=None):
+def make_ref(image, isa=None, regs=None):
     """:func:`make_cpu`'s twin on the reference."""
-    return make_cpu(image, isa, ReferenceCpu)
+    return make_cpu(image, isa, ReferenceCpu, regs)
 
 
 def snapshot(cpu):

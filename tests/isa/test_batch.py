@@ -33,6 +33,7 @@ from tests.isa.r32_harness import (
     BUDGET,
     COMMON,
     halting_programs,
+    init_regs,
     instr_st,
     make_ref,
     program_words,
@@ -79,20 +80,23 @@ def drive_scalar(cpu, budget, steps=0):
         return f"{type(exc).__name__}: {exc}"
 
 
-def run_reference(image, spec, budget=BUDGET):
+def run_reference(image, spec, budget=BUDGET, regs=None):
     """The from-zero reference: the fault as a retirement observer (the
     independent reference of tests/fault/test_trigger_reference.py) on
-    the reference interpreter."""
-    cpu = make_ref(image)
+    the reference interpreter, from ``regs`` if given."""
+    cpu = make_ref(image, regs=regs)
     if spec is not None:
         cpu.observers.append(ObserverSaboteur(cpu, spec))
     return drive_scalar(cpu, budget), snapshot(cpu)
 
 
-def golden_run(image, budget=BUDGET, spacing=batch_mod.CHECKPOINT_SPACING):
+def golden_run(image, budget=BUDGET, spacing=batch_mod.CHECKPOINT_SPACING,
+               regs=None):
     """A golden run of ``image``, checkpointed every ``spacing``
-    retirements."""
+    retirements, from ``regs`` if given."""
     batch = BatchCpu(Isa(), image)
+    if regs is not None:
+        batch._golden.regs[:] = regs
     with mock.patch.object(batch_mod, "CHECKPOINT_SPACING", spacing):
         batch.run(budget)
     return batch
@@ -117,11 +121,12 @@ def run_forked(batch, spec, budget=BUDGET):
 
 
 def assert_forks_match_reference(image, specs, budget=BUDGET,
-                                 spacing=batch_mod.CHECKPOINT_SPACING):
-    batch = golden_run(image, budget, spacing)
+                                 spacing=batch_mod.CHECKPOINT_SPACING,
+                                 regs=None):
+    batch = golden_run(image, budget, spacing, regs)
     for spec in specs:
         assert run_forked(batch, spec, budget) == \
-            run_reference(image, spec, budget), spec
+            run_reference(image, spec, budget, regs), spec
     return batch
 
 
@@ -139,11 +144,13 @@ class TestDifferential:
         specs=st.lists(fault_st, min_size=1, max_size=12),
         illegal_at=st.one_of(st.none(), st.integers(0, 23)),
         spacing=spacing_st,
+        regs=init_regs,
     )
     def test_random_programs_random_faults(self, instrs, specs, illegal_at,
-                                           spacing):
+                                           spacing, regs):
         image = program_words(instrs, illegal_at)
-        assert_forks_match_reference(image, specs, spacing=spacing)
+        assert_forks_match_reference(image, specs, spacing=spacing,
+                                     regs=regs)
 
     @settings(max_examples=20, **COMMON)
     @given(
@@ -151,11 +158,12 @@ class TestDifferential:
         specs=st.lists(fault_st, min_size=1, max_size=6),
         budget=st.integers(1, 60),
         spacing=spacing_st,
+        regs=init_regs,
     )
-    def test_budget_edges(self, instrs, specs, budget, spacing):
+    def test_budget_edges(self, instrs, specs, budget, spacing, regs):
         """Tiny budgets: golden stops mid-program, down to one step."""
         image = program_words(instrs)
-        assert_forks_match_reference(image, specs, budget, spacing)
+        assert_forks_match_reference(image, specs, budget, spacing, regs)
 
     def test_single_lane(self):
         """One fault-free cell: a copy of golden's end."""
@@ -437,14 +445,14 @@ class TestForks:
     @settings(max_examples=40, **COMMON)
     @given(instrs=halting_programs(), past=st.integers(1, 30),
            index=st.integers(1, 15), bit=st.integers(0, 31),
-           spacing=spacing_st)
+           spacing=spacing_st, regs=init_regs)
     def test_faults_at_and_past_the_halt_of_random_programs(
-            self, instrs, past, index, bit, spacing):
+            self, instrs, past, index, bit, spacing, regs):
         """Programs that halt: faults due at golden's halt retirement
         fork just before it (a halted flip runs the halt once more),
         and faults due past it leave at golden's end."""
         image = program_words(instrs)
-        batch = golden_run(image, spacing=spacing)
+        batch = golden_run(image, spacing=spacing, regs=regs)
         end = batch.checkpoints[-1]
         assert end.halted
         halt_at = end.instr_count
@@ -461,7 +469,7 @@ class TestForks:
                       count=halt_at + past),
         ]
         assert_forks_match_reference(image, at_halt + past_halt,
-                                     spacing=spacing)
+                                     spacing=spacing, regs=regs)
         for spec in at_halt:
             assert fork_for(batch, spec).instr_count < halt_at
         for spec in past_halt:

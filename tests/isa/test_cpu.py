@@ -111,6 +111,19 @@ class TestTiming:
             cpu.run(max_instructions=budget)
         assert cpu.instr_count == 0
 
+    @pytest.mark.parametrize("budget", [float("nan"), 2.5, 3.0, True,
+                                        "3", None])
+    def test_block_budget_must_be_an_int(self, budget):
+        """A NaN budget ran nothing yet returned as if it had, so a
+        caller looping until halt spun forever; 2.5 ran three steps
+        and True one."""
+        cpu, _m = make_cpu("loop: j loop\nhalt")
+        with pytest.raises(ValueError, match="max_steps"):
+            cpu.run_block(budget)
+        assert cpu.instr_count == 0
+        assert cpu.run_block(3)[0] == 3
+        assert cpu.run_block(0) == cpu.run_block(-1) == (0, 0, None)
+
 
 class TestMemoryRegions:
     def test_synchronous_device_region(self):

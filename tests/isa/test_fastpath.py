@@ -29,6 +29,7 @@ from tests.isa.r32_harness import (
     COMMON,
     ENC,
     ReferenceCpu,
+    init_regs,
     instr_st,
     make_cpu,
     make_ext_cpu,
@@ -83,22 +84,25 @@ class TestDifferential:
         instrs=st.lists(instr_st, min_size=1, max_size=24),
         chunks=st.lists(st.integers(1, 9), min_size=1, max_size=4),
         illegal_at=st.one_of(st.none(), st.integers(0, 23)),
+        regs=init_regs,
     )
-    def test_run_block_matches_step_loop(self, instrs, chunks, illegal_at):
+    def test_run_block_matches_step_loop(self, instrs, chunks, illegal_at,
+                                         regs):
         image = program_words(instrs, illegal_at)
-        ref, fast, stepped = make_ref(image), make_cpu(image), \
-            make_cpu(image)
+        ref, fast, stepped = make_ref(image, regs=regs), \
+            make_cpu(image, regs=regs), make_cpu(image, regs=regs)
         err_ref = run_ref(ref)
         assert err_ref == run_fast(fast, tuple(chunks))
         assert err_ref == run_stepped(stepped)
         assert snapshot(ref) == snapshot(fast) == snapshot(stepped)
 
     @settings(max_examples=40, **COMMON)
-    @given(instrs=st.lists(instr_st, min_size=1, max_size=24))
-    def test_run_matches_step_loop(self, instrs):
+    @given(instrs=st.lists(instr_st, min_size=1, max_size=24),
+           regs=init_regs)
+    def test_run_matches_step_loop(self, instrs, regs):
         """``Cpu.run()`` (built on run_block) vs the step loop."""
         image = program_words(instrs)
-        ref, fast = make_ref(image), make_cpu(image)
+        ref, fast = make_ref(image, regs=regs), make_cpu(image, regs=regs)
         err_ref = run_ref(ref)
         try:
             fast.run(max_instructions=BUDGET)
@@ -116,12 +120,14 @@ class TestDifferential:
     @given(
         instrs=st.lists(instr_st, min_size=1, max_size=20),
         chunks=st.lists(st.integers(1, 9), min_size=1, max_size=4),
+        regs=init_regs,
     )
-    def test_observers_force_identical_slow_path(self, instrs, chunks):
+    def test_observers_force_identical_slow_path(self, instrs, chunks,
+                                                 regs):
         """With observers armed the system retires as the reference
         does *and* the observer sees the same (pc, opcode) sequence."""
         image = program_words(instrs)
-        ref, fast = make_ref(image), make_cpu(image)
+        ref, fast = make_ref(image, regs=regs), make_cpu(image, regs=regs)
         seen_ref, seen_fast = [], []
         ref.observers.append(lambda pc, i: seen_ref.append((pc, i.opcode)))
         fast.observers.append(lambda pc, i: seen_fast.append((pc, i.opcode)))
@@ -136,8 +142,10 @@ class TestDifferential:
         reg=st.integers(0, 15),
         bit=st.integers(0, 31),
         count=st.integers(1, 40),
+        regs=init_regs,
     )
-    def test_fault_bitflips_identical(self, instrs, chunks, reg, bit, count):
+    def test_fault_bitflips_identical(self, instrs, chunks, reg, bit, count,
+                                      regs):
         """A one-shot register bit-flip — the reference observer on the
         reference, the armed trigger on run_block's interpreted tier —
         must corrupt both identically, including flips of r0, which the
@@ -145,7 +153,7 @@ class TestDifferential:
         spec = FaultSpec(kind="cpu_reg_flip", target="cpu",
                          index=reg, bit=bit, count=count)
         image = program_words(instrs)
-        ref, fast = make_ref(image), make_cpu(image)
+        ref, fast = make_ref(image, regs=regs), make_cpu(image, regs=regs)
         ref.observers.append(ObserverSaboteur(ref, spec))
         arm_cpu_fault(fast, spec)
         assert run_ref(ref) == run_fast(fast, tuple(chunks))

@@ -36,6 +36,7 @@ from tests.isa.r32_harness import (
     ENC,
     ReferenceCpu,
     chunks_st,
+    init_regs,
     instr_st,
     make_cpu,
     make_ext_cpu,
@@ -52,8 +53,8 @@ pytestmark = pytest.mark.slow  # exhaustive: the smoke lane skips it
 hot_st = st.sampled_from([1, 2, 4])  # 1 = translate eagerly
 
 
-def make_trans_cpu(image, isa=None, hot=1):
-    cpu = make_cpu(image, isa)
+def make_trans_cpu(image, isa=None, hot=1, regs=None):
+    cpu = make_cpu(image, isa, regs=regs)
     install(cpu, hot_threshold=hot)
     return cpu
 
@@ -116,14 +117,15 @@ class TestTranslateDifferential:
         chunks=chunks_st,
         illegal_at=st.one_of(st.none(), st.integers(0, 19)),
         hot=hot_st,
+        regs=init_regs,
     )
     def test_translate_matches_both_tiers(
-        self, instrs, chunks, illegal_at, hot
+        self, instrs, chunks, illegal_at, hot, regs
     ):
         image = program_words(instrs, illegal_at)
-        ref = make_ref(image)
-        fast = make_cpu(image)
-        trans = make_trans_cpu(image, hot=hot)
+        ref = make_ref(image, regs=regs)
+        fast = make_cpu(image, regs=regs)
+        trans = make_trans_cpu(image, hot=hot, regs=regs)
         err_ref = run_ref(ref)
         err_fast = run_fast(fast, tuple(chunks))
         err_trans = run_fast(trans, tuple(chunks))
@@ -136,20 +138,22 @@ class TestTranslateDifferential:
     @given(
         instrs=st.lists(instr_st, min_size=1, max_size=20),
         hot=hot_st,
+        regs=init_regs,
     )
-    def test_warm_cache_rerun_identical(self, instrs, hot):
+    def test_warm_cache_rerun_identical(self, instrs, hot, regs):
         """A second run over a warm block cache retires identically to
         the first run from a cold cache (the cache is a pure memo)."""
         image = program_words(instrs)
-        cold = make_trans_cpu(image, hot=hot)
+        cold = make_trans_cpu(image, hot=hot, regs=regs)
         err_cold = run_fast(cold, (BUDGET,))
         state_cold = snapshot(cold)
 
-        warm = make_trans_cpu(image, hot=hot)
+        warm = make_trans_cpu(image, hot=hot, regs=regs)
         run_fast(warm, (7,))
         translator = warm.translator
         # re-run from reset state on the *same* translator/cache
         warm.__init__(warm.isa, warm.memory, pc=0)
+        warm.regs[:] = regs
         warm.memory.load_image(dict(image))
         warm.memory.loads = warm.memory.stores = 0
         warm.translator = translator
@@ -204,9 +208,10 @@ class TestTranslateFaults:
         bit=st.integers(0, 31),
         count=st.integers(1, 40),
         hot=hot_st,
+        regs=init_regs,
     )
     def test_fault_bitflips_identical(
-        self, instrs, chunks, reg, bit, count, hot
+        self, instrs, chunks, reg, bit, count, hot, regs
     ):
         """A register bit-flip must corrupt the reference (an observer
         on the reference interpreter) and the translated engine (an
@@ -216,8 +221,8 @@ class TestTranslateFaults:
             count=count,
         )
         image = program_words(instrs)
-        ref = make_ref(image)
-        trans = make_trans_cpu(image, hot=hot)
+        ref = make_ref(image, regs=regs)
+        trans = make_trans_cpu(image, hot=hot, regs=regs)
         ref.observers.append(ObserverSaboteur(ref, spec))
         arm_cpu_fault(trans, spec)
         assert run_ref(ref) == run_fast(trans, tuple(chunks))
@@ -231,9 +236,10 @@ class TestTranslateFaults:
         bit=st.integers(0, 31),
         count=st.integers(1, 10),
         hot=hot_st,
+        regs=init_regs,
     )
     def test_injector_disarm_reengages_translated_tier(
-        self, instrs, phase1, reg, bit, count, hot
+        self, instrs, phase1, reg, bit, count, hot, regs
     ):
         """arm → run → disarm → run: the translated engine stays
         identical to the reference across the whole lifecycle, and
@@ -243,8 +249,8 @@ class TestTranslateFaults:
             count=count,
         )
         image = program_words(instrs)
-        ref = make_ref(image)
-        trans = make_trans_cpu(image, hot=1)
+        ref = make_ref(image, regs=regs)
+        trans = make_trans_cpu(image, hot=1, regs=regs)
 
         def lifecycle(cpu, runner, *run_args):
             injector = FaultInjector(System(sim=None, cpu=cpu))
@@ -330,16 +336,17 @@ class TestSelfModifyingCode:
         addr=st.integers(0, 16),
         word=st.sampled_from(REWRITE_WORDS),
         hot=hot_st,
+        regs=init_regs,
     )
     def test_external_store_invalidates_between_runs(
-        self, instrs, phase1, addr, word, hot
+        self, instrs, phase1, addr, word, hot, regs
     ):
         """Code rewritten through ``Memory.write`` *between* run_block
         calls — e.g. by a DMA device or another tier — must invalidate
         translated blocks exactly like an in-block store."""
         image = program_words(instrs)
-        ref = make_ref(image)
-        trans = make_trans_cpu(image, hot=hot)
+        ref = make_ref(image, regs=regs)
+        trans = make_trans_cpu(image, hot=hot, regs=regs)
 
         def run_two_phase(cpu, runner):
             err = runner(cpu, phase1)
@@ -371,9 +378,10 @@ class TestIsaMutation:
         add_cycles=st.integers(1, 9),
         mac_cycles=st.integers(1, 5),
         hot=hot_st,
+        regs=init_regs,
     )
     def test_midrun_mutation_identical(
-        self, instrs, custom_at, phase1, add_cycles, mac_cycles, hot
+        self, instrs, custom_at, phase1, add_cycles, mac_cycles, hot, regs
     ):
         """Register a custom op and retime ADD *mid-run*: both engines
         must drop every cached block/decode and continue identically —
@@ -386,8 +394,8 @@ class TestIsaMutation:
         def build(translated):
             isa = Isa()
             if not translated:
-                return make_ref(image, isa), isa
-            cpu = make_cpu(image, isa)
+                return make_ref(image, isa, regs), isa
+            cpu = make_cpu(image, isa, regs=regs)
             install(cpu, hot_threshold=hot)
             return cpu, isa
 
@@ -426,16 +434,17 @@ class TestObserverLifecycle:
         phase1=st.integers(1, 20),
         phase2=st.integers(1, 20),
         chunks=chunks_st,
+        regs=init_regs,
     )
     def test_attach_detach_cycle_identical(
-        self, instrs, phase1, phase2, chunks
+        self, instrs, phase1, phase2, chunks, regs
     ):
         """free → observed → free again: the retirement sequence the
         observer sees matches the reference, and after detach the
         translated CPU runs without touching the other tiers."""
         image = program_words(instrs)
-        ref = make_ref(image)
-        trans = make_trans_cpu(image, hot=1)
+        ref = make_ref(image, regs=regs)
+        trans = make_trans_cpu(image, hot=1, regs=regs)
         seen_ref, seen_trans = [], []
 
         def drive(cpu, seen, runner):
