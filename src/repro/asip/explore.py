@@ -10,15 +10,10 @@ CPU model, and cross-checks outputs against the stock-ISA run.  The
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
-from repro.asip.custom import (
-    CustomCandidate,
-    fusions_for,
-    install,
-    mine_candidates,
-)
+from repro.asip.custom import fusions_for, install, mine_candidates
 from repro.asip.selection import select_instructions
 from repro.graph.cdfg import CDFG
 from repro.isa.codegen import compile_cdfg

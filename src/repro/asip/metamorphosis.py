@@ -15,8 +15,8 @@ pick one instruction set for all phases.  ``plan_metamorphosis`` vs
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 from repro.asip.custom import (
     CustomCandidate,

@@ -11,7 +11,7 @@ ASIP flows the paper cites.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro import _domain
 from repro.asip.custom import CustomCandidate

@@ -14,7 +14,7 @@ paper walks through in prose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional
 
 from repro.core.taxonomy import (

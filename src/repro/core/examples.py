@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Dict
 
 from repro.core.criteria import Methodology, MethodologyRegistry
 from repro.core.taxonomy import (

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, FrozenSet, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Deque, Dict, FrozenSet, Optional
 
 from repro.cosim.kernel import Event, Simulator
 from repro.cosim.msglevel import Channel

@@ -26,7 +26,7 @@ and the result is checked against the behavior's golden reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.taxonomy import (
@@ -39,7 +39,6 @@ from repro.core.taxonomy import (
 )
 from repro.cosim.kernel import Simulator
 from repro.graph import kernels
-from repro.graph.cdfg import CDFG
 from repro.hls.synthesize import HlsResult, synthesize
 from repro.interface.chinook import InterfaceDesign, synthesize_interface
 from repro.interface.spec import Access, DeviceSpec, RegisterSpec, uart_spec

@@ -23,12 +23,19 @@ accuracy/cost ladder.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional
 
 from repro import _domain
 from repro.cosim.bus import SystemBus
-from repro.cosim.kernel import Process, SimulationError, Simulator, _Leap
+from repro.cosim.kernel import (
+    Process,
+    SimulationError,
+    Simulator,
+    Timeout,
+    _Leap,
+)
 from repro.cosim.trace import ACCESS
 from repro.cosim.msglevel import Channel
 from repro.cosim.pinlevel import PinBusMaster
@@ -126,11 +133,22 @@ class MessageAdapter(InterfaceAdapter):
 _POLL_HISTORY = 64
 
 
+#: How many distinct delays a driver keeps a reusable ``Timeout`` for.
+_REUSED_TIMEOUTS = 64
+
+
 @dataclass
 class _Mount:
     base: int
     size: int
     adapter: InterfaceAdapter
+    #: the device behind a :class:`RegisterAdapter` (else None): a read
+    #: of one of its :attr:`~RegisterDevice.PURE_READS` may start a leap
+    device: Optional[RegisterDevice]
+    #: whether the driver plays an access out itself, as one wait and
+    #: :meth:`RegisterDevice.complete`: the device's ``read`` and
+    #: ``write`` are :class:`RegisterDevice`'s own, which do just that
+    direct: bool
 
 
 class Backplane:
@@ -171,7 +189,11 @@ class Backplane:
                                          above=0)
         self.batch_instructions = _domain.count(
             "batch_instructions", batch_instructions, 1)
+        #: the mounts and their bases, both in ascending base order
         self._mounts: List[_Mount] = []
+        self._bases: List[int] = []
+        #: delay -> the Timeout the driver yields for it, reused
+        self._timeouts: Dict[float, Timeout] = {}
         self.external_accesses = 0
         self.stall_time = 0.0
         self.process: Optional[Process] = None
@@ -179,11 +201,18 @@ class Backplane:
     # ------------------------------------------------------------------
     def mount(self, base: int, size: int, adapter: InterfaceAdapter) -> None:
         """Map [base, base+size) to ``adapter`` and mark the window
-        external in the CPU's memory."""
+        external in the CPU's memory.  A :class:`RegisterAdapter`'s
+        device is the one it holds now."""
         self.cpu.memory.add_region(
             f"mount@{base:#x}", base, size, external=True
         )
-        self._mounts.append(_Mount(base, size, adapter))
+        device = adapter.device if type(adapter) is RegisterAdapter else None
+        direct = (device is not None
+                  and type(device).read is RegisterDevice.read
+                  and type(device).write is RegisterDevice.write)
+        at = bisect_right(self._bases, base)
+        self._bases.insert(at, base)
+        self._mounts.insert(at, _Mount(base, size, adapter, device, direct))
 
     def irq(self) -> None:
         """Raise the CPU interrupt line (for device models)."""
@@ -199,10 +228,20 @@ class Backplane:
 
     # ------------------------------------------------------------------
     def _find(self, addr: int) -> _Mount:
-        for mount in self._mounts:
-            if mount.base <= addr < mount.base + mount.size:
+        at = bisect_right(self._bases, addr)
+        if at:
+            mount = self._mounts[at - 1]
+            if addr < mount.base + mount.size:
                 return mount
         raise SimulationError(f"no adapter mounted at {addr:#x}")
+
+    def _timeout(self, delay: float) -> Timeout:
+        """A new ``Timeout`` of ``delay``, kept for reuse while fewer
+        than :data:`_REUSED_TIMEOUTS` delays are."""
+        made = self.sim.timeout(delay)
+        if len(self._timeouts) < _REUSED_TIMEOUTS:
+            self._timeouts[delay] = made
+        return made
 
     def _drive(self) -> Generator:
         # Each run_block() call retires a run of internal instructions
@@ -210,7 +249,10 @@ class Backplane:
         # — retired instructions, taken IRQs, and the deferred access —
         # so the batch budget, and therefore the exact sequence of
         # timeouts and adapter activations, is identical to a loop of
-        # one step() per instruction at any batch_instructions.
+        # one step() per instruction at any batch_instructions.  A
+        # direct mount's access is one wait and the device's completion
+        # here; any other goes through _service's adapter generator.
+        # Each delay's Timeout is made once and reused.
         #
         # A poll loop's history: `seen` maps each snapshot's key to the
         # length of `waits` and the CPU's instruction, cycle and load
@@ -222,8 +264,9 @@ class Backplane:
         # between calls.
         cpu = self.cpu
         memory = cpu.memory
+        sim = self.sim
         period = self.clock_period
-        timeout = self.sim.timeout
+        timeouts = self._timeouts
         seen: Optional[Dict[tuple, tuple]] = None
         waits: List[tuple] = []
         while not cpu.halted:
@@ -232,19 +275,33 @@ class Backplane:
                 steps, cycles, access = cpu.run_block(budget)
                 budget -= steps
                 if cycles:
+                    delay = cycles * period
                     if seen is not None:
-                        waits.append((cycles * period, None, 0.0))
-                    yield timeout(cycles * period)
+                        waits.append((delay, None, 0.0))
+                    yield timeouts.get(delay) or self._timeout(delay)
                 if access is None:
                     break  # budget exhausted or halt retired
-                read = yield from self._service(access)
+                mount = self._find(access.addr)
+                if mount.direct:
+                    self.external_accesses += 1
+                    started = sim.now
+                    device = mount.device
+                    offset = access.addr - mount.base
+                    device._check(offset)
+                    delay = device.access_time
+                    yield timeouts.get(delay) or self._timeout(delay)
+                    value = device.complete(offset, access.value,
+                                            access.is_write)
+                    read = self._finish(access, mount, started, value)
+                else:
+                    read = yield from self._service(access, mount)
                 if cpu.halted:
                     break
                 if read is None or not self._alone():
                     seen = None
                     continue
                 key = (cpu.pc, tuple(cpu.regs), cpu.irq_enabled, cpu.epc,
-                       budget, access.addr, memory.stores, self.sim._calls)
+                       budget, access.addr, memory.stores, sim._calls)
                 if seen is not None:
                     waits.append(read)
                     hit = seen.get(key)
@@ -321,42 +378,45 @@ class Backplane:
         self.stall_time = stall
         return _Leap(when, passes * len(loop) - 1)
 
-    def _service(self, access: ExternalAccess) -> Generator:
-        """Play ``access`` out on its mount's adapter and complete it;
-        the instruction's cycles and the elapsed time in whole clock
-        periods go to ``cpu.cycle_count`` only.
+    def _service(self, access: ExternalAccess, mount: _Mount) -> Generator:
+        """Play ``access`` out through ``mount``'s adapter generator and
+        complete it (:meth:`_finish`)."""
+        self.external_accesses += 1
+        started = self.sim.now
+        value = yield from mount.adapter.access(
+            access.addr - mount.base, access.value, access.is_write
+        )
+        return self._finish(access, mount, started, value)
+
+    def _finish(self, access: ExternalAccess, mount: _Mount,
+                started: float, value: Optional[int]) -> Optional[tuple]:
+        """Complete ``access``, begun at ``started`` and answered with
+        ``value``: the instruction's cycles and the elapsed time in
+        whole clock periods go to ``cpu.cycle_count`` only.
 
         Returns the driver's wait as ``(delay, device, elapsed)`` when
         the access read a register its device declares free of side
         effects (:attr:`RegisterDevice.PURE_READS`), else None.
         """
-        mount = self._find(access.addr)
-        adapter = mount.adapter
-        offset = access.addr - mount.base
-        self.external_accesses += 1
-        started = self.sim.now
-        value = yield from adapter.access(
-            offset, access.value, access.is_write
-        )
-        elapsed = self.sim.now - started
+        sim = self.sim
+        elapsed = sim.now - started
         self.stall_time += elapsed
-        if self.sim.tracer is not None:
-            name = type(adapter).__name__
-            self.sim.tracer.emit(
+        tracer = sim.tracer
+        if tracer is not None:
+            name = type(mount.adapter).__name__
+            tracer.emit(
                 ACCESS, f"mount@{mount.base:#x}", addr=access.addr,
                 write=access.is_write, adapter=name, stall=elapsed,
             )
-            self.sim.tracer.metrics.counter(
-                f"backplane.{name}.accesses"
-            ).inc()
-            self.sim.tracer.metrics.histogram(
+            tracer.metrics.counter(f"backplane.{name}.accesses").inc()
+            tracer.metrics.histogram(
                 f"backplane.{name}.stall_ns"
             ).observe(elapsed)
-        stall_cycles = int(round(elapsed / self.clock_period))
         self.cpu.complete_access(
-            read_value=(value or 0), extra_cycles=stall_cycles
+            value or 0, int(round(elapsed / self.clock_period))
         )
-        if (type(adapter) is RegisterAdapter and not access.is_write
-                and offset in adapter.device.PURE_READS):
-            return adapter.device.access_time, adapter.device, elapsed
+        device = mount.device
+        if (device is not None and not access.is_write
+                and access.addr - mount.base in device.PURE_READS):
+            return device.access_time, device, elapsed
         return None

@@ -10,8 +10,8 @@ level while remaining much cheaper than the pin level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Generator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Generator, List
 
 from repro import _domain
 from repro.cosim.kernel import Resource, SimulationError, Simulator

@@ -179,17 +179,18 @@ class Event:
 
 class Timeout:
     """Delay for a fixed, finite, non-negative amount of model time,
-    optionally with a value."""
+    optionally with a value.  ``delay`` is an int or float, not a bool;
+    anything else raises :class:`SimulationError`."""
 
     __slots__ = ("delay", "value")
 
     def __init__(self, delay: float, value: Any = None) -> None:
-        # checked inline, not by repro._domain: this runs once per
-        # yield on the kernel's hot path
-        if not 0.0 <= delay < _INF:  # also rejects NaN
-            raise SimulationError(
-                f"timeout delay must be finite and >= 0, got {delay!r}"
-            )
+        # one inline test on the kernel's hot path (it also rejects
+        # NaN); repro._domain decides only what it does not pass, such
+        # as a float subclass, and words the error
+        if (type(delay) is not float and type(delay) is not int) \
+                or not 0.0 <= delay < _INF:
+            _domain.real("delay", delay, least=0, error=SimulationError)
         self.delay = delay
         self.value = value
 

@@ -15,7 +15,7 @@ attached, so a tracerless simulation pays nothing.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro import _domain
 

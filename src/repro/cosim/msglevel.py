@@ -13,10 +13,10 @@ latency number (or ignored entirely with ``latency_per_word=0``).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, List, Optional, Tuple
+from typing import Any, Deque, Generator, List, Optional
 
 from repro import _domain
-from repro.cosim.kernel import Event, SimulationError, Simulator
+from repro.cosim.kernel import Event, Simulator
 from repro.cosim.trace import MSG
 
 

@@ -14,7 +14,7 @@ cost grows with *cycles*, not with *transfers*.
 
 from __future__ import annotations
 
-from typing import Callable, Generator, List, Optional
+from typing import Generator, List, Optional
 
 from repro import _domain
 from repro.cosim.bus import SlaveHandler

@@ -10,7 +10,7 @@ to contention.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Generator, List, Optional
+from typing import FrozenSet, Generator, List, Optional
 
 from repro import _domain
 from repro.cosim.kernel import Event, SimulationError, Simulator
@@ -123,19 +123,36 @@ class RegisterDevice:
         """Generator: timed read of one register."""
         self._check(index)
         yield self.sim.timeout(self.access_time)
-        self.reads += 1
-        if self.sim.tracer is not None:
-            self._trace_access(index, False)
-        return self.on_read(index)
+        return self.complete(index, 0, False)
 
     def write(self, index: int, value: int) -> Generator:
         """Generator: timed write of one register."""
         self._check(index)
         yield self.sim.timeout(self.access_time)
-        self.writes += 1
-        if self.sim.tracer is not None:
-            self._trace_access(index, True)
-        self.on_write(index, value)
+        self.complete(index, value, True)
+
+    def complete(self, index: int, value: int, is_write: bool) -> int:
+        """The synchronous end of a checked access, once its
+        ``access_time`` has passed: count it, record it for the tracer
+        and run the hook.  Returns the value read (0 for a write).
+
+        :meth:`read` and :meth:`write` end with it, and so does a
+        :class:`repro.cosim.backplane.Backplane` playing out an access
+        without their generators, so a subclass changes what an access
+        does through the hooks and its timing through :meth:`read` and
+        :meth:`write`.
+        """
+        tracer = self.sim.tracer
+        if is_write:
+            self.writes += 1
+            if tracer is not None:
+                self._trace_access(index, True)
+            self.on_write(index, value)
+            return 0
+        self.reads += 1
+        if tracer is not None:
+            self._trace_access(index, False)
+        return self.on_read(index)
 
     def _trace_access(self, index: int, is_write: bool) -> None:
         self.sim.tracer.emit(REG, self.name, index=index, write=is_write)

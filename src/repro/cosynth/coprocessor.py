@@ -15,7 +15,7 @@ implementations are checked against the CDFG reference).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.estimate.communication import CommModel, TIGHT

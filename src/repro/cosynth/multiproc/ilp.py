@@ -25,8 +25,7 @@ capacity factor is tightened and the ILP re-solved (cutting-plane-lite).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np

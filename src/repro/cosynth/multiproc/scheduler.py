@@ -10,17 +10,13 @@ producer and consumer land on different processing elements.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from repro.estimate.communication import CommModel, DEFAULT
 from repro.graph.algorithms import b_levels
 from repro.graph.taskgraph import TaskGraph
-from repro.cosynth.multiproc.library import (
-    Allocation,
-    PeInstance,
-    execution_time,
-)
+from repro.cosynth.multiproc.library import Allocation, execution_time
 
 
 @dataclass

@@ -20,14 +20,13 @@ Terminates when no move helps; the greedy trajectory is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.estimate.communication import CommModel, DEFAULT
 from repro.estimate.software import Processor, default_processor_library
 from repro.graph.taskgraph import TaskGraph
 from repro.cosynth.multiproc.ilp import SynthesisResult
-from repro.cosynth.multiproc.library import Allocation, PeInstance
+from repro.cosynth.multiproc.library import Allocation
 from repro.cosynth.multiproc.scheduler import schedule_on
 
 

@@ -25,11 +25,11 @@ experiment E9.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro import _domain
 from repro.estimate.communication import CommModel, TIGHT
-from repro.graph.algorithms import communication_clusters, inter_cluster_volume
+from repro.graph.algorithms import communication_clusters
 from repro.graph.taskgraph import TaskGraph
 from repro.partition.cost import CostWeights
 from repro.partition.kl import kernighan_lin

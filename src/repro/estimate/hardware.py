@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro import _domain
-from repro.graph.cdfg import CDFG, OpKind
+from repro.graph.cdfg import CDFG
 from repro.hls.library import (
     ComponentLibrary,
     controller_area,

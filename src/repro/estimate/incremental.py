@@ -24,7 +24,7 @@ the two land and how that changes accepted partitioning moves (E8).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 

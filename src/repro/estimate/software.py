@@ -10,7 +10,7 @@ from actually running the generated code on the R32 model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro import _domain

@@ -43,7 +43,7 @@ import json
 import os
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import _domain

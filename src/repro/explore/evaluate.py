@@ -30,9 +30,9 @@ record, never inside workers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
-from repro.explore.genome import Genome, SearchSpace, split_genome
+from repro.explore.genome import Genome, split_genome
 from repro.obs.session import Obs
 from repro.partition import HEURISTICS, CostWeights
 from repro.partition.knobs import validate_knobs
@@ -111,7 +111,7 @@ def run_genome(payload: Dict[str, Any],
     ``obs``, the worker session of an observed genome, gets a ``genome``
     span and per-heuristic counters; the record is the same.
     """
-    from repro.partition.cost import cost_terms, partition_cost
+    from repro.partition.cost import cost_terms
 
     genome: Genome = payload["genome"]
     if obs is not None:

@@ -25,7 +25,7 @@ reference point, after normalization to the unit cube.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 Point = Tuple[float, ...]
 

@@ -42,7 +42,7 @@ import hashlib
 import json
 import random
 from dataclasses import MISSING, dataclass, fields
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro import _domain
 

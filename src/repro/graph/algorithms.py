@@ -8,7 +8,7 @@ priority lists, and communication-aware clusterings.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set
 
 from repro import _domain
 from repro.graph.taskgraph import Task, TaskGraph

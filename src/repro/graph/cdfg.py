@@ -20,7 +20,7 @@ Section 3.2 of the paper calls for.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 MASK32 = 0xFFFFFFFF

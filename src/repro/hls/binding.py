@@ -16,9 +16,9 @@ what the incremental estimator of [18] tracks under sharing).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.graph.cdfg import CDFG, OpKind
+from repro.graph.cdfg import OpKind
 from repro.hls.scheduling import Schedule
 
 

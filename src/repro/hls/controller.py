@@ -9,9 +9,8 @@ part of the total hardware cost the partitioners trade against software.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List
 
-from repro.graph.cdfg import OpKind
 from repro.hls.binding import Binding
 from repro.hls.datapath import Datapath
 from repro.hls.library import controller_area

@@ -11,9 +11,9 @@ exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
-from repro.graph.cdfg import CDFG, OpKind
+from repro.graph.cdfg import OpKind
 from repro.hls.binding import Binding
 from repro.hls.library import (
     ComponentLibrary,

@@ -12,8 +12,8 @@ multiplier), which drive all of the trade-offs the paper discusses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, Iterable, List
 
 from repro.graph.cdfg import OpKind
 

@@ -18,11 +18,10 @@ cycle time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.graph.cdfg import CDFG, Op, OpKind
+from repro.graph.cdfg import CDFG, OpKind
 from repro.hls.library import Component, ComponentLibrary, default_library
 
 

@@ -12,7 +12,7 @@ controller and returns an :class:`HlsResult` carrying:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.graph.cdfg import CDFG, OpKind

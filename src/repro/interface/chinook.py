@@ -15,8 +15,8 @@ and packages the result as an :class:`InterfaceDesign` that can:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional
 
 from repro.cosim.backplane import Backplane, InterfaceAdapter
 from repro.cosim.kernel import Simulator
@@ -25,7 +25,7 @@ from repro.interface.glue import GlueLogic, build_glue
 from repro.interface.regmap import RegisterMap, allocate_register_map
 from repro.interface.spec import DeviceSpec
 from repro.isa.assembler import Program, assemble
-from repro.isa.cpu import Cpu, Memory
+from repro.isa.cpu import Cpu
 from repro.isa.instructions import Isa
 
 #: device-model behavior: (register offset, value, is_write) -> read value

@@ -14,7 +14,7 @@ against the generated glue on the co-simulation backplane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.interface.glue import GlueLogic

@@ -10,7 +10,7 @@ explicit models so the area shows up in system-level cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.interface.regmap import RegisterMap

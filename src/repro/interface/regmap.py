@@ -8,8 +8,8 @@ cannot disagree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro.interface.spec import DeviceSpec
 

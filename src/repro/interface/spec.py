@@ -11,8 +11,8 @@ implementations.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List
 
 from repro import _domain
 

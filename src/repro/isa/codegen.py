@@ -16,7 +16,7 @@ marshal data in and out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.graph.cdfg import CDFG, Op, OpKind

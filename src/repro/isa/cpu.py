@@ -23,6 +23,7 @@ than just an interpreter:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
@@ -51,9 +52,10 @@ class _Region:
     read_fn: Optional[Callable[[int], int]]
     write_fn: Optional[Callable[[int, int], None]]
     external: bool
+    end: int = field(init=False, repr=False)
 
-    def contains(self, addr: int) -> bool:
-        return self.base <= addr < self.base + self.size
+    def __post_init__(self) -> None:
+        self.end = self.base + self.size
 
 
 class Memory:
@@ -62,12 +64,15 @@ class Memory:
     Plain addresses are backed by a dict (unwritten words read as zero).
     Regions may carry synchronous read/write handlers (cheap device
     models) or be marked *external*, deferring the access to the
-    co-simulation backplane.
+    co-simulation backplane.  Regions never overlap, so one bisect over
+    their bases finds an address's region, whatever their sizes.
     """
 
     def __init__(self) -> None:
         self.ram: Dict[int, int] = {}
+        #: the regions and their bases, both in ascending base order
         self._regions: List[_Region] = []
+        self._bases: List[int] = []
         self.loads = 0
         self.stores = 0
         #: addresses covered by translated code (owned by the block
@@ -92,18 +97,22 @@ class Memory:
         _domain.count(f"region {name!r}: base", base)
         _domain.count(f"region {name!r}: size", size, 1)
         for region in self._regions:
-            if region.base < base + size and base < region.base + region.size:
+            if region.base < base + size and base < region.end:
                 raise ValueError(
                     f"region {name!r} overlaps {region.name!r}"
                 )
-        self._regions.append(
-            _Region(name, base, size, read_fn, write_fn, external)
+        at = bisect_right(self._bases, base)
+        self._bases.insert(at, base)
+        self._regions.insert(
+            at, _Region(name, base, size, read_fn, write_fn, external)
         )
 
     def region_at(self, addr: int) -> Optional[_Region]:
         """The region containing ``addr``, or None for plain RAM."""
-        for region in self._regions:
-            if region.contains(addr):
+        at = bisect_right(self._bases, addr)
+        if at:
+            region = self._regions[at - 1]
+            if addr < region.end:
                 return region
         return None
 
@@ -114,40 +123,59 @@ class Memory:
         if watch is not None and not watch.isdisjoint(image):
             self.code_version += 1
 
-    def read(self, addr: int) -> int:
-        """Read one word (may raise :class:`_Defer` for external regions)."""
+    def load(self, addr: int) -> Optional[int]:
+        """Read one word, or None if ``addr`` is in an external region
+        (the caller defers the access).  A RAM word comes back as
+        stored, whatever it holds, so no RAM content reads as None."""
         addr &= MASK32
         self.loads += 1
-        region = self.region_at(addr)
-        if region is None:
-            return self.ram.get(addr, 0)
-        if region.external:
-            raise _Defer(ExternalAccess(addr, 0, False))
-        if region.read_fn is None:
-            raise CpuError(f"region {region.name!r} is not readable")
-        return region.read_fn(addr - region.base) & MASK32
+        if self._bases:
+            region = self.region_at(addr)
+            if region is not None:
+                if region.external:
+                    return None
+                if region.read_fn is None:
+                    raise CpuError(f"region {region.name!r} is not readable")
+                return region.read_fn(addr - region.base) & MASK32
+        return self.ram.get(addr, 0)
+
+    def store(self, addr: int, value: int) -> bool:
+        """Write one word; True, with nothing written, if ``addr`` is
+        in an external region (the caller defers the access)."""
+        addr &= MASK32
+        self.stores += 1
+        if self._bases:
+            region = self.region_at(addr)
+            if region is not None:
+                if region.external:
+                    return True
+                if region.write_fn is None:
+                    raise CpuError(f"region {region.name!r} is not writable")
+                region.write_fn(addr - region.base, value & MASK32)
+                return False
+        self.ram[addr] = value & MASK32
+        watch = self.code_watch
+        if watch is not None and addr in watch:
+            self.code_version += 1
+        return False
+
+    def read(self, addr: int) -> int:
+        """:meth:`load`, raising :class:`_Defer` for an external region."""
+        value = self.load(addr)
+        if value is None:
+            raise _Defer(ExternalAccess(addr & MASK32, 0, False))
+        return value
 
     def write(self, addr: int, value: int) -> None:
-        """Write one word (may raise :class:`_Defer` for external regions)."""
-        addr &= MASK32
-        value &= MASK32
-        self.stores += 1
-        region = self.region_at(addr)
-        if region is None:
-            self.ram[addr] = value
-            watch = self.code_watch
-            if watch is not None and addr in watch:
-                self.code_version += 1
-            return
-        if region.external:
-            raise _Defer(ExternalAccess(addr, value, True))
-        if region.write_fn is None:
-            raise CpuError(f"region {region.name!r} is not writable")
-        region.write_fn(addr - region.base, value)
+        """:meth:`store`, raising :class:`_Defer` for an external
+        region."""
+        if self.store(addr, value):
+            raise _Defer(ExternalAccess(addr & MASK32, value & MASK32, True))
 
 
 class _Defer(Exception):
-    """Internal: carries an :class:`ExternalAccess` out of Memory."""
+    """Internal: carries an :class:`ExternalAccess` out of
+    :meth:`Memory.read` and :meth:`Memory.write`."""
 
     def __init__(self, access: ExternalAccess) -> None:
         super().__init__(access)
@@ -340,15 +368,21 @@ class Cpu:
         the CPU's cycle counter.  Returns total cycles for the
         instruction.
         """
-        if self._pending is None:
+        pending = self._pending
+        if pending is None:
             raise CpuError("no external access pending")
-        pc_before, instr, access = self._pending
+        pc_before, instr, access = pending
         self._pending = None
-        if not access.is_write:
-            self.set_reg(instr.rd, read_value)
+        if not access.is_write and instr.rd:
+            self.regs[instr.rd] = read_value & MASK32
         self.pc = pc_before + 1  # loads/stores never branch
-        cycles = self.isa.cycles_of(instr.opcode) + extra_cycles
-        self._retire(pc_before, instr, cycles)
+        # a base opcode, so its cycles are the ISA's table entry
+        cycles = self.isa._cycles.get(instr.opcode, 1) + extra_cycles
+        if self.observers or self._triggers:
+            self._retire(pc_before, instr, cycles)
+        else:
+            self.instr_count += 1
+            self.cycle_count += cycles
         return cycles
 
     @property

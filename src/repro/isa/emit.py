@@ -99,7 +99,7 @@ def compile_code(
     after its store anyway.
     """
     # imported here: repro.isa.cpu imports this module
-    from repro.isa.cpu import _Defer
+    from repro.isa.cpu import ExternalAccess
 
     table = isa.cycle_table()
     # cyc[k] = cycles retired before instruction k
@@ -108,7 +108,7 @@ def compile_code(
         cyc.append(cyc[-1] + table[instr.opcode])
     namespace = {
         **HELPERS,
-        "_Defer": _Defer,
+        "ExternalAccess": ExternalAccess,
         "INSTRS": tuple(instrs),
         "ADDRS": watched,
     }
@@ -176,13 +176,11 @@ def _emit(
         out.append("    if cpu.irq_pending and cpu.irq_enabled:")
         exit_next(IRQ, "        ")
 
-    def deferrable(call: str) -> None:
-        """``call`` into memory; an external access defers, leaving
-        instruction ``k`` pending."""
-        out.append("    try:")
-        out.append(f"        {call}")
-        out.append("    except _Defer as _d:")
-        out.append(f"        cpu._pending = ({pc}, INSTRS[{k}], _d.access)")
+    def defer_if(test: str, access: str) -> None:
+        """If ``test`` holds, the access deferred: leave instruction
+        ``k`` pending on ``access``."""
+        out.append(f"    if {test}:")
+        out.append(f"        cpu._pending = ({pc}, INSTRS[{k}], {access})")
         out.append(f"        return {k1 * 8 + DEFER}")
 
     row = SEMANTICS.get(op)  # None for a custom op
@@ -203,15 +201,18 @@ def _emit(
             irq_recheck()
     elif op == Opcode.LW:
         commit_here()
-        read = f"memory.read(({a}) + ({imm}))"
-        deferrable(f"_v = {read} & {_M}" if rd else read)
+        out.append(f"    _a = (({a}) + ({imm})) & {_M}")
+        out.append("    _v = memory.load(_a)")
+        defer_if("_v is None", "ExternalAccess(_a, 0, False)")
         if rd:
-            out.append(f"    regs[{rd}] = _v")
+            out.append(f"    regs[{rd}] = _v & {_M}")
         irq_recheck()
     elif op == Opcode.SW:
         commit_here()
+        value = _reg(rd)
         out.append(f"    _wa = (({a}) + ({imm})) & {_M}")
-        deferrable(f"memory.write(_wa, {_reg(rd)})")
+        defer_if(f"memory.store(_wa, {value})",
+                 f"ExternalAccess(_wa, {value} & {_M}, True)")
         if smc_exit:
             out.append("    if _wa in ADDRS:")
             exit_next(SMC, "        ")

@@ -11,11 +11,11 @@ Profiles drive two of the paper's methodologies:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.isa.cpu import Cpu
-from repro.isa.instructions import Instruction, Isa, Opcode
+from repro.isa.instructions import Instruction
 
 
 @dataclass

@@ -25,7 +25,7 @@ attractive at the time.
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, List, Optional
+from typing import FrozenSet, List, Optional
 
 from repro import _domain
 from repro.partition.cost import CostWeights

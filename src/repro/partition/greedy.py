@@ -9,7 +9,7 @@ other algorithm is compared against.
 from __future__ import annotations
 
 import random
-from typing import FrozenSet, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro import _domain
 from repro.partition.cost import CostWeights

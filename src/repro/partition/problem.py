@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Optional, Set, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Optional, TYPE_CHECKING
 
 from repro import _domain
 from repro.estimate.communication import CommModel, DEFAULT
 from repro.graph.taskgraph import TaskGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.partition.cost import CostWeights
     from repro.partition.evaluate import Evaluation
 
 

@@ -15,7 +15,7 @@ impact are small leave hardware first.
 from __future__ import annotations
 
 import random
-from typing import FrozenSet, Optional
+from typing import Optional
 
 from repro import _domain
 from repro.partition.cost import CostWeights

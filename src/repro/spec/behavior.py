@@ -7,8 +7,8 @@ communication primitives the paper's co-simulation references use
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Tuple, Union
 
 from repro import _domain
 

@@ -27,7 +27,7 @@ import json
 import random
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro import _domain
 from repro.estimate.communication import DEFAULT, LOOSE, TIGHT, CommModel

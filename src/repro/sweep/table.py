@@ -15,7 +15,7 @@ however many synthetic problems the grid swept.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List
 
 TABLE_VERSION = 1
 

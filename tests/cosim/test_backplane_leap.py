@@ -52,7 +52,7 @@ class _EagerBackplane(Backplane):
                     break
                 if cycles:
                     yield timeout(cycles * period)
-                yield from self._service(access)
+                yield from self._service(access, self._find(access.addr))
                 if cpu.halted:
                     break
         return cpu.cycle_count

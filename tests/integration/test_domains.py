@@ -29,7 +29,7 @@ from repro.campaign.service import run_cells, run_store_jobs
 from repro.campaign.store import CampaignStore
 from repro.cosim.backplane import Backplane
 from repro.cosim.bus import SystemBus
-from repro.cosim.kernel import Simulator, Watchdog
+from repro.cosim.kernel import SimulationError, Simulator, Timeout, Watchdog
 from repro.cosim.metrics import Histogram
 from repro.cosim.msglevel import Channel
 from repro.cosim.pinlevel import PinBus, PinBusSlave
@@ -221,6 +221,8 @@ _SPEC = ExploreSpec(population=2, generations=1)
 # ----------------------------------------------------------------------
 ENTRIES = [
     # cosim kernel, signals, devices, channels and buses
+    Entry("delay", Timeout, Real(least=0), SimulationError,
+          kept=lambda t: t.delay),
     Entry("max_stalled_activations",
           lambda v: Watchdog(max_stalled_activations=v), Count(1),
           kept=lambda w: w.max_stalled_activations),
