@@ -55,10 +55,9 @@ def test_fig6_selection_frontier(benchmark):
     from repro.asip.custom import install, mine_candidates
     from repro.asip.selection import select_instructions
     from repro.isa.codegen import compile_cdfg
-    from repro.isa.instructions import Isa
 
-    extended = Isa("check")
-    install(extended, select_instructions(mine_candidates(wl), 1200.0))
+    extended = install(select_instructions(mine_candidates(wl), 1200.0),
+                       "check")
     g = kernels.crc_step()
     stock_binary = compile_cdfg(g)  # compiled for the stock ISA
     inputs = {op.name: 123 for op in g.inputs()}

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.graph.cdfg import CDFG, Op, OpKind
 from repro.hls.library import ComponentLibrary, default_library
 from repro.isa.codegen import Fusion
-from repro.isa.instructions import CustomOp, Isa
+from repro.isa.instructions import CUSTOM_BASE, CustomOp, Isa
 from repro.estimate.software import OP_CYCLES
 
 #: tokens describing where an operand of the pattern comes from
@@ -267,12 +267,11 @@ def fusions_for(
 
 
 def install(
-    isa: Isa, candidates: Sequence[CustomCandidate]
-) -> Dict[str, CustomOp]:
-    """Install candidates on an ISA; returns mnemonic -> CustomOp."""
-    out: Dict[str, CustomOp] = {}
-    for cand in candidates:
-        op = cand.to_custom_op(isa.next_custom_opcode())
-        isa.add_custom(op)
-        out[cand.mnemonic] = op
-    return out
+    candidates: Sequence[CustomCandidate], name: str = "r32"
+) -> Isa:
+    """The ISA called ``name`` that extends the stock one with
+    ``candidates``, in order, from :data:`CUSTOM_BASE` up."""
+    return Isa(name, customs=[
+        cand.to_custom_op(CUSTOM_BASE + k)
+        for k, cand in enumerate(candidates)
+    ])

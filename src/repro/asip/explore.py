@@ -78,8 +78,7 @@ def explore_asip(
     points: List[AsipDesignPoint] = []
     for budget in budgets:
         chosen = select_instructions(candidates, budget)
-        isa = Isa(f"r32+{len(chosen)}fx")
-        install(isa, chosen)
+        isa = install(chosen, f"r32+{len(chosen)}fx")
         cycles: Dict[str, int] = {}
         words: Dict[str, int] = {}
         for name, (cdfg, _w) in sorted(workloads.items()):

@@ -27,7 +27,6 @@ from repro.asip.custom import (
 from repro.asip.explore import run_workload
 from repro.asip.selection import select_instructions
 from repro.graph.cdfg import CDFG
-from repro.isa.instructions import Isa
 
 #: default fabric reconfiguration cost, in CPU cycles
 RECONFIG_CYCLES = 2000
@@ -68,8 +67,7 @@ def _phase_cycles(
     chosen: Sequence[CustomCandidate],
 ) -> float:
     """Weighted cycles of one phase under an instruction set."""
-    isa = Isa("phase")
-    install(isa, chosen)
+    isa = install(chosen, "phase")
     total = 0.0
     for name, (cdfg, weight) in sorted(phase_workloads.items()):
         fusions = fusions_for(chosen, name)

@@ -89,40 +89,31 @@ _ISA: Optional[Any] = None
 def _stock_isa() -> Any:
     """The stock ISA, built once per process and shared by every
     scenario CPU, so each cell finds its decode and operand caches warm.
-
-    An ISA whose ``version`` moved (a custom op was added or its cycles
-    edited, through any CPU that ran on it) is never handed out again:
-    the next call builds a fresh one.
     """
     global _ISA
-    if _ISA is None or _ISA.version:
+    if _ISA is None:
         from repro.isa.instructions import Isa
 
         _ISA = Isa()
     return _ISA
 
 
-#: Checkpointed golden runs, keyed by workload, each with the stock ISA
-#: it ran on (see :func:`_golden`).
-_GOLDEN: Dict[SoftwareWorkload, Tuple[Any, Any]] = {}
+#: Checkpointed golden runs, keyed by workload (see :func:`_golden`).
+_GOLDEN: Dict[SoftwareWorkload, Any] = {}
 
 
 def _golden(sw: SoftwareWorkload) -> Any:
     """The checkpointed golden run of ``sw``, a
-    :class:`~repro.isa.BatchCpu` run once per process and stock ISA.
-
-    An entry is valid while :func:`_stock_isa` returns the ISA it ran
-    on, so a custom op or a cycle-table edit runs golden again.
+    :class:`~repro.isa.BatchCpu` run once per process on the stock ISA.
     """
-    isa = _stock_isa()
-    entry = _GOLDEN.get(sw)
-    if entry is None or entry[0] is not isa:
+    golden = _GOLDEN.get(sw)
+    if golden is None:
         from repro.isa.batch import BatchCpu
 
-        golden = BatchCpu(isa, _sw_image(sw))
+        golden = BatchCpu(_stock_isa(), _sw_image(sw))
         golden.run(sw.budget)
-        entry = _GOLDEN[sw] = (isa, golden)
-    return entry[1]
+        _GOLDEN[sw] = golden
+    return golden
 
 
 @dataclass(frozen=True)

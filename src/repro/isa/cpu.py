@@ -92,10 +92,12 @@ class Memory:
         write_fn: Optional[Callable[[int, int], None]] = None,
         external: bool = False,
     ) -> None:
-        """Map a device region at [base, base+size) word addresses;
-        ``base`` is an int >= 0 and ``size`` an int >= 1."""
-        _domain.count(f"region {name!r}: base", base)
-        _domain.count(f"region {name!r}: size", size, 1)
+        """Map a device region at [base, base+size) word addresses,
+        inside the 32-bit space a masked address reaches: ``base`` is
+        an int in [0, 2**32) and ``size`` an int in [1, 2**32 - base]."""
+        _domain.count(f"region {name!r}: base", base, 0, 1 << 32)
+        _domain.count(f"region {name!r}: size", size, 1,
+                      (1 << 32) - base + 1)
         for region in self._regions:
             if region.base < base + size and base < region.end:
                 raise ValueError(
@@ -376,8 +378,7 @@ class Cpu:
         if not access.is_write and instr.rd:
             self.regs[instr.rd] = read_value & MASK32
         self.pc = pc_before + 1  # loads/stores never branch
-        # a base opcode, so its cycles are the ISA's table entry
-        cycles = self.isa._cycles.get(instr.opcode, 1) + extra_cycles
+        cycles = self.isa._cycles[instr.opcode] + extra_cycles
         if self.observers or self._triggers:
             self._retire(pc_before, instr, cycles)
         else:
@@ -552,11 +553,7 @@ class Cpu:
         memory = self.memory
         ram = memory.ram
         regs = self.regs
-        isa = self.isa
-        if isa._ops_version != isa.version:
-            isa._ops.clear()
-            isa._ops_version = isa.version
-        ops = isa._ops
+        ops = self.isa._ops
         cycles0 = self.cycle_count
         irq_cycles = 0  # returned to the caller, never in cycle_count
         steps = 0

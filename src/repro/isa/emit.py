@@ -73,7 +73,7 @@ def word_function(isa: Isa, word: int, instr: Instruction) -> Callable:
     """
     op = instr.opcode
     custom = isa.custom(op)
-    key = (word, isa.cycle_table()[op], custom and custom.semantics)
+    key = (word, isa.cycles_of(op), custom and custom.semantics)
     fn = _WORDS.get(key)
     if fn is None:
         if len(_WORDS) >= MAX_WORDS:

@@ -30,7 +30,8 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple, Union
+from types import MappingProxyType
+from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from repro import _domain
 
@@ -250,7 +251,7 @@ HELPERS = {"_div": _div, "_mod": _mod}
 FORMATS: Dict[int, Format] = {op: row.fmt for op, row in SEMANTICS.items()}
 #: Default cycle costs; an :class:`Isa` may override.
 DEFAULT_CYCLES: Dict[int, int] = {
-    op: row.cycles for op, row in SEMANTICS.items()
+    int(op): row.cycles for op, row in SEMANTICS.items()
 }
 
 #: Assembler pseudo-ops: expanded before custom ops are looked up, so
@@ -274,13 +275,14 @@ class Instruction:
         return isa.mnemonic(self.opcode)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CustomOp:
     """An application-specific instruction bound into the custom space.
 
     ``semantics(a, b) -> result`` defines the operation on two source
     operands; ``cycles`` its latency; ``area`` the silicon cost of the
     functional unit that implements it (used by the ASIP selection tools).
+    Frozen: an :class:`Isa` bakes its fields into compiled code.
     """
 
     name: str
@@ -295,126 +297,76 @@ class CustomOp:
         _domain.real("area", self.area, least=0)
 
 
-class _CycleMap(dict):
-    """The ISA's opcode→cycles override table, invalidation-aware.
-
-    Behaves exactly like the plain dict it replaces, but every mutating
-    method (:data:`_CYCLE_MUTATORS`) bumps the owning :class:`Isa`'s
-    :attr:`~Isa.version`, so the memoized :meth:`Isa.cycle_table` (and
-    any cache keyed on the version) can never serve stale timing.
-    """
-
-    def __init__(self, isa: "Isa", *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._isa = isa
-
-
-_CYCLE_MUTATORS = ("__setitem__", "__delitem__", "__ior__", "update", "pop",
-                   "popitem", "clear", "setdefault")
-
-
-def _bumping(method: Callable) -> Callable:
-    def bump(self, *args, **kwargs):
-        result = method(self, *args, **kwargs)
-        self._isa.version += 1
-        return result
-
-    bump.__name__ = method.__name__
-    return bump
-
-
-for _name in _CYCLE_MUTATORS:
-    setattr(_CycleMap, _name, _bumping(getattr(dict, _name)))
-
-
 class Isa:
-    """An R32 ISA variant: base opcodes plus installed custom ops.
+    """An R32 ISA variant: base opcodes plus custom ops, fixed when built.
 
-    A plain ``Isa()`` is the stock processor; the ASIP tools derive
-    variants by :meth:`add_custom` — this object *is* the
-    hardware/software boundary of a Type I system, and moving a function
-    into a custom instruction is the paper's Section 4.3 form of
-    hardware/software partitioning.
+    A plain ``Isa()`` is the stock processor.  The ASIP tools build
+    variants from ``customs``, the custom ops (R-type) to install, and
+    ``cycles``, cycle costs that override base opcodes' defaults
+    (:data:`DEFAULT_CYCLES`).  This object *is* the hardware/software
+    boundary of a Type I system, and moving a function into a custom
+    instruction is the paper's Section 4.3 form of hardware/software
+    partitioning; instruction-set metamorphosis builds one per phase.
 
-    Decoding is memoized per 32-bit word (an executed word decodes to
-    the same :class:`Instruction` forever under a fixed custom-op set),
-    and the per-opcode timing model can be flattened into one dict by
-    :meth:`cycle_table`.  :attr:`version` counts every mutation that
-    could invalidate either — :meth:`add_custom`, each mutating method
-    of :attr:`cycles` and assigning :attr:`cycles` — so caches key on
-    it.  The interpreted tier's per-word operand cache lives here too,
+    Each custom op's name must be one the assembler can emit: a
+    lowercase identifier (the assembler lowercases every mnemonic) that
+    is no base mnemonic, pseudo-op (:data:`PSEUDO_OPS`) or other custom
+    op's, at an opcode no other custom op holds.  ``cycles`` maps base
+    opcodes (ints, not bools) to ints >= 1.
+
+    Nothing about an ISA changes after construction, so nothing that
+    caches over it is ever stale: decoding is memoized per 32-bit word,
+    the timing model is one opcode→cycles table (:meth:`cycle_table`),
+    and the interpreted tier's per-word operand cache lives here too,
     so every CPU on one ISA shares it.
     """
 
-    def __init__(self, name: str = "r32") -> None:
+    def __init__(
+        self,
+        name: str = "r32",
+        customs: Iterable[CustomOp] = (),
+        cycles: Optional[Mapping[int, int]] = None,
+    ) -> None:
         self.name = name
         self._customs: Dict[int, CustomOp] = {}
         self._custom_by_name: Dict[str, CustomOp] = {}
-        #: bumped on any change to decode or timing behavior
-        self.version = 0
-        self._cycles: Dict[int, int] = _CycleMap(self, DEFAULT_CYCLES)
+        for op in customs:
+            mnemonic = op.name
+            if op.opcode in self._customs:
+                raise ValueError(
+                    f"custom opcode {op.opcode:#x} already in use")
+            if not _MNEMONIC_RE.fullmatch(mnemonic):
+                raise ValueError(
+                    f"custom op name {mnemonic!r} is not a lowercase "
+                    "identifier, so the assembler could never emit it"
+                )
+            if mnemonic in PSEUDO_OPS:
+                raise ValueError(
+                    f"custom op name {mnemonic!r} clashes with the "
+                    f"assembler pseudo-op {mnemonic!r}"
+                )
+            if mnemonic.upper() in Opcode.__members__ or \
+                    mnemonic in self._custom_by_name:
+                raise ValueError(f"mnemonic {mnemonic!r} already in use")
+            self._customs[op.opcode] = op
+            self._custom_by_name[mnemonic] = op
+        table = dict(DEFAULT_CYCLES)
+        for opcode, cost in (cycles or {}).items():
+            if _domain.count("cycles key", opcode, 1, CUSTOM_BASE) \
+                    not in SEMANTICS:
+                raise ValueError(
+                    f"cycles key must be a base opcode, got {opcode!r}")
+            table[opcode] = _domain.count(
+                f"cycles[{self.mnemonic(opcode)}]", cost, 1)
+        for code, op in self._customs.items():
+            table[code] = op.cycles
+        #: opcode -> cycles, for every decodable opcode
+        self._cycles: Dict[int, int] = table
         self._decode_cache: Dict[int, Instruction] = {}
-        self._cycle_table: Optional[Dict[int, int]] = None
-        self._cycle_table_version = -1
         #: word -> its compiled one-instruction function
         #: (:func:`repro.isa.emit.word_function`), filled by the
-        #: interpreted tier (``Cpu._predecode``) and valid for
-        #: ``_ops_version`` only
+        #: interpreted tier (``Cpu._predecode``)
         self._ops: Dict[int, Callable] = {}
-        self._ops_version = -1
-
-    @property
-    def cycles(self) -> Dict[int, int]:
-        """The opcode→cycles overrides of the base opcodes.
-
-        Every edit bumps :attr:`version`: each mutating dict method of
-        the table, and assigning a new table, which is copied into a
-        fresh invalidation-aware map.
-        """
-        return self._cycles
-
-    @cycles.setter
-    def cycles(self, table: Dict[int, int]) -> None:
-        self._cycles = _CycleMap(self, table)
-        self.version += 1
-
-    def add_custom(self, op: CustomOp) -> CustomOp:
-        """Install a custom instruction (R-type).
-
-        Its name must be one the assembler can emit: a lowercase
-        identifier (the assembler lowercases every mnemonic) that is no
-        base mnemonic, pseudo-op (:data:`PSEUDO_OPS`) or installed
-        custom op.
-        """
-        name = op.name
-        if op.opcode in self._customs:
-            raise ValueError(f"custom opcode {op.opcode:#x} already in use")
-        if not _MNEMONIC_RE.fullmatch(name):
-            raise ValueError(
-                f"custom op name {name!r} is not a lowercase identifier, "
-                "so the assembler could never emit it"
-            )
-        if name in PSEUDO_OPS:
-            raise ValueError(
-                f"custom op name {name!r} clashes with the assembler "
-                f"pseudo-op {name!r}"
-            )
-        if name.upper() in Opcode.__members__ or \
-                name in self._custom_by_name:
-            raise ValueError(f"mnemonic {name!r} already in use")
-        self._customs[op.opcode] = op
-        self._custom_by_name[name] = op
-        # a formerly-illegal word may now decode; drop the memo table
-        self._decode_cache.clear()
-        self.version += 1
-        return op
-
-    def next_custom_opcode(self) -> int:
-        """Lowest free opcode in the custom space."""
-        for code in range(CUSTOM_BASE, 0x100):
-            if code not in self._customs:
-                return code
-        raise ValueError("custom opcode space exhausted")
 
     def custom(self, opcode: int) -> Optional[CustomOp]:
         """The custom op at ``opcode``, or None."""
@@ -475,25 +427,16 @@ class Isa:
 
     def cycles_of(self, opcode: int) -> int:
         """Cycle cost of ``opcode`` under this ISA's timing model."""
-        if opcode in self._customs:
-            return self._customs[opcode].cycles
         return self._cycles.get(opcode, 1)
 
-    def cycle_table(self) -> Dict[int, int]:
-        """The timing model flattened to one opcode→cycles dict.
+    def cycle_table(self) -> Mapping[int, int]:
+        """The timing model as one read-only opcode→cycles mapping.
 
-        Covers every decodable opcode (all base opcodes plus installed
-        customs), so an executor may index it with any decoded
-        instruction's opcode without a fallback.  Memoized against
-        :attr:`version`; treat the returned dict as read-only.
+        Covers every decodable opcode (all base opcodes plus the custom
+        ops), so an executor may index it with any decoded
+        instruction's opcode without a fallback.
         """
-        if self._cycle_table_version != self.version:
-            table = {int(op): self.cycles_of(int(op)) for op in Opcode}
-            for code in self._customs:
-                table[code] = self.cycles_of(code)
-            self._cycle_table = table
-            self._cycle_table_version = self.version
-        return self._cycle_table
+        return MappingProxyType(self._cycles)
 
     # ------------------------------------------------------------------
     # encode / decode
@@ -516,12 +459,8 @@ class Isa:
         return word
 
     def decode(self, word: int) -> Instruction:
-        """Decode a 32-bit word (memoized per word value).
-
-        The memo table is invalidated when a custom op is installed;
-        illegal words are never cached, so they stay re-decodable after
-        the custom space grows over them.
-        """
+        """Decode a 32-bit word (memoized per word value; an illegal
+        word raises and is never cached)."""
         instr = self._decode_cache.get(word)
         if instr is None:
             instr = self.decode_uncached(word)

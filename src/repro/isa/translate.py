@@ -34,12 +34,11 @@ translator adds:
   a few instructions at a time never builds one.
 
 Compiled blocks live in one process-wide cache keyed by the entry
-``pc``, the block's code words, the ISA's cycle table and the semantics
-objects of any custom ops in the block — everything code generation
-bakes in — so every translator in the process reuses them.  Each
-translator keeps its own ``pc`` -> block map on top, guarded per CPU:
-:attr:`Isa.version` drops the map on ``add_custom`` or cycle-table
-edits, and a write-watch guards the code words —
+``pc``, the block's code words, their cycles and the semantics objects
+of any custom ops in the block — everything code generation bakes in —
+so every translator in the process reuses them.  Each translator keeps
+its own ``pc`` -> block map on top.  An ISA never changes, so only the
+code words can go stale, and a write-watch guards them per CPU:
 :class:`~repro.isa.cpu.Memory` bumps its ``code_version`` whenever a
 store or ``load_image`` touches an address covered by a block this
 translator runs, from *any* tier, and a translated store that rewrites
@@ -73,7 +72,7 @@ MAX_SHARED_BLOCKS = 4 * MAX_BLOCKS
 DEFAULT_HOT_THRESHOLD = 2
 
 #: compiled blocks shared by every translator in the process:
-#: (pc, code words, cycle table, custom semantics) -> (fn, addrs)
+#: (pc, code words, their cycles, custom semantics) -> (fn, addrs)
 _SHARED: Dict[tuple, Tuple] = {}
 
 
@@ -103,18 +102,11 @@ class BlockTranslator:
         #: pc -> (fn, length, memory.code_version at installation)
         self._blocks: Dict[int, Tuple] = {}
         self._counts: Dict[int, int] = {}
-        self._isa_version = cpu.isa.version
-        #: the cycle table as a shared-cache key part (None = not yet
-        #: built for this ISA version) and whether the ISA has customs
-        self._table_key: Optional[tuple] = None
-        self._has_customs = False
         #: blocks installed over the translator's lifetime, compiled
         #: here or reused from the shared cache
         self.translations = 0
         #: of those, blocks reused without compiling
         self.reused = 0
-        #: whole-cache drops (ISA mutation)
-        self.invalidations = 0
         #: single blocks dropped oldest-first at ``max_blocks``
         self.evictions = 0
         #: mid-block early exits (self-modifying store or IRQ)
@@ -154,14 +146,7 @@ class BlockTranslator:
             return 0, 0, None
         if cpu._pending is not None:
             raise CpuError("run_block() while an external access is pending")
-        isa = cpu.isa
         memory = cpu.memory
-        if self._isa_version != isa.version:
-            self._blocks.clear()
-            self._counts.clear()
-            self._isa_version = isa.version
-            self._table_key = None
-            self.invalidations += 1
         blocks = self._blocks
         counts = self._counts
         regs = cpu.regs
@@ -270,17 +255,16 @@ class BlockTranslator:
              words: tuple) -> tuple:
         """The shared-cache key: everything code generation bakes in."""
         isa = self.cpu.isa
-        if self._table_key is None:
-            self._table_key = tuple(sorted(isa.cycle_table().items()))
-            self._has_customs = bool(isa.customs)
+        cycles = isa._cycles
         customs: tuple = ()
-        if self._has_customs:
+        if isa._customs:
             customs = tuple(
                 op.semantics for op in map(isa.custom,
                                            (i.opcode for i in instrs))
                 if op is not None
             )
-        return (pc, words, self._table_key, customs)
+        return (pc, words, tuple([cycles[i.opcode] for i in instrs]),
+                customs)
 
     def _install(self, pc: int, fn, addrs: tuple) -> Tuple:
         """This translator's map entry for a compiled block, watching

@@ -6,7 +6,7 @@ from repro.asip.custom import fusions_for, install, mine_candidates
 from repro.graph import kernels
 from repro.graph.cdfg import CDFG, MASK32
 from repro.isa.codegen import CodegenError, Fusion, compile_cdfg
-from repro.isa.instructions import Isa
+from repro.isa.instructions import CUSTOM_BASE, CustomOp, Isa
 
 
 def shift_add_graph():
@@ -83,8 +83,7 @@ class TestMining:
 class TestFusedCodegen:
     def run_both(self, cdfg, workload_name, workloads):
         cands = mine_candidates(workloads)
-        isa = Isa("asip")
-        install(isa, cands)
+        isa = install(cands, "asip")
         fusions = fusions_for(cands, workload_name)
         inputs = {op.name: (i * 13 + 5) & 0xFFF
                   for i, op in enumerate(cdfg.inputs())}
@@ -133,10 +132,7 @@ class TestFusedCodegen:
         s = g.add(m, m)  # m used twice by the same op -> uses list != [s]
         g.out("y", s)
         g.out("z", m)   # and also by an output
-        isa = Isa()
-        from repro.isa.instructions import CustomOp
-
-        isa.add_custom(CustomOp("fma0", 0x80, lambda x, y: x))
+        isa = Isa(customs=[CustomOp("fma0", 0x80, lambda x, y: x)])
         fusion = Fusion(outer=s, inner=m, mnemonic="fma0",
                         externals=("a", "b"))
         with pytest.raises(CodegenError):
@@ -151,3 +147,22 @@ class TestFusedCodegen:
             assert fusion.inner not in used
             used.add(fusion.outer)
             used.add(fusion.inner)
+
+
+class TestInstall:
+    def test_install_builds_an_isa_numbered_from_the_custom_base(self):
+        cands = mine_candidates(WORKLOADS)[:3]
+        isa = install(cands, "asip")
+        assert isa.name == "asip"
+        assert [op.opcode for op in isa.customs] == \
+            [CUSTOM_BASE + k for k in range(3)]
+        assert [op.name for op in isa.customs] == \
+            [c.mnemonic for c in cands]
+        assert isa.custom_area() == sum(c.area for c in cands)
+
+    def test_install_leaves_every_other_isa_stock(self):
+        cands = mine_candidates(WORKLOADS)[:2]
+        first, second = install(cands), install(cands[1:])
+        assert first is not second and first.name == "r32"
+        assert second.custom(CUSTOM_BASE).name == cands[1].mnemonic
+        assert Isa().customs == () and install([]).customs == ()

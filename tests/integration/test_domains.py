@@ -62,7 +62,7 @@ from repro.interface.spec import DeviceSpec, RegisterSpec
 from repro.isa.assembler import assemble
 from repro.isa.batch import BatchCpu
 from repro.isa.cpu import Cpu, Memory
-from repro.isa.instructions import CUSTOM_BASE, CustomOp, Isa
+from repro.isa.instructions import CUSTOM_BASE, CustomOp, Isa, Opcode
 from repro.isa.translate import BlockTranslator
 from repro.partition import PartitionProblem
 from repro.partition.annealing import simulated_annealing
@@ -121,6 +121,17 @@ class Real:
                 and (self.above is None or value > self.above)
                 and (self.most is None or value <= self.most)
                 and (self.below is None or value < self.below))
+
+
+@dataclass(frozen=True)
+class Member:
+    """An int, never a bool, in ``values``."""
+
+    values: frozenset
+    integral = True
+
+    def admits(self, value: Any) -> bool:
+        return type(value) is int and value in self.values
 
 
 @dataclass(frozen=True)
@@ -277,9 +288,13 @@ ENTRIES = [
           Real(least=0, most=1)),
     # R32
     Entry("region 'd': base", lambda v: Memory().add_region(
-        "d", v, 4, read_fn=lambda o: 0), Count(0)),
+        "d", v, 1, read_fn=lambda o: 0), Count(0, 1 << 32),
+          extra=((1 << 32) - 1, 1 << 32)),
     Entry("region 'd': size", lambda v: Memory().add_region(
-        "d", 0x100, v, read_fn=lambda o: 0), Count(1)),
+        "d", 0x100, v, read_fn=lambda o: 0), Count(1, (1 << 32) - 0xFF),
+          extra=((1 << 32) - 0x100, (1 << 32) - 0xFF)),
+    Entry("region 't': size", lambda v: Memory().add_region(
+        "t", (1 << 32) - 2, v, external=True), Count(1, 3), extra=(2, 3, 4)),
     Entry("max_instructions", lambda v: _halted_cpu().run(v), Count(0)),
     Entry("max_steps", lambda v: _cpu().run_block(v), Count(None),
           extra=(3,)),
@@ -292,6 +307,14 @@ ENTRIES = [
           Count(CUSTOM_BASE, 0x100)),
     Entry("area", lambda v: CustomOp("c", CUSTOM_BASE, max, area=v),
           Real(least=0), kept=lambda op: op.area),
+    Entry("cycles[add]", lambda v: Isa(cycles={Opcode.ADD: v}), Count(1),
+          kept=lambda isa: isa.cycles_of(Opcode.ADD), extra=(9,)),
+    Entry("cycles[lw]", lambda v: Isa(cycles={int(Opcode.LW): v}),
+          Count(1), kept=lambda isa: isa.cycles_of(Opcode.LW)),
+    Entry("cycles key", lambda v: Isa(cycles={v: 3}),
+          Member(frozenset(int(op) for op in Opcode)),
+          extra=(int(Opcode.ADD), int(Opcode.HALT), 0x10, 0x7E,
+                 CUSTOM_BASE, 0x99, 0x100)),
     Entry("hot_threshold",
           lambda v: BlockTranslator(_cpu(), hot_threshold=v), Count(1),
           kept=lambda t: t.hot_threshold),

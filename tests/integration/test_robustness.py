@@ -64,8 +64,7 @@ class TestFailureInjection:
         three = g.const(3)
         g.out("y", g.add(g.shl(a, three), b))
         cands = mine_candidates({"sa": (g, 1.0)})
-        extended = Isa("ext")
-        install(extended, cands)
+        extended = install(cands, "ext")
         compiled = compile_cdfg(g, extended,
                                 fusions=fusions_for(cands, "sa"))
         with pytest.raises(CpuError):
@@ -84,11 +83,10 @@ class TestFailureInjection:
         shl = g.shl(a, three)
         add = g.add(shl, b)
         g.out("y", add)
-        isa = Isa("buggy")
-        isa.add_custom(CustomOp(
+        isa = Isa("buggy", customs=[CustomOp(
             "badfx", 0x80,
             lambda x, y: ((x << 2) + y) & 0xFFFFFFFF,  # wrong shift!
-        ))
+        )])
         compiled = compile_cdfg(
             g, isa,
             fusions={add: Fusion(outer=add, inner=shl,

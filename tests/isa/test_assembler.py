@@ -275,9 +275,8 @@ class TestRangeErrors:
 
 class TestCustomInstructions:
     def test_custom_mnemonic_assembles(self):
-        isa = Isa()
-        isa.add_custom(CustomOp("sad", 0x80,
-                                lambda a, b: abs(a - b) & 0xFFFFFFFF))
+        isa = Isa(customs=[CustomOp("sad", 0x80,
+                                    lambda a, b: abs(a - b) & 0xFFFFFFFF)])
         cpu, _m, _p = run_program("""
             addi r1, r0, 3
             addi r2, r0, 10
@@ -289,8 +288,7 @@ class TestCustomInstructions:
 
     @pytest.mark.parametrize("name", ["mac", "fx_0a1b2c3d"])
     def test_every_installable_name_assembles(self, name):
-        isa = Isa()
-        isa.add_custom(CustomOp(name, 0x80, lambda a, b: a + b))
+        isa = Isa(customs=[CustomOp(name, 0x80, lambda a, b: a + b)])
         cpu, _m, _p = run_program(f"""
             addi r1, r0, 3
             addi r2, r0, 4
@@ -302,9 +300,9 @@ class TestCustomInstructions:
     def test_pseudo_ops_keep_their_expansion(self):
         """No custom op can take a pseudo-op's name, so ``nop`` stays
         ``add r0, r0, r0`` on every ISA."""
-        isa = Isa()
         with pytest.raises(ValueError, match="pseudo-op 'nop'"):
-            isa.add_custom(CustomOp("nop", 0x80, lambda a, b: a))
+            Isa(customs=[CustomOp("nop", 0x80, lambda a, b: a)])
+        isa = Isa()
         assert assemble("nop", isa).image == {0: 0x01000000}
         lines = {"nop": "nop", "mov": "mov r1, r2", "li": "li r1, 5",
                  "la": "la r1, 0"}

@@ -1,10 +1,12 @@
 """Tests for R32 ISA definition and encoding."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.isa.instructions import (
-    CUSTOM_BASE,
+    DEFAULT_CYCLES,
     PSEUDO_OPS,
     CustomOp,
     Format,
@@ -58,15 +60,15 @@ class TestEncoding:
 
 
 class TestCustomOps:
-    def test_add_custom_and_lookup(self):
-        isa = Isa()
+    def test_custom_lookup(self):
         op = CustomOp("mac3", 0x80, lambda a, b: a * b + 1, cycles=2,
                       area=80.0)
-        isa.add_custom(op)
+        isa = Isa(customs=[op])
         assert isa.custom(0x80) is op
         assert isa.custom_by_name("mac3") is op
         assert isa.opcode_of("mac3") == 0x80
         assert isa.cycles_of(0x80) == 2
+        assert isa.cycle_table()[0x80] == 2
         assert isa.custom_area() == 80.0
 
     def test_custom_opcode_space_enforced(self):
@@ -77,61 +79,82 @@ class TestCustomOps:
         with pytest.raises(ValueError):
             CustomOp("bad", 0x80, lambda a, b: a, cycles=0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("cycles", 9), ("cycles", 0.5), ("semantics", max), ("area", 1.0),
+        ("name", "other"), ("opcode", 0x81)])
+    def test_a_custom_op_is_frozen(self, field, value):
+        """An ISA bakes a custom op's fields into compiled code, so no
+        field can change after the op is built (and none can bypass
+        the domain checks that way)."""
+        op = CustomOp("mac", 0x80, lambda a, b: a, cycles=2)
+        isa = Isa(customs=[op])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(op, field, value)
+        assert op.cycles == 2 and isa.cycles_of(0x80) == 2
+
     def test_duplicate_opcode_rejected(self):
-        isa = Isa()
-        isa.add_custom(CustomOp("one", 0x80, lambda a, b: a))
-        with pytest.raises(ValueError):
-            isa.add_custom(CustomOp("two", 0x80, lambda a, b: b))
+        with pytest.raises(ValueError, match="0x80 already in use"):
+            Isa(customs=[CustomOp("one", 0x80, lambda a, b: a),
+                         CustomOp("two", 0x80, lambda a, b: b)])
 
     def test_duplicate_mnemonic_rejected(self):
-        isa = Isa()
-        isa.add_custom(CustomOp("fused", 0x80, lambda a, b: a))
-        with pytest.raises(ValueError):
-            isa.add_custom(CustomOp("fused", 0x81, lambda a, b: b))
+        with pytest.raises(ValueError, match="'fused' already in use"):
+            Isa(customs=[CustomOp("fused", 0x80, lambda a, b: a),
+                         CustomOp("fused", 0x81, lambda a, b: b)])
 
     def test_base_mnemonic_collision_rejected(self):
-        isa = Isa()
-        with pytest.raises(ValueError):
-            isa.add_custom(CustomOp("add", 0x80, lambda a, b: a))
+        with pytest.raises(ValueError, match="'add' already in use"):
+            Isa(customs=[CustomOp("add", 0x80, lambda a, b: a)])
 
     @pytest.mark.parametrize("name", ["MAC", "fx_Mac", "my op", "mac\t",
                                       "1mac", "mac-2", "mac:", ""])
     def test_names_the_assembler_cannot_emit_rejected(self, name):
         """The assembler lowercases every mnemonic and splits on
         whitespace, so only a lowercase identifier can be emitted."""
-        isa = Isa()
         with pytest.raises(ValueError, match="not a lowercase identifier"):
-            isa.add_custom(CustomOp(name, 0x80, lambda a, b: a))
-        assert isa.customs == () and isa.version == 0
+            Isa(customs=[CustomOp(name, 0x80, lambda a, b: a)])
 
     @pytest.mark.parametrize("name", sorted(PSEUDO_OPS))
     def test_pseudo_op_names_rejected(self, name):
         """The assembler expands pseudo-ops before it looks custom ops
         up, so a custom op by such a name would never be emitted."""
         with pytest.raises(ValueError, match=f"pseudo-op '{name}'"):
-            Isa().add_custom(CustomOp(name, 0x80, lambda a, b: a))
+            Isa(customs=[CustomOp(name, 0x80, lambda a, b: a)])
 
     @pytest.mark.parametrize("name", ["mac", "mac3", "sad", "fma0",
                                       "mulx", "badfx", "c0", "_x",
                                       "fx_0123456789abcdef"])
     def test_names_in_use_still_install(self, name):
-        isa = Isa()
-        isa.add_custom(CustomOp(name, 0x80, lambda a, b: a))
+        isa = Isa(customs=[CustomOp(name, 0x80, lambda a, b: a)])
         assert isa.opcode_of(name) == 0x80
 
-    def test_next_custom_opcode_skips_used(self):
-        isa = Isa()
-        assert isa.next_custom_opcode() == CUSTOM_BASE
-        isa.add_custom(CustomOp("c0", CUSTOM_BASE, lambda a, b: a))
-        assert isa.next_custom_opcode() == CUSTOM_BASE + 1
-
     def test_custom_encodes_as_r_type(self):
-        isa = Isa()
-        isa.add_custom(CustomOp("fma", 0x82, lambda a, b: a))
+        isa = Isa(customs=[CustomOp("fma", 0x82, lambda a, b: a)])
         instr = Instruction(0x82, rd=1, rs1=2, rs2=3)
         assert isa.decode(isa.encode(instr)) == instr
         assert isa.fmt(0x82) is Format.R
 
+
+class TestCycleTable:
+    def test_overrides_apply_to_base_opcodes_only(self):
+        isa = Isa(cycles={Opcode.MUL: 7, int(Opcode.LW): 3})
+        assert isa.cycles_of(Opcode.MUL) == 7
+        assert isa.cycles_of(Opcode.LW) == 3
+        assert isa.cycles_of(Opcode.ADD) == DEFAULT_CYCLES[Opcode.ADD]
+        assert Isa().cycles_of(Opcode.MUL) == DEFAULT_CYCLES[Opcode.MUL]
+
+    def test_the_isa_keeps_a_copy(self):
+        table = {Opcode.ADD: 9}
+        isa = Isa(cycles=table)
+        table[Opcode.ADD] = 2
+        assert isa.cycles_of(Opcode.ADD) == 9
+
+    def test_the_cycle_table_is_read_only(self):
+        isa = Isa()
+        with pytest.raises(TypeError):
+            isa.cycle_table()[int(Opcode.ADD)] = 9
+        assert isa.cycles_of(Opcode.ADD) == 1
+        assert set(isa.cycle_table()) == {int(op) for op in Opcode}
 
 class TestDisassembly:
     def test_formats(self):

@@ -62,9 +62,7 @@ CUSTOM = 0x80
 def custom_isa():
     """A stock ISA with one custom op whose result depends on both
     sources."""
-    isa = Isa()
-    isa.add_custom(CustomOp("mac3", CUSTOM, lambda a, b: a * 3 + b))
-    return isa
+    return Isa(customs=[CustomOp("mac3", CUSTOM, lambda a, b: a * 3 + b)])
 
 
 #: every opcode the sets are checked for: the table's rows and the

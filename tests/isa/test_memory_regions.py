@@ -131,6 +131,27 @@ def test_a_huge_region_allocates_nothing_per_address():
     assert memory.region_at((1 << 30) + (1 << 20)) is None
 
 
+@pytest.mark.parametrize("base,size", [(TOP, 4), (TOP - 2, 4),
+                                       (TOP + 7, 1), (0, TOP + 1)])
+def test_a_region_the_masked_address_cannot_reach_is_rejected(base, size):
+    """Every access masks its address to 32 bits, so a region at or
+    past 2**32 would alias RAM and one across it would defer only its
+    low part."""
+    memory = Memory()
+    with pytest.raises(ValueError, match="region 'hi'"):
+        memory.add_region("hi", base, size, external=True)
+    assert memory.region_at(TOP - 1) is None
+    assert memory.load(TOP + 1) == 0
+
+
+def test_a_region_may_end_at_the_top_of_the_space():
+    memory = Memory()
+    memory.add_region("top", TOP - 4, 4, external=True)
+    memory.add_region("all", 0, TOP - 4, external=True)
+    assert memory.region_at(TOP - 1).name == "top"
+    assert memory.load(TOP - 1) is None and memory.load(TOP + 1) is None
+
+
 RAW_WORDS = [-1, -(1 << 40), 1 << 32, (1 << 40) + 5, (1 << 64) - 1]
 
 
